@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Time the numba kernels against the pure numpy/python fallback.
+"""Time the package's numeric hot paths.
 
-Workloads mirror the package's hot paths: evaluating the field components
-over a (theta, phi) surface grid (singular-set scans) and stepping one RK4
-trajectory (drift and periodicity checks).
+Workloads mirror them: evaluating the field components over a (theta, phi)
+surface grid (singular-set scans; one matrix product on every backend) and
+stepping one RK4 trajectory (drift and periodicity checks; numba kernel
+against the pure python fallback).
 
 Run:  python benchmarks/bench_kernels.py [--grid 512] [--steps 50000]
 """
@@ -13,20 +14,10 @@ import math
 import time
 from fractions import Fraction
 
-import numpy as np
-
 from torusfields import CubicParams, MultiPoly, Scalar, X, Y, build_cubic
 from torusfields import kernels
 
 M = Fraction(4)
-
-
-def surface_grid(n):
-    thetas = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    phis = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    rr = np.sqrt(4.0 + np.cos(pp))
-    return rr * np.cos(tt), rr * np.sin(tt), np.sin(pp)
 
 
 def time_call(fn, repeats=3):
@@ -47,7 +38,6 @@ def main():
     field = build_cubic(CubicParams(MultiPoly.constant(1), X * Y,
                                     Scalar(0), Scalar(0)), M)
     arrays = [kernels.compile_poly(c) for c in field.components()]
-    xs, ys, zs = surface_grid(args.grid)
     start = (math.sqrt(5.0), 0.0, 0.0)
 
     have_numba = False
@@ -60,12 +50,12 @@ def main():
 
     rows = []
 
-    def grid_np():
-        for exps, coefs in arrays:
-            kernels._eval_grid_np(exps, coefs, xs, ys, zs)
+    def grid_surface():
+        for term_arrays in arrays:
+            kernels.eval_surface(term_arrays, float(M), args.grid)
 
     rows.append(("grid eval  %dx%d x3 polys" % (args.grid, args.grid),
-                 "numpy", time_call(grid_np)))
+                 "any", time_call(grid_surface)))
 
     def rk4_py():
         kernels._rk4_orbit_py(*arrays[0], *arrays[1], *arrays[2], *start,
@@ -74,22 +64,11 @@ def main():
     rows.append(("rk4 orbit  %d steps" % args.steps, "python", time_call(rk4_py)))
 
     if have_numba:
-        xs_c = np.ascontiguousarray(xs)
-        ys_c = np.ascontiguousarray(ys)
-        zs_c = np.ascontiguousarray(zs)
-
-        def grid_nb():
-            for exps, coefs in arrays:
-                kernels._eval_grid_nb(exps, coefs, xs_c, ys_c, zs_c)
-
         def rk4_nb():
             kernels._rk4_orbit_nb(*arrays[0], *arrays[1], *arrays[2], *start,
                                   1e-3, args.steps, False, 4.0)
 
-        grid_nb()   # JIT warmup
-        rk4_nb()
-        rows.append(("grid eval  %dx%d x3 polys" % (args.grid, args.grid),
-                     "numba", time_call(grid_nb)))
+        rk4_nb()   # JIT warmup
         rows.append(("rk4 orbit  %d steps" % args.steps, "numba",
                      time_call(rk4_nb)))
     else:

@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .curves import extactic_xy, invariant_meridians, invariant_parallels
-from .dynamics import singular_points
+from .dynamics import GRID_MIN, singular_points
 from .families import Family, recognize
 from .integrate import export, integrate
 from .parsing import ParseError, parse, serialize
@@ -47,6 +47,12 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--out", default=None, help="write output to this path")
     sub.add_argument("--seed", type=int, default=0,
                      help="seed echoed into reports (scan phases are deterministic)")
+
+
+def _grid_size(text: str) -> int:
+    if (grid := int(text)) < GRID_MIN:
+        raise argparse.ArgumentTypeError(f"must be at least {GRID_MIN}, got {grid}")
+    return grid
 
 
 def _parse_m(text: str) -> Fraction:
@@ -280,8 +286,8 @@ def make_parser() -> _Parser:
             _field_args(sub, suffix="2")
         _common_args(sub)
         if grid:
-            sub.add_argument("--grid", type=int, default=512,
-                             help="singular-scan grid resolution per axis")
+            sub.add_argument("--grid", type=_grid_size, default=512,
+                             help=f"singular-scan grid points per axis, >= {GRID_MIN}")
         sub.set_defaults(fn=fn)
         return sub
 

@@ -24,7 +24,8 @@ from .curves import (MeridianPlane, check_four_meridian_criterion,
                      linear_xy_factors, plane_from_factor)
 from .families import (CubicParams, Family, FamilyTag, QuadraticParams,
                        TwoParallelParams, build_cubic)
-from .kernels import compile_poly, eval_grid, eval_point, make_evaluator
+from .kernels import (compile_poly, eval_grid, eval_point, eval_surface,
+                      make_evaluator, surface_angles)
 from .poly import MultiPoly, NotDivisible, UniPoly, Y, divide_exact
 from .roots import IllConditioned, cauchy_bound, real_roots
 from .scalars import Scalar
@@ -33,6 +34,7 @@ from .vfield import VectorField
 SCAN_SAMPLES = 8192
 INCONCLUSIVE_BAND = 1e-7
 GRID_DEFAULT = 512
+GRID_MIN = 32   # (x^2-z^2)*(y, -x, 0) shows both singular curves from 19 (m=4), 21 (m=3)
 
 
 class ChartError(ValueError):
@@ -341,6 +343,13 @@ def _component_extent(cells: list[tuple[int, int]], n: int) -> int:
                circular_extent([c[1] for c in cells]))
 
 
+def _cell_reduce(op, a: np.ndarray) -> np.ndarray:
+    """op (np.minimum or np.maximum) over the four corners of each periodic grid cell."""
+    out = np.roll(a, -1, axis=0)
+    op(out, a, out=out)
+    return op(out, np.roll(out, -1, axis=1), out=out)
+
+
 def _levelset_singular(level: MultiPoly, m: Fraction, grid: int,
                        classify_field: VectorField | None,
                        numeric_only: bool) -> SingularSet:
@@ -353,28 +362,18 @@ def _levelset_singular(level: MultiPoly, m: Fraction, grid: int,
         return SingularSet(SingKind.EMPTY, [], grid_min_norm=abs(
             level.constant_value().to_float()))
 
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    rr = np.sqrt(mf + np.cos(pp))
-    xs, ys, zs = rr * np.cos(tt), rr * np.sin(tt), np.sin(pp)
-    arrays = compile_poly(level, mf)
-    vals = eval_grid(arrays, xs, ys, zs)
-    vmax = float(np.max(np.abs(vals)))
+    angles = surface_angles(mf, grid)[0]
+    vals = eval_surface(compile_poly(level, mf), mf, grid)
+    abs_vals = np.abs(vals)
+    vmax = float(np.max(abs_vals))
     if vmax == 0.0:
         return SingularSet(SingKind.CURVES, [], curve_components=1,
                            description="the whole torus is singular")
 
     tau = vmax * (2.0 * math.pi / grid) ** 2 * 4.0
-    neighbors = [vals,
-                 np.roll(vals, -1, axis=0),
-                 np.roll(vals, -1, axis=1),
-                 np.roll(np.roll(vals, -1, axis=0), -1, axis=1)]
-    sign_lo = np.minimum.reduce(neighbors)
-    sign_hi = np.maximum.reduce(neighbors)
-    min_abs = np.minimum.reduce([np.abs(v) for v in neighbors])
-    has_sign_change = (sign_lo < 0.0) & (sign_hi > 0.0)
-    flagged = has_sign_change | (min_abs < tau)
+    has_sign_change = ((_cell_reduce(np.minimum, vals) < 0.0)
+                       & (_cell_reduce(np.maximum, vals) > 0.0))
+    flagged = has_sign_change | (_cell_reduce(np.minimum, abs_vals) < tau)
 
     grads = [make_evaluator(level.differentiate(v), mf) for v in "xyz"]
 
@@ -408,8 +407,8 @@ def _levelset_singular(level: MultiPoly, m: Fraction, grid: int,
 
     def refine(seed: tuple[int, int]):
         """(point or None, |level| at the critical point or None)."""
-        th0 = thetas[seed[0]] + math.pi / grid
-        ph0 = phis[seed[1]] + math.pi / grid
+        th0 = angles[seed[0]] + math.pi / grid
+        ph0 = angles[seed[1]] + math.pi / grid
         solution = _newton_2d(grad_surface, (th0, ph0))
         if solution is None:
             return None, None
@@ -508,14 +507,8 @@ def grid_min_speed(field: VectorField, m: Fraction,
                    grid: int = GRID_DEFAULT) -> float:
     """Minimum of |chi| over a (theta, phi) grid on the torus."""
     mf = float(m)
-    thetas = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    phis = np.linspace(0.0, 2.0 * math.pi, grid, endpoint=False)
-    tt, pp = np.meshgrid(thetas, phis, indexing="ij")
-    rr = np.sqrt(mf + np.cos(pp))
-    xs, ys, zs = rr * np.cos(tt), rr * np.sin(tt), np.sin(pp)
-    total = np.zeros_like(xs)
-    for component in field.components():
-        total += eval_grid(compile_poly(component, mf), xs, ys, zs) ** 2
+    total = sum(eval_surface(compile_poly(component, mf), mf, grid) ** 2
+                for component in field.components())
     return float(np.sqrt(np.min(total)))
 
 
@@ -543,6 +536,8 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
     (A*y, -A*x, 0) are singular exactly on the zero set of A.  Anything
     else falls back to a grid minimization of |chi|^2, reported as numeric.
     """
+    if grid < GRID_MIN:
+        raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
     if tag.family == Family.QUADRATIC and isinstance(tag.params, QuadraticParams) \
             and not tag.params.alpha.is_zero():
         return SingularSet(SingKind.EMPTY, [],

@@ -75,6 +75,8 @@ def integrate(field: VectorField, start: tuple[float, float, float],
               t_end: float, dt: float, m: Fraction | float,
               project: bool = False) -> Trajectory:
     """Classical RK4 with a fixed step from t = 0 to t_end."""
+    if not all(math.isfinite(v) for v in (*start, dt, t_end)):
+        raise ValueError(f"start, dt and t_end must be finite: {start}, {dt}, {t_end}")
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
     mf = float(m)

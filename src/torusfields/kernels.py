@@ -7,6 +7,8 @@ arrays.  Two interchangeable backends exist:
 * a numba ``@njit`` backend (default whenever numba imports), and
 * a pure numpy/python fallback.
 
+Surface grid scans (``eval_surface``) are one matrix product on both.
+
 numba is optional (the ``numba`` extra: ``pip install -e .[numba]``).
 Selection is controlled by the ``TORUSFIELDS_NUMBA`` environment variable:
 ``"1"`` forces numba and raises ``ImportError`` at import when numba is not
@@ -16,6 +18,7 @@ auto-detects.  ``benchmarks/bench_kernels.py`` times the two side by side.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 
@@ -223,6 +226,30 @@ def eval_grid(term_arrays: TermArrays, xs: np.ndarray, ys: np.ndarray,
         return _eval_grid_nb(exps, coefs, np.ascontiguousarray(xs),
                              np.ascontiguousarray(ys), np.ascontiguousarray(zs))
     return _eval_grid_np(exps, coefs, xs, ys, zs)
+
+
+@functools.lru_cache(maxsize=8)
+def surface_angles(m: float, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (angles, cos, sin, sqrt(m + cos)) of the n-point angle grid."""
+    angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    table = (angles, np.cos(angles), np.sin(angles), np.sqrt(m + np.cos(angles)))
+    for arr in table:
+        arr.flags.writeable = False
+    return table
+
+
+def eval_surface(term_arrays: TermArrays, m: float, n: int) -> np.ndarray:
+    """Compiled terms on the n x n torus grid, indexed [theta, phi], as U @ V.T:
+    x^i y^j z^k = (cos^i sin^j)(theta) * (r^(i+j) sin^k)(phi), a column per (i, j)."""
+    _, cos, sin, r = surface_angles(float(m), n)
+    phi_parts: dict[tuple[int, int], np.ndarray] = {}
+    for (i, j, k), c in zip(term_arrays[0].tolist(), term_arrays[1].tolist()):
+        phi_parts[i, j] = phi_parts.get((i, j), 0.0) + c * sin ** k
+    u, v = np.empty((2, n, len(phi_parts)))
+    for col, ((i, j), part) in enumerate(phi_parts.items()):
+        u[:, col] = cos ** i * sin ** j
+        v[:, col] = r ** (i + j) * part
+    return u @ v.T
 
 
 def eval_point(term_arrays: TermArrays, x: float, y: float, z: float) -> float:

@@ -3,6 +3,8 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import pytest
+
 from torusfields import parse
 from torusfields.cli import main
 
@@ -97,6 +99,43 @@ def test_singular_command(capsys):
                  "--m", "4", "--grid", "64", "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["kind"] == "empty"
+
+
+SADDLE_CURVES = ["--px", "(x^2-z^2)*y", "--qy", "-(x^2-z^2)*x", "--rz", "0",
+                 "--m", "4"]
+
+
+@pytest.mark.parametrize("command", ["singular", "report"])
+@pytest.mark.parametrize("grid", ["0", "1", "16", "31"])
+def test_grid_below_minimum_rejected(command, grid, capsys):
+    code = main([command, *SADDLE_CURVES, "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "at least 32" in captured.err
+
+
+def test_minimum_grid_resolves_both_curves(capsys):
+    code = main(["singular", *SADDLE_CURVES, "--grid", "32", "--json"])
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "curves"
+    assert payload["curve_components"] == 2
+
+
+@pytest.mark.parametrize("bad", [["--start", "nan,0,0"],
+                                 ["--start", "2.0,0,inf"],
+                                 ["--dt", "inf"],
+                                 ["--t-end", "nan"]])
+def test_integrate_rejects_non_finite(bad, capsys):
+    args = {"--start": "2.0,0,0", "--t-end": "0.1", "--dt": "0.01"}
+    args.update([bad])
+    code = main(["integrate", "--px", "y", "--qy", "-x", "--rz", "0",
+                 "--m", "4", *(tok for kv in args.items() for tok in kv)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "must be finite" in captured.err
 
 
 def test_integrate_csv(tmp_path, capsys):

@@ -352,6 +352,12 @@ def test_grid_min_speed_positive_for_rotation():
                           grid=64) > 1.0
 
 
+def test_singular_points_rejects_coarse_grid():
+    field = VectorField(Y, -X, MultiPoly.zero())
+    with pytest.raises(ValueError, match="at least 32"):
+        singular_points(field, recognize(field, M), M, grid=31)
+
+
 def test_grid_resolution_warning_on_coarse_grid():
     import warnings as warnings_module
     from torusfields import GridResolutionWarning

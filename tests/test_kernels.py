@@ -1,4 +1,5 @@
 import importlib.util
+import math
 import os
 import subprocess
 import sys
@@ -9,7 +10,8 @@ import pytest
 
 import torusfields.kernels as kernels
 from torusfields import parse
-from torusfields.kernels import compile_poly, eval_grid, eval_point
+from torusfields.kernels import (compile_poly, eval_grid, eval_point,
+                                 eval_surface, surface_angles)
 
 M = Fraction(4)
 
@@ -34,6 +36,35 @@ def test_zero_polynomial_kernel():
     arrays = compile_poly(parse("0", M))
     assert eval_point(arrays, 1.0, 2.0, 3.0) == 0.0
     assert np.all(eval_grid(arrays, np.ones(4), np.ones(4), np.ones(4)) == 0.0)
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+@pytest.mark.parametrize("n", [17, 32])
+@pytest.mark.parametrize("expr", ["a*x*z + y^3 - 2", "0", "-5/3"])
+def test_surface_grid_matches_pointwise(expr, n, m):
+    mf = float(m)
+    arrays = compile_poly(parse(expr, m), mf)
+    grid = eval_surface(arrays, mf, n)
+    assert grid.shape == (n, n)
+    expected = np.empty((n, n))
+    for i in range(n):
+        theta = 2.0 * math.pi * i / n
+        for j in range(n):
+            phi = 2.0 * math.pi * j / n
+            r = math.sqrt(mf + math.cos(phi))
+            expected[i, j] = eval_point(arrays, r * math.cos(theta),
+                                        r * math.sin(theta), math.sin(phi))
+    assert np.max(np.abs(grid - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_surface_angle_tables_keyed_by_m():
+    n = 16
+    at_4, at_3 = surface_angles(4.0, n), surface_angles(3.0, n)
+    assert at_4 is not at_3
+    assert np.array_equal(at_4[0], at_3[0])
+    assert np.array_equal(at_4[3], np.sqrt(4.0 + np.cos(at_4[0])))
+    assert np.array_equal(at_3[3], np.sqrt(3.0 + np.cos(at_3[0])))
+    assert not at_4[3].flags.writeable
 
 
 def test_backends_agree():
