@@ -4,8 +4,8 @@
 Exact arithmetic lives in Q(sqrt(m)) with m = a^2; invariance, cofactors,
 family recognition and invariant-curve inventories are computed with exact
 polynomial division, while periodicity scans, singular-point refinement and
-trajectory integration run on float kernels (numba-accelerated when
-available, pure numpy otherwise).
+trajectory integration run on one float evaluator: each polynomial is
+compiled once to a generated straight-line python function.
 """
 
 __version__ = "0.1.0"

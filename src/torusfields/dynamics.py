@@ -25,7 +25,7 @@ from .curves import (MeridianPlane, check_four_meridian_criterion,
 from .families import (CubicParams, Family, FamilyTag, QuadraticParams,
                        TwoParallelParams, build_cubic)
 from .kernels import (compile_poly, eval_grid, eval_point, eval_surface,
-                      make_evaluator, surface_angles)
+                      surface_angles)
 from .poly import MultiPoly, NotDivisible, UniPoly, Y, divide_exact
 from .roots import IllConditioned, cauchy_bound, real_roots
 from .scalars import Scalar
@@ -101,23 +101,23 @@ class CylindricalField:
 
 def cylindrical_form(field: VectorField) -> CylindricalField:
     """Evaluators for (dr/dt, dtheta/dt, dz/dt), valid for r > 0."""
-    radial_num = make_evaluator(field.P * MultiPoly.variable("x")
-                                + field.Q * MultiPoly.variable("y"))
-    angular_num = make_evaluator(field.Q * MultiPoly.variable("x")
-                                 - field.P * MultiPoly.variable("y"))
-    vertical = make_evaluator(field.R)
+    radial_num = compile_poly(field.P * MultiPoly.variable("x")
+                              + field.Q * MultiPoly.variable("y"))
+    angular_num = compile_poly(field.Q * MultiPoly.variable("x")
+                               - field.P * MultiPoly.variable("y"))
+    vertical = compile_poly(field.R)
 
     def r_dot(r: float, theta: float, z: float) -> float:
         x, y = r * math.cos(theta), r * math.sin(theta)
-        return radial_num(x, y, z) / r
+        return eval_point(radial_num, x, y, z) / r
 
     def theta_dot(r: float, theta: float, z: float) -> float:
         x, y = r * math.cos(theta), r * math.sin(theta)
-        return angular_num(x, y, z) / (r * r)
+        return eval_point(angular_num, x, y, z) / (r * r)
 
     def z_dot(r: float, theta: float, z: float) -> float:
         x, y = r * math.cos(theta), r * math.sin(theta)
-        return vertical(x, y, z)
+        return eval_point(vertical, x, y, z)
 
     return CylindricalField(r_dot, theta_dot, z_dot)
 
@@ -172,9 +172,7 @@ def meridian_periodicity(params: CubicParams, m: Fraction,
     angular = compile_poly(field.Q * MultiPoly.variable("x")
                            - field.P * MultiPoly.variable("y"), mf)
 
-    phis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
-    rs = np.sqrt(mf + np.cos(phis))
-    zs = np.sin(phis)
+    phis, _, zs, rs = surface_angles(mf, samples)
 
     def theta_dot_sign(theta: float) -> int:
         x, y, z = _surface_point(theta, 0.0, mf)
@@ -363,7 +361,8 @@ def _levelset_singular(level: MultiPoly, m: Fraction, grid: int,
             level.constant_value().to_float()))
 
     angles = surface_angles(mf, grid)[0]
-    vals = eval_surface(compile_poly(level, mf), mf, grid)
+    level_terms = compile_poly(level, mf)
+    vals = eval_surface(level_terms, mf, grid)
     abs_vals = np.abs(vals)
     vmax = float(np.max(abs_vals))
     if vmax == 0.0:
@@ -375,18 +374,17 @@ def _levelset_singular(level: MultiPoly, m: Fraction, grid: int,
                        & (_cell_reduce(np.maximum, vals) > 0.0))
     flagged = has_sign_change | (_cell_reduce(np.minimum, abs_vals) < tau)
 
-    grads = [make_evaluator(level.differentiate(v), mf) for v in "xyz"]
+    grads = [compile_poly(level.differentiate(v), mf) for v in "xyz"]
 
     def grad_surface(th: float, ph: float) -> tuple[float, float]:
         r = math.sqrt(mf + math.cos(ph))
         x, y, z = r * math.cos(th), r * math.sin(th), math.sin(ph)
-        gx, gy, gz = (g(x, y, z) for g in grads)
+        gx, gy, gz = (eval_point(g, x, y, z) for g in grads)
         r_phi = -math.sin(ph) / (2.0 * r)
         return (gx * (-y) + gy * x,
                 gx * math.cos(th) * r_phi + gy * math.sin(th) * r_phi
                 + gz * math.cos(ph))
 
-    level_eval = make_evaluator(level, mf)
     visited = np.zeros_like(flagged, dtype=bool)
     curve_count = 0
     points: list[tuple[tuple[float, float, float], SingClass | None]] = []
@@ -413,7 +411,7 @@ def _levelset_singular(level: MultiPoly, m: Fraction, grid: int,
         if solution is None:
             return None, None
         pt = _surface_point(solution[0], solution[1], mf)
-        residual = abs(level_eval(*pt))
+        residual = abs(eval_point(level_terms, *pt))
         if residual > 1e-8 * vmax:
             return None, residual
         return pt, residual
@@ -564,12 +562,11 @@ def chart_gradient(field: VectorField, q: tuple[float, float, float],
     except NotDivisible as exc:
         raise ValueError("field is not of the shape (A*y, -A*x, 0)") from exc
     scale = max((abs(c.to_float()) for c in a_poly.terms.values()), default=1.0)
-    a_eval = make_evaluator(a_poly, float(m))
-    if abs(a_eval(x0, y0, z0)) > 1e-8 * max(scale, 1.0):
+    if abs(eval_point(compile_poly(a_poly, float(m)), x0, y0, z0)) \
+            > 1e-8 * max(scale, 1.0):
         raise ValueError(f"A{q} != 0: not a singular point of the field")
-    ax = make_evaluator(a_poly.differentiate("x"), float(m))(x0, y0, z0)
-    ay = make_evaluator(a_poly.differentiate("y"), float(m))(x0, y0, z0)
-    az = make_evaluator(a_poly.differentiate("z"), float(m))(x0, y0, z0)
+    ax, ay, az = (eval_point(compile_poly(a_poly.differentiate(v), float(m)),
+                             x0, y0, z0) for v in "xyz")
     ring = x0 * x0 + y0 * y0 - float(m)
     return ax + az * (-2.0 * x0 * ring / z0), ay + az * (-2.0 * y0 * ring / z0)
 

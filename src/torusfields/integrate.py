@@ -20,6 +20,8 @@ from .kernels import compile_poly, rk4_orbit
 from .vfield import VectorField
 
 COLUMNS = ("t", "x", "y", "z", "theta", "phi")
+# RK4 steps one call may ask for; 10M steps is 240 MB of states
+MAX_STEPS = 10_000_000
 
 
 class StepOverflow(RuntimeError):
@@ -79,16 +81,18 @@ def integrate(field: VectorField, start: tuple[float, float, float],
         raise ValueError(f"start, dt and t_end must be finite: {start}, {dt}, {t_end}")
     if dt <= 0 or t_end <= 0:
         raise ValueError("dt and t_end must be positive")
+    if t_end / dt > MAX_STEPS:
+        raise ValueError(f"t_end/dt = {t_end / dt:.6g} asks for more than "
+                         f"{MAX_STEPS} RK4 steps")
     mf = float(m)
     n_full = int(math.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
     if remainder <= dt * 1e-9:
         remainder = 0.0
-    arrays = tuple(compile_poly(c, mf) for c in field.components())
+    compiled = tuple(compile_poly(c, mf) for c in field.components())
 
     def run(origin, step, count):
-        states, overflow = rk4_orbit(arrays[0], arrays[1], arrays[2], origin,
-                                     step, count, project, mf)
+        states, overflow = rk4_orbit(*compiled, origin, step, count, project, mf)
         if overflow >= 0:
             raise StepOverflow(
                 f"state exceeded 1e6 (t ~ {overflow * step:.6g})")

@@ -1,8 +1,7 @@
 """Acceptance suite: every criterion at its stated tolerance.
 
 Each test prints one PASS/FAIL line (visible with ``pytest -s`` or in
-captured output).  Numeric kernels are warmed once so JIT compilation does
-not pollute the timed criteria.
+captured output).
 """
 
 import functools
@@ -15,7 +14,6 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
 from torusfields import (CubicParams, Family, KolmogorovParams, MultiPoly,
                          PseudoTypeParams, QuadraticParams, RationalFn,
@@ -46,18 +44,6 @@ def criterion(num, text):
             print(f"\n[acceptance] criterion {num:2d} PASS  {text}")
         return wrapper
     return decorate
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    """Trigger JIT compilation outside any timed section."""
-    from torusfields.kernels import compile_poly, eval_grid, rk4_orbit
-
-    arrays = compile_poly(parse("x*y - z^2", M))
-    eval_grid(arrays, np.ones(4), np.ones(4), np.ones(4))
-    unit = compile_poly(parse("1", M))
-    rk4_orbit(arrays, unit, unit, (2.0, 0.0, 0.0), 1e-3, 4, True, 4.0)
-    rk4_orbit(arrays, unit, unit, (2.0, 0.0, 0.0), 1e-3, 4, False, 4.0)
 
 
 def sect5_params():

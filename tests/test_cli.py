@@ -138,6 +138,16 @@ def test_integrate_rejects_non_finite(bad, capsys):
     assert "must be finite" in captured.err
 
 
+def test_integrate_rejects_step_count_over_cap(capsys):
+    code = main(["integrate", "--px", "y", "--qy", "-x", "--rz", "0",
+                 "--m", "4", "--start", "2.0,0,0", "--t-end", "1e30",
+                 "--dt", "1e-3"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "RK4 steps" in captured.err
+
+
 def test_integrate_csv(tmp_path, capsys):
     out = tmp_path / "orbit.csv"
     code = main(["integrate", "--px", "y", "--qy", "-x", "--rz", "0",

@@ -8,6 +8,7 @@ from torusfields import (KolmogorovParams, MultiPoly, PseudoTypeParams,
                          Scalar, StepOverflow, Trajectory, VectorField, X, Y,
                          build_kolmogorov, build_pseudo_type, export,
                          integrate, parse, trajectory_from_json)
+from torusfields.integrate import MAX_STEPS
 
 M = Fraction(4)
 ROTATION = VectorField(Y, -X, MultiPoly.zero())
@@ -78,6 +79,14 @@ def test_invalid_parameters():
         integrate(ROTATION, (2.0, 0.0, 0.0), -1.0, 1e-3, M)
     with pytest.raises(ValueError):
         integrate(ROTATION, (2.0, 0.0, 0.0), 1.0, 0.0, M)
+
+
+@pytest.mark.parametrize("t_end, dt", [((MAX_STEPS + 1) * 1e-3, 1e-3),
+                                        (1e30, 1e-3), (1e300, 1e-300)])
+def test_step_count_over_cap_rejected(t_end, dt):
+    # the cap is checked before any state array is allocated
+    with pytest.raises(ValueError, match="RK4 steps"):
+        integrate(ROTATION, (2.0, 0.0, 0.0), t_end, dt, M)
 
 
 def test_angles_recorded():
