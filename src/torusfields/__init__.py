@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 from .scalars import MixedExtensionError, Scalar
 from .poly import (MalformedDivisor, MultiPoly, NotDivisible, UniPoly, X, Y,
                    Z, divide_exact, divide_exact_z, restrict_to_line)
-from .roots import IllConditioned, dense_scan_roots, real_roots
+from .roots import dense_scan_roots, real_roots
 from .parsing import ParseError, parse, serialize
 from .vfield import (CofactorResult, RationalFn, TorusSurface, UnsupportedShape,
                      VectorField, apply, check_first_integral,

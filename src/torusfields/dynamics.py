@@ -27,7 +27,7 @@ from .families import (CubicParams, Family, FamilyTag, QuadraticParams,
 from .kernels import (compile_poly, eval_grid, eval_point, eval_surface,
                       surface_angles)
 from .poly import MultiPoly, NotDivisible, UniPoly, Y, divide_exact
-from .roots import IllConditioned, cauchy_bound, real_roots
+from .roots import real_roots
 from .scalars import Scalar
 from .vfield import VectorField
 
@@ -162,8 +162,7 @@ def meridian_periodicity(params: CubicParams, m: Fraction,
     if not check_four_meridian_criterion(params):
         raise ValueError("field does not have exactly four invariant meridians")
     mf = float(m)
-    factors, _ = linear_xy_factors(params.f)
-    planes = [plane_from_factor(fa) for fa in factors]
+    planes = [plane_from_factor(fa) for fa in linear_xy_factors(params.f)]
     entries = [(pl.angle() + shift, pl) for pl in planes for shift in (0.0, math.pi)]
     entries.sort(key=lambda e: e[0])
 
@@ -280,12 +279,7 @@ def parallel_periodicity(params: TwoParallelParams, m: Fraction,
                                   reason="every point of the parallel is singular")
     witnesses: list[float] = []
     if not obstruction.is_zero() and obstruction.degree >= 1:
-        bound = cauchy_bound(obstruction)
-        try:
-            troots = real_roots(obstruction, (-bound, bound))
-        except IllConditioned as exc:
-            return PeriodicityVerdict(Verdict.INCONCLUSIVE, reason=str(exc))
-        witnesses.extend(2.0 * math.atan(t) for t, _ in troots)
+        witnesses.extend(2.0 * math.atan(t) for t, _ in real_roots(obstruction))
     elif obstruction.is_zero():
         witnesses.append(0.0)
     if g_pi.is_zero():

@@ -47,8 +47,8 @@ def compile_poly(p: MultiPoly, m_float: float | None = None) -> CompiledPoly:
     ``m_float`` is substituted for m in sqrt(m) coefficients; by default the
     m those coefficients carry is used.
     """
-    # resolved before the cache lookup: Scalar equality ignores m, so equal
-    # polynomials at different m share a cache key unless m_float is in it
+    # resolved before the cache lookup, so a call that passes m_float and one
+    # that leaves it to the coefficients share one cache entry
     if m_float is None:
         m_float = next((float(c.m) for c in p.terms.values() if c.q), None)
     return _compile(p, m_float)

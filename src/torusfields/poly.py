@@ -449,10 +449,10 @@ class UniPoly:
 
 
 def unipoly_gcd(polys: list[UniPoly]) -> UniPoly:
-    """Monic gcd over the scalar field.
+    """Monic gcd over the scalar field Q(sqrt(m)); never raises.
 
-    May raise ZeroDivisionError for square m (non-invertible leading
-    coefficients); callers then fall back to floating-point machinery.
+    Square m is folded to rationals by Scalar, so every nonzero leading
+    coefficient is invertible.
     """
     g = UniPoly()
     for p in polys:

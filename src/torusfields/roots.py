@@ -1,40 +1,29 @@
-"""Real root isolation for univariate restrictions.
+"""Exact real root isolation over Q(sqrt(m)).
 
-Roots are located with a Sturm sequence built over float-embedded
-coefficients, bisected down to 1e-12, and assigned multiplicities through
-the repeated-gcd-with-derivative chain (gcds computed over floats with a
-coefficient-drop tolerance of 1e-9).
+:func:`real_roots` splits a polynomial into square-free parts with Yun's
+algorithm, divides out the rational roots of each part (returned as exact
+Fractions) and isolates the remaining roots with an exact Sturm sequence.
+Every sign in the Sturm walk is :meth:`Scalar.sign` at a rational point, so
+no tolerance decides a root count; this is the exact bisection scheme of
+Collins & Akritas (1976), with Sturm counts in place of Descartes' rule.
+Multiplicities are the exponents of the square-free decomposition, which for
+an extactic gcd are the curve multiplicities of Christopher, Llibre and
+Pereira, Pacific J. Math. 229 (2007).  Floats enter only to polish a root
+inside the interval its Sturm count certified.
 
-The Sturm walk refuses to guess: if a chain value sits within 1e-9 of zero
-where a sign is needed, :class:`IllConditioned` is raised and the caller is
-expected to fall back to a dense scan.
+Square m is folded to rationals by :class:`Scalar`, so Q(sqrt(m)) is a field
+and every gcd and division here is exact.
 """
 
 from __future__ import annotations
 
-from .poly import UniPoly
+import math
+from fractions import Fraction
+
+from .poly import UniPoly, unipoly_gcd
 
 REFINE_TOL = 1e-12
-DROP_TOL = 1e-9
-SIGN_TOL = 1e-9
-
-
-class IllConditioned(ArithmeticError):
-    """Sturm signs too close to zero to trust; caller should dense-scan."""
-
-
-def _normalize(coeffs: list[float]) -> list[float]:
-    scale = max((abs(c) for c in coeffs), default=0.0)
-    if scale == 0.0:
-        return []
-    return [c / scale for c in coeffs]
-
-
-def _trim(coeffs: list[float], tol: float = 0.0) -> list[float]:
-    out = list(coeffs)
-    while out and abs(out[-1]) <= tol:
-        out.pop()
-    return out
+RATIONAL_ROOT_LIMIT = 10**6   # larger end coefficients skip the rational-root search
 
 
 def _eval(coeffs: list[float], t: float) -> float:
@@ -44,219 +33,214 @@ def _eval(coeffs: list[float], t: float) -> float:
     return acc
 
 
-def _derivative(coeffs: list[float]) -> list[float]:
-    return [c * i for i, c in enumerate(coeffs)][1:]
-
-
-def _divmod(a: list[float], b: list[float]) -> tuple[list[float], list[float]]:
-    rem = list(a)
-    d = len(b) - 1
-    lead = b[-1]
-    quot = [0.0] * max(len(rem) - d, 0)
-    while len(rem) - 1 >= d and rem:
-        c = rem[-1] / lead
-        k = len(rem) - 1 - d
-        quot[k] = c
-        for i, bc in enumerate(b):
-            rem[k + i] -= c * bc
-        rem = _trim(rem, tol=DROP_TOL * max(abs(x) for x in a))
-    return quot, rem
-
-
-def float_gcd(a: list[float], b: list[float]) -> list[float]:
-    """Euclidean gcd with the coefficient-drop tolerance, monic result."""
-    a = _normalize(_trim(a, 0.0))
-    b = _normalize(_trim(b, 0.0))
-    while b:
-        _, r = _divmod(a, b)
-        a, b = b, _normalize(r)
-    if not a:
-        return []
-    return [c / a[-1] for c in a]
-
-
-def sturm_chain(coeffs: list[float]) -> list[list[float]]:
-    chain = [list(coeffs), _derivative(coeffs)]
-    while chain[-1] and len(chain[-1]) > 1:
-        _, r = _divmod(chain[-2], chain[-1])
-        if not r:
-            break
-        chain.append([-c for c in _normalize(r)])
-    return [c for c in chain if c]
-
-
-def _sign_variations(chain: list[list[float]], t: float) -> int:
-    signs = []
-    for depth, poly in enumerate(chain):
-        scale = max(abs(c) * max(1.0, abs(t)) ** i for i, c in enumerate(poly))
-        v = _eval(poly, t)
-        if scale > 0 and abs(v) < SIGN_TOL * scale:
-            if depth == 0:
-                # ambiguous sign of the polynomial itself flips root counts
-                raise IllConditioned(f"Sturm value {v:.3e} ~ 0 at t={t}")
-            continue  # a vanishing chain entry is skipped by convention
-        if v != 0.0:
-            signs.append(1 if v > 0 else -1)
-    changes = 0
-    for a, b in zip(signs, signs[1:]):
-        if a != b:
-            changes += 1
-    return changes
-
-
-def _bisect_root(coeffs: list[float], lo: float, hi: float) -> float:
-    flo = _eval(coeffs, lo)
-    for _ in range(200):
+def _bisect(coeffs: list[float], lo: float, hi: float) -> float:
+    """Float bisection of a sign change of the polynomial in [lo, hi]."""
+    neg_lo = _eval(coeffs, lo) < 0
+    while hi - lo > REFINE_TOL:
         mid = 0.5 * (lo + hi)
-        if hi - lo < REFINE_TOL:
-            return mid
+        if not lo < mid < hi:
+            break
         fmid = _eval(coeffs, mid)
         if fmid == 0.0:
             return mid
-        if (flo < 0) != (fmid < 0):
-            hi = mid
+        if (fmid < 0) == neg_lo:
+            lo = mid
         else:
-            lo, flo = mid, fmid
+            hi = mid
     return 0.5 * (lo + hi)
 
 
-def _newton_polish(coeffs: list[float], r: float, lo: float, hi: float) -> float:
-    deriv = _derivative(coeffs)
+def _polish(coeffs: list[float], lo: float, hi: float) -> float:
+    """Bisection then Newton steps, never leaving [lo, hi]."""
+    r = _bisect(coeffs, lo, hi)
+    deriv = [c * i for i, c in enumerate(coeffs)][1:]
     for _ in range(5):
         d = _eval(deriv, r)
         if d == 0.0:
             break
-        step = _eval(coeffs, r) / d
-        nxt = r - step
-        if not (lo - 1e-9 <= nxt <= hi + 1e-9):
+        nxt = r - _eval(coeffs, r) / d
+        if not lo <= nxt <= hi:
             break
         r = nxt
     return r
 
 
-def gcd_chain(coeffs: list[float]) -> list[list[float]]:
-    """g0 = p, g_{i+1} = gcd(g_i, g_i'); stops at a constant."""
-    chain = [_normalize(coeffs)]
-    while len(chain[-1]) > 1:
-        g = float_gcd(chain[-1], _derivative(chain[-1]))
-        if len(g) == len(chain[-1]):
-            break
-        chain.append(g)
-    return chain
+def square_free_parts(u: UniPoly) -> list[tuple[UniPoly, int]]:
+    """Yun's decomposition: u = c * prod(a_i^i) with monic, square-free,
+    pairwise coprime a_i of degree >= 1, returned as (a_i, i)."""
+    if u.degree < 1:
+        return []
+    du = u.derivative()
+    g = unipoly_gcd([u, du])
+    if g.degree == 0:
+        return [(u.monic(), 1)]
+    c = u.divmod(g)[0]
+    d = du.divmod(g)[0] - c.derivative()
+    parts = []
+    i = 1
+    while c.degree >= 1:
+        a = unipoly_gcd([c, d])
+        c = c.divmod(a)[0]
+        d = d.divmod(a)[0] - c.derivative()
+        if a.degree >= 1:
+            parts.append((a, i))
+        i += 1
+    return parts
 
 
-def _multiplicity(chain: list[list[float]], root: float) -> int:
-    mult = 0
-    for poly in chain:
-        if len(poly) <= 1:
-            break
-        scale = max(abs(c) * max(1.0, abs(root)) ** i for i, c in enumerate(poly))
-        if abs(_eval(poly, root)) < 1e-6 * max(scale, 1e-300):
-            mult += 1
-        else:
-            break
-    return max(mult, 1)
+def _divisors(n: int) -> list[int]:
+    n = abs(n)
+    out = []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            out.append(n // d)
+        d += 1
+    return out
 
 
-def real_roots(u: UniPoly, interval: tuple[float, float]) -> list[tuple[float, int]]:
-    """All real roots of u in [lo, hi] with multiplicities.
+def _rational_root_candidates(g: UniPoly) -> tuple[list[int], set[Fraction]]:
+    """Integer shadow of g and the rational-root-theorem candidates.
 
-    Raises IllConditioned when the Sturm walk cannot commit to signs.
+    A rational t is a root of g = A + B*sqrt(m) only if A(t) = B(t) = 0, so
+    the shadow is A, or B when A vanishes.
+    """
+    shadow = [c.p for c in g.coeffs]
+    if all(v == 0 for v in shadow):
+        shadow = [c.q for c in g.coeffs]
+    denom = math.lcm(*(v.denominator for v in shadow))
+    ints = [int(v * denom) for v in shadow]
+    candidates: set[Fraction] = set()
+    low = 0
+    while low < len(ints) and ints[low] == 0:
+        low += 1
+    if low > 0:
+        candidates.add(Fraction(0))
+    if low >= len(ints) - 1:
+        return ints, candidates
+    a0, an = ints[low], ints[-1]
+    if abs(a0) > RATIONAL_ROOT_LIMIT or abs(an) > RATIONAL_ROOT_LIMIT:
+        return ints, candidates
+    for num in _divisors(a0):
+        for den in _divisors(an):
+            candidates.add(Fraction(num, den))
+            candidates.add(Fraction(-num, den))
+    return ints, candidates
+
+
+def _rational_roots(g: UniPoly) -> list[Fraction]:
+    ints, candidates = _rational_root_candidates(g)
+    out = []
+    for r in sorted(candidates):
+        # cheap integer test of the shadow, then the exact value of g
+        num, den = r.numerator, r.denominator
+        if sum(c * num**k * den**(len(ints) - 1 - k)
+               for k, c in enumerate(ints)) == 0 and g.eval(r).is_zero():
+            out.append(r)
+    return out
+
+
+class _RationalHit(Exception):
+    """A Sturm evaluation point (args[0]) is a root of the polynomial."""
+
+
+def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None) -> list[float]:
+    """Roots of the square-free s in the closed interval (None: the line).
+
+    Raises _RationalHit when an evaluation point is a root of s.
+    """
+    chain = [s, s.derivative()]
+    while chain[-1].degree >= 1:
+        chain.append(-chain[-2].divmod(chain[-1])[1])
+
+    def variations(signs: list[int]) -> int:
+        signs = [v for v in signs if v]
+        return sum(a != b for a, b in zip(signs, signs[1:]))
+
+    def count(t: Fraction) -> int:
+        head = s.eval(t).sign()
+        if head == 0:
+            raise _RationalHit(t)
+        return variations([head] + [p.eval(t).sign() for p in chain[1:]])
+
+    if interval is None:
+        v_neg = variations([p.coeffs[-1].sign() * (-1) ** p.degree for p in chain])
+        v_pos = variations([p.coeffs[-1].sign() for p in chain])
+        if v_neg == v_pos:
+            return []
+        # double until (-b, b) holds every root
+        b = Fraction(1)
+        while count(-b) != v_neg or count(b) != v_pos:
+            b *= 2
+        lo, hi, v_lo, v_hi = -b, b, v_neg, v_pos
+    else:
+        lo, hi = interval
+        v_lo, v_hi = count(lo), count(hi)
+
+    coeffs = s.to_floats()
+    roots = []
+    stack = [(lo, hi, v_lo, v_hi)]
+    while stack:
+        a, b, va, vb = stack.pop()
+        if va - vb == 1:
+            # one simple root: s changes sign across (a, b)
+            roots.append(_polish(coeffs, float(a), float(b)))
+        elif va - vb > 1:
+            mid = (a + b) / 2
+            vm = count(mid)
+            stack += [(a, mid, va, vm), (mid, b, vm, vb)]
+    return sorted(roots)
+
+
+def real_roots(u: UniPoly, interval: tuple | None = None
+               ) -> list[tuple[Fraction | float, int]]:
+    """Distinct real roots of u in the closed interval, ascending, with
+    multiplicities; ``interval=None`` means the whole line.
+
+    A rational root is an exact Fraction.  Any other root is a float
+    polished inside an isolating interval certified by an exact Sturm count.
     """
     if u.is_zero():
         raise ValueError("real_roots of the zero polynomial")
-    lo, hi = interval
-    coeffs = _normalize(u.to_floats())
-    if len(coeffs) <= 1:
+    if u.degree < 1:
         return []
-    chain_g = gcd_chain(coeffs)
-    square_free, rem = _divmod(coeffs, chain_g[1]) if len(chain_g) > 1 else (coeffs, [])
-    square_free = _normalize(_trim(square_free, 0.0))
-    if len(square_free) <= 1:
-        square_free = coeffs
-    chain = sturm_chain(square_free)
-
-    width = max(hi - lo, 1.0)
-    roots: list[float] = []
-
-    def variations_near(t: float, span: float,
-                        direction: int = 0) -> tuple[float, int]:
-        # shift off roots of the chain head; direction limits the nudge side
-        for k in (0.0, 0.0137, -0.0229, 0.0419, -0.0571, 0.0683, -0.0797):
-            if direction and k * direction < 0:
-                continue
+    bounds = None if interval is None else tuple(Fraction(t) for t in interval)
+    out: list[tuple[Fraction | float, int]] = []
+    for part, mult in square_free_parts(u):
+        found: list[Fraction | float] = []
+        for r in _rational_roots(part):
+            if bounds is None or bounds[0] <= r <= bounds[1]:
+                found.append(r)
+            part = part.divmod(UniPoly([-r, 1]))[0]
+        while part.degree >= 1:
             try:
-                return t + k * span, _sign_variations(chain, t + k * span)
-            except IllConditioned:
-                continue
-        raise IllConditioned(f"no trustworthy Sturm signs near t={t}")
-
-    def isolate(a: float, b: float, va: int, vb: int) -> None:
-        count = va - vb
-        if count <= 0:
-            return
-        if count == 1:
-            fa = _eval(square_free, a)
-            fb = _eval(square_free, b)
-            if (fa < 0) != (fb < 0) or fa == 0.0 or fb == 0.0:
-                r = _bisect_root(square_free, a, b)
-                roots.append(_newton_polish(square_free, r, a, b))
-                return
-            # fall through: subdivide until the sign change shows up
-        if b - a < REFINE_TOL:
-            roots.append(0.5 * (a + b))
-            return
-        mid, vm = variations_near(0.5 * (a + b), 0.25 * (b - a))
-        isolate(a, mid, va, vm)
-        isolate(mid, b, vm, vb)
-
-    pad = 1e-12 * width
-    a, va = variations_near(lo - pad, 0.05 * width, direction=-1)
-    b, vb = variations_near(hi + pad, 0.05 * width, direction=1)
-    isolate(a, b, va, vb)
-
-    slack = 1e-9 * width
-    out = []
-    for r in sorted(roots):
-        if r < lo - slack or r > hi + slack:
-            continue
-        r = min(max(r, lo), hi)
-        out.append((r, _multiplicity(chain_g, r)))
-    return out
+                found += _sturm_roots(part, bounds)
+                break
+            except _RationalHit as hit:
+                t = hit.args[0]
+                found.append(t)
+                part = part.divmod(UniPoly([-t, 1]))[0]
+        out += [(r, mult) for r in found]
+    return sorted(out, key=lambda rm: rm[0])
 
 
 def dense_scan_roots(u: UniPoly, interval: tuple[float, float],
                      samples: int = 4096) -> list[tuple[float, int]]:
-    """Sign-change scan fallback when the Sturm walk is ill-conditioned."""
+    """Float cross-check of :func:`real_roots`: sign changes of each exact
+    square-free part on a uniform grid of the interval, bisected."""
     lo, hi = interval
-    coeffs = _normalize(u.to_floats())
-    if len(coeffs) <= 1:
-        return []
     step = (hi - lo) / samples
-    roots = []
-    prev_t, prev_v = lo, _eval(coeffs, lo)
-    for i in range(1, samples + 1):
-        t = lo + i * step
-        v = _eval(coeffs, t)
-        if prev_v == 0.0:
-            roots.append(prev_t)
-        elif (prev_v < 0) != (v < 0):
-            roots.append(_bisect_root(coeffs, prev_t, t))
-        prev_t, prev_v = t, v
-    if prev_v == 0.0:
-        roots.append(prev_t)
-    chain_g = gcd_chain(coeffs)
-    deduped: list[float] = []
-    for r in sorted(roots):
-        if not deduped or abs(r - deduped[-1]) > 1e-9:
-            deduped.append(r)
-    return [(r, _multiplicity(chain_g, r)) for r in deduped]
-
-
-def cauchy_bound(u: UniPoly) -> float:
-    """All real roots of u lie in [-B, B]."""
-    coeffs = u.to_floats()
-    lead = abs(coeffs[-1])
-    if lead == 0.0:
-        return 1.0
-    return 1.0 + max(abs(c) for c in coeffs[:-1]) / lead if len(coeffs) > 1 else 1.0
+    out = []
+    for part, mult in square_free_parts(u):
+        coeffs = part.to_floats()
+        prev = None
+        for i in range(samples + 1):
+            t = lo + i * step
+            v = _eval(coeffs, t)
+            if v == 0.0:
+                out.append((t, mult))
+            elif prev and (prev < 0) != (v < 0):
+                out.append((_bisect(coeffs, t - step, t), mult))
+            prev = v
+    return sorted(out)

@@ -5,10 +5,13 @@ parameter shared by every value in a computation (``m = a**2``, the squared
 middle radius of the torus).  Rationals are ``fractions.Fraction``, so they
 are always in lowest terms with a positive denominator.
 
-Equality is structural: two scalars are equal exactly when their ``p`` and
-``q`` parts are equal.  No attempt is made to detect that ``sqrt(m)`` is
-rational for square ``m``; callers that construct a torus with square ``m``
-get a warning instead (see :class:`torusfields.vfield.TorusSurface`).
+When ``m`` is the square of a rational, ``sqrt(m)`` is folded to its rational
+value on construction.  A scalar with a nonzero sqrt part therefore always
+has a non-square ``m``, Q(sqrt(m)) is a field (every nonzero scalar has an
+inverse), and ``(p, q, m)`` is canonical: at a fixed ``m``, square or not,
+two scalars are equal exactly when they are the same real number.  Scalars
+with sqrt parts over different ``m`` compare unequal, even where they denote
+the same real (``sqrt(8)`` and ``2*sqrt(2)``).
 
 The extension parameter is carried by the value itself rather than by module
 state: a scalar with a nonzero irrational part remembers its ``m``, and
@@ -17,6 +20,7 @@ binary operations refuse to mix two different parameters.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -38,6 +42,17 @@ def _merge_m(ma: Fraction | None, mb: Fraction | None) -> Fraction | None:
     raise MixedExtensionError(f"cannot mix sqrt({ma}) with sqrt({mb})")
 
 
+@functools.lru_cache(maxsize=64)
+def _rational_sqrt(m: Fraction) -> Fraction | None:
+    """sqrt(m) when m is the square of a rational, else None."""
+    if m < 0:
+        return None
+    num, den = math.isqrt(m.numerator), math.isqrt(m.denominator)
+    if num * num == m.numerator and den * den == m.denominator:
+        return Fraction(num, den)
+    return None
+
+
 class Scalar:
     """An element p + q*sqrt(m) of Q(sqrt(m)), exact."""
 
@@ -49,17 +64,24 @@ class Scalar:
             p = Fraction(p)
         if type(q) is not Fraction:
             q = Fraction(q)
-        if q != 0 and m is None:
+        if q == 0:
+            m = None
+        elif m is None:
             raise ValueError("a nonzero sqrt part requires the parameter m")
+        else:
+            m = Fraction(m)
+            root = _rational_sqrt(m)
+            if root is not None:
+                p, q, m = p + q * root, _F0, None
         self.p = p
         self.q = q
         # m is only meaningful (and only kept) while the sqrt part is nonzero
-        self.m = Fraction(m) if (m is not None and q != 0) else None
+        self.m = m
 
     @classmethod
     def _make(cls, p: Fraction, q: Fraction,
               m: Fraction | None) -> "Scalar":
-        # internal: operands already normalized Fractions
+        # internal: operands already normalized Fractions, m never a square
         out = object.__new__(cls)
         out.p = p
         out.q = q
@@ -88,7 +110,7 @@ class Scalar:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, Scalar):
-            return self.p == other.p and self.q == other.q
+            return self.p == other.p and self.q == other.q and self.m == other.m
         if isinstance(other, (int, Fraction)):
             return self.q == 0 and self.p == other
         return NotImplemented
@@ -96,7 +118,7 @@ class Scalar:
     def __hash__(self) -> int:
         if self.q == 0:
             return hash(self.p)
-        return hash((self.p, self.q))
+        return hash((self.p, self.q, self.m))
 
     def __add__(self, other: "Scalar | RationalLike") -> "Scalar":
         other = Scalar.coerce(other)
@@ -125,16 +147,14 @@ class Scalar:
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        """Multiplicative inverse; may not exist for square m."""
+        """Multiplicative inverse; ZeroDivisionError for zero only."""
         if self.q == 0:
             if self.p == 0:
                 raise ZeroDivisionError("scalar zero has no inverse")
-            return Scalar(1 / self.p)
+            return Scalar._make(1 / self.p, _F0, None)
+        # m is not a square, so the norm p^2 - q^2 m is nonzero
         norm = self.p * self.p - self.q * self.q * self.m
-        if norm == 0:
-            # only possible when m is the square of a rational
-            raise ZeroDivisionError(f"{self!r} has zero norm (m is a square)")
-        return Scalar(self.p / norm, -self.q / norm, self.m)
+        return Scalar._make(self.p / norm, -self.q / norm, self.m)
 
     def __truediv__(self, other: "Scalar | RationalLike") -> "Scalar":
         return self * Scalar.coerce(other).inverse()
@@ -152,12 +172,8 @@ class Scalar:
         sq = 1 if self.q > 0 else -1
         if sp == sq:
             return sp
-        # opposite signs: compare p^2 with q^2 m
-        lhs = self.p * self.p
-        rhs = self.q * self.q * self.m
-        if lhs == rhs:
-            return 0
-        return sp if lhs > rhs else sq
+        # opposite signs: compare p^2 with q^2 m, never equal for non-square m
+        return sp if self.p * self.p > self.q * self.q * self.m else sq
 
     def to_float(self) -> float:
         if self.q == 0:

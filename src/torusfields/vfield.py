@@ -10,7 +10,6 @@ division, no ansatz solving.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -50,14 +49,6 @@ def torus_polynomial(m: Fraction) -> MultiPoly:
     return x2y2 * x2y2 + MultiPoly({(0, 0, 2): Scalar(1), (0, 0, 0): Scalar(-1)})
 
 
-def _is_square(r: Fraction) -> bool:
-    def sq(n: int) -> bool:
-        s = int(n ** 0.5)
-        return any((s + d) ** 2 == n for d in (-1, 0, 1, 2))
-
-    return r >= 0 and sq(r.numerator) and sq(r.denominator)
-
-
 class TorusSurface:
     """The torus with squared middle radius m > 1 and its polynomial F."""
 
@@ -67,11 +58,6 @@ class TorusSurface:
         m = Fraction(m)
         if m <= 1:
             raise ValueError(f"torus parameter must exceed 1, got {m}")
-        if _is_square(m):
-            # fixed stacklevel so the default filter dedupes repeats per m
-            warnings.warn(
-                f"m = {m} is the square of a rational; sqrt(m) scalars will "
-                "not be linearly independent from the rationals")
         self.m = m
         self.F = torus_polynomial(m)
 

@@ -32,6 +32,17 @@ def random_poly(rng: random.Random, max_degree=4, max_terms=6,
     return MultiPoly(terms)
 
 
+def sympy_scalar(c: Scalar):
+    """The sympy number p + q*sqrt(m) of a Scalar."""
+    import sympy
+
+    out = sympy.Rational(c.p.numerator, c.p.denominator)
+    if c.q:
+        out += (sympy.Rational(c.q.numerator, c.q.denominator)
+                * sympy.sqrt(sympy.Rational(c.m.numerator, c.m.denominator)))
+    return out
+
+
 def random_linear(rng: random.Random, lo=-3, hi=3) -> MultiPoly:
     return MultiPoly({(0, 0, 0): Scalar(rng.randint(lo, hi)),
                       (1, 0, 0): Scalar(rng.randint(lo, hi)),

@@ -26,6 +26,16 @@ def test_check_worked_example(capsys):
     assert "on torus" in out and "K = z" in out
 
 
+def test_check_worked_example_with_2a_at_square_m(capsys):
+    # at m = 4, a = 2, so 2*a*(x^2+y^2) is the worked cubic's a^2*(x^2+y^2)
+    argv = ["check", *SECT5[:4],
+            "--rz", "(1/2)*(-2*a*(x^2+y^2) + z^2 + a^4 - 1)", "--m", "4"]
+    code = main(argv)
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "on torus" in out and "K = z" in out
+
+
 def test_check_not_on_torus(capsys):
     code = main(["check", "--px", "x", "--qy", "y", "--rz", "z", "--m", "4"])
     assert code == 2

@@ -13,14 +13,16 @@ from torusfields import (CubicParams, KolmogorovParams, MultiPoly,
                          invariant_parallels, lie_bracket, linear_xy_factors,
                          parse, recognize, TwoParallelParams)
 
-from conftest import random_linear, random_poly
+from conftest import random_linear, random_poly, random_scalar, sympy_scalar
 
 M = Fraction(4)
+# inventories run at a square m (sqrt(m) folds to 2) and at two non-square m
+MS = (Fraction(4), Fraction(3), Fraction(9, 2))
 
 
-def sect5_field():
+def sect5_field(m=M):
     return build_cubic(CubicParams(MultiPoly.constant(1), X * Y,
-                                   Scalar(0), Scalar(0)), M)
+                                   Scalar(0), Scalar(0)), m)
 
 
 def plane_pairs(mset):
@@ -49,19 +51,21 @@ def test_extactic_examples():
 
 
 def test_meridians_worked_example():
-    mset = invariant_meridians(sect5_field())
-    assert not mset.infinite
-    assert mset.meridian_count() == 4
-    assert plane_pairs(mset) == [(0.0, 1.0, 1), (1.0, 0.0, 1)]
-    assert all(pl.exact for pl, _ in mset.planes)
+    for m in MS:
+        mset = invariant_meridians(sect5_field(m))
+        assert not mset.infinite
+        assert mset.meridian_count() == 4
+        assert plane_pairs(mset) == [(0.0, 1.0, 1), (1.0, 0.0, 1)]
+        assert all(pl.exact for pl, _ in mset.planes)
+        assert not mset.fallback_scan
 
 
 def test_meridians_kolmogorov():
     rng = random.Random(4)
-    for _ in range(10):
+    for i in range(30):
         c1 = Scalar(rng.choice([c for c in range(-4, 5) if c]))
         c2 = Scalar(rng.choice([c for c in range(-4, 5) if c]))
-        ko = build_kolmogorov(KolmogorovParams(c1, c2), M)
+        ko = build_kolmogorov(KolmogorovParams(c1, c2), MS[i % 3])
         mset = invariant_meridians(ko)
         assert plane_pairs(mset) == [(0.0, 1.0, 1), (1.0, 0.0, 1)]
         pset = invariant_parallels(ko)
@@ -96,16 +100,31 @@ def test_meridian_multiplicity():
 
 def test_meridians_irrational_slope():
     # f = x^2 - 2 y^2 factors through slopes +-1/sqrt(2)
-    params = CubicParams(MultiPoly.zero(), parse("x^2 - 2*y^2", M),
-                         Scalar(0), Scalar(0))
-    field = build_cubic(params, M)
-    mset = invariant_meridians(field)
-    assert len(mset.planes) == 2
-    assert mset.meridian_count() == 4
-    slopes = sorted(-pl.a / pl.b for pl, _ in mset.planes)
-    assert slopes == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)],
-                                   abs=1e-9)
-    assert not any(pl.exact for pl, _ in mset.planes)
+    for m in MS:
+        params = CubicParams(MultiPoly.zero(), parse("x^2 - 2*y^2", m),
+                             Scalar(0), Scalar(0))
+        field = build_cubic(params, m)
+        mset = invariant_meridians(field)
+        assert len(mset.planes) == 2
+        assert mset.meridian_count() == 4
+        slopes = sorted(-pl.a / pl.b for pl, _ in mset.planes)
+        assert slopes == pytest.approx([-1 / math.sqrt(2), 1 / math.sqrt(2)],
+                                       abs=1e-12)
+        assert not any(pl.exact for pl, _ in mset.planes)
+
+
+def test_meridian_slope_in_sqrt_m():
+    # f = (y - a*x)(y + x): the slope a is rational only at square m
+    for m in MS:
+        f = parse("(y - a*x)*(y + x)", m)
+        field = build_cubic(CubicParams(MultiPoly.zero(), f, Scalar(0),
+                                        Scalar(0)), m)
+        mset = invariant_meridians(field)
+        slopes = {round(-pl.a / pl.b, 12): (pl.exact, mult)
+                  for pl, mult in mset.planes}
+        root = math.sqrt(m)
+        assert slopes == {-1.0: (True, 1),
+                          round(root, 12): (root.is_integer(), 1)}
 
 
 def test_meridians_infinite_for_radial_rotation():
@@ -117,23 +136,25 @@ def test_meridians_infinite_for_radial_rotation():
 
 
 def test_no_real_meridian_planes():
-    params = CubicParams(MultiPoly.zero(), parse("x^2 + y^2", M),
-                         Scalar(0), Scalar(0))
-    field = build_cubic(params, M)
-    mset = invariant_meridians(field)
-    assert mset.planes == []
+    for m in MS:
+        params = CubicParams(MultiPoly.zero(), parse("x^2 + y^2", m),
+                             Scalar(0), Scalar(0))
+        field = build_cubic(params, m)
+        mset = invariant_meridians(field)
+        assert mset.planes == []
 
 
 def test_parallels_two_parallel_family():
     rng = random.Random(6)
-    for _ in range(10):
+    for i in range(30):
         p = rng.randint(-3, 3)
         q = rng.randint(-3, 3)
         if p == 0 and q == 0:
             continue
         field = build_two_parallel(
             TwoParallelParams(Scalar(p), Scalar(q),
-                              random_poly(rng, max_degree=2, max_terms=3)), M)
+                              random_poly(rng, max_degree=2, max_terms=3)),
+            MS[i % 3])
         pset = invariant_parallels(field)
         assert [(pl.k, mult) for pl, mult in pset.planes] == [(-1.0, 1), (1.0, 1)]
         assert pset.parallel_count() == 2  # boundary circles count once
@@ -179,13 +200,13 @@ def test_four_meridian_criterion_examples():
 def test_four_meridian_criterion_matches_inventory():
     rng = random.Random(2024)
     agree = 0
-    for _ in range(200):
+    for i in range(200):
         params = CubicParams(
             Kprime=random_linear(rng),
             f=random_poly(rng, max_degree=2, max_terms=4),
             beta=Scalar(rng.randint(-1, 1)),
             gamma=Scalar(rng.randint(-1, 1)))
-        field = build_cubic(params, M)
+        field = build_cubic(params, MS[i % 3])
         ext = extactic_xy(field)
         criterion = check_four_meridian_criterion(params)
         if ext.is_zero():
@@ -200,7 +221,7 @@ def test_four_meridian_criterion_matches_inventory():
 def test_meridian_bound_on_mixed_fields():
     rng = random.Random(55)
     checked = 0
-    for _ in range(80):
+    for i in range(80):
         kind = rng.random()
         if kind < 0.5:
             params = CubicParams(
@@ -208,7 +229,7 @@ def test_meridian_bound_on_mixed_fields():
                 f=random_poly(rng, max_degree=2, max_terms=4),
                 beta=Scalar(rng.randint(-2, 2)),
                 gamma=Scalar(rng.randint(-2, 2)))
-            field = build_cubic(params, M)
+            field = build_cubic(params, MS[i % 3])
         else:
             n = rng.randint(2, 6)
             a_poly = random_poly(rng, max_degree=n - 1, max_terms=4)
@@ -227,13 +248,13 @@ def test_meridian_bound_on_mixed_fields():
 
 def test_parallel_plane_bound_for_cubics():
     rng = random.Random(66)
-    for _ in range(60):
+    for i in range(60):
         params = CubicParams(
             Kprime=random_linear(rng),
             f=random_poly(rng, max_degree=2, max_terms=3),
             beta=Scalar(rng.randint(-2, 2)),
             gamma=Scalar(rng.randint(-2, 2)))
-        field = build_cubic(params, M)
+        field = build_cubic(params, MS[i % 3])
         if field.R.is_zero():
             continue
         pset = invariant_parallels(field)
@@ -259,13 +280,13 @@ def test_pseudo_type_2_bracket_meridian_bound():
 
 def test_reported_planes_really_divide_extactic():
     rng = random.Random(31337)
-    for _ in range(40):
+    for i in range(60):
         params = CubicParams(
             Kprime=random_linear(rng),
             f=random_poly(rng, max_degree=2, max_terms=4),
             beta=Scalar(rng.randint(-2, 2)),
             gamma=Scalar(rng.randint(-2, 2)))
-        field = build_cubic(params, M)
+        field = build_cubic(params, MS[i % 3])
         ext = extactic_xy(field)
         if ext.is_zero():
             continue
@@ -283,22 +304,23 @@ def test_reported_planes_really_divide_extactic():
 def test_reported_planes_pass_invariance_residual():
     from torusfields.vfield import plane_residual, apply
 
-    # exact planes: the field derivative of the plane divides exactly
-    field = sect5_field()
-    mset = invariant_meridians(field)
-    for plane, _ in mset.planes:
-        ppoly = plane.polynomial()
-        derivative = apply(field, ppoly)
-        if not derivative.is_zero():
-            var = "x" if not ppoly.coefficient((1, 0, 0)).is_zero() else "y"
-            divide_exact(derivative, ppoly, var)
+    for m in MS:
+        # exact planes: the field derivative of the plane divides exactly
+        field = sect5_field(m)
+        mset = invariant_meridians(field)
+        for plane, _ in mset.planes:
+            ppoly = plane.polynomial()
+            derivative = apply(field, ppoly)
+            if not derivative.is_zero():
+                var = "x" if not ppoly.coefficient((1, 0, 0)).is_zero() else "y"
+                divide_exact(derivative, ppoly, var)
 
-    # float planes: residual certificate below 1e-9
-    params = CubicParams(MultiPoly.zero(), parse("x^2 - 2*y^2", M),
-                         Scalar(0), Scalar(0))
-    field = build_cubic(params, M)
-    for plane, _ in invariant_meridians(field).planes:
-        assert plane_residual(field, plane.a, plane.b) < 1e-9
+        # float planes: residual certificate below 1e-9
+        params = CubicParams(MultiPoly.zero(), parse("x^2 - 2*y^2", m),
+                             Scalar(0), Scalar(0))
+        field = build_cubic(params, m)
+        for plane, _ in invariant_meridians(field).planes:
+            assert plane_residual(field, plane.a, plane.b) < 1e-9
 
 
 def test_parallels_irrational_height():
@@ -311,3 +333,61 @@ def test_parallels_irrational_height():
     assert ks == pytest.approx([-math.sqrt(0.5), math.sqrt(0.5)], abs=1e-10)
     assert not any(pl.exact for pl, _ in pset.planes)
     assert pset.parallel_count() == 4
+
+
+def _sympy_linear_xy_factors(p, m):
+    """(slope or None, exact, multiplicity) of every real factor a*x + b*y of
+    p, from sympy's factorization over Q(sqrt(m)).
+
+    A real linear form dividing p divides one irreducible factor over
+    Q(sqrt(m)), together with its conjugates, so that factor is a binary
+    form in x, y whose real roots y/x are the slopes.
+    """
+    import sympy
+
+    x, y, z = sympy.symbols("x y z")
+    root_m = sympy.sqrt(sympy.Rational(m.numerator, m.denominator))
+    expr = sum(sympy_scalar(c) * x ** i * y ** j * z ** k for (i, j, k), c in p)
+    out = []
+    for g, mult in sympy.factor_list(expr, x, y, z, extension=root_m)[1]:
+        poly = sympy.Poly(g, x, y, z)
+        if poly.degree(z) > 0 or not poly.is_homogeneous:
+            continue
+        if poly.degree(y) < poly.total_degree():
+            out.append((None, True, mult))      # irreducible, so g = c*x
+            continue
+        in_t = sympy.Poly(g.subs(x, 1), y)
+        for t0 in in_t.nroots(n=30):
+            if abs(sympy.im(t0)) < 1e-20:
+                exact = in_t.degree() == 1 and sympy.nsimplify(
+                    -in_t.all_coeffs()[1] / in_t.all_coeffs()[0]).is_rational
+                out.append((float(sympy.re(t0)), bool(exact), mult))
+    return out
+
+
+def test_linear_factors_against_sympy():
+    # pseudo-type fields with A a product of random binary forms over
+    # Q(sqrt(m)): the extactic is -A*(x^2 + y^2)
+    rng = random.Random(8)
+    for i in range(12):
+        m = MS[i % 3]
+        a_poly = MultiPoly.constant(1)
+        for _ in range(rng.randint(1, 3)):
+            degree = rng.choice([1, 1, 2])
+            form = MultiPoly({(d, degree - d, 0): random_scalar(rng, m, True)
+                              for d in range(degree + 1)})
+            if not form.is_zero():
+                a_poly = a_poly * form ** rng.choice([1, 1, 2])
+        if a_poly.degree < 1:
+            continue
+        field = build_pseudo_type(PseudoTypeParams(int(a_poly.degree) + 1, a_poly))
+        ext = extactic_xy(field)
+        got = [(None if fa.slope is None else float(fa.slope), fa.exact,
+                fa.multiplicity) for fa in linear_xy_factors(ext)]
+        want = _sympy_linear_xy_factors(ext, m)
+        key = lambda e: (e[0] is not None, e[0] or 0.0)
+        got, want = sorted(got, key=key), sorted(want, key=key)
+        assert [(e[0] is None, e[1], e[2]) for e in got] == \
+            [(e[0] is None, e[1], e[2]) for e in want], (a_poly, m)
+        assert [e[0] for e in got if e[0] is not None] == pytest.approx(
+            [e[0] for e in want if e[0] is not None], abs=1e-12)

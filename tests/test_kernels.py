@@ -190,12 +190,13 @@ def test_rk4_overflow_step_matches_term_loop():
 
 
 # a degree-4097 term (one product per term would pass the compiler's nesting
-# limit) and a coefficient that overflows to inf
+# limit) and a coefficient that overflows to inf; m = 5 keeps a irrational,
+# since at a square m it folds into a rational too large for a float
 @pytest.mark.parametrize("expr", ["(x^64)^64*y - 3*z",
                                   "15*(10^60)^5*10^7*a*x + 1"])
 def test_extreme_polynomials_compile(expr):
-    p = parse(expr, M)
-    ref = reference_terms(p, 4.0)
+    p = parse(expr, Fraction(5))
+    ref = reference_terms(p, 5.0)
     assert eval_point(compile_poly(p), 1.0001, 0.5, 2.0) == \
         reference_eval_point(*ref, 1.0001, 0.5, 2.0)
 
@@ -216,10 +217,10 @@ def test_compile_cache_keyed_on_m_float():
     assert eval_point(at_4, 1.0, 0.0, 0.0) == 2.0
     assert eval_point(at_3, 1.0, 0.0, 0.0) == math.sqrt(3.0)
     assert compile_poly(p, 4.0) is at_4
-    # without m_float, the m the coefficients carry; a*x parsed at m = 4 and
-    # at m = 3 compare equal as polynomials, yet must not share an entry
-    at_4, at_3 = (compile_poly(parse("a*x", m)) for m in (Fraction(4), Fraction(3)))
-    assert eval_point(at_4, 1.0, 0.0, 0.0) == 2.0
+    # without m_float, the m the coefficients carry: a*x parsed at m = 5 and
+    # at m = 3 must not share an entry
+    at_5, at_3 = (compile_poly(parse("a*x", m)) for m in (Fraction(5), Fraction(3)))
+    assert eval_point(at_5, 1.0, 0.0, 0.0) == math.sqrt(5.0)
     assert eval_point(at_3, 1.0, 0.0, 0.0) == math.sqrt(3.0)
 
 

@@ -23,6 +23,11 @@ def test_a_squares_to_m():
     assert parse("a*a - a^2", M_IRR) == MultiPoly.zero()
 
 
+def test_square_m_folds_a():
+    assert parse("2*a - a^2", M).is_zero()
+    assert parse("a", M) == MultiPoly.constant(2)
+
+
 def test_syntax_error_offset():
     with pytest.raises(ParseError) as err:
         parse("x + * y", M)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from torusfields import MixedExtensionError, Scalar
+from torusfields import MixedExtensionError, Scalar, parse
 
 M = Fraction(5)
 
@@ -29,6 +29,22 @@ def test_equality_is_structural():
     assert hash(s(3)) == hash(Fraction(3))
 
 
+def test_equality_includes_m():
+    assert Scalar(0, 1, 3) != Scalar(0, 1, 5)
+    assert Scalar(1, 2, 3) == Scalar(1, 2, Fraction(6, 2))
+    assert hash(Scalar(1, 2, 3)) == hash(Scalar(1, 2, Fraction(6, 2)))
+    assert parse("a*x", 3) != parse("a*x", 5)
+    assert len({parse("a*x", 3), parse("a*x", 5)}) == 2
+
+
+def test_square_m_folds_to_rationals():
+    assert Scalar(0, 1, 4) == 2 and Scalar(0, 1, 4).is_rational()
+    assert hash(Scalar(0, 1, 4)) == hash(2)
+    assert Scalar(1, 2, Fraction(9, 4)) == Scalar(4)
+    assert Scalar.sqrt_m(10 ** 400) == Scalar(10 ** 200)
+    assert not Scalar.sqrt_m(10 ** 400 + 1).is_rational()
+
+
 def test_sqrt_part_requires_m():
     with pytest.raises(ValueError):
         Scalar(1, 2)
@@ -50,7 +66,7 @@ def test_inverse_and_division():
 
 
 def test_inverse_zero_norm_for_square_m():
-    # 2 - sqrt(4) has norm 4 - 4 = 0
+    # 2 - sqrt(4) folds to the scalar zero, which has no inverse
     v = Scalar(2, -1, 4)
     with pytest.raises(ZeroDivisionError):
         v.inverse()

@@ -35,8 +35,8 @@ def test_torus_surface_validation():
         TorusSurface(1)
     with pytest.raises(ValueError):
         TorusSurface(Fraction(1, 2))
-    with pytest.warns(UserWarning, match="square"):
-        TorusSurface(9)
+    assert TorusSurface(9).radius() == Scalar(3)
+    TorusSurface(10 ** 400 + 1)     # squareness is tested without floats
     surf = TorusSurface(Fraction(9, 2))
     assert surf.F == torus_polynomial(Fraction(9, 2))
 
