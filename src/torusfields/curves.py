@@ -10,9 +10,9 @@ x^alpha z^k group, and y - t0*x divides it to the power mu exactly when
 (t - t0)^mu divides their exact gcd g; likewise z - k and the gcd of the
 z-profiles of R.  So the planes and their multiplicities are the real roots
 of g from :func:`torusfields.roots.real_roots`: rational slopes and heights
-exactly, the others isolated by an exact Sturm sequence and polished in
-floats.  Each meridian plane is still checked for invariance on its own
-before it is reported.
+exactly (within that function's coefficient-size limit), the others
+isolated by an exact Sturm sequence and polished in floats.  Each meridian
+plane is still checked for invariance on its own before it is reported.
 """
 
 from __future__ import annotations
@@ -134,8 +134,9 @@ def _slope_divisor(t0: Fraction) -> MultiPoly:
 def linear_xy_factors(p: MultiPoly) -> list[LinearFactor]:
     """All factors of p of the form a*x + b*y, with multiplicities.
 
-    Rational slopes are exact Fractions; the others are floats isolated by
-    an exact Sturm sequence.
+    Rational slopes are exact Fractions (within the coefficient-size limit
+    of :func:`torusfields.roots.real_roots`); the others are floats
+    isolated by an exact Sturm sequence.
     """
     if p.is_zero():
         raise ValueError("linear factors of the zero polynomial")

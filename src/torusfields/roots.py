@@ -2,7 +2,8 @@
 
 :func:`real_roots` splits a polynomial into square-free parts with Yun's
 algorithm, divides out the rational roots of each part (returned as exact
-Fractions) and isolates the remaining roots with an exact Sturm sequence.
+Fractions; the search has a coefficient-size limit) and isolates the
+remaining roots with an exact Sturm sequence.
 Every sign in the Sturm walk is :meth:`Scalar.sign` at a rational point, so
 no tolerance decides a root count; this is the exact bisection scheme of
 Collins & Akritas (1976), with Sturm counts in place of Descartes' rule.
@@ -198,8 +199,13 @@ def real_roots(u: UniPoly, interval: tuple | None = None
     """Distinct real roots of u in the closed interval, ascending, with
     multiplicities; ``interval=None`` means the whole line.
 
-    A rational root is an exact Fraction.  Any other root is a float
-    polished inside an isolating interval certified by an exact Sturm count.
+    A rational root is an exact Fraction when it is the root of a degree-1
+    square-free part, when a Sturm evaluation point lands on it, or when the
+    rational-root search finds it; that search skips parts whose integer
+    shadow has an end coefficient above RATIONAL_ROOT_LIMIT, so a rational
+    root of such a part of degree >= 2 can come back as a float.  Any other
+    root is a float polished inside an isolating interval certified by an
+    exact Sturm count.
     """
     if u.is_zero():
         raise ValueError("real_roots of the zero polynomial")
@@ -214,6 +220,12 @@ def real_roots(u: UniPoly, interval: tuple | None = None
                 found.append(r)
             part = part.divmod(UniPoly([-r, 1]))[0]
         while part.degree >= 1:
+            if part.degree == 1:
+                root = -part.coeffs[0] / part.coeffs[1]
+                if root.is_rational():
+                    if bounds is None or bounds[0] <= root.p <= bounds[1]:
+                        found.append(root.p)
+                    break
             try:
                 found += _sturm_roots(part, bounds)
                 break

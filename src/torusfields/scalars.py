@@ -20,7 +20,6 @@ binary operations refuse to mix two different parameters.
 
 from __future__ import annotations
 
-import functools
 import math
 from fractions import Fraction
 from typing import Union
@@ -42,7 +41,6 @@ def _merge_m(ma: Fraction | None, mb: Fraction | None) -> Fraction | None:
     raise MixedExtensionError(f"cannot mix sqrt({ma}) with sqrt({mb})")
 
 
-@functools.lru_cache(maxsize=64)
 def _rational_sqrt(m: Fraction) -> Fraction | None:
     """sqrt(m) when m is the square of a rational, else None."""
     if m < 0:

@@ -62,15 +62,16 @@ def test_meridians_worked_example():
 
 def test_meridians_kolmogorov():
     rng = random.Random(4)
-    for i in range(30):
+    for _ in range(10):
         c1 = Scalar(rng.choice([c for c in range(-4, 5) if c]))
         c2 = Scalar(rng.choice([c for c in range(-4, 5) if c]))
-        ko = build_kolmogorov(KolmogorovParams(c1, c2), MS[i % 3])
-        mset = invariant_meridians(ko)
-        assert plane_pairs(mset) == [(0.0, 1.0, 1), (1.0, 0.0, 1)]
-        pset = invariant_parallels(ko)
-        assert [(pl.k, mult) for pl, mult in pset.planes] == [(0.0, 1)]
-        assert pset.planes[0][0].exact
+        for m in MS:
+            ko = build_kolmogorov(KolmogorovParams(c1, c2), m)
+            mset = invariant_meridians(ko)
+            assert plane_pairs(mset) == [(0.0, 1.0, 1), (1.0, 0.0, 1)]
+            pset = invariant_parallels(ko)
+            assert [(pl.k, mult) for pl, mult in pset.planes] == [(0.0, 1)]
+            assert pset.planes[0][0].exact
 
 
 def test_meridians_saturating_pseudo_type():
@@ -146,18 +147,17 @@ def test_no_real_meridian_planes():
 
 def test_parallels_two_parallel_family():
     rng = random.Random(6)
-    for i in range(30):
+    for _ in range(10):
         p = rng.randint(-3, 3)
         q = rng.randint(-3, 3)
         if p == 0 and q == 0:
             continue
-        field = build_two_parallel(
-            TwoParallelParams(Scalar(p), Scalar(q),
-                              random_poly(rng, max_degree=2, max_terms=3)),
-            MS[i % 3])
-        pset = invariant_parallels(field)
-        assert [(pl.k, mult) for pl, mult in pset.planes] == [(-1.0, 1), (1.0, 1)]
-        assert pset.parallel_count() == 2  # boundary circles count once
+        params = TwoParallelParams(Scalar(p), Scalar(q),
+                                   random_poly(rng, max_degree=2, max_terms=3))
+        for m in MS:
+            pset = invariant_parallels(build_two_parallel(params, m))
+            assert [(pl.k, mult) for pl, mult in pset.planes] == [(-1.0, 1), (1.0, 1)]
+            assert pset.parallel_count() == 2  # boundary circles count once
 
 
 def test_parallels_pseudo_type_infinite():
@@ -200,28 +200,28 @@ def test_four_meridian_criterion_examples():
 def test_four_meridian_criterion_matches_inventory():
     rng = random.Random(2024)
     agree = 0
-    for i in range(200):
+    for _ in range(200):
         params = CubicParams(
             Kprime=random_linear(rng),
             f=random_poly(rng, max_degree=2, max_terms=4),
             beta=Scalar(rng.randint(-1, 1)),
             gamma=Scalar(rng.randint(-1, 1)))
-        field = build_cubic(params, MS[i % 3])
-        ext = extactic_xy(field)
         criterion = check_four_meridian_criterion(params)
-        if ext.is_zero():
-            assert not criterion
-            continue
-        count = invariant_meridians(field).meridian_count()
-        assert criterion == (count == 4), (params, count)
-        agree += 1
-    assert agree > 150
+        for m in MS:
+            field = build_cubic(params, m)
+            if extactic_xy(field).is_zero():
+                assert not criterion
+                continue
+            count = invariant_meridians(field).meridian_count()
+            assert criterion == (count == 4), (params, m, count)
+            agree += 1
+    assert agree > 150 * len(MS)
 
 
 def test_meridian_bound_on_mixed_fields():
     rng = random.Random(55)
     checked = 0
-    for i in range(80):
+    for _ in range(80):
         kind = rng.random()
         if kind < 0.5:
             params = CubicParams(
@@ -229,36 +229,38 @@ def test_meridian_bound_on_mixed_fields():
                 f=random_poly(rng, max_degree=2, max_terms=4),
                 beta=Scalar(rng.randint(-2, 2)),
                 gamma=Scalar(rng.randint(-2, 2)))
-            field = build_cubic(params, MS[i % 3])
+            fields = [build_cubic(params, m) for m in MS]
         else:
             n = rng.randint(2, 6)
             a_poly = random_poly(rng, max_degree=n - 1, max_terms=4)
             a_poly = a_poly.homogeneous_component(n - 1)
             if a_poly.is_zero():
                 continue
-            field = build_pseudo_type(PseudoTypeParams(n, a_poly))
-        mset = invariant_meridians(field)
-        if mset.infinite:
+            fields = [build_pseudo_type(PseudoTypeParams(n, a_poly))]
+        msets = [invariant_meridians(field) for field in fields]
+        if any(mset.infinite for mset in msets):
             continue
-        degree = int(field.degree)
-        assert mset.meridian_count() <= 2 * (degree - 1)
+        for field, mset in zip(fields, msets):
+            degree = int(field.degree)
+            assert mset.meridian_count() <= 2 * (degree - 1)
         checked += 1
     assert checked > 40
 
 
 def test_parallel_plane_bound_for_cubics():
     rng = random.Random(66)
-    for i in range(60):
+    for _ in range(60):
         params = CubicParams(
             Kprime=random_linear(rng),
             f=random_poly(rng, max_degree=2, max_terms=3),
             beta=Scalar(rng.randint(-2, 2)),
             gamma=Scalar(rng.randint(-2, 2)))
-        field = build_cubic(params, MS[i % 3])
-        if field.R.is_zero():
-            continue
-        pset = invariant_parallels(field)
-        assert pset.plane_multiplicity_total() <= 2
+        for m in MS:
+            field = build_cubic(params, m)
+            if field.R.is_zero():
+                continue
+            pset = invariant_parallels(field)
+            assert pset.plane_multiplicity_total() <= 2
 
 
 def test_pseudo_type_2_bracket_meridian_bound():
@@ -280,25 +282,26 @@ def test_pseudo_type_2_bracket_meridian_bound():
 
 def test_reported_planes_really_divide_extactic():
     rng = random.Random(31337)
-    for i in range(60):
+    for _ in range(40):
         params = CubicParams(
             Kprime=random_linear(rng),
             f=random_poly(rng, max_degree=2, max_terms=4),
             beta=Scalar(rng.randint(-2, 2)),
             gamma=Scalar(rng.randint(-2, 2)))
-        field = build_cubic(params, MS[i % 3])
-        ext = extactic_xy(field)
-        if ext.is_zero():
-            continue
-        mset = invariant_meridians(field)
-        for plane, mult in mset.planes:
-            if not plane.exact:
+        for m in MS:
+            field = build_cubic(params, m)
+            ext = extactic_xy(field)
+            if ext.is_zero():
                 continue
-            ppoly = plane.polynomial()
-            var = "x" if not ppoly.coefficient((1, 0, 0)).is_zero() else "y"
-            quotient = ext
-            for _ in range(mult):
-                quotient = divide_exact(quotient, ppoly, var)
+            mset = invariant_meridians(field)
+            for plane, mult in mset.planes:
+                if not plane.exact:
+                    continue
+                ppoly = plane.polynomial()
+                var = "x" if not ppoly.coefficient((1, 0, 0)).is_zero() else "y"
+                quotient = ext
+                for _ in range(mult):
+                    quotient = divide_exact(quotient, ppoly, var)
 
 
 def test_reported_planes_pass_invariance_residual():

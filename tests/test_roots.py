@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-import sympy
 
 from torusfields import Scalar, UniPoly, dense_scan_roots, real_roots
 from torusfields.roots import square_free_parts
@@ -72,6 +71,25 @@ def test_bisection_point_on_a_root_is_exact():
         Fraction(-big), Fraction(3, 2)]
     floats = [r for r, _ in roots if isinstance(r, float)]
     assert floats == pytest.approx([-math.sqrt(3), math.sqrt(3)], abs=1e-15)
+
+
+def test_linear_part_with_large_root_is_exact():
+    # 10^7 is beyond the rational-root search, yet a degree-1 square-free
+    # part gives its root exactly
+    big = 10 ** 7
+    assert real_roots(up(-big, 1)) == [(Fraction(big), 1)]
+    poly = up(-big, 1) * up(-big, 1) * up(-3, 0, 1)     # (t - 10^7)^2 (t^2 - 3)
+    roots = real_roots(poly)
+    assert roots[-1] == (Fraction(big), 2)
+    assert isinstance(roots[-1][0], Fraction)
+    assert real_roots(poly, (-2, 2)) == [
+        (pytest.approx(-math.sqrt(3), abs=1e-15), 1),
+        (pytest.approx(math.sqrt(3), abs=1e-15), 1)]
+    # an irrational linear root stays a polished float
+    a = Scalar(0, 1, Fraction(3))
+    roots = real_roots(UniPoly([-big * a, Scalar(1)]))
+    assert len(roots) == 1 and isinstance(roots[0][0], float)
+    assert roots[0][0] == pytest.approx(big * math.sqrt(3), rel=1e-15)
 
 
 def test_sqrt_m_coefficients():
@@ -150,6 +168,8 @@ def _sympy_real_roots(u, m):
     Q(sqrt(m)); values from isolating intervals of each factor's rational
     norm, kept where the factor itself vanishes.
     """
+    import sympy
+
     t = sympy.Symbol("t")
     ext = {} if m is None else {
         "extension": sympy.sqrt(sympy.Rational(m.numerator, m.denominator))}
