@@ -9,6 +9,7 @@ is given one that leaves the torus.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -336,13 +337,19 @@ def _join_value_flags(argv: list[str]) -> list[str]:
     return out
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on first use and kept for the process: parse_args
+    fills a fresh namespace on every call."""
+    return make_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = make_parser()
     if argv is None:
         argv = sys.argv[1:]
     argv = _join_value_flags(list(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

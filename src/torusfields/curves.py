@@ -21,8 +21,8 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .poly import (MultiPoly, NotDivisible, UniPoly, X, Y, divide_exact,
-                   restrict_to_line, unipoly_gcd)
+from .poly import (MultiPoly, NotDivisible, X, Y, divide_exact,
+                   restrict_to_line, unipoly_gcd, z_profiles)
 from .roots import real_roots
 from .scalars import Scalar
 from .vfield import VectorField, plane_residual
@@ -199,24 +199,11 @@ def _meridian_invariant(field: VectorField, factor: LinearFactor) -> bool:
     return plane_residual(field, -t0, 1.0) < RESIDUAL_TOL
 
 
-def _z_profiles(r: MultiPoly) -> list[UniPoly]:
-    """One polynomial in z per x^i y^j monomial group of R."""
-    groups: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (i, j, k), coeff in r.terms.items():
-        groups.setdefault((i, j), {})[k] = coeff
-    out = []
-    for key in sorted(groups):
-        slot = groups[key]
-        coeffs = [slot.get(d, Scalar(0)) for d in range(max(slot) + 1)]
-        out.append(UniPoly(coeffs))
-    return out
-
-
 def invariant_parallels(field: VectorField) -> ParallelSet:
     """Every invariant parallel plane z = k with |k| <= 1."""
     if field.R.is_zero():
         return ParallelSet(infinite=True)
-    g = unipoly_gcd(_z_profiles(field.R))
+    g = unipoly_gcd(z_profiles(field.R))
     planes: list[tuple[ParallelPlane, int]] = []
     if g.degree >= 1:
         for k, mult in real_roots(g, (-1, 1)):

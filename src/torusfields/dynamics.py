@@ -24,8 +24,8 @@ from .curves import (MeridianPlane, check_four_meridian_criterion,
                      linear_xy_factors, plane_from_factor)
 from .families import (CubicParams, Family, FamilyTag, QuadraticParams,
                        TwoParallelParams, build_cubic)
-from .kernels import (compile_poly, eval_grid, eval_point, eval_surface,
-                      surface_angles)
+from .kernels import (CompiledPoly, compile_finite, compile_poly, eval_grid,
+                      eval_point, eval_surface, surface_angles)
 from .poly import MultiPoly, NotDivisible, UniPoly, Y, divide_exact
 from .roots import real_roots
 from .scalars import Scalar
@@ -166,10 +166,10 @@ def meridian_periodicity(params: CubicParams, m: Fraction,
     entries = [(pl.angle() + shift, pl) for pl in planes for shift in (0.0, math.pi)]
     entries.sort(key=lambda e: e[0])
 
-    kprime = compile_poly(params.Kprime, mf)
+    kprime = compile_finite(params.Kprime, mf, "K'")
     field = build_cubic(params, m)
-    angular = compile_poly(field.Q * MultiPoly.variable("x")
-                           - field.P * MultiPoly.variable("y"), mf)
+    angular = compile_finite(field.Q * MultiPoly.variable("x")
+                             - field.P * MultiPoly.variable("y"), mf, "Q*x - P*y")
 
     phis, _, zs, rs = surface_angles(mf, samples)
 
@@ -342,20 +342,22 @@ def _cell_reduce(op, a: np.ndarray) -> np.ndarray:
     return op(out, np.roll(out, -1, axis=1), out=out)
 
 
-def _levelset_singular(level: MultiPoly, m: Fraction, grid: int,
-                       classify_field: VectorField | None,
-                       numeric_only: bool) -> SingularSet:
-    """Zero set of a scalar function restricted to the torus surface."""
+def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
+                       classify: bool, numeric_only: bool) -> SingularSet:
+    """Zero set of a scalar function restricted to the torus surface.
+
+    With ``classify`` the level is the rotation coefficient A of a field
+    (A*y, -A*x, 0), and each isolated point off z = 0 is classified.
+    """
     mf = float(m)
+    level_terms = compile_finite(level, mf, what)
     if level.is_scalar():
         if level.is_zero():
             return SingularSet(SingKind.CURVES, [], curve_components=1,
                                description="the whole torus is singular")
-        return SingularSet(SingKind.EMPTY, [], grid_min_norm=abs(
-            level.constant_value().to_float()))
+        return SingularSet(SingKind.EMPTY, [], grid_min_norm=abs(level_terms.terms[0][1]))
 
     angles = surface_angles(mf, grid)[0]
-    level_terms = compile_poly(level, mf)
     vals = eval_surface(level_terms, mf, grid)
     abs_vals = np.abs(vals)
     vmax = float(np.max(abs_vals))
@@ -461,8 +463,9 @@ def _levelset_singular(level: MultiPoly, m: Fraction, grid: int,
                     stacklevel=2)
             for pt in found:
                 sing_class = None
-                if classify_field is not None and abs(pt[2]) >= 1e-6:
-                    sing_class = classify_singularity(classify_field, pt, m)
+                if classify and abs(pt[2]) >= 1e-6:
+                    sing_class = _classify(
+                        _chart_gradient(level_terms, grads, pt, mf), pt)
                 points.append((pt, sing_class))
         elif positive_minimum and not newton_failed:
             continue  # the level function bottoms out above zero here
@@ -499,8 +502,8 @@ def grid_min_speed(field: VectorField, m: Fraction,
                    grid: int = GRID_DEFAULT) -> float:
     """Minimum of |chi| over a (theta, phi) grid on the torus."""
     mf = float(m)
-    total = sum(eval_surface(compile_poly(component, mf), mf, grid) ** 2
-                for component in field.components())
+    total = sum(eval_surface(compile_finite(component, mf, name), mf, grid) ** 2
+                for component, name in zip(field.components(), "PQR"))
     return float(np.sqrt(np.min(total)))
 
 
@@ -539,30 +542,38 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
                            grid_min_norm=grid_min_speed(field, m, grid))
     level = rotation_shape(field)
     if level is not None:
-        return _levelset_singular(level, m, grid, field, False)
+        return _levelset_singular(level, "A (of the field (A*y, -A*x, 0))", m, grid,
+                                  True, False)
     speed_sq = (field.P * field.P + field.Q * field.Q + field.R * field.R)
-    return _levelset_singular(speed_sq, m, grid, None, True)
+    return _levelset_singular(speed_sq, "P^2 + Q^2 + R^2", m, grid, False, True)
+
+
+def _chart_gradient(a: CompiledPoly, grads: list[CompiledPoly],
+                    q: tuple[float, float, float], mf: float) -> tuple[float, float]:
+    """(B_x, B_y) at q from A and its x, y, z derivatives compiled at m;
+    q must have |z| >= 1e-6."""
+    x0, y0, z0 = q
+    scale = max((abs(c) for _, c in a.terms), default=1.0)
+    if abs(eval_point(a, x0, y0, z0)) > 1e-8 * max(scale, 1.0):
+        raise ValueError(f"A{q} != 0: not a singular point of the field")
+    ax, ay, az = (eval_point(g, x0, y0, z0) for g in grads)
+    ring = x0 * x0 + y0 * y0 - mf
+    return ax + az * (-2.0 * x0 * ring / z0), ay + az * (-2.0 * y0 * ring / z0)
 
 
 def chart_gradient(field: VectorField, q: tuple[float, float, float],
                    m: Fraction) -> tuple[float, float]:
     """(B_x, B_y) at q, where B restricts the rotation coefficient A to the
     open half-torus chart z = sign(z0) * sqrt(1 - (x^2 + y^2 - m)^2)."""
-    x0, y0, z0 = q
-    if abs(z0) < 1e-6:
-        raise ChartError(f"|z| = {abs(z0):.2e} is too small for the chart")
+    if abs(q[2]) < 1e-6:
+        raise ChartError(f"|z| = {abs(q[2]):.2e} is too small for the chart")
     try:
         a_poly = divide_exact(field.P, Y, "y")
     except NotDivisible as exc:
         raise ValueError("field is not of the shape (A*y, -A*x, 0)") from exc
-    scale = max((abs(c.to_float()) for c in a_poly.terms.values()), default=1.0)
-    if abs(eval_point(compile_poly(a_poly, float(m)), x0, y0, z0)) \
-            > 1e-8 * max(scale, 1.0):
-        raise ValueError(f"A{q} != 0: not a singular point of the field")
-    ax, ay, az = (eval_point(compile_poly(a_poly.differentiate(v), float(m)),
-                             x0, y0, z0) for v in "xyz")
-    ring = x0 * x0 + y0 * y0 - float(m)
-    return ax + az * (-2.0 * x0 * ring / z0), ay + az * (-2.0 * y0 * ring / z0)
+    mf = float(m)
+    grads = [compile_poly(a_poly.differentiate(v), mf) for v in "xyz"]
+    return _chart_gradient(compile_poly(a_poly, mf), grads, q, mf)
 
 
 def chart_trace(field: VectorField, q: tuple[float, float, float],
@@ -582,8 +593,12 @@ def classify_singularity(field: VectorField, q: tuple[float, float, float],
     zero determinant, which separates semi-hyperbolic points from nilpotent
     and linearly zero ones.
     """
+    return _classify(chart_gradient(field, q, m), q)
+
+
+def _classify(gradient: tuple[float, float], q: tuple[float, float, float]) -> SingClass:
+    bx, by = gradient
     x0, y0, _ = q
-    bx, by = chart_gradient(field, q, m)
     trace = bx * y0 - by * x0
     if abs(trace) > 1e-8:
         return SingClass.SEMI_HYPERBOLIC

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernels import compile_poly, rk4_orbit
+from .kernels import compile_finite, rk4_orbit
 from .vfield import VectorField
 
 COLUMNS = ("t", "x", "y", "z", "theta", "phi")
@@ -89,7 +89,8 @@ def integrate(field: VectorField, start: tuple[float, float, float],
     remainder = t_end - n_full * dt
     if remainder <= dt * 1e-9:
         remainder = 0.0
-    compiled = tuple(compile_poly(c, mf) for c in field.components())
+    compiled = tuple(compile_finite(c, mf, name)
+                     for c, name in zip(field.components(), "PQR"))
 
     def run(origin, step, count):
         states, overflow = rk4_orbit(*compiled, origin, step, count, project, mf)

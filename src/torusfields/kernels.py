@@ -20,8 +20,8 @@ import numpy as np
 
 from .poly import MultiPoly
 
-# Compiled polynomials kept: the singular scan and chart_gradient compile the
-# same derivatives again and again.
+# Compiled polynomials kept: repeated reports and chart_gradient calls on one
+# field compile the same polynomials and derivatives again.
 _CACHE_SIZE = 256
 # Factors per generated expression: a product nests once per factor, and the
 # parser accepts degrees (e.g. (x^64)^64) deeper than the compiler's limit.
@@ -49,17 +49,14 @@ def compile_poly(p: MultiPoly, m_float: float | None = None) -> CompiledPoly:
     """
     # resolved before the cache lookup, so a call that passes m_float and one
     # that leaves it to the coefficients share one cache entry
-    if m_float is None:
-        m_float = next((float(c.m) for c in p.terms.values() if c.q), None)
+    if m_float is None and p.m is not None:
+        m_float = float(p.m)
     return _compile(p, m_float)
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _compile(p: MultiPoly, m_float: float | None) -> CompiledPoly:
-    terms = tuple(
-        (exp, float(c.p) if c.q == 0
-         else float(c.p) + float(c.q) * math.sqrt(m_float))
-        for exp, c in sorted(p.terms.items()))
+    terms = p.float_terms(m_float)
     # only repr(float) and the names x, y, z, t, acc, inf reach exec
     lines = ["def f(x, y, z):", "    acc = 0.0"]
     for (i, j, k), c in terms:
@@ -73,6 +70,22 @@ def _compile(p: MultiPoly, m_float: float | None) -> CompiledPoly:
     namespace = {"__builtins__": {}, "inf": math.inf}
     exec("\n".join(lines), namespace)
     return CompiledPoly(terms, namespace["f"])
+
+
+def compile_finite(p: MultiPoly, m_float: float, what: str) -> CompiledPoly:
+    """:func:`compile_poly` for a float stage, which needs finite coefficients.
+
+    Raises ValueError naming ``what`` when a coefficient overflows to an
+    infinite float, or is a rational too large for a float.
+    """
+    try:
+        compiled = compile_poly(p, m_float)
+    except OverflowError:
+        compiled = None
+    if compiled is None or not all(math.isfinite(c) for _, c in compiled.terms):
+        raise ValueError(f"{what} has a coefficient beyond the float range, "
+                         "which the numeric stages cannot evaluate")
+    return compiled
 
 
 def eval_point(compiled: CompiledPoly, x: float, y: float, z: float) -> float:

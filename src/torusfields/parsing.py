@@ -17,12 +17,15 @@ Serialization is deterministic: terms in graded lexicographic order
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .poly import MultiPoly
+from .poly import X, Y, Z, MultiPoly
 from .scalars import Scalar
 
 MAX_EXPONENT = 64
+_TOKEN = re.compile(r"\s*(\d+|\S)")
+_VARIABLES = {"x": X, "y": Y, "z": Z}
 
 
 class ParseError(ValueError):
@@ -38,25 +41,23 @@ class ParseError(ValueError):
 
 class _Parser:
     def __init__(self, text: str, m: Fraction):
-        self.text = text
         self.m = m
+        # (token, offset): digit runs and single non-space characters
+        self.tokens = [(t.group(1), t.start(1)) for t in _TOKEN.finditer(text)]
+        self.tokens.append(("", len(text)))
         self.pos = 0
-
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+        self._sqrt_m: MultiPoly | None = None
 
     def _peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+        return self.tokens[self.pos][0]
 
     def _fail(self, expected: set[str]) -> None:
-        ch = self._peek()
-        raise ParseError(min(self.pos, len(self.text)), expected,
-                         repr(ch) if ch else "end of input")
+        token, offset = self.tokens[self.pos]
+        raise ParseError(offset, expected,
+                         repr(token[0]) if token else "end of input")
 
     def _accept(self, ch: str) -> bool:
-        if self._peek() == ch:
+        if self.tokens[self.pos][0] == ch:
             self.pos += 1
             return True
         return False
@@ -66,18 +67,15 @@ class _Parser:
             self._fail({repr(ch)})
 
     def _uint(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
+        token = self.tokens[self.pos][0]
+        if not token.isdigit():
             self._fail({"unsigned integer"})
-        return int(self.text[start:self.pos])
+        self.pos += 1
+        return int(token)
 
     def parse(self) -> MultiPoly:
         result = self.expr()
-        self._skip_ws()
-        if self.pos != len(self.text):
+        if self.pos != len(self.tokens) - 1:
             self._fail({"'+'", "'-'", "'*'", "'^'", "end of input"})
         return result
 
@@ -116,18 +114,21 @@ class _Parser:
         if ch == "-":
             self.pos += 1
             return -self.factor()
-        if ch in ("x", "y", "z"):
+        if ch in _VARIABLES:
             self.pos += 1
-            return MultiPoly.variable(ch)
+            return _VARIABLES[ch]
         if ch == "a":
             self.pos += 1
-            return MultiPoly.constant(Scalar.sqrt_m(self.m))
+            if self._sqrt_m is None:
+                self._sqrt_m = MultiPoly.constant(Scalar.sqrt_m(self.m))
+            return self._sqrt_m
         if ch.isdigit():
             num = self._uint()
             if self._accept("/"):
                 den = self._uint()
                 if den == 0:
-                    raise ParseError(self.pos, {"nonzero denominator"}, "0")
+                    token, offset = self.tokens[self.pos - 1]
+                    raise ParseError(offset + len(token), {"nonzero denominator"}, "0")
                 return MultiPoly.constant(Fraction(num, den))
             return MultiPoly.constant(num)
         self._fail({"rational", "'a'", "'x'", "'y'", "'z'", "'('", "'-'"})

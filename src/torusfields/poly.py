@@ -1,14 +1,32 @@
 """Sparse trivariate polynomials over Q(sqrt(m)), plus univariate helpers.
 
-A :class:`MultiPoly` maps exponent triples ``(i, j, k)`` (powers of x, y, z)
-to nonzero :class:`~torusfields.scalars.Scalar` coefficients.  The map never
-stores a zero coefficient, so the representation is canonical and structural
-equality is polynomial identity.  Values are immutable after construction;
-every operation returns a fresh polynomial.
+Polynomials are fraction-free.  Write ``m = mn/md`` in lowest terms and
+``s = mn*md``.  :class:`~torusfields.scalars.Scalar` folds sqrt(m) to a
+rational when m is a rational square, so a polynomial that keeps a sqrt part
+has a non-square m, hence a non-square s, and ``sqrt(m) = sqrt(s)/md``.  A
+polynomial stores, per term, a pair of Python ints ``(p, q)`` over one
+positive integer denominator ``den`` shared by all its terms; the
+coefficient is ``(p + q*sqrt(s))/den``.  Products of numerators stay in
+``Z[sqrt(s)]``: ``(p1 + q1*sqrt(s))(p2 + q2*sqrt(s)) = (p1*p2 + q1*q2*s)
++ (p1*q2 + q1*p2)*sqrt(s)``, so no operation builds a Fraction per term.
 
-:class:`UniPoly` is a dense univariate polynomial (ascending coefficients)
-used for restrictions of a MultiPoly to a single variable: the slope
-parameter t of a meridian plane, or z for parallel planes.
+Every result is reduced once: the gcd of ``den`` and all numerators is
+divided out and zero terms are dropped.  That form is canonical, so
+structural equality is polynomial identity; the hash is computed once and
+cached.  The parameter m is carried only while some ``q`` is nonzero; it is
+part of equality and hash, and combining polynomials that carry different
+m raises :class:`~torusfields.scalars.MixedExtensionError`, as for Scalars.
+
+:class:`MultiPoly` maps exponent triples ``(i, j, k)`` (powers of x, y, z) to
+coefficients; :attr:`MultiPoly.terms` is a read-only ``exp -> Scalar`` view
+built on first use.  :class:`UniPoly` is a dense univariate polynomial
+(ascending coefficients) for restrictions of a MultiPoly to one variable:
+the slope parameter t of a meridian plane, or z for parallel planes.  Its
+gcd is a primitive polynomial remainder sequence (Collins 1967; Brown &
+Traub 1971) on the integer numerators: each pseudo-remainder has its
+integer content divided out, and the gcd is made monic only at the end.
+Values are immutable after construction; every operation returns a fresh
+polynomial.
 """
 
 from __future__ import annotations
@@ -17,11 +35,12 @@ import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
 
-from .scalars import Scalar
+from .scalars import Scalar, _merge_m
 
 Exponent = tuple[int, int, int]
 
 _VAR_INDEX = {"x": 0, "y": 1, "z": 2}
+_CONST = (0, 0, 0)
 NEG_INF = float("-inf")
 
 
@@ -37,40 +56,140 @@ def _as_scalar(value: Scalar | int | Fraction) -> Scalar:
     return value if isinstance(value, Scalar) else Scalar(value)
 
 
+def radicand(m: Fraction | None) -> int:
+    """s = mn*md, so that sqrt(m) = sqrt(s)/md (0 when there is no sqrt part)."""
+    return m.numerator * m.denominator if m is not None else 0
+
+
+_F0 = Fraction(0)
+
+
+def _to_scalar(p: int, q: int, den: int, m: Fraction | None) -> Scalar:
+    """The Scalar (p + q*sqrt(s))/den."""
+    rational = Fraction(p) if den == 1 else Fraction(p, den)
+    if not q:
+        return Scalar._make(rational, _F0, None)
+    return Scalar._make(rational, Fraction(q * m.denominator, den), m)
+
+
+def _to_float(p: int, q: int, den: int, md: int, root: float) -> float:
+    """float(p/den) + float(q*md/den)*root, as Scalar.to_float rounds it."""
+    if not q:
+        return p / den
+    return p / den + (q * md) / den * root
+
+
+def _ints_of(pairs: Iterable[tuple[object, Scalar | int | Fraction]]
+             ) -> tuple[dict, dict, int, Fraction | None]:
+    """Numerators over the least common denominator of (key, value) pairs."""
+    m = None
+    ps: list[tuple[object, Fraction]] = []
+    qs: list[tuple[object, Fraction]] = []
+    for key, c in pairs:
+        if not isinstance(c, Scalar):
+            if c:
+                ps.append((key, Fraction(c)))
+            continue
+        if c.p:
+            ps.append((key, c.p))
+        if c.q:
+            m = _merge_m(m, c.m)
+            qs.append((key, c.q))
+    if qs:
+        md = m.denominator
+        qs = [(key, Fraction(v.numerator, v.denominator * md)) for key, v in qs]
+    den = math.lcm(*(v.denominator for _, v in ps), *(v.denominator for _, v in qs))
+    return ({key: v.numerator * (den // v.denominator) for key, v in ps},
+            {key: v.numerator * (den // v.denominator) for key, v in qs}, den, m)
+
+
+def _conv_into(out: dict, x: dict, y: dict, factor: int = 1) -> None:
+    """out += factor * x * y, numerator dicts keyed by exponent triples."""
+    get = out.get
+    for (i1, j1, k1), c1 in x.items():
+        if factor != 1:
+            c1 *= factor
+        for (i2, j2, k2), c2 in y.items():
+            e = (i1 + i2, j1 + j2, k1 + k2)
+            out[e] = get(e, 0) + c1 * c2
+
+
+def _nonzero(d: dict) -> dict:
+    return {e: c for e, c in d.items() if c} if 0 in d.values() else d
+
+
+def _scaled(d: dict, factor: int) -> dict:
+    return {e: c * factor for e, c in d.items()} if factor != 1 else dict(d)
+
+
+def _poly(p: dict, q: dict, den: int, m: Fraction | None) -> "MultiPoly":
+    """MultiPoly from numerators without zero entries, content divided out."""
+    if not q:
+        m = None
+        if not p:
+            den = 1
+    if den != 1:
+        g = math.gcd(den, *p.values(), *q.values())
+        if g != 1:
+            den //= g
+            p = {e: c // g for e, c in p.items()}
+            q = {e: c // g for e, c in q.items()}
+    out = object.__new__(MultiPoly)
+    out._p = p
+    out._q = q
+    out._den = den
+    out.m = m
+    out._hash = None
+    out._terms = None
+    return out
+
+
+def _mul_into(p: dict, q: dict, a: tuple[dict, dict], b: tuple[dict, dict],
+              factor: int, s: int) -> None:
+    """(p, q) += factor * a * b on (p, q) numerator dicts."""
+    (ap, aq), (bp, bq) = a, b
+    _conv_into(p, ap, bp, factor)
+    if aq or bq:
+        _conv_into(p, aq, bq, factor * s)
+        _conv_into(q, ap, bq, factor)
+        _conv_into(q, aq, bp, factor)
+
+
 class MultiPoly:
-    """Sparse polynomial in x, y, z with Scalar coefficients."""
+    """Sparse polynomial in x, y, z over Q(sqrt(m)), integer numerators."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("_p", "_q", "_den", "m", "_hash", "_terms")
 
-    def __init__(self, terms: Mapping[Exponent, Scalar] | None = None):
-        clean: dict[Exponent, Scalar] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                coeff = _as_scalar(coeff)
-                if not coeff.is_zero():
-                    clean[exp] = coeff
-        self.terms = clean
+    def __init__(self, terms: Mapping[Exponent, Scalar | int | Fraction] | None = None):
+        p, q, den, m = _ints_of(terms.items() if terms else ())
+        self._p, self._q, self._den, self.m = p, q, den, m if q else None
+        self._hash = None
+        self._terms = None
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "MultiPoly":
-        return cls()
+        return _poly({}, {}, 1, None)
 
     @classmethod
     def constant(cls, value: Scalar | int | Fraction) -> "MultiPoly":
-        return cls({(0, 0, 0): _as_scalar(value)})
+        return cls.monomial(_CONST, value)
 
     @classmethod
     def variable(cls, name: str) -> "MultiPoly":
-        idx = _VAR_INDEX[name]
         exp = [0, 0, 0]
-        exp[idx] = 1
-        return cls({tuple(exp): Scalar(1)})
+        exp[_VAR_INDEX[name]] = 1
+        return _poly({tuple(exp): 1}, {}, 1, None)
 
     @classmethod
     def monomial(cls, exp: Exponent, coeff: Scalar | int | Fraction = 1) -> "MultiPoly":
-        return cls({exp: _as_scalar(coeff)})
+        if type(coeff) is int:
+            return _poly({exp: coeff} if coeff else {}, {}, 1, None)
+        if type(coeff) is Fraction:
+            return _poly({exp: coeff.numerator} if coeff else {}, {},
+                         coeff.denominator, None)
+        return cls({exp: coeff})
 
     @classmethod
     def coerce(cls, value: "MultiPoly | Scalar | int | Fraction") -> "MultiPoly":
@@ -80,44 +199,55 @@ class MultiPoly:
 
     # -- basic structure ---------------------------------------------------
 
+    def _keys(self):
+        return self._p.keys() | self._q.keys() if self._q else self._p.keys()
+
+    @property
+    def terms(self) -> dict[Exponent, Scalar]:
+        """exp -> nonzero Scalar coefficient; built on first use, read-only."""
+        if self._terms is None:
+            p, q, den, m = self._p, self._q, self._den, self.m
+            self._terms = {e: _to_scalar(p.get(e, 0), q.get(e, 0), den, m)
+                           for e in self._keys()}
+        return self._terms
+
     @property
     def degree(self) -> int | float:
         """Total degree; -inf for the zero polynomial."""
-        if not self.terms:
-            return NEG_INF
-        return max(i + j + k for (i, j, k) in self.terms)
+        return max((i + j + k for (i, j, k) in self._keys()), default=NEG_INF)
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._p and not self._q
 
     def is_scalar(self) -> bool:
-        return not self.terms or set(self.terms) == {(0, 0, 0)}
+        return all(e == _CONST for e in self._keys())
 
     def constant_value(self) -> Scalar:
         """The coefficient of the constant monomial (zero if absent)."""
-        return self.terms.get((0, 0, 0), Scalar(0))
+        return self.coefficient(_CONST)
 
     def coefficient(self, exp: Exponent) -> Scalar:
-        return self.terms.get(exp, Scalar(0))
+        return _to_scalar(self._p.get(exp, 0), self._q.get(exp, 0), self._den, self.m)
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return not self.is_zero()
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, MultiPoly):
-            return self.terms == other.terms
         if isinstance(other, (Scalar, int, Fraction)):
-            return self == MultiPoly.coerce(other)
+            other = MultiPoly.constant(other)
+        if isinstance(other, MultiPoly):
+            return (self._den == other._den and self._p == other._p
+                    and self._q == other._q and self.m == other.m)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
+        if self._hash is None:
+            self._hash = hash((frozenset(self._p.items()), frozenset(self._q.items()),
+                               self._den, self.m))
+        return self._hash
 
     def __iter__(self) -> Iterator[tuple[Exponent, Scalar]]:
         return iter(self.terms.items())
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
     def __repr__(self) -> str:
         from .parsing import serialize
@@ -126,66 +256,73 @@ class MultiPoly:
 
     # -- ring operations ---------------------------------------------------
 
+    def _combine(self, other: "MultiPoly", sign: int) -> "MultiPoly":
+        """self + sign*other over the least common denominator."""
+        m = _merge_m(self.m, other.m)
+        da, db = self._den, other._den
+        g = math.gcd(da, db)
+        ka, kb = db // g, da // g
+        kb *= sign
+        out = []
+        for x, y in ((self._p, other._p), (self._q, other._q)):
+            acc = _scaled(x, ka)
+            for e, c in y.items():
+                v = acc.get(e, 0) + c * kb
+                if v:
+                    acc[e] = v
+                else:
+                    del acc[e]
+            out.append(acc)
+        return _poly(out[0], out[1], da * ka, m)
+
     def __add__(self, other: "MultiPoly | Scalar | int | Fraction") -> "MultiPoly":
-        other = MultiPoly.coerce(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            acc = out.get(exp)
-            coeff = coeff if acc is None else acc + coeff
-            if coeff.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = coeff
-        result = MultiPoly.__new__(MultiPoly)
-        result.terms = out
-        return result
+        return self._combine(MultiPoly.coerce(other), 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> "MultiPoly":
-        result = MultiPoly.__new__(MultiPoly)
-        result.terms = {exp: -c for exp, c in self.terms.items()}
-        return result
+        return _poly({e: -c for e, c in self._p.items()},
+                     {e: -c for e, c in self._q.items()}, self._den, self.m)
 
     def __sub__(self, other: "MultiPoly | Scalar | int | Fraction") -> "MultiPoly":
-        return self + (-MultiPoly.coerce(other))
+        return self._combine(MultiPoly.coerce(other), -1)
 
     def __rsub__(self, other: "MultiPoly | Scalar | int | Fraction") -> "MultiPoly":
-        return (-self) + other
+        return MultiPoly.coerce(other)._combine(self, -1)
 
     def __mul__(self, other: "MultiPoly | Scalar | int | Fraction") -> "MultiPoly":
-        if isinstance(other, (Scalar, int, Fraction)):
+        if not isinstance(other, MultiPoly):
             return self.scale(other)
-        out: dict[Exponent, Scalar] = {}
-        for (i1, j1, k1), c1 in self.terms.items():
-            for (i2, j2, k2), c2 in other.terms.items():
-                exp = (i1 + i2, j1 + j2, k1 + k2)
-                prod = c1 * c2
-                acc = out.get(exp)
-                prod = prod if acc is None else acc + prod
-                if prod.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = prod
-        result = MultiPoly.__new__(MultiPoly)
-        result.terms = out
-        return result
+        m = _merge_m(self.m, other.m)
+        p: dict = {}
+        q: dict = {}
+        _mul_into(p, q, (self._p, self._q), (other._p, other._q), 1, radicand(m))
+        return _poly(_nonzero(p), _nonzero(q), self._den * other._den, m)
 
     def __rmul__(self, other: "Scalar | int | Fraction") -> "MultiPoly":
         return self.scale(other)
 
     def scale(self, factor: Scalar | int | Fraction) -> "MultiPoly":
-        factor = _as_scalar(factor)
-        if factor.is_zero():
+        if isinstance(factor, Scalar):
+            if factor.q:
+                return self * MultiPoly.constant(factor)
+            factor = factor.p
+        elif not isinstance(factor, (int, Fraction)):
+            factor = Fraction(factor)      # a float, converted exactly
+        if not factor:
             return MultiPoly.zero()
-        result = MultiPoly.__new__(MultiPoly)
-        result.terms = {exp: c * factor for exp, c in self.terms.items()}
-        return result
+        num, den = factor.numerator, factor.denominator
+        return _poly(_scaled(self._p, num), _scaled(self._q, num),
+                     self._den * den, self.m)
 
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = MultiPoly.constant(1)
+        if len(self._p) == 1 and not self._q:
+            # a rational monomial: raise exponents and coefficient directly
+            ((i, j, k), c), = self._p.items()
+            return _poly({(i * n, j * n, k * n): c ** n}, {}, self._den ** n, None)
+        out = ONE
         base = self
         while n > 0:
             if n & 1:
@@ -199,49 +336,30 @@ class MultiPoly:
     def differentiate(self, var: str) -> "MultiPoly":
         """Formal partial derivative with respect to x, y or z."""
         idx = _VAR_INDEX[var]
-        out: dict[Exponent, Scalar] = {}
-        for exp, coeff in self.terms.items():
-            e = exp[idx]
-            if e == 0:
-                continue
-            new = list(exp)
-            new[idx] = e - 1
-            out[tuple(new)] = coeff * e
-        return MultiPoly(out)
+        return _poly(_derivative(self._p, idx), _derivative(self._q, idx),
+                     self._den, self.m)
 
     def homogeneous_component(self, d: int) -> "MultiPoly":
         """Sum of the terms of total degree exactly d."""
-        return MultiPoly({exp: c for exp, c in self.terms.items()
-                          if sum(exp) == d})
+        return _poly({e: c for e, c in self._p.items() if sum(e) == d},
+                     {e: c for e, c in self._q.items() if sum(e) == d}, self._den, self.m)
 
     def homogeneous_parts(self) -> dict[int, "MultiPoly"]:
-        parts: dict[int, dict[Exponent, Scalar]] = {}
-        for exp, coeff in self.terms.items():
-            parts.setdefault(sum(exp), {})[exp] = coeff
-        return {d: MultiPoly(t) for d, t in sorted(parts.items())}
+        degrees = sorted({sum(e) for e in self._keys()})
+        return {d: self.homogeneous_component(d) for d in degrees}
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(exp) for exp in self.terms}
-        return len(degs) <= 1
+        return len({sum(e) for e in self._keys()}) <= 1
 
     def substitute(self, var: str, replacement: "MultiPoly | Scalar | int | Fraction") -> "MultiPoly":
         """Formal composition: replace ``var`` by ``replacement``."""
         repl = MultiPoly.coerce(replacement)
         idx = _VAR_INDEX[var]
-        # cache powers of the replacement; exponents are tiny in practice
-        powers: dict[int, MultiPoly] = {0: MultiPoly.constant(1)}
-
-        def power(n: int) -> MultiPoly:
-            if n not in powers:
-                powers[n] = power(n - 1) * repl
-            return powers[n]
-
         out = MultiPoly.zero()
         for exp, coeff in self.terms.items():
             rest = list(exp)
-            e = rest[idx]
             rest[idx] = 0
-            out = out + power(e) * MultiPoly.monomial(tuple(rest), coeff)
+            out = out + repl ** exp[idx] * MultiPoly.monomial(tuple(rest), coeff)
         return out
 
     def eval_exact(self, point: tuple) -> Scalar:
@@ -256,44 +374,66 @@ class MultiPoly:
             total = total + v
         return total
 
+    def float_terms(self, m_float: float | None = None
+                    ) -> tuple[tuple[Exponent, float], ...]:
+        """(exp, float coefficient) in sorted exponent order.
+
+        Each coefficient rounds as :meth:`Scalar.to_float` does, with
+        ``m_float`` (default: float(m)) in place of m under the square root.
+        """
+        p, q, den = self._p, self._q, self._den
+        md, root = 1, 0.0
+        if q:
+            md = self.m.denominator
+            root = math.sqrt(float(self.m) if m_float is None else m_float)
+        return tuple((e, _to_float(p.get(e, 0), q.get(e, 0), den, md, root))
+                     for e in sorted(self._keys()))
+
     def eval_float(self, point: tuple[float, float, float],
                    m_float: float | None = None) -> float:
         """Floating value; sqrt(m) coefficients are embedded numerically."""
         x, y, z = point
-        total = 0.0
-        for (i, j, k), coeff in self.terms.items():
-            if coeff.q == 0:
-                c = float(coeff.p)
-            else:
-                mf = float(coeff.m) if m_float is None else m_float
-                c = float(coeff.p) + float(coeff.q) * math.sqrt(mf)
-            total += c * x**i * y**j * z**k
-        return total
+        return sum(c * x**i * y**j * z**k
+                   for (i, j, k), c in self.float_terms(m_float))
 
     # -- univariate views ----------------------------------------------------
 
     def var_degree(self, var: str) -> int | float:
         idx = _VAR_INDEX[var]
-        if not self.terms:
-            return NEG_INF
-        return max(exp[idx] for exp in self.terms)
+        return max((e[idx] for e in self._keys()), default=NEG_INF)
 
     def coefficients_in(self, var: str) -> dict[int, "MultiPoly"]:
         """View as a polynomial in ``var``: degree -> coefficient polynomial."""
         idx = _VAR_INDEX[var]
-        out: dict[int, dict[Exponent, Scalar]] = {}
-        for exp, coeff in self.terms.items():
-            rest = list(exp)
-            e = rest[idx]
-            rest[idx] = 0
-            out.setdefault(e, {})[tuple(rest)] = coeff
-        return {e: MultiPoly(t) for e, t in sorted(out.items())}
+        out = {}
+        for d in sorted({e[idx] for e in self._keys()}):
+            p = _shifted({e: c for e, c in self._p.items() if e[idx] == d}, idx, -d)
+            q = _shifted({e: c for e, c in self._q.items() if e[idx] == d}, idx, -d)
+            out[d] = _poly(p, q, self._den, self.m)
+        return out
 
     def min_var_exponent(self, var: str) -> int:
         idx = _VAR_INDEX[var]
-        if not self.terms:
+        if self.is_zero():
             raise ValueError("zero polynomial")
-        return min(exp[idx] for exp in self.terms)
+        return min(e[idx] for e in self._keys())
+
+
+def _derivative(d: dict, idx: int) -> dict:
+    if idx == 0:
+        return {(i - 1, j, k): c * i for (i, j, k), c in d.items() if i}
+    if idx == 1:
+        return {(i, j - 1, k): c * j for (i, j, k), c in d.items() if j}
+    return {(i, j, k - 1): c * k for (i, j, k), c in d.items() if k}
+
+
+def _shifted(d: dict, idx: int, by: int) -> dict:
+    out = {}
+    for e, c in d.items():
+        ne = list(e)
+        ne[idx] += by
+        out[tuple(ne)] = c
+    return out
 
 
 X = MultiPoly.variable("x")
@@ -302,170 +442,368 @@ Z = MultiPoly.variable("z")
 ONE = MultiPoly.constant(1)
 
 
+def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
+    """sum(a*b for a, b in pairs), accumulated on numerators, reduced once."""
+    pairs = [(a, b) for a, b in pairs if not (a.is_zero() or b.is_zero())]
+    m = None
+    den = 1
+    for a, b in pairs:
+        m = _merge_m(m, _merge_m(a.m, b.m))
+        den = math.lcm(den, a._den * b._den)
+    s = radicand(m)
+    p: dict = {}
+    q: dict = {}
+    for a, b in pairs:
+        _mul_into(p, q, (a._p, a._q), (b._p, b._q), den // (a._den * b._den), s)
+    return _poly(_nonzero(p), _nonzero(q), den, m)
+
+
 def divide_exact(dividend: MultiPoly, divisor: MultiPoly, var: str = "z") -> MultiPoly:
     """Exact division along one variable.
 
     The divisor, viewed in Q(sqrt(m))[rest][var], must have a nonzero Scalar
     as its leading coefficient (true for F, z, z - k, y - t*x, a*x + b*y).
+    Its inverse is taken once; the divisor made monic has its leading
+    numerator equal to its denominator, so each step subtracts a numerator
+    product and rescales by that denominator only when it is not 1.
     Raises :class:`NotDivisible` when a remainder survives.
     """
     if divisor.is_zero():
         raise MalformedDivisor("division by the zero polynomial")
-    div_coeffs = divisor.coefficients_in(var)
-    d_deg = max(div_coeffs)
-    lead = div_coeffs[d_deg]
-    if not lead.is_scalar():
+    idx = _VAR_INDEX[var]
+    d_deg = divisor.var_degree(var)
+    lead_exp = tuple(d_deg if v == idx else 0 for v in range(3))
+    if any(e[idx] == d_deg and e != lead_exp for e in divisor._keys()):
+        lead = divisor.coefficients_in(var)[d_deg]
         raise MalformedDivisor(
             f"divisor is not monic-izable in {var}: leading coefficient {lead!r}")
-    lead_inv = lead.constant_value().inverse()
+    lead = divisor.coefficient(lead_exp)
+    lead_inv = None if lead == 1 else lead.inverse()
+    monic = divisor if lead_inv is None else divisor.scale(lead_inv)
 
-    idx = _VAR_INDEX[var]
-    rem = dividend
-    quot = MultiPoly.zero()
-    while not rem.is_zero():
-        r_deg = rem.var_degree(var)
+    m = _merge_m(dividend.m, divisor.m)
+    s = radicand(m)
+    scale = monic._den
+    rp, rq, den = dict(dividend._p), dict(dividend._q), dividend._den
+    qp: dict = {}
+    qq: dict = {}
+    while rp or rq:
+        r_deg = max(e[idx] for e in (rp.keys() | rq.keys()))
         if r_deg < d_deg:
             raise NotDivisible(f"remainder of {var}-degree {r_deg} left")
-        r_lead = MultiPoly({exp: c for exp, c in rem.terms.items()
-                            if exp[idx] == r_deg})
-        # strip var^r_deg from the leading slice, re-attach var^(r_deg-d_deg)
-        stripped = {}
-        for exp, c in r_lead.terms.items():
-            e = list(exp)
-            e[idx] = r_deg - d_deg
-            stripped[tuple(e)] = c
-        q_term = MultiPoly(stripped).scale(lead_inv)
-        quot = quot + q_term
-        rem = rem - q_term * divisor
-    return quot
+        # the quotient term: the top var-slice of the remainder over var^d_deg
+        tp = _shifted({e: c for e, c in rp.items() if e[idx] == r_deg}, idx, -d_deg)
+        tq = _shifted({e: c for e, c in rq.items() if e[idx] == r_deg}, idx, -d_deg)
+        qp.update(tp)
+        qq.update(tq)
+        if scale != 1:
+            rp, rq = _scaled(rp, scale), _scaled(rq, scale)
+            qp, qq = _scaled(qp, scale), _scaled(qq, scale)
+            den *= scale
+        _mul_into(rp, rq, (tp, tq), (monic._p, monic._q), -1, s)
+        rp, rq = _nonzero(rp), _nonzero(rq)
+    quot = _poly(qp, qq, den, m)
+    return quot if lead_inv is None else quot.scale(lead_inv)
 
 
 def divide_exact_z(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly:
     return divide_exact(dividend, divisor, "z")
 
 
-def divides(divisor: MultiPoly, p: MultiPoly, var: str = "z") -> bool:
-    try:
-        divide_exact(p, divisor, var)
-        return True
-    except NotDivisible:
-        return False
+# -- univariate polynomials ------------------------------------------------------
+
+
+def _trim(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Drop leading zero coefficients; an all-zero sqrt part becomes []."""
+    if q:
+        while p and not p[-1] and not q[-1]:
+            p.pop()
+            q.pop()
+        if not any(q):
+            q = []
+    while p and not p[-1] and not q:
+        p.pop()
+    return p, q
+
+
+def _normal(p: list[int], q: list[int], den: int, m: Fraction | None
+            ) -> tuple[list[int], list[int], int, Fraction | None]:
+    """Numerator lists (mutated) trimmed, over a positive denominator, with
+    the content divided out; m is dropped without a sqrt part."""
+    p, q = _trim(p, q)
+    if not q:
+        m = None
+        if not p:
+            den = 1
+    if den < 0:
+        den, p, q = -den, [-c for c in p], [-c for c in q]
+    if den != 1:
+        g = math.gcd(den, *p, *q)
+        if g != 1:
+            den //= g
+            p = [c // g for c in p]
+            q = [c // g for c in q]
+    return p, q, den, m
+
+
+def _uni(p: list[int], q: list[int], den: int, m: Fraction | None) -> "UniPoly":
+    """UniPoly from numerator lists (mutated), in normal form."""
+    out = object.__new__(UniPoly)
+    out.p, out.q, out.den, out.m = _normal(p, q, den, m)
+    out._hash = None
+    return out
+
+
+def _times(p: list[int], q: list[int], cp: int, cq: int, s: int
+           ) -> tuple[list[int], list[int]]:
+    """Numerators times the constant cp + cq*sqrt(s)."""
+    if not cq:
+        return [c * cp for c in p], [c * cp for c in q]
+    q = q or [0] * len(p)
+    return ([a * cp + b * cq * s for a, b in zip(p, q)],
+            [a * cq + b * cp for a, b in zip(p, q)])
+
+
+def _rational_lead(p: list[int], q: list[int], s: int
+                   ) -> tuple[list[int], list[int], tuple[int, int] | None]:
+    """Numerators times the conjugate of their leading coefficient, so the
+    leading sqrt part is zero; returns the conjugate used (None if none)."""
+    if not q or not q[-1]:
+        return p, q, None
+    conj = (p[-1], -q[-1])
+    p, q = _times(p, q, *conj, s)
+    return p, q, conj
+
+
+def _pseudo_divmod(ap: list[int], aq: list[int], bp: list[int], bq: list[int],
+                   s: int) -> tuple[list[int], list[int], list[int], list[int], int]:
+    """Fraction-free division: mult*A = Q*B + R with deg R < deg B.
+
+    B's leading sqrt part must be zero.  A step multiplies the remainder (and
+    the quotient) by B's leading numerator only when that does not divide
+    the remainder's leading coefficient; ``mult`` is the product of those
+    factors.  Returns (Qp, Qq, Rp, Rq, mult).
+    """
+    has_q = bool(aq or bq)
+    k = len(bp) - 1
+    lead = bp[-1]
+    rp = list(ap)
+    rq = (list(aq) or [0] * len(ap)) if has_q else []
+    bq = (bq or [0] * len(bp)) if has_q else []
+    n_quot = max(len(ap) - k, 0)
+    qp, qq = [0] * n_quot, [0] * n_quot if has_q else []
+    mult = 1
+    for top in range(len(ap) - 1, k - 1, -1):
+        tp, tq = rp[top], rq[top] if has_q else 0
+        if not tp and not tq:
+            continue
+        if tp % lead or tq % lead:
+            rp = [c * lead for c in rp]
+            rq = [c * lead for c in rq]
+            qp = [c * lead for c in qp]
+            qq = [c * lead for c in qq]
+            mult *= lead
+        else:
+            tp //= lead
+            tq //= lead
+        shift = top - k
+        qp[shift] = tp
+        if has_q:
+            qq[shift] = tq
+            for i, (cp, cq) in enumerate(zip(bp, bq)):
+                rp[shift + i] -= tp * cp + tq * cq * s
+                rq[shift + i] -= tp * cq + tq * cp
+        else:
+            for i, cp in enumerate(bp):
+                rp[shift + i] -= tp * cp
+    return qp, qq, rp[:k], rq[:k], mult
+
+
+def _primitive(p: list[int], q: list[int]) -> tuple[list[int], list[int]]:
+    """Numerators divided by their (positive) integer content."""
+    g = math.gcd(*p, *q)
+    if g > 1:
+        return [c // g for c in p], [c // g for c in q]
+    return p, q
+
+
+def prs_remainder(a: tuple[list[int], list[int]], b: tuple[list[int], list[int]],
+                  s: int) -> tuple[list[int], list[int], int]:
+    """Primitive remainder of A by B on numerator lists, and its sign.
+
+    Returns (Rp, Rq, sign) with R = c*rem(A, B) for some c > 0 times
+    ``sign``; R is trimmed and has integer content 1.
+    """
+    bp, bq, _ = _rational_lead(*b, s)
+    _, _, rp, rq, mult = _pseudo_divmod(*a, bp, bq, s)
+    rp, rq = _primitive(*_trim(rp, rq))
+    return rp, rq, 1 if mult > 0 else -1
 
 
 class UniPoly:
-    """Dense univariate polynomial, ascending Scalar coefficients."""
+    """Dense univariate polynomial over Q(sqrt(m)), ascending coefficients.
 
-    __slots__ = ("coeffs",)
+    Read-only attributes: ``p`` and ``q`` are the integer numerator lists
+    (``q`` is ``[]`` when there is no sqrt part), ``den`` the positive
+    denominator and ``m`` the parameter (None without a sqrt part); the
+    coefficient of t^i is ``(p[i] + q[i]*sqrt(s))/den``, ``s = radicand(m)``.
+    """
+
+    __slots__ = ("p", "q", "den", "m", "_hash")
 
     def __init__(self, coeffs: Iterable[Scalar | int | Fraction] = ()):
-        cs = [_as_scalar(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        self.coeffs = cs
+        p, q, den, m = _ints_of(enumerate(coeffs))
+        size = max((*p, *q), default=-1) + 1
+        self.p, self.q, self.den, self.m = _normal(
+            [p.get(i, 0) for i in range(size)],
+            [q.get(i, 0) for i in range(size)] if q else [], den, m)
+        self._hash = None
+
+    @property
+    def coeffs(self) -> list[Scalar]:
+        q = self.q or [0] * len(self.p)
+        return [_to_scalar(a, b, self.den, self.m) for a, b in zip(self.p, q)]
 
     @property
     def degree(self) -> int | float:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.p) - 1 if self.p else NEG_INF
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.p
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.p)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
+            return (self.den == other.den and self.p == other.p
+                    and self.q == other.q and self.m == other.m)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(self.coeffs))
+        if self._hash is None:
+            self._hash = hash((tuple(self.p), tuple(self.q), self.den, self.m))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"UniPoly({[str(c) for c in self.coeffs]})"
 
+    def _padded(self, n: int, factor: int) -> tuple[list[int], list[int]]:
+        """Numerators times factor, padded to length n (sqrt part always)."""
+        pad = [0] * (n - len(self.p))
+        q = self.q or [0] * len(self.p)
+        return [c * factor for c in self.p] + pad, [c * factor for c in q] + pad
+
+    def _combine(self, other: "UniPoly", sign: int) -> "UniPoly":
+        m = _merge_m(self.m, other.m)
+        g = math.gcd(self.den, other.den)
+        n = max(len(self.p), len(other.p))
+        ap, aq = self._padded(n, other.den // g)
+        bp, bq = other._padded(n, sign * (self.den // g))
+        return _uni([a + b for a, b in zip(ap, bp)], [a + b for a, b in zip(aq, bq)],
+                    self.den // g * other.den, m)
+
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = []
-        for i in range(n):
-            a = self.coeffs[i] if i < len(self.coeffs) else Scalar(0)
-            b = other.coeffs[i] if i < len(other.coeffs) else Scalar(0)
-            out.append(a + b)
-        return UniPoly(out)
+        return self._combine(other, 1)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
+        return _uni([-c for c in self.p], [-c for c in self.q], self.den, self.m)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        return self._combine(other, -1)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         if self.is_zero() or other.is_zero():
             return UniPoly()
-        out = [Scalar(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return UniPoly(out)
+        m = _merge_m(self.m, other.m)
+        s = radicand(m)
+        n = len(self.p) + len(other.p) - 1
+        p, q = [0] * n, [0] * n
+        aq = self.q or [0] * len(self.p)
+        bq = other.q or [0] * len(other.p)
+        for i, (a1, a2) in enumerate(zip(self.p, aq)):
+            for j, (b1, b2) in enumerate(zip(other.p, bq)):
+                p[i + j] += a1 * b1 + a2 * b2 * s
+                q[i + j] += a1 * b2 + a2 * b1
+        return _uni(p, q, self.den * other.den, m)
 
     def scale(self, factor: Scalar | int | Fraction) -> "UniPoly":
-        factor = _as_scalar(factor)
-        return UniPoly([c * factor for c in self.coeffs])
+        return self * UniPoly([factor])
 
     def derivative(self) -> "UniPoly":
-        return UniPoly([c * i for i, c in enumerate(self.coeffs)][1:])
-
-    def eval(self, t: Scalar | int | Fraction) -> Scalar:
-        t = _as_scalar(t)
-        acc = Scalar(0)
-        for c in reversed(self.coeffs):
-            acc = acc * t + c
-        return acc
+        return _uni([c * i for i, c in enumerate(self.p)][1:],
+                    [c * i for i, c in enumerate(self.q)][1:], self.den, self.m)
 
     def to_floats(self) -> list[float]:
-        return [c.to_float() for c in self.coeffs]
+        """Float coefficients, rounded as :meth:`Scalar.to_float` rounds them."""
+        if not self.q:
+            return [c / self.den for c in self.p]
+        md, root = self.m.denominator, math.sqrt(float(self.m))
+        return [_to_float(a, b, self.den, md, root) for a, b in zip(self.p, self.q)]
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
             return self
-        return self.scale(self.coeffs[-1].inverse())
+        p, q, _ = _rational_lead(self.p, self.q, radicand(self.m))
+        return _uni(list(p), list(q), p[-1], self.m)
 
     def divmod(self, other: "UniPoly") -> tuple["UniPoly", "UniPoly"]:
         if other.is_zero():
             raise ZeroDivisionError("univariate division by zero")
-        lead_inv = other.coeffs[-1].inverse()
-        rem = list(self.coeffs)
-        d = len(other.coeffs) - 1
-        quot = [Scalar(0)] * max(len(rem) - d, 0)
-        while len(rem) - 1 >= d and rem:
-            c = rem[-1] * lead_inv
-            k = len(rem) - 1 - d
-            quot[k] = c
-            for i, b in enumerate(other.coeffs):
-                rem[k + i] = rem[k + i] - c * b
-            while rem and rem[-1].is_zero():
-                rem.pop()
-        return UniPoly(quot), UniPoly(rem)
+        m = _merge_m(self.m, other.m)
+        s = radicand(m)
+        bp, bq, conj = _rational_lead(other.p, other.q, s)
+        qp, qq, rp, rq, mult = _pseudo_divmod(self.p, self.q, bp, bq, s)
+        if conj is not None:
+            qp, qq = _times(qp, qq, *conj, s)
+        # mult*A*den_a = Q*(B*den_b) + R, so A = Q*den_b/(mult*den_a)*B + ...
+        den = mult * self.den
+        return (_uni([c * other.den for c in qp], [c * other.den for c in qq], den, m),
+                _uni(rp, rq, den, m))
 
 
 def unipoly_gcd(polys: list[UniPoly]) -> UniPoly:
     """Monic gcd over the scalar field Q(sqrt(m)); never raises.
 
     Square m is folded to rationals by Scalar, so every nonzero leading
-    coefficient is invertible.
+    coefficient is invertible.  The gcd runs as a primitive remainder
+    sequence on the numerators and is made monic once, at the end.
     """
-    g = UniPoly()
-    for p in polys:
-        if p.is_zero():
+    m = None
+    g: tuple[list[int], list[int]] | None = None
+    for u in polys:
+        if u.is_zero():
             continue
-        a, b = g, p
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        g = a.monic()
-        if g.degree == 0:
-            return g
-    return g
+        m = _merge_m(m, u.m)
+        if g is None:
+            g = _primitive(u.p, u.q)
+        else:
+            a, b = g, (u.p, u.q)
+            while b[0]:
+                a, b = b, prs_remainder(a, b, radicand(m))[:2]
+            g = a
+        if len(g[0]) == 1:
+            break
+    if g is None:
+        return UniPoly()
+    return _uni(list(g[0]), list(g[1]), 1, m).monic()
+
+
+def _line_groups(p: MultiPoly, split) -> list[UniPoly]:
+    """One UniPoly per group key, ``split(exp) -> (key, power)``, by key."""
+    groups: dict = {}
+    for part, d in ((0, p._p), (1, p._q)):
+        for e, c in d.items():
+            key, power = split(e)
+            groups.setdefault(key, ({}, {}))[part][power] = c
+    out = []
+    for key in sorted(groups):
+        gp, gq = groups[key]
+        size = max((*gp, *gq)) + 1
+        out.append(_uni([gp.get(d, 0) for d in range(size)],
+                        [gq.get(d, 0) for d in range(size)] if gq else [],
+                        p._den, p.m))
+    return out
 
 
 def restrict_to_line(p: MultiPoly) -> list[UniPoly]:
@@ -477,18 +815,9 @@ def restrict_to_line(p: MultiPoly) -> list[UniPoly]:
     every returned polynomial vanishes at t0.  Divisibility by x itself must
     be tested separately (every group keeps a positive x power).
     """
-    groups: dict[tuple[int, int], dict[int, Scalar]] = {}
-    for (i, j, k), coeff in p.terms.items():
-        slot = groups.setdefault((i + j, k), {})
-        acc = slot.get(j)
-        coeff = coeff if acc is None else acc + coeff
-        slot[j] = coeff
-    out = []
-    for key in sorted(groups):
-        slot = groups[key]
-        size = max(slot) + 1
-        coeffs = [slot.get(d, Scalar(0)) for d in range(size)]
-        u = UniPoly(coeffs)
-        if not u.is_zero():
-            out.append(u)
-    return out
+    return _line_groups(p, lambda e: ((e[0] + e[1], e[2]), e[1]))
+
+
+def z_profiles(p: MultiPoly) -> list[UniPoly]:
+    """One polynomial in z per x^i y^j monomial group of p, by (i, j)."""
+    return _line_groups(p, lambda e: ((e[0], e[1]), e[2]))

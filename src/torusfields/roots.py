@@ -4,9 +4,14 @@
 algorithm, divides out the rational roots of each part (returned as exact
 Fractions; the search has a coefficient-size limit) and isolates the
 remaining roots with an exact Sturm sequence.
-Every sign in the Sturm walk is :meth:`Scalar.sign` at a rational point, so
-no tolerance decides a root count; this is the exact bisection scheme of
-Collins & Akritas (1976), with Sturm counts in place of Descartes' rule.
+The Sturm sequence is the primitive remainder sequence of
+:mod:`torusfields.poly` on the integer numerators, each remainder negated
+up to a positive factor.  Its signs at ``t = a/b`` come from integer Horner
+on the homogenised numerators, which gives ``A + B*sqrt(s)``, a positive
+multiple of the value; when A and B differ in sign, ``A^2`` is compared with
+``B^2*s``.  So no tolerance decides a root count; this is the exact
+bisection scheme of Collins & Akritas (1976), with Sturm counts in place of
+Descartes' rule.
 Multiplicities are the exponents of the square-free decomposition, which for
 an extactic gcd are the curve multiplicities of Christopher, Llibre and
 Pereira, Pacific J. Math. 229 (2007).  Floats enter only to polish a root
@@ -21,7 +26,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import UniPoly, unipoly_gcd
+from .poly import UniPoly, prs_remainder, radicand, unipoly_gcd
 
 REFINE_TOL = 1e-12
 RATIONAL_ROOT_LIMIT = 10**6   # larger end coefficients skip the rational-root search
@@ -101,17 +106,47 @@ def _divisors(n: int) -> list[int]:
     return out
 
 
-def _rational_root_candidates(g: UniPoly) -> tuple[list[int], set[Fraction]]:
-    """Integer shadow of g and the rational-root-theorem candidates.
+def _sign(a: int, b: int, s: int) -> int:
+    """Exact sign of a + b*sqrt(s) for a non-square s."""
+    sa = (a > 0) - (a < 0)
+    if not b:
+        return sa
+    sb = 1 if b > 0 else -1
+    if sa == 0 or sa == sb:
+        return sb
+    # opposite signs: a^2 = b^2 s is impossible for non-square s
+    return sa if a * a > b * b * s else sb
+
+
+def _horner(cs: list[int], num: int, den: int) -> int:
+    """den^n * sum(cs[k] * (num/den)^k) with n = len(cs) - 1, in integers."""
+    if not cs:
+        return 0
+    it = reversed(cs)
+    acc = next(it)
+    scale = 1
+    for c in it:
+        scale *= den
+        acc = acc * num + c * scale
+    return acc
+
+
+def _values_at(pq: tuple[list[int], list[int]], t: Fraction) -> tuple[int, int]:
+    """(A, B) with A + B*sqrt(s) a positive multiple of the value at t."""
+    p, q = pq
+    return _horner(p, t.numerator, t.denominator), _horner(q, t.numerator, t.denominator)
+
+
+def _rational_root_candidates(g: UniPoly) -> set[Fraction]:
+    """Candidates of the rational-root theorem for the integer shadow of g.
 
     A rational t is a root of g = A + B*sqrt(m) only if A(t) = B(t) = 0, so
-    the shadow is A, or B when A vanishes.
+    the shadow is A, or B when A vanishes, scaled to the least integers
+    with the same ratios.
     """
-    shadow = [c.p for c in g.coeffs]
-    if all(v == 0 for v in shadow):
-        shadow = [c.q for c in g.coeffs]
-    denom = math.lcm(*(v.denominator for v in shadow))
-    ints = [int(v * denom) for v in shadow]
+    shadow = g.p if any(g.p) else [c * g.m.denominator for c in g.q]
+    content = math.gcd(g.den, *shadow)
+    ints = [c // content for c in shadow]
     candidates: set[Fraction] = set()
     low = 0
     while low < len(ints) and ints[low] == 0:
@@ -119,27 +154,20 @@ def _rational_root_candidates(g: UniPoly) -> tuple[list[int], set[Fraction]]:
     if low > 0:
         candidates.add(Fraction(0))
     if low >= len(ints) - 1:
-        return ints, candidates
+        return candidates
     a0, an = ints[low], ints[-1]
     if abs(a0) > RATIONAL_ROOT_LIMIT or abs(an) > RATIONAL_ROOT_LIMIT:
-        return ints, candidates
+        return candidates
     for num in _divisors(a0):
         for den in _divisors(an):
             candidates.add(Fraction(num, den))
             candidates.add(Fraction(-num, den))
-    return ints, candidates
+    return candidates
 
 
 def _rational_roots(g: UniPoly) -> list[Fraction]:
-    ints, candidates = _rational_root_candidates(g)
-    out = []
-    for r in sorted(candidates):
-        # cheap integer test of the shadow, then the exact value of g
-        num, den = r.numerator, r.denominator
-        if sum(c * num**k * den**(len(ints) - 1 - k)
-               for k, c in enumerate(ints)) == 0 and g.eval(r).is_zero():
-            out.append(r)
-    return out
+    return [r for r in sorted(_rational_root_candidates(g))
+            if _values_at((g.p, g.q), r) == (0, 0)]
 
 
 class _RationalHit(Exception):
@@ -151,23 +179,32 @@ def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None) -> list
 
     Raises _RationalHit when an evaluation point is a root of s.
     """
-    chain = [s, s.derivative()]
-    while chain[-1].degree >= 1:
-        chain.append(-chain[-2].divmod(chain[-1])[1])
+    r = radicand(s.m)
+    deriv = s.derivative()
+    chain = [(s.p, s.q), (deriv.p, deriv.q)]
+    while len(chain[-1][0]) >= 2:
+        rp, rq, sign = prs_remainder(chain[-2], chain[-1], r)
+        # the next member is minus the remainder, up to a positive factor
+        if sign > 0:
+            rp, rq = [-c for c in rp], [-c for c in rq]
+        chain.append((rp, rq))
 
     def variations(signs: list[int]) -> int:
         signs = [v for v in signs if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
     def count(t: Fraction) -> int:
-        head = s.eval(t).sign()
+        head = _sign(*_values_at(chain[0], t), r)
         if head == 0:
             raise _RationalHit(t)
-        return variations([head] + [p.eval(t).sign() for p in chain[1:]])
+        return variations([head] + [_sign(*_values_at(pq, t), r) for pq in chain[1:]])
+
+    # sign of each member's leading coefficient, and at -inf
+    v_lead = [_sign(p[-1], q[-1] if q else 0, r) for p, q in chain]
+    v_odd = [v * (-1) ** (len(p) - 1) for v, (p, _) in zip(v_lead, chain)]
 
     if interval is None:
-        v_neg = variations([p.coeffs[-1].sign() * (-1) ** p.degree for p in chain])
-        v_pos = variations([p.coeffs[-1].sign() for p in chain])
+        v_neg, v_pos = variations(v_odd), variations(v_lead)
         if v_neg == v_pos:
             return []
         # double until (-b, b) holds every root
@@ -220,12 +257,12 @@ def real_roots(u: UniPoly, interval: tuple | None = None
                 found.append(r)
             part = part.divmod(UniPoly([-r, 1]))[0]
         while part.degree >= 1:
-            if part.degree == 1:
-                root = -part.coeffs[0] / part.coeffs[1]
-                if root.is_rational():
-                    if bounds is None or bounds[0] <= root.p <= bounds[1]:
-                        found.append(root.p)
-                    break
+            linear = part.monic() if part.degree == 1 else None
+            if linear is not None and not linear.q:
+                root = Fraction(-linear.p[0], linear.den)
+                if bounds is None or bounds[0] <= root <= bounds[1]:
+                    found.append(root)
+                break
             try:
                 found += _sturm_roots(part, bounds)
                 break

@@ -16,6 +16,11 @@ the same real (``sqrt(8)`` and ``2*sqrt(2)``).
 The extension parameter is carried by the value itself rather than by module
 state: a scalar with a nonzero irrational part remembers its ``m``, and
 binary operations refuse to mix two different parameters.
+
+Scalars are the boundary type: parser literals, polynomial coefficients read
+through ``coefficient()`` or ``terms``, family parameters and serialization.
+Polynomial arithmetic does not run on them; :mod:`torusfields.poly` keeps
+integer numerators over a shared denominator and converts at the boundary.
 """
 
 from __future__ import annotations
@@ -100,9 +105,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
 
-    def is_rational(self) -> bool:
-        return self.q == 0
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -123,16 +125,11 @@ class Scalar:
         return Scalar._make(self.p + other.p, self.q + other.q,
                             _merge_m(self.m, other.m))
 
-    __radd__ = __add__
-
     def __neg__(self) -> "Scalar":
         return Scalar._make(-self.p, -self.q, self.m)
 
     def __sub__(self, other: "Scalar | RationalLike") -> "Scalar":
         return self + (-Scalar.coerce(other))
-
-    def __rsub__(self, other: "Scalar | RationalLike") -> "Scalar":
-        return (-self) + other
 
     def __mul__(self, other: "Scalar | RationalLike") -> "Scalar":
         other = Scalar.coerce(other)
@@ -153,12 +150,6 @@ class Scalar:
         # m is not a square, so the norm p^2 - q^2 m is nonzero
         norm = self.p * self.p - self.q * self.q * self.m
         return Scalar._make(self.p / norm, -self.q / norm, self.m)
-
-    def __truediv__(self, other: "Scalar | RationalLike") -> "Scalar":
-        return self * Scalar.coerce(other).inverse()
-
-    def __rtruediv__(self, other: "Scalar | RationalLike") -> "Scalar":
-        return Scalar.coerce(other) * self.inverse()
 
     def sign(self) -> int:
         """Exact sign of the real number p + q*sqrt(m), in {-1, 0, 1}."""

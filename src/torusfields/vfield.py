@@ -10,11 +10,12 @@ division, no ansatz solving.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (MultiPoly, NotDivisible, divide_exact, divide_exact_z,
-                   restrict_to_line)
+                   restrict_to_line, sum_of_products)
 from .scalars import Scalar
 
 
@@ -42,6 +43,7 @@ class VectorField:
         return self.P, self.Q, self.R
 
 
+@functools.lru_cache(maxsize=8)
 def torus_polynomial(m: Fraction) -> MultiPoly:
     """F = (x^2 + y^2 - m)^2 + z^2 - 1."""
     x2y2 = MultiPoly({(2, 0, 0): Scalar(1), (0, 2, 0): Scalar(1),
@@ -87,11 +89,13 @@ class RationalFn:
             raise ZeroDivisionError("rational function with zero denominator")
 
 
+def _gradient(f: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    return f.differentiate("x"), f.differentiate("y"), f.differentiate("z")
+
+
 def apply(field: VectorField, f: MultiPoly) -> MultiPoly:
     """Derivative of f along the field: P*f_x + Q*f_y + R*f_z."""
-    return (field.P * f.differentiate("x")
-            + field.Q * f.differentiate("y")
-            + field.R * f.differentiate("z"))
+    return sum_of_products(zip(field.components(), _gradient(f)))
 
 
 def cofactor_on_torus(field: VectorField, surface: TorusSurface) -> CofactorResult:
@@ -107,11 +111,11 @@ def cofactor_on_torus(field: VectorField, surface: TorusSurface) -> CofactorResu
 
 def lie_bracket(xf: VectorField, yf: VectorField) -> VectorField:
     """[X, Y] with components X(Y_i) - Y(X_i)."""
-    return VectorField(
-        apply(xf, yf.P) - apply(yf, xf.P),
-        apply(xf, yf.Q) - apply(yf, xf.Q),
-        apply(xf, yf.R) - apply(yf, xf.R),
-    )
+    minus_y = (-yf).components()
+    return VectorField(*(
+        sum_of_products([*zip(xf.components(), _gradient(yc)),
+                         *zip(minus_y, _gradient(xc))])
+        for xc, yc in zip(xf.components(), yf.components())))
 
 
 def check_first_integral(field: VectorField, h: RationalFn) -> bool:

@@ -28,8 +28,11 @@ from torusfields import (CubicParams, Family, KolmogorovParams, MultiPoly,
                          parallel_periodicity, parse, recognize,
                          singular_points, torus_polynomial)
 
+# every criterion but the bracket sweep (3) runs at a square m, an integer
+# non-square m and a non-integer m, which puts the sqrt(s) numerators of
+# the exact layer (sqrt(m) = sqrt(s)/md with s = mn*md) under the suite
+MS = (Fraction(4), Fraction(3), Fraction(9, 2))
 M = Fraction(4)
-A_FLOAT = 2.0
 
 
 def criterion(num, text):
@@ -50,12 +53,12 @@ def sect5_params():
     return CubicParams(MultiPoly.constant(1), X * Y, Scalar(0), Scalar(0))
 
 
-def sect5_field():
-    return build_cubic(sect5_params(), M)
+def sect5_field(m):
+    return build_cubic(sect5_params(), m)
 
 
-def surface_point(theta, phi, m=4.0):
-    r = math.sqrt(m + math.cos(phi))
+def surface_point(theta, phi, m):
+    r = math.sqrt(float(m) + math.cos(phi))
     return r * math.cos(theta), r * math.sin(theta), math.sin(phi)
 
 
@@ -68,9 +71,9 @@ def random_linear(rng, homogeneous=False):
     return MultiPoly(terms)
 
 
-def random_quadratic(rng):
+def random_quadratic(rng, m):
     return build_quadratic(
-        QuadraticParams(Scalar(rng.randint(-3, 3)), random_linear(rng)), M)
+        QuadraticParams(Scalar(rng.randint(-3, 3)), random_linear(rng)), m)
 
 
 def random_kolmogorov(rng):
@@ -81,28 +84,30 @@ def random_kolmogorov(rng):
 
 @criterion(1, "worked cubic example has cofactor K = z, under 1 s")
 def test_criterion_01_cofactor():
-    start = time.perf_counter()
-    result = cofactor_on_torus(sect5_field(), TorusSurface(M))
-    elapsed = time.perf_counter() - start
-    assert result.on_torus
-    assert result.K == Z
-    assert elapsed < 1.0, f"took {elapsed:.3f}s"
+    for m in MS:
+        start = time.perf_counter()
+        result = cofactor_on_torus(sect5_field(m), TorusSurface(m))
+        elapsed = time.perf_counter() - start
+        assert result.on_torus
+        assert result.K == Z
+        assert elapsed < 1.0, f"took {elapsed:.3f}s at m = {m}"
 
 
 @criterion(2, "bracket of the worked pair has the exact z-component")
 def test_criterion_02_bracket():
-    xf = VectorField(parse("x^2*z", M), parse("x*y*z", M),
-                     parse("2*x*(-a^2*(x^2+y^2)+z^2+a^4-1)", M))
-    yf = VectorField(parse("y^3", M), parse("-x*y^2", M), MultiPoly.zero())
-    bracket = lie_bracket(xf, yf)
-    assert bracket.R == parse("-2*y^3*(-a^2*(x^2+y^2)+z^2+a^4-1)", M)
+    for m in MS:
+        xf = VectorField(parse("x^2*z", m), parse("x*y*z", m),
+                         parse("2*x*(-a^2*(x^2+y^2)+z^2+a^4-1)", m))
+        yf = VectorField(parse("y^3", m), parse("-x*y^2", m), MultiPoly.zero())
+        bracket = lie_bracket(xf, yf)
+        assert bracket.R == parse("-2*y^3*(-a^2*(x^2+y^2)+z^2+a^4-1)", m)
 
 
 @criterion(3, "pairwise brackets of 200 random quadratics: rotation shape, "
               "on torus, completely integrable")
 def test_criterion_03_bracket_structure():
     rng = random.Random(30303)
-    fields = [random_quadratic(rng) for _ in range(200)]
+    fields = [random_quadratic(rng, M) for _ in range(200)]
     surface = TorusSurface(M)
     one = MultiPoly.constant(1)
     h_radial = RationalFn(X * X + Y * Y, one)
@@ -124,40 +129,40 @@ def test_criterion_03_bracket_structure():
 @criterion(4, "50 random Kolmogorov fields: meridians {x=0, y=0}, parallel "
               "{z=0}, exact extactic")
 def test_criterion_04_kolmogorov_inventory():
-    rng = random.Random(40404)
-    for _ in range(50):
-        params = random_kolmogorov(rng)
-        field = build_kolmogorov(params, M)
-        ext = extactic_xy(field)
-        assert ext == -(X * Y * (X * X + Y * Y)) * params.c1
-        mset = invariant_meridians(field)
-        assert not mset.infinite
-        pairs = sorted((round(pl.a, 12), round(pl.b, 12), mult)
-                       for pl, mult in mset.planes)
-        assert pairs == [(0.0, 1.0, 1), (1.0, 0.0, 1)]
-        assert all(pl.exact for pl, _ in mset.planes)
-        pset = invariant_parallels(field)
-        assert not pset.infinite
-        assert [(pl.k, mult, pl.exact) for pl, mult in pset.planes] \
-            == [(0.0, 1, True)]
+    for m in MS:
+        rng = random.Random(40404)
+        for _ in range(50):
+            params = random_kolmogorov(rng)
+            field = build_kolmogorov(params, m)
+            ext = extactic_xy(field)
+            assert ext == -(X * Y * (X * X + Y * Y)) * params.c1
+            mset = invariant_meridians(field)
+            assert not mset.infinite
+            pairs = sorted((round(pl.a, 12), round(pl.b, 12), mult)
+                           for pl, mult in mset.planes)
+            assert pairs == [(0.0, 1.0, 1), (1.0, 0.0, 1)]
+            assert all(pl.exact for pl, _ in mset.planes)
+            pset = invariant_parallels(field)
+            assert not pset.infinite
+            assert [(pl.k, mult, pl.exact) for pl, mult in pset.planes] \
+                == [(0.0, 1, True)]
 
 
 @criterion(5, "rational first integral F/(x^2+y^2)^2 holds exactly for 50 "
               "Kolmogorov and 50 quadratic fields")
 def test_criterion_05_rational_first_integral():
-    rng = random.Random(50505)
-    h = RationalFn(torus_polynomial(M), (X * X + Y * Y) ** 2)
-    for _ in range(50):
-        field = build_kolmogorov(random_kolmogorov(rng), M)
-        assert check_first_integral(field, h)
-    for _ in range(50):
-        field = random_quadratic(rng)
-        assert check_first_integral(field, h)
+    for m in MS:
+        rng = random.Random(50505)
+        h = RationalFn(torus_polynomial(m), (X * X + Y * Y) ** 2)
+        for _ in range(50):
+            field = build_kolmogorov(random_kolmogorov(rng), m)
+            assert check_first_integral(field, h)
+        for _ in range(50):
+            field = random_quadratic(rng, m)
+            assert check_first_integral(field, h)
 
 
-@criterion(6, "500 random fields of degree 2..6 respect the 2(n-1) meridian "
-              "bound; products of distinct forms saturate it")
-def test_criterion_06_meridian_bound():
+def _meridian_bound(m):
     rng = random.Random(60606)
     checked = 0
     while checked < 500:
@@ -172,7 +177,7 @@ def test_criterion_06_meridian_bound():
                              (0, 0, 0): Scalar(rng.randint(-3, 3))}),
                 beta=Scalar(rng.randint(-2, 2)),
                 gamma=Scalar(rng.randint(-2, 2)))
-            field = build_cubic(params, M)
+            field = build_cubic(params, m)
         else:
             a_poly = MultiPoly({
                 (i, n - 1 - i, 0): Scalar(rng.randint(-3, 3))
@@ -192,7 +197,15 @@ def test_criterion_06_meridian_bound():
             (degree, mset.meridian_count())
         checked += 1
 
-    # saturating construction: distinct real linear forms
+
+@criterion(6, "500 random fields of degree 2..6 respect the 2(n-1) meridian "
+              "bound; products of distinct forms saturate it")
+def test_criterion_06_meridian_bound():
+    for m in MS:
+        _meridian_bound(m)
+
+    # saturating construction: distinct real linear forms (pseudo-type
+    # fields do not depend on m)
     forms = [(1, 0), (0, 1), (1, -1), (2, 1), (1, 3)]
     for n in range(2, 7):
         a_poly = MultiPoly.constant(1)
@@ -205,75 +218,84 @@ def test_criterion_06_meridian_bound():
 @criterion(7, "worked example: four alternating limit cycles, perturbed "
               "orbits contract onto stable meridians, under 10 s")
 def test_criterion_07_limit_cycles():
-    start = time.perf_counter()
-    verdicts = meridian_periodicity(sect5_params(), M)
-    assert [mv.verdict.kind for mv in verdicts] == [Verdict.LIMIT_CYCLE] * 4
-    assert [mv.verdict.stability for mv in verdicts] == \
-        ["stable", "unstable", "stable", "unstable"]
+    for m in MS:
+        start = time.perf_counter()
+        verdicts = meridian_periodicity(sect5_params(), m)
+        assert [mv.verdict.kind for mv in verdicts] == [Verdict.LIMIT_CYCLE] * 4
+        assert [mv.verdict.stability for mv in verdicts] == \
+            ["stable", "unstable", "stable", "unstable"]
 
-    field = sect5_field()
-    stable_angles = [mv.angle for mv in verdicts
-                     if mv.verdict.stability == "stable"]
-    for theta0 in stable_angles:
-        for offset in (1e-3, -1e-3):
-            theta_start = theta0 + offset
-            origin = surface_point(theta_start, 0.5)
-            traj = integrate(field, origin, 30.0, 1e-3, M)
-            xf, yf, _ = traj.final_state()
-            theta_final = math.atan2(yf, xf)
-            distance = abs((theta_final - theta0 + math.pi) % (2 * math.pi)
-                           - math.pi)
-            assert distance < 1e-4, f"theta distance {distance:.2e}"
-    elapsed = time.perf_counter() - start
-    assert elapsed < 10.0, f"took {elapsed:.2f}s"
+        field = sect5_field(m)
+        stable_angles = [mv.angle for mv in verdicts
+                         if mv.verdict.stability == "stable"]
+        for theta0 in stable_angles:
+            for offset in (1e-3, -1e-3):
+                theta_start = theta0 + offset
+                origin = surface_point(theta_start, 0.5, m)
+                traj = integrate(field, origin, 30.0, 1e-3, m)
+                xf, yf, _ = traj.final_state()
+                theta_final = math.atan2(yf, xf)
+                distance = abs((theta_final - theta0 + math.pi) % (2 * math.pi)
+                               - math.pi)
+                assert distance < 1e-4, f"theta distance {distance:.2e} at m = {m}"
+        elapsed = time.perf_counter() - start
+        assert elapsed < 10.0, f"took {elapsed:.2f}s at m = {m}"
 
 
 @criterion(8, "two-parallel family: positive-definite obstruction gives a "
               "periodic orbit, the sine obstruction a certified witness")
 def test_criterion_08_parallel_verdicts():
-    positive = TwoParallelParams(Scalar(1), Scalar(0),
-                                 parse("y^2 + a^2 + 1", M))
-    verdict = parallel_periodicity(positive, M, 1)
-    assert verdict.kind == Verdict.PERIODIC_ORBIT
+    for m in MS:
+        positive = TwoParallelParams(Scalar(1), Scalar(0),
+                                     parse("y^2 + a^2 + 1", m))
+        verdict = parallel_periodicity(positive, m, 1)
+        assert verdict.kind == Verdict.PERIODIC_ORBIT
 
-    sine = TwoParallelParams(Scalar(1), Scalar(0), MultiPoly.zero())
-    verdict = parallel_periodicity(sine, M, 1)
-    assert verdict.kind == Verdict.NOT_PERIODIC
-    xw, yw, zw = verdict.witness
-    theta_w = math.atan2(yw, xw)
-    g_at_witness = -(A_FLOAT / 2.0) * math.sin(theta_w)
-    assert abs(g_at_witness) < 1e-9
-    assert zw == 1.0
+        sine = TwoParallelParams(Scalar(1), Scalar(0), MultiPoly.zero())
+        verdict = parallel_periodicity(sine, m, 1)
+        assert verdict.kind == Verdict.NOT_PERIODIC
+        xw, yw, zw = verdict.witness
+        theta_w = math.atan2(yw, xw)
+        g_at_witness = -(math.sqrt(m) / 2.0) * math.sin(theta_w)
+        assert abs(g_at_witness) < 1e-9
+        assert zw == 1.0
 
 
 @criterion(9, "50 random nondegenerate quadratic fields have empty singular "
               "sets, grid minimum speed above 1e-3")
 def test_criterion_09_quadratic_no_singularities():
-    rng = random.Random(90909)
-    produced = 0
-    while produced < 50:
-        alpha = rng.randint(-3, 3)
-        if alpha == 0:
-            continue
-        field = build_quadratic(
-            QuadraticParams(Scalar(alpha), random_linear(rng)), M)
-        tag = recognize(field, M)
-        assert tag.family == Family.QUADRATIC
-        result = singular_points(field, tag, M, grid=512)
-        assert result.kind == SingKind.EMPTY
-        assert result.grid_min_norm > 1e-3
-        produced += 1
+    for m in MS:
+        rng = random.Random(90909)
+        produced = 0
+        while produced < 50:
+            alpha = rng.randint(-3, 3)
+            if alpha == 0:
+                continue
+            field = build_quadratic(
+                QuadraticParams(Scalar(alpha), random_linear(rng)), m)
+            tag = recognize(field, m)
+            assert tag.family == Family.QUADRATIC
+            result = singular_points(field, tag, m, grid=512)
+            assert result.kind == SingKind.EMPTY
+            assert result.grid_min_norm > 1e-3
+            produced += 1
 
 
 @criterion(10, "bowl-shaped coefficient: four isolated singular points at "
                "the closed-form coordinates, all linearly zero")
 def test_criterion_10_isolated_singularities():
-    a_poly = parse("y^2 + (z - 1/2)^2", M)
+    for m in MS:
+        _isolated_singularities(m)
+
+
+def _isolated_singularities(m):
+    mf = float(m)
+    a_poly = parse("y^2 + (z - 1/2)^2", m)
     field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
-    tag = recognize(field, M)
-    result = singular_points(field, tag, M, grid=512)
+    tag = recognize(field, m)
+    result = singular_points(field, tag, m, grid=512)
     assert result.kind == SingKind.ISOLATED
-    expected = sorted((s * math.sqrt(4 + sign * math.sqrt(3) / 2), 0.0, 0.5)
+    expected = sorted((s * math.sqrt(mf + sign * math.sqrt(3) / 2), 0.0, 0.5)
                       for s in (1, -1) for sign in (1, -1))
     got = sorted(pt for pt, _ in result.points)
     assert len(got) == 4
@@ -283,7 +305,7 @@ def test_criterion_10_isolated_singularities():
 
     # finite-difference oracle on the chart pushforward (B*y, -B*x)
     def push(xv, yv):
-        zv = math.sqrt(1.0 - (xv * xv + yv * yv - 4.0) ** 2)
+        zv = math.sqrt(1.0 - (xv * xv + yv * yv - mf) ** 2)
         b = a_poly.eval_float((xv, yv, zv))
         return b * yv, -b * xv
 
@@ -294,34 +316,37 @@ def test_criterion_10_isolated_singularities():
         jac += [(push(x0, y0 + h)[i] - push(x0, y0 - h)[i]) / (2 * h)
                 for i in range(2)]
         assert all(abs(entry) < 1e-6 for entry in jac)
-        assert classify_singularity(field, (x0, y0, 0.5), M) \
+        assert classify_singularity(field, (x0, y0, 0.5), m) \
             == SingClass.LINEARLY_ZERO
 
 
 @criterion(11, "first-integral drift below 1e-6 over t in [0, 50] and "
                "fourth-order drift decay under step halving")
 def test_criterion_11_numeric_integrity():
-    ko = build_kolmogorov(KolmogorovParams(Scalar(1), Scalar(2)), M)
-    start = surface_point(0.3, 0.7)
-    traj = integrate(ko, start, 50.0, 1e-3, M, project=False)
-    xs, ys, zs = traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]
-    h_vals = (((xs * xs + ys * ys - 4.0) ** 2 + zs * zs - 1.0)
-              / (xs * xs + ys * ys) ** 2)
-    assert np.max(np.abs(h_vals - h_vals[0])) < 1e-6
+    for m in MS:
+        mf = float(m)
+        ko = build_kolmogorov(KolmogorovParams(Scalar(1), Scalar(2)), m)
+        start = surface_point(0.3, 0.7, m)
+        traj = integrate(ko, start, 50.0, 1e-3, m, project=False)
+        xs, ys, zs = traj.states[:, 0], traj.states[:, 1], traj.states[:, 2]
+        h_vals = (((xs * xs + ys * ys - mf) ** 2 + zs * zs - 1.0)
+                  / (xs * xs + ys * ys) ** 2)
+        assert np.max(np.abs(h_vals - h_vals[0])) < 1e-6
 
-    coarse = integrate(ko, start, 10.0, 0.05, M).torus_drift()
-    fine = integrate(ko, start, 10.0, 0.025, M).torus_drift()
-    assert coarse / fine >= 8.0, f"ratio {coarse / fine:.2f}"
+        coarse = integrate(ko, start, 10.0, 0.05, m).torus_drift()
+        fine = integrate(ko, start, 10.0, 0.025, m).torus_drift()
+        assert coarse / fine >= 8.0, f"ratio {coarse / fine:.2f} at m = {m}"
 
 
 @criterion(12, "report emits byte-identical JSON for identical argv and seed")
 def test_criterion_12_determinism():
-    argv = [sys.executable, "-m", "torusfields", "report",
-            "--px", "(1/4)*x*z + x*y^2",
-            "--qy", "(1/4)*y*z - x^2*y",
-            "--rz", "(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)",
-            "--m", "4", "--seed", "11", "--grid", "128"]
-    first = subprocess.run(argv, capture_output=True, check=True)
-    second = subprocess.run(argv, capture_output=True, check=True)
-    assert first.stdout == second.stdout
-    assert first.stdout.strip()
+    for m in MS:
+        argv = [sys.executable, "-m", "torusfields", "report",
+                "--px", "(1/4)*x*z + x*y^2",
+                "--qy", "(1/4)*y*z - x^2*y",
+                "--rz", "(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)",
+                "--m", str(m), "--seed", "11", "--grid", "128"]
+        first = subprocess.run(argv, capture_output=True, check=True)
+        second = subprocess.run(argv, capture_output=True, check=True)
+        assert first.stdout == second.stdout
+        assert first.stdout.strip()

@@ -219,3 +219,46 @@ def test_version_flag():
     code, out, err = run_cli(["--version"])
     assert code == 0
     assert "0.1.0" in out + err
+
+
+def test_parser_is_reused_without_leaking_options(monkeypatch, tmp_path):
+    import torusfields.cli as cli
+
+    grids = []
+
+    def fake_report(px, qy, rz, m, seed=0, grid=512):
+        grids.append(grid)
+        return {"on_torus": True}
+
+    monkeypatch.setattr(cli, "build_report", fake_report)
+    out = str(tmp_path / "report.json")
+    assert main(["report", *SECT5, "--grid", "64", "--out", out]) == 0
+    assert main(["report", *SECT5, "--out", out]) == 0
+    assert grids == [64, 512]
+
+
+def test_usage_error_then_valid_call(capsys):
+    assert main(["check", "--px", "x"]) == 1
+    assert main(["check", *SECT5, "--m", "4"]) == 0
+    assert "K = z" in capsys.readouterr().out
+
+
+# 1.5e308*sqrt(m): finite at m = 5 until the sqrt(m) factor, a rational
+# 3e308 at m = 4 (a = 2); both are beyond the float range
+HUGE_ROTATION = ["--px", "15*(10^60)^5*10^7*a*y", "--qy", "-15*(10^60)^5*10^7*a*x",
+                 "--rz", "0"]
+
+
+@pytest.mark.parametrize("m", ["5", "4"])
+@pytest.mark.parametrize("command", [["singular", "--grid", "32"],
+                                     ["report", "--grid", "32"],
+                                     ["integrate", "--start", "3,0,0",
+                                      "--t-end", "0.002"]],
+                         ids=["singular", "report", "integrate"])
+def test_non_finite_float_coefficient_is_a_usage_error(command, m, capsys, recwarn):
+    code = main([*command, *HUGE_ROTATION, "--m", m])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "P has a coefficient beyond the float range" in captured.err
+    assert captured.out == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
