@@ -370,7 +370,8 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
                        & (_cell_reduce(np.maximum, vals) > 0.0))
     flagged = has_sign_change | (_cell_reduce(np.minimum, abs_vals) < tau)
 
-    grads = [compile_poly(level.differentiate(v), mf) for v in "xyz"]
+    grads = [compile_finite(level.differentiate(v), mf, f"the {v}-derivative of {what}")
+             for v in "xyz"]
 
     def grad_surface(th: float, ph: float) -> tuple[float, float]:
         r = math.sqrt(mf + math.cos(ph))
@@ -572,8 +573,9 @@ def chart_gradient(field: VectorField, q: tuple[float, float, float],
     except NotDivisible as exc:
         raise ValueError("field is not of the shape (A*y, -A*x, 0)") from exc
     mf = float(m)
-    grads = [compile_poly(a_poly.differentiate(v), mf) for v in "xyz"]
-    return _chart_gradient(compile_poly(a_poly, mf), grads, q, mf)
+    grads = [compile_finite(a_poly.differentiate(v), mf, f"the {v}-derivative of A")
+             for v in "xyz"]
+    return _chart_gradient(compile_finite(a_poly, mf, "A"), grads, q, mf)
 
 
 def chart_trace(field: VectorField, q: tuple[float, float, float],

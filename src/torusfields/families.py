@@ -18,7 +18,6 @@ is the exact quotient (P - K*x/4 - beta*z) / y.  No fitting, exact or fail.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -92,13 +91,6 @@ class FamilyTag:
     matches: tuple[Family, ...] = ()
 
 
-@functools.lru_cache(maxsize=8)
-def _ring(m: Fraction) -> MultiPoly:
-    """x^2 + y^2 - m."""
-    return MultiPoly({(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 0): -Fraction(m)})
-
-
-@functools.lru_cache(maxsize=8)
 def _radial_bowl(m: Fraction) -> MultiPoly:
     """-m*(x^2 + y^2) + z^2 + m^2 - 1, the recurring R building block."""
     m = Fraction(m)
@@ -116,8 +108,10 @@ def build_cubic(params: CubicParams, m: Fraction) -> VectorField:
     quarter_k = params.Kprime * Z * Fraction(1, 4)
     p = quarter_k * X + params.f * Y + Z * params.beta
     q = quarter_k * Y - params.f * X + Z * params.gamma
+    ring = MultiPoly({(2, 0, 0): Scalar(1), (0, 2, 0): Scalar(1),
+                      (0, 0, 0): Scalar(-m)})
     r = (params.Kprime * _radial_bowl(m) * Fraction(1, 2)
-         - (X * params.beta + Y * params.gamma) * _ring(m) * 2)
+         - (X * params.beta + Y * params.gamma) * ring * 2)
     return VectorField(p, q, r)
 
 

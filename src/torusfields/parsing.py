@@ -46,7 +46,6 @@ class _Parser:
         self.tokens = [(t.group(1), t.start(1)) for t in _TOKEN.finditer(text)]
         self.tokens.append(("", len(text)))
         self.pos = 0
-        self._sqrt_m: MultiPoly | None = None
 
     def _peek(self) -> str:
         return self.tokens[self.pos][0]
@@ -119,9 +118,7 @@ class _Parser:
             return _VARIABLES[ch]
         if ch == "a":
             self.pos += 1
-            if self._sqrt_m is None:
-                self._sqrt_m = MultiPoly.constant(Scalar.sqrt_m(self.m))
-            return self._sqrt_m
+            return MultiPoly.constant(Scalar.sqrt_m(self.m))
         if ch.isdigit():
             num = self._uint()
             if self._accept("/"):

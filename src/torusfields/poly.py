@@ -293,11 +293,7 @@ class MultiPoly:
     def __mul__(self, other: "MultiPoly | Scalar | int | Fraction") -> "MultiPoly":
         if not isinstance(other, MultiPoly):
             return self.scale(other)
-        m = _merge_m(self.m, other.m)
-        p: dict = {}
-        q: dict = {}
-        _mul_into(p, q, (self._p, self._q), (other._p, other._q), 1, radicand(m))
-        return _poly(_nonzero(p), _nonzero(q), self._den * other._den, m)
+        return sum_of_products(((self, other),))
 
     def __rmul__(self, other: "Scalar | int | Fraction") -> "MultiPoly":
         return self.scale(other)
@@ -318,10 +314,6 @@ class MultiPoly:
     def __pow__(self, n: int) -> "MultiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        if len(self._p) == 1 and not self._q:
-            # a rational monomial: raise exponents and coefficient directly
-            ((i, j, k), c), = self._p.items()
-            return _poly({(i * n, j * n, k * n): c ** n}, {}, self._den ** n, None)
         out = ONE
         base = self
         while n > 0:

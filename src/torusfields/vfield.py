@@ -10,7 +10,6 @@ division, no ansatz solving.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,7 +42,6 @@ class VectorField:
         return self.P, self.Q, self.R
 
 
-@functools.lru_cache(maxsize=8)
 def torus_polynomial(m: Fraction) -> MultiPoly:
     """F = (x^2 + y^2 - m)^2 + z^2 - 1."""
     x2y2 = MultiPoly({(2, 0, 0): Scalar(1), (0, 2, 0): Scalar(1),

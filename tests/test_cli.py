@@ -262,3 +262,23 @@ def test_non_finite_float_coefficient_is_a_usage_error(command, m, capsys, recwa
     assert "P has a coefficient beyond the float range" in captured.err
     assert captured.out == ""
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# A = 10^308*(z^2 - 1/4) has float coefficients; its z-derivative, 2e308*z,
+# does not
+HUGE_DERIVATIVE = ["--px", "(10^44)^7*(z^2 - 1/4)*y", "--qy", "-(10^44)^7*(z^2 - 1/4)*x",
+                   "--rz", "0"]
+
+
+@pytest.mark.parametrize("m", ["5", "4"])
+@pytest.mark.parametrize("command", [["singular", "--grid", "32"],
+                                     ["report", "--grid", "32"]],
+                         ids=["singular", "report"])
+def test_non_finite_derivative_coefficient_is_a_usage_error(command, m, capsys, recwarn):
+    code = main([*command, *HUGE_DERIVATIVE, "--m", m])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "the z-derivative of A (of the field (A*y, -A*x, 0)) has a coefficient " \
+        "beyond the float range" in captured.err
+    assert captured.out == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]

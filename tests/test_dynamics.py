@@ -285,6 +285,10 @@ def test_classify_preconditions():
         classify_singularity(field, (math.sqrt(5), 0.0, 0.0), M)
     with pytest.raises(ValueError):
         classify_singularity(VectorField(X, Y, Z), (1.0, 1.0, 0.5), M)
+    huge = parse("(10^44)^7*(z^2 - 1/4)", M)
+    with pytest.raises(ValueError, match="z-derivative of A has a coefficient beyond"):
+        classify_singularity(VectorField(huge * Y, -(huge * X), MultiPoly.zero()),
+                             surface_point(0.3, math.pi / 6), M)
 
 
 def test_unstable_meridian_attracts_under_time_reversal():
