@@ -18,7 +18,7 @@ from . import __version__
 from .curves import extactic_xy, invariant_meridians, invariant_parallels
 from .dynamics import GRID_MIN, singular_points
 from .families import Family, recognize
-from .integrate import export, integrate
+from .integrate import StepOverflow, export, integrate
 from .parsing import ParseError, parse, serialize
 from .report import build_report, report_json
 from .vfield import (RationalFn, TorusSurface, VectorField,
@@ -357,7 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         sys.stderr.write(f"expression error: {exc}\n")
         return EXIT_USAGE
-    except (ValueError, OverflowError, ZeroDivisionError) as exc:
+    except (ValueError, OverflowError, ZeroDivisionError, StepOverflow) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

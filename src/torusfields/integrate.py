@@ -3,12 +3,24 @@
 Runs are reproducible byte for byte: a fixed step, no adaptivity, and
 17-significant-digit float formatting in both export formats.  Projection
 (one Newton step along the torus gradient after each RK4 step) is off by
-default so that invariance claims are tested honestly.
+default so that invariance claims are tested honestly.  A state that leaves
+the box |x|, |y|, |z| <= 1e6 or becomes non-finite (inf or nan) stops the
+run with :class:`StepOverflow`; the CLI reports it as an error, exit 1.
+
+Export format (a contract: the same trajectory always gives the same bytes):
+
+* every float is written as ``"%.17g"`` (17 significant digits, which read
+  back to the same float; ``-0``, ``inf``, ``-inf`` and ``nan`` as such);
+* CSV: the header line ``t,x,y,z,theta,phi``, then one line per sample of
+  six comma-separated values, every line ending in a newline;
+* JSON: ``json.dumps(..., sort_keys=True, indent=2)`` of the object with
+  keys ``columns`` (the six names), ``m`` (a string), ``projected`` (a
+  bool) and ``samples`` (a list of six-string rows), in that key order,
+  two-space indent and no trailing newline.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 from dataclasses import dataclass
@@ -25,7 +37,8 @@ MAX_STEPS = 10_000_000
 
 
 class StepOverflow(RuntimeError):
-    """State norm exceeded 1e6: off-torus start or a non-invariant field."""
+    """A state left |x|, |y|, |z| <= 1e6 or became non-finite: an off-torus
+    start, a non-invariant field or float overflow in the field's values."""
 
 
 @dataclass(frozen=True)
@@ -96,7 +109,8 @@ def integrate(field: VectorField, start: tuple[float, float, float],
         states, overflow = rk4_orbit(*compiled, origin, step, count, project, mf)
         if overflow >= 0:
             raise StepOverflow(
-                f"state exceeded 1e6 (t ~ {overflow * step:.6g})")
+                f"state became non-finite or exceeded 1e6 "
+                f"(t ~ {overflow * step:.6g})")
         return states
 
     if n_full > 0:
@@ -113,32 +127,57 @@ def integrate(field: VectorField, start: tuple[float, float, float],
     return Trajectory(data, mf, project)
 
 
-def _format_value(v: float) -> str:
-    return format(float(v), ".17g")
+# The text of "%.17g" (digits, "-", "+", ".", "e", "inf", "nan") never needs
+# JSON escaping, so each format fills one template per trajectory with one
+# %-format call over all the values.
+_FIELD = "%.17g"
+_CSV_HEADER = ",".join(COLUMNS) + "\n"
+_CSV_ROW = ",".join([_FIELD] * len(COLUMNS)) + "\n"
+_JSON_ROW = "    [\n" + ",\n".join(['      "' + _FIELD + '"'] * len(COLUMNS)) + "\n    ]"
+# sort_keys puts "samples" last, so the header ends in its empty list
+_JSON_EMPTY_SAMPLES = "[]\n}"
+_JSON_KEYS = {"columns", "m", "projected", "samples"}
 
 
 def export(traj: Trajectory, fmt: str) -> bytes:
-    """Serialize a trajectory as CSV or JSON bytes."""
+    """Serialize a trajectory as CSV or JSON bytes (format in the module doc)."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown export format {fmt!r} (want csv or json)")
+    n = len(traj)
+    values = tuple(traj.data.ravel().tolist())
     if fmt == "csv":
-        buf = io.StringIO()
-        buf.write(",".join(COLUMNS) + "\n")
-        for row in traj.data:
-            buf.write(",".join(_format_value(v) for v in row) + "\n")
-        return buf.getvalue().encode()
-    if fmt == "json":
-        payload = {
-            "m": _format_value(traj.m),
-            "projected": traj.projected,
-            "columns": list(COLUMNS),
-            "samples": [[_format_value(v) for v in row] for row in traj.data],
-        }
-        return json.dumps(payload, sort_keys=True, indent=2).encode()
-    raise ValueError(f"unknown export format {fmt!r} (want csv or json)")
+        return (_CSV_HEADER + (_CSV_ROW * n) % values).encode()
+    header = json.dumps({"columns": list(COLUMNS), "m": _FIELD % float(traj.m),
+                         "projected": traj.projected, "samples": []},
+                        sort_keys=True, indent=2)
+    if not n:
+        return header.encode()
+    samples = ",\n".join([_JSON_ROW] * n) % values
+    return (header[:-len(_JSON_EMPTY_SAMPLES)] + "[\n" + samples + "\n  ]\n}").encode()
 
 
 def trajectory_from_json(blob: bytes) -> Trajectory:
+    """Read back :func:`export` JSON.
+
+    Raises ValueError unless the blob is an object with the four keys,
+    ``columns`` is the six names and every sample row holds six numbers
+    (strings as :func:`export` writes them, or JSON numbers).
+    """
     payload = json.loads(blob.decode())
-    samples = [[float(v) for v in row] for row in payload["samples"]]
-    data = (np.array(samples, dtype=np.float64).reshape(-1, 6)
-            if samples else np.empty((0, 6)))
+    if not isinstance(payload, dict) or not _JSON_KEYS <= payload.keys():
+        raise ValueError(f"want a JSON object with the keys {sorted(_JSON_KEYS)}")
+    if payload["columns"] != list(COLUMNS):
+        raise ValueError(f"columns must be {list(COLUMNS)}, got {payload['columns']!r}")
+    samples = payload["samples"]
+    bad_rows = f"samples must be rows of {len(COLUMNS)} numbers"
+    try:
+        data = (np.array(samples, dtype=np.float64) if samples
+                else np.empty((0, len(COLUMNS))))
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{bad_rows}: {exc}") from None
+    if data.ndim != 2 or data.shape[1] != len(COLUMNS):
+        raise ValueError(f"{bad_rows}, got an array of shape {data.shape}")
+    # numpy reads a JSON null as nan; only a table holding nan can have one
+    if np.isnan(data).any() and any(None in row for row in samples):
+        raise ValueError(f"{bad_rows}, got null")
     return Trajectory(data, float(payload["m"]), bool(payload["projected"]))

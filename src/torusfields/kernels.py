@@ -128,7 +128,8 @@ def eval_surface(compiled: CompiledPoly, m: float, n: int) -> np.ndarray:
 def rk4_orbit(p_poly: CompiledPoly, q_poly: CompiledPoly, r_poly: CompiledPoly,
               start: tuple[float, float, float], dt: float, nsteps: int,
               project: bool, m: float) -> tuple[np.ndarray, int]:
-    """Fixed-step RK4; returns the state history and -1, or the overflow step.
+    """Fixed-step RK4; returns the state history and -1, or the first step
+    whose state is non-finite or beyond 1e6 in some coordinate.
 
     With ``project`` set, each step is followed by one Newton correction
     along the torus gradient to re-impose F = 0.
@@ -159,6 +160,7 @@ def rk4_orbit(p_poly: CompiledPoly, q_poly: CompiledPoly, r_poly: CompiledPoly,
                 lam = f / g2
                 x -= lam * gx; y -= lam * gy; z -= lam * gz
         out[step] = (x, y, z)
-        if abs(x) > 1e6 or abs(y) > 1e6 or abs(z) > 1e6:
+        # written so that a nan state, for which every comparison is False, stops too
+        if not (abs(x) <= 1e6 and abs(y) <= 1e6 and abs(z) <= 1e6):
             return out, step
     return out, -1

@@ -282,3 +282,24 @@ def test_non_finite_derivative_coefficient_is_a_usage_error(command, m, capsys, 
         "beyond the float range" in captured.err
     assert captured.out == ""
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("m", ["5", "4"])
+def test_integrate_non_finite_state_is_an_error(m, capsys):
+    # the coefficients are finite floats but the field's values overflow,
+    # so the first RK4 step is nan: an error, not nan rows with exit 0
+    code = main(["integrate", *HUGE_DERIVATIVE, "--m", m, "--start", "3,0,0",
+                 "--t-end", "0.002"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: state became non-finite")
+
+
+def test_integrate_runaway_orbit_is_an_error():
+    # (x, y, 0) grows like e^t from (3, 0, 0): past 1e6 near t = 12.7
+    code, out, err = run_cli(["integrate", "--px", "x", "--qy", "y", "--rz", "0",
+                              "--m", "5", "--start", "3,0,0", "--t-end", "20"])
+    assert code == 1
+    assert out == ""
+    assert err == "error: state became non-finite or exceeded 1e6 (t ~ 12.717)\n"

@@ -1,3 +1,5 @@
+import io
+import json
 import math
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ from torusfields import (KolmogorovParams, MultiPoly, PseudoTypeParams,
                          Scalar, StepOverflow, Trajectory, VectorField, X, Y,
                          build_kolmogorov, build_pseudo_type, export,
                          integrate, parse, trajectory_from_json)
-from torusfields.integrate import MAX_STEPS
+from torusfields.integrate import COLUMNS, MAX_STEPS
 
 M = Fraction(4)
 ROTATION = VectorField(Y, -X, MultiPoly.zero())
@@ -96,6 +98,66 @@ def test_angles_recorded():
     assert traj.phis[0] == pytest.approx(0.25)
 
 
+# -- export format ---------------------------------------------------------------
+# The reference below formats one value at a time with format(v, ".17g") and
+# json.dumps over a list of strings; export must match it byte for byte.
+
+
+def reference_format(v):
+    return format(float(v), ".17g")
+
+
+def reference_export(traj, fmt):
+    if fmt == "csv":
+        buf = io.StringIO()
+        buf.write(",".join(COLUMNS) + "\n")
+        for row in traj.data:
+            buf.write(",".join(reference_format(v) for v in row) + "\n")
+        return buf.getvalue().encode()
+    payload = {
+        "m": reference_format(traj.m),
+        "projected": traj.projected,
+        "columns": list(COLUMNS),
+        "samples": [[reference_format(v) for v in row] for row in traj.data],
+    }
+    return json.dumps(payload, sort_keys=True, indent=2).encode()
+
+
+def reference_from_json(blob):
+    payload = json.loads(blob.decode())
+    samples = [[float(v) for v in row] for row in payload["samples"]]
+    return np.array(samples, dtype=np.float64).reshape(-1, 6)
+
+
+EXTREMES = [-0.0, 5e-324, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+
+
+def golden_trajectories():
+    ko = build_kolmogorov(KolmogorovParams(Scalar(1), Scalar(2)), M)
+    start = torus_point(0.8, 0.1)
+    for project in (False, True):
+        yield f"empty-{project}", Trajectory(np.empty((0, 6)), 4.0, project)
+        yield f"extremes-{project}", Trajectory(np.array([EXTREMES]), 4.0, project)
+        yield (f"orbit-{project}",
+               integrate(ko, start, 600 * 1e-3, 1e-3, M, project=project))
+    # a non-integer m and a column-sliced (non-contiguous) array
+    wide = np.random.default_rng(3).standard_normal((7, 12))
+    yield "strided", Trajectory(wide[:, ::2], 4.5)
+
+
+@pytest.mark.parametrize("name, traj", list(golden_trajectories()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_export_matches_reference_bytes(name, traj):
+    for fmt in ("csv", "json"):
+        assert export(traj, fmt) == reference_export(traj, fmt)
+    blob = export(traj, "json")
+    back = trajectory_from_json(blob)
+    assert back.data.tobytes() == reference_from_json(blob).tobytes()
+    assert back.data.shape == (len(traj), 6)
+    assert (back.m, back.projected) == (traj.m, traj.projected)
+    assert export(back, "json") == blob
+
+
 def test_csv_export():
     empty = Trajectory(np.empty((0, 6)), 4.0)
     assert export(empty, "csv") == b"t,x,y,z,theta,phi\n"
@@ -115,6 +177,60 @@ def test_json_round_trip_byte_identical():
     blob = export(traj, "json")
     again = export(trajectory_from_json(blob), "json")
     assert blob == again
+
+
+def json_blob(samples, columns=COLUMNS):
+    return json.dumps({"columns": list(columns), "m": "4", "projected": False,
+                       "samples": samples}).encode()
+
+
+@pytest.mark.parametrize("samples", [
+    [["1"] * 5] * 6,                    # 30 values: reshape(-1, 6) would make 5 rows
+    [["1"] * 7] * 3,
+    [["1"] * 6, ["1"] * 5],
+    [["1"] * 6, ["1"] * 6 + [["1"]]],
+    [["1"] * 6, "123456"],
+    ["1"] * 6,
+    [[["1"] * 6]],
+    [["1"] * 5 + [None]],
+    [["1"] * 5 + ["x"]],
+], ids=["6x5", "3x7", "ragged", "nested-entry", "string-row", "flat", "3d",
+        "null", "not-a-number"])
+def test_from_json_rejects_malformed_samples(samples):
+    with pytest.raises(ValueError, match="samples must be rows of 6 numbers"):
+        trajectory_from_json(json_blob(samples))
+
+
+@pytest.mark.parametrize("columns", [COLUMNS[:5], COLUMNS[::-1],
+                                     (*COLUMNS, "speed")])
+def test_from_json_rejects_other_columns(columns):
+    with pytest.raises(ValueError, match="columns must be"):
+        trajectory_from_json(json_blob([["1"] * 6], columns))
+
+
+@pytest.mark.parametrize("blob", [b"[]", b'"samples"', b'{"columns": [], "samples": []}',
+                                  b'{"m": "4", "projected": false, "samples": []}'])
+def test_from_json_rejects_other_documents(blob):
+    with pytest.raises(ValueError, match="want a JSON object with the keys"):
+        trajectory_from_json(blob)
+
+
+def test_from_json_reads_numbers_and_nan():
+    back = trajectory_from_json(json_blob([[0, 1.5, "-0", "inf", "-inf", "nan"]]))
+    assert back.data.shape == (1, 6)
+    assert back.data[0, :2].tolist() == [0.0, 1.5]
+    assert math.copysign(1.0, back.data[0, 2]) == -1.0
+    assert back.data[0, 3:5].tolist() == [math.inf, -math.inf]
+    assert math.isnan(back.data[0, 5])
+
+
+def test_non_finite_state_raises_step_overflow():
+    # 1e308*(z^2 - 1/4)*y has finite float coefficients, but its values
+    # overflow on the way and the state turns nan after one step
+    field = VectorField(parse("(10^44)^7*(z^2 - 1/4)*y", M),
+                        parse("-(10^44)^7*(z^2 - 1/4)*x", M), MultiPoly.zero())
+    with pytest.raises(StepOverflow, match="non-finite"):
+        integrate(field, (3.0, 0.0, 0.0), 0.002, 1e-3, M)
 
 
 def test_perturbed_unstable_meridian_flows_to_stable():

@@ -138,7 +138,7 @@ def reference_rk4_orbit(p, q, r, start, dt, nsteps, project, m):
                 lam = f / g2
                 x -= lam * gx; y -= lam * gy; z -= lam * gz
         out[step] = (x, y, z)
-        if abs(x) > 1e6 or abs(y) > 1e6 or abs(z) > 1e6:
+        if not all(abs(v) <= 1e6 for v in (x, y, z)):
             return out, step
     return out, -1
 
@@ -147,7 +147,7 @@ def assert_same_orbit(got, want):
     (states, flag), (ref_states, ref_flag) = got, want
     assert flag == ref_flag
     last = len(states) if flag < 0 else flag + 1
-    assert np.array_equal(states[:last], ref_states[:last])
+    assert np.array_equal(states[:last], ref_states[:last], equal_nan=True)
 
 
 @pytest.mark.parametrize("m", M_VALUES)
@@ -186,6 +186,22 @@ def test_rk4_overflow_step_matches_term_loop():
     want = reference_rk4_orbit(*(reference_terms(p, 4.0) for p in polys),
                                (5.0, 0.0, 0.5), 1e-2, 1000, False, 4.0)
     assert 0 < got[1] < 1000
+    assert_same_orbit(got, want)
+
+
+# 1e308*(z^2 - 1/4)*y overflows to inf at z = 0, and inf*0 makes the next
+# state nan: a nan state stops the orbit as a state beyond 1e6 does
+@pytest.mark.parametrize("m", [4.0, 5.0])
+def test_rk4_non_finite_state_stops_orbit(m):
+    polys = [parse(expr, Fraction(m)) for expr in
+             ("(10^44)^7*(z^2 - 1/4)*y", "-(10^44)^7*(z^2 - 1/4)*x", "0")]
+    got = rk4_orbit(*(compile_poly(p, m) for p in polys), (3.0, 0.0, 0.0),
+                    1e-3, 5, False, m)
+    with np.errstate(over="ignore", invalid="ignore"):     # numpy scalars warn
+        want = reference_rk4_orbit(*(reference_terms(p, m) for p in polys),
+                                   (3.0, 0.0, 0.0), 1e-3, 5, False, m)
+    assert got[1] == 1
+    assert not np.isfinite(got[0][1]).all()
     assert_same_orbit(got, want)
 
 
