@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from . import __version__
 from .curves import extactic_xy, invariant_meridians, invariant_parallels
-from .dynamics import GRID_MIN, singular_points
+from .dynamics import GRID_MAX, GRID_MIN, singular_points
 from .families import Family, recognize
 from .integrate import StepOverflow, export, integrate
 from .parsing import ParseError, parse, serialize
@@ -53,6 +53,8 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
 def _grid_size(text: str) -> int:
     if (grid := int(text)) < GRID_MIN:
         raise argparse.ArgumentTypeError(f"must be at least {GRID_MIN}, got {grid}")
+    if grid > GRID_MAX:
+        raise argparse.ArgumentTypeError(f"must be at most {GRID_MAX}, got {grid}")
     return grid
 
 
@@ -288,7 +290,7 @@ def make_parser() -> _Parser:
         _common_args(sub)
         if grid:
             sub.add_argument("--grid", type=_grid_size, default=512,
-                             help=f"singular-scan grid points per axis, >= {GRID_MIN}")
+                             help=f"singular-scan grid points per axis, {GRID_MIN} to {GRID_MAX}")
         sub.set_defaults(fn=fn)
         return sub
 

@@ -7,7 +7,11 @@ along a meridian; parallel periodicity reduces to real roots of an exact
 degree-4 polynomial obtained from the Weierstrass substitution
 t = tan(theta/2).  Singular-set extraction samples the relevant level
 function on a (theta, phi) grid and pins candidates down with Newton steps
-driven by exact derivatives.
+driven by exact derivatives.  The grid scans run in blocks of theta rows
+(``kernels.surface_blocks``): one pass fills the level grid and its max and
+min |level|, a second computes each cell's corner min, max and min |level|
+from a block plus one wrapped halo row, so no pass leaves the cache; the
+component walk then follows flagged cells by flat index.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
@@ -25,7 +30,7 @@ from .curves import (MeridianPlane, check_four_meridian_criterion,
 from .families import (CubicParams, Family, FamilyTag, QuadraticParams,
                        TwoParallelParams, build_cubic)
 from .kernels import (CompiledPoly, compile_finite, compile_poly, eval_grid,
-                      eval_point, eval_surface, surface_angles)
+                      eval_point, row_blocks, surface_angles, surface_blocks)
 from .poly import MultiPoly, NotDivisible, UniPoly, Y, divide_exact
 from .roots import real_roots
 from .scalars import Scalar
@@ -35,6 +40,7 @@ SCAN_SAMPLES = 8192
 INCONCLUSIVE_BAND = 1e-7
 GRID_DEFAULT = 512
 GRID_MIN = 32   # (x^2-z^2)*(y, -x, 0) shows both singular curves from 19 (m=4), 21 (m=3)
+GRID_MAX = 4096  # a 4096 x 4096 level grid is 128 MB of float64
 
 
 class ChartError(ValueError):
@@ -335,11 +341,91 @@ def _component_extent(cells: list[tuple[int, int]], n: int) -> int:
                circular_extent([c[1] for c in cells]))
 
 
-def _cell_reduce(op, a: np.ndarray) -> np.ndarray:
-    """op (np.minimum or np.maximum) over the four corners of each periodic grid cell."""
-    out = np.roll(a, -1, axis=0)
-    op(out, a, out=out)
-    return op(out, np.roll(out, -1, axis=1), out=out)
+def _level_grid(level: CompiledPoly, mf: float,
+                grid: int) -> tuple[np.ndarray, float, float]:
+    """The level on the grid, with its max and min |level|, in one blocked pass."""
+    vals = np.empty((grid, grid))
+    maxima, minima = [], []
+    for rows, (block,) in surface_blocks([level], mf, grid):
+        vals[rows] = block
+        np.abs(block, out=block)
+        maxima.append(block.max())
+        minima.append(block.min())
+    # numpy reductions, so a nan value propagates as it did over the full grid
+    return vals, float(np.max(maxima)), float(np.min(minima))
+
+
+def _corner_reduce(op, rows: np.ndarray, pair: np.ndarray, out: np.ndarray) -> None:
+    """op (np.minimum or np.maximum) over the four corners of each periodic
+    cell of a block: ``rows`` holds the block's grid rows and the row after."""
+    op(rows[:-1], rows[1:], out=pair)
+    op(pair[:, :-1], pair[:, 1:], out=out[:, :-1])
+    op(pair[:, -1], pair[:, 0], out=out[:, -1])
+
+
+def _cell_masks(vals: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+    """(has_sign_change, flagged) per cell [i, j], the cell with corners
+    (i, j), (i+1, j), (i, j+1), (i+1, j+1) mod n.  A cell changes sign when
+    the level is negative at one corner and positive at another; it is
+    flagged when it changes sign or some corner has |level| < tau."""
+    n = vals.shape[0]
+    blocks = row_blocks(n)
+    height = max(b - a for a, b in blocks)
+    sign_change = np.empty((n, n), dtype=bool)
+    flagged = np.empty((n, n), dtype=bool)
+    window = np.empty((height + 1, n))      # a block and its wrapped halo row
+    pair, cell_min, cell_max = np.empty((3, height, n))
+    positive = np.empty((height, n), dtype=bool)
+    for a, b in blocks:
+        h = b - a
+        rows = window[:h + 1]
+        rows[:h] = vals[a:b]
+        rows[h] = vals[b % n]
+        _corner_reduce(np.minimum, rows, pair[:h], cell_min[:h])
+        _corner_reduce(np.maximum, rows, pair[:h], cell_max[:h])
+        np.less(cell_min[:h], 0.0, out=sign_change[a:b])
+        np.greater(cell_max[:h], 0.0, out=positive[:h])
+        sign_change[a:b] &= positive[:h]
+        np.abs(rows, out=rows)
+        _corner_reduce(np.minimum, rows, pair[:h], cell_min[:h])
+        np.less(cell_min[:h], tau, out=flagged[a:b])
+        flagged[a:b] |= sign_change[a:b]
+    return sign_change, flagged
+
+
+def _components(flagged: np.ndarray, has_sign_change: np.ndarray
+                ) -> Iterator[tuple[list[tuple[int, int]], bool]]:
+    """The 8-connected components of the flagged cells on the periodic grid,
+    each as its cells in walk order and whether any of them changes sign.
+
+    Components are seeded in row-major order and walked depth first on flat
+    cell indices i * n + j, pushing neighbours in (di, dj) order.
+    """
+    n = flagged.shape[0]
+    flagged_cells = np.flatnonzero(flagged).tolist()
+    sign_cells = set(np.flatnonzero(has_sign_change).tolist())
+    unvisited = set(flagged_cells)
+    for seed in flagged_cells:
+        if seed not in unvisited:
+            continue
+        unvisited.remove(seed)
+        stack = [seed]
+        cells = []
+        sign_change = False
+        while stack:
+            cell = stack.pop()
+            i, j = divmod(cell, n)
+            cells.append((i, j))
+            if cell in sign_cells:
+                sign_change = True
+            cols = ((j - 1) % n, j, (j + 1) % n)
+            for row in (((i - 1) % n) * n, i * n, ((i + 1) % n) * n):
+                for col in cols:
+                    neighbour = row + col
+                    if neighbour in unvisited:
+                        unvisited.remove(neighbour)
+                        stack.append(neighbour)
+        yield cells, sign_change
 
 
 def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
@@ -358,17 +444,13 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
         return SingularSet(SingKind.EMPTY, [], grid_min_norm=abs(level_terms.terms[0][1]))
 
     angles = surface_angles(mf, grid)[0]
-    vals = eval_surface(level_terms, mf, grid)
-    abs_vals = np.abs(vals)
-    vmax = float(np.max(abs_vals))
+    vals, vmax, min_abs = _level_grid(level_terms, mf, grid)
     if vmax == 0.0:
         return SingularSet(SingKind.CURVES, [], curve_components=1,
                            description="the whole torus is singular")
 
     tau = vmax * (2.0 * math.pi / grid) ** 2 * 4.0
-    has_sign_change = ((_cell_reduce(np.minimum, vals) < 0.0)
-                       & (_cell_reduce(np.maximum, vals) > 0.0))
-    flagged = has_sign_change | (_cell_reduce(np.minimum, abs_vals) < tau)
+    has_sign_change, flagged = _cell_masks(vals, tau)
 
     grads = [compile_finite(level.differentiate(v), mf, f"the {v}-derivative of {what}")
              for v in "xyz"]
@@ -382,7 +464,6 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
                 gx * math.cos(th) * r_phi + gy * math.sin(th) * r_phi
                 + gz * math.cos(ph))
 
-    visited = np.zeros_like(flagged, dtype=bool)
     curve_count = 0
     points: list[tuple[tuple[float, float, float], SingClass | None]] = []
     point_cap = grid // 16
@@ -413,25 +494,7 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
             return None, residual
         return pt, residual
 
-    flagged_idx = np.argwhere(flagged)
-    for ci, cj in flagged_idx:
-        if visited[ci, cj]:
-            continue
-        stack = [(int(ci), int(cj))]
-        visited[ci, cj] = True
-        cells = []
-        component_sign_change = False
-        while stack:
-            i, j = stack.pop()
-            cells.append((i, j))
-            if has_sign_change[i, j]:
-                component_sign_change = True
-            for di in (-1, 0, 1):
-                for dj in (-1, 0, 1):
-                    ni, nj = (i + di) % grid, (j + dj) % grid
-                    if flagged[ni, nj] and not visited[ni, nj]:
-                        visited[ni, nj] = True
-                        stack.append((ni, nj))
+    for cells, component_sign_change in _components(flagged, has_sign_change):
         if component_sign_change:
             curve_count += 1
             continue
@@ -496,16 +559,23 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
                            description=f"{len(points)} isolated singular point(s)",
                            numeric_only=numeric_only)
     return SingularSet(SingKind.EMPTY, [], numeric_only=numeric_only,
-                       grid_min_norm=float(np.min(np.abs(vals))))
+                       grid_min_norm=min_abs)
 
 
 def grid_min_speed(field: VectorField, m: Fraction,
                    grid: int = GRID_DEFAULT) -> float:
     """Minimum of |chi| over a (theta, phi) grid on the torus."""
     mf = float(m)
-    total = sum(eval_surface(compile_finite(component, mf, name), mf, grid) ** 2
-                for component, name in zip(field.components(), "PQR"))
-    return float(np.sqrt(np.min(total)))
+    compiled = [compile_finite(component, mf, name)
+                for component, name in zip(field.components(), "PQR")]
+    minima = []
+    for _, (p, q, r) in surface_blocks(compiled, mf, grid):
+        # P^2, then + Q^2, then + R^2: the order of the full-grid sum
+        np.square(p, out=p)
+        p += np.square(q, out=q)
+        p += np.square(r, out=r)
+        minima.append(p.min())
+    return float(np.sqrt(np.min(minima)))
 
 
 def rotation_shape(field: VectorField) -> MultiPoly | None:
@@ -534,6 +604,8 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
     """
     if grid < GRID_MIN:
         raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
+    if grid > GRID_MAX:
+        raise ValueError(f"grid must be at most {GRID_MAX}, got {grid}")
     if tag.family == Family.QUADRATIC and isinstance(tag.params, QuadraticParams) \
             and not tag.params.alpha.is_zero():
         return SingularSet(SingKind.EMPTY, [],

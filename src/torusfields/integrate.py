@@ -49,6 +49,12 @@ class Trajectory:
     m: float
     projected: bool = False
 
+    def __post_init__(self):
+        shape = np.shape(self.data)
+        if len(shape) != 2 or shape[1] != len(COLUMNS):
+            raise ValueError(f"trajectory data must have shape (n, {len(COLUMNS)}), "
+                             f"got {shape}")
+
     def __len__(self) -> int:
         return self.data.shape[0]
 

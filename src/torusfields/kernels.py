@@ -5,8 +5,11 @@ of ``(x, y, z)``: a straight-line sum, starting from ``0.0``, of terms
 ``c*x*...*y*...*z*...`` in sorted term order.  Called with floats it gives
 point values (``eval_point`` and the ``rk4_orbit`` loop); called with numpy
 arrays it does the same arithmetic elementwise (``eval_grid``, the 1-D
-meridian scan).  Surface grid scans (``eval_surface``) are one matrix
-product over the same float terms.
+meridian scan).  Surface grid scans (``surface_blocks``) stream the matrix
+product ``U @ V.T`` over the same float terms in blocks of theta rows, each
+block about 256 KB of float64 in a reused work buffer, so every pass a scan
+makes over a block runs in the cache (loop blocking; Lam, Rothberg & Wolf,
+ASPLOS 1991).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -26,6 +29,8 @@ _CACHE_SIZE = 256
 # Factors per generated expression: a product nests once per factor, and the
 # parser accepts degrees (e.g. (x^64)^64) deeper than the compiler's limit.
 _FACTORS_PER_LINE = 256
+# float64 values per theta-row block of a surface scan (256 KB).
+_BLOCK_VALUES = 32768
 
 
 def backend() -> str:
@@ -111,18 +116,47 @@ def surface_angles(m: float, n: int) -> tuple[np.ndarray, ...]:
     return table
 
 
-def eval_surface(compiled: CompiledPoly, m: float, n: int) -> np.ndarray:
-    """Compiled terms on the n x n torus grid, indexed [theta, phi], as U @ V.T:
-    x^i y^j z^k = (cos^i sin^j)(theta) * (r^(i+j) sin^k)(phi), a column per (i, j)."""
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(start, stop) of the theta-row blocks of an n x n grid, in order.
+
+    A block holds at most ``_BLOCK_VALUES`` values (at least one row).  The
+    rows are split evenly over the blocks, so no block of a grid up to 16384
+    rows is a single row: numpy hands a one-row product to a matrix-vector
+    routine that rounds differently.
+    """
+    count = -(-n // max(1, _BLOCK_VALUES // n))
+    bounds = [n * b // count for b in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def surface_blocks(polys: Sequence[CompiledPoly], m: float,
+                   n: int) -> Iterator[tuple[slice, list[np.ndarray]]]:
+    """Each polynomial on the n x n torus grid, indexed [theta, phi], by
+    theta-row blocks: yields (rows, blocks), blocks[p] = polys[p] on those rows.
+
+    On the torus x^i y^j z^k = (cos^i sin^j)(theta) * (r^(i+j) sin^k)(phi),
+    so a polynomial on the grid is U @ V.T with a column per (i, j); a block
+    is the product of U's rows with V.T.  With OpenBLAS a block is
+    bit-equal to the same rows of the full product when n is a multiple of
+    8.  Each block lives in a work buffer that the next block overwrites:
+    copy what must outlive the step.
+    """
     _, cos, sin, r = surface_angles(float(m), n)
-    phi_parts: dict[tuple[int, int], np.ndarray] = {}
-    for (i, j, k), c in compiled.terms:
-        phi_parts[i, j] = phi_parts.get((i, j), 0.0) + c * sin ** k
-    u, v = np.empty((2, n, len(phi_parts)))
-    for col, ((i, j), part) in enumerate(phi_parts.items()):
-        u[:, col] = cos ** i * sin ** j
-        v[:, col] = r ** (i + j) * part
-    return u @ v.T
+    factors = []
+    for compiled in polys:
+        phi_parts: dict[tuple[int, int], np.ndarray] = {}
+        for (i, j, k), c in compiled.terms:
+            phi_parts[i, j] = phi_parts.get((i, j), 0.0) + c * sin ** k
+        u, v = np.empty((2, n, len(phi_parts)))
+        for col, ((i, j), part) in enumerate(phi_parts.items()):
+            u[:, col] = cos ** i * sin ** j
+            v[:, col] = r ** (i + j) * part
+        factors.append((u, v.T))
+    blocks = row_blocks(n)
+    buffers = np.empty((len(polys), max(b - a for a, b in blocks), n))
+    for a, b in blocks:
+        yield slice(a, b), [np.matmul(u[a:b], vt, out=buf[:b - a])
+                            for (u, vt), buf in zip(factors, buffers)]
 
 
 def rk4_orbit(p_poly: CompiledPoly, q_poly: CompiledPoly, r_poly: CompiledPoly,

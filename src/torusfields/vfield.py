@@ -64,10 +64,6 @@ class TorusSurface:
     def radius(self) -> Scalar:
         return Scalar.sqrt_m(self.m)
 
-    def contains_float(self, point: tuple[float, float, float],
-                       tol: float = 1e-9) -> bool:
-        return abs(self.F.eval_float(point)) <= tol
-
 
 @dataclass(frozen=True)
 class CofactorResult:

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from torusfields import parse
-from torusfields.cli import main
+from torusfields import dynamics, parse
+from torusfields.cli import _grid_size, main
+from torusfields.dynamics import GRID_MAX, GRID_MIN
 
 SECT5 = ["--px", "(1/4)*x*z + x*y^2",
          "--qy", "(1/4)*y*z - x^2*y",
@@ -123,6 +124,27 @@ def test_grid_below_minimum_rejected(command, grid, capsys):
     assert code == 1
     assert captured.out == ""
     assert "at least 32" in captured.err
+
+
+@pytest.mark.parametrize("command", ["singular", "report"])
+@pytest.mark.parametrize("grid", ["4097", "100000", str(10**12)])
+def test_grid_above_maximum_rejected(command, grid, capsys, monkeypatch):
+    # the bound is checked while the arguments are parsed, before any grid
+    # is allocated: a scan reached here fails the test instead of running
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(dynamics, "surface_blocks", no_scan)
+    code = main([command, *SADDLE_CURVES, "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert "at most 4096" in captured.err
+
+
+def test_grid_bounds_are_inclusive():
+    assert _grid_size(str(GRID_MIN)) == GRID_MIN == 32
+    assert _grid_size(str(GRID_MAX)) == GRID_MAX == 4096
 
 
 def test_minimum_grid_resolves_both_curves(capsys):

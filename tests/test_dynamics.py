@@ -14,6 +14,7 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          cylindrical_form, divide_exact, grid_min_speed,
                          meridian_periodicity, parallel_periodicity, parse,
                          recognize, singular_points)
+from torusfields import dynamics
 from torusfields.dynamics import rotation_shape
 
 from conftest import random_linear
@@ -360,6 +361,20 @@ def test_singular_points_rejects_coarse_grid():
     field = VectorField(Y, -X, MultiPoly.zero())
     with pytest.raises(ValueError, match="at least 32"):
         singular_points(field, recognize(field, M), M, grid=31)
+
+
+@pytest.mark.parametrize("a_text", ["1", "y^2 + (z - 1/2)^2"])
+def test_singular_points_rejects_grid_above_maximum(a_text, monkeypatch):
+    # checked before any grid is allocated: the rigid rotation would scan
+    # |chi| and the other field its level A
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan started")
+
+    monkeypatch.setattr(dynamics, "surface_blocks", no_scan)
+    a_poly = parse(a_text, M)
+    field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
+    with pytest.raises(ValueError, match="at most 4096, got 4097"):
+        singular_points(field, recognize(field, M), M, grid=dynamics.GRID_MAX + 1)
 
 
 def test_grid_resolution_warning_on_coarse_grid():

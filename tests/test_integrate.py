@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -169,6 +170,19 @@ def test_csv_export():
 
     with pytest.raises(ValueError):
         export(one, "xml")
+
+
+@pytest.mark.parametrize("shape", [(3, 5), (3, 7), (6,), (0,), (2, 3, 6)])
+def test_trajectory_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=r"shape \(n, 6\), got " + re.escape(str(shape))):
+        Trajectory(np.zeros(shape), 4.0)
+
+
+def test_empty_trajectory_exports():
+    empty = Trajectory(np.zeros((0, 6)), 4.0)
+    assert export(empty, "csv") == b"t,x,y,z,theta,phi\n"
+    back = trajectory_from_json(export(empty, "json"))
+    assert back.data.shape == (0, 6) and back.m == 4.0
 
 
 def test_json_round_trip_byte_identical():

@@ -5,10 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from torusfields import (CubicParams, MultiPoly, Scalar, X, Y, build_cubic,
+import warnings
+
+from torusfields import (CubicParams, MultiPoly, Scalar, VectorField, X, Y,
+                         build_cubic, grid_min_speed, recognize, singular_points,
                          integrate, meridian_periodicity, parse)
-from torusfields.kernels import (compile_poly, eval_grid, eval_point,
-                                 eval_surface, rk4_orbit, surface_angles)
+from torusfields import dynamics
+from torusfields.kernels import (compile_finite, compile_poly, eval_grid,
+                                 eval_point, rk4_orbit, row_blocks,
+                                 surface_angles, surface_blocks)
 
 M = Fraction(4)
 
@@ -35,13 +40,46 @@ def test_zero_polynomial_kernel():
     assert np.all(eval_grid(arrays, np.ones(4), np.ones(4), np.ones(4)) == 0.0)
 
 
+def eval_surface(compiled, m, n):
+    """Full-grid reference: the compiled terms on the n x n torus grid,
+    indexed [theta, phi], as one product U @ V.T."""
+    _, cos, sin, r = surface_angles(float(m), n)
+    phi_parts = {}
+    for (i, j, k), c in compiled.terms:
+        phi_parts[i, j] = phi_parts.get((i, j), 0.0) + c * sin ** k
+    u, v = np.empty((2, n, len(phi_parts)))
+    for col, ((i, j), part) in enumerate(phi_parts.items()):
+        u[:, col] = cos ** i * sin ** j
+        v[:, col] = r ** (i + j) * part
+    return u @ v.T
+
+
+def blocked_surface(compiled, m, n):
+    """The theta-row blocks of ``surface_blocks`` stacked into one grid."""
+    grid = np.empty((n, n))
+    for rows, (block,) in surface_blocks([compiled], m, n):
+        grid[rows] = block
+    return grid
+
+
+@pytest.mark.parametrize("n", [32, 100, 181, 182, 200, 512, 1000, 4096])
+def test_row_blocks_cover_the_grid(n):
+    blocks = row_blocks(n)
+    assert blocks[0][0] == 0 and blocks[-1][1] == n
+    assert all(b == c for (_, b), (c, _) in zip(blocks, blocks[1:]))
+    sizes = [b - a for a, b in blocks]
+    assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 2
+    assert max(sizes) * n <= 32768      # at most 256 KB of float64 a block
+
+
 @pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
 @pytest.mark.parametrize("n", [17, 32])
 @pytest.mark.parametrize("expr", ["a*x*z + y^3 - 2", "0", "-5/3"])
 def test_surface_grid_matches_pointwise(expr, n, m):
     mf = float(m)
     arrays = compile_poly(parse(expr, m), mf)
-    grid = eval_surface(arrays, mf, n)
+    grid = blocked_surface(arrays, mf, n)
+    assert np.array_equal(grid, eval_surface(arrays, mf, n))
     assert grid.shape == (n, n)
     expected = np.empty((n, n))
     for i in range(n):
@@ -248,3 +286,136 @@ def test_fallback_full_pipeline():
         ["stable", "unstable", "stable", "unstable"]
     traj = integrate(build_cubic(params, M), (math.sqrt(5), 0, 0), 1.0, 1e-3, M)
     assert traj.torus_drift() < 1e-10
+
+
+# -- reference: the full-grid singular scan the blocked one must reproduce ---
+
+
+def reference_cell_reduce(op, a):
+    out = np.roll(a, -1, axis=0)
+    op(out, a, out=out)
+    return op(out, np.roll(out, -1, axis=1), out=out)
+
+
+def reference_level_grid(level, mf, n):
+    vals = eval_surface(level, mf, n)
+    abs_vals = np.abs(vals)
+    return vals, float(np.max(abs_vals)), float(np.min(abs_vals))
+
+
+def reference_cell_masks(vals, tau):
+    has_sign_change = ((reference_cell_reduce(np.minimum, vals) < 0.0)
+                       & (reference_cell_reduce(np.maximum, vals) > 0.0))
+    flagged = has_sign_change | (reference_cell_reduce(np.minimum, np.abs(vals)) < tau)
+    return has_sign_change, flagged
+
+
+def reference_components(flagged, has_sign_change):
+    grid = flagged.shape[0]
+    visited = np.zeros_like(flagged, dtype=bool)
+    for ci, cj in np.argwhere(flagged):
+        if visited[ci, cj]:
+            continue
+        stack = [(int(ci), int(cj))]
+        visited[ci, cj] = True
+        cells = []
+        sign_change = False
+        while stack:
+            i, j = stack.pop()
+            cells.append((i, j))
+            if has_sign_change[i, j]:
+                sign_change = True
+            for di in (-1, 0, 1):
+                for dj in (-1, 0, 1):
+                    ni, nj = (i + di) % grid, (j + dj) % grid
+                    if flagged[ni, nj] and not visited[ni, nj]:
+                        visited[ni, nj] = True
+                        stack.append((ni, nj))
+        yield cells, sign_change
+
+
+def reference_grid_min_speed(field, m, grid=512):
+    mf = float(m)
+    total = sum(eval_surface(compile_finite(component, mf, name), mf, grid) ** 2
+                for component, name in zip(field.components(), "PQR"))
+    return float(np.sqrt(np.min(total)))
+
+
+def named_field(expr, m):
+    return VectorField(*(parse(e, m) for e in expr))
+
+
+def scan_level(field, mf):
+    """The level the singular scan samples for ``field``, compiled."""
+    level = dynamics.rotation_shape(field)
+    if level is None:
+        level = field.P * field.P + field.Q * field.Q + field.R * field.R
+    return compile_poly(level, mf)
+
+
+def singular_set_and_warnings(field, m, n):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        sing = singular_points(field, recognize(field, m), m, n)
+    return sing, [str(w.message) for w in caught]
+
+
+# 32 and 33 fit one block, 100 is one block smaller than the buffer, 200 is
+# two blocks of 100 rows in a 163-row buffer, 512 is eight blocks of 64
+@pytest.mark.parametrize("n", [32, 33, 100, 200, 512])
+def test_blocked_scan_matches_full_grid(n, monkeypatch):
+    for m in M_VALUES:
+        mf = float(m)
+        for expr in NAMED_FIELDS:
+            field = named_field(expr, m)
+            assert grid_min_speed(field, m, n) == reference_grid_min_speed(field, m, n)
+            level = scan_level(field, mf)
+            vals, vmax, min_abs = dynamics._level_grid(level, mf, n)
+            ref_vals, ref_vmax, ref_min_abs = reference_level_grid(level, mf, n)
+            assert np.array_equal(vals, ref_vals)
+            assert (vmax, min_abs) == (ref_vmax, ref_min_abs)
+            tau = vmax * (2.0 * math.pi / n) ** 2 * 4.0
+            masks = dynamics._cell_masks(vals, tau)
+            ref_masks = reference_cell_masks(vals, tau)
+            assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
+            assert list(dynamics._components(masks[1], masks[0])) == \
+                list(reference_components(ref_masks[1], ref_masks[0]))
+    blocked = {(expr, m): singular_set_and_warnings(named_field(expr, m), m, n)
+               for expr in NAMED_FIELDS for m in M_VALUES}
+    monkeypatch.setattr(dynamics, "grid_min_speed", reference_grid_min_speed)
+    monkeypatch.setattr(dynamics, "_level_grid", reference_level_grid)
+    monkeypatch.setattr(dynamics, "_cell_masks", reference_cell_masks)
+    monkeypatch.setattr(dynamics, "_components", reference_components)
+    for (expr, m), got in blocked.items():
+        assert got == singular_set_and_warnings(named_field(expr, m), m, n)
+
+
+@pytest.mark.parametrize("row", [0, 99, 100, 199])
+def test_level_grid_extremes_in_any_block_row(row):
+    # n = 200 is two blocks of 100 rows; c*x + s*y is largest at theta = 2 pi row / n
+    n, mf = 200, 4.0
+    theta = 2.0 * math.pi * row / n
+    c, s = (Fraction(v).limit_denominator(10**6) for v in (math.cos(theta), math.sin(theta)))
+    for expr, extreme in ((f"3 + {c}*x + {s}*y", np.argmax),
+                          (f"10 - ({c}*x + {s}*y)", np.argmin)):
+        level = compile_poly(parse(expr, M), mf)
+        vals, vmax, min_abs = dynamics._level_grid(level, mf, n)
+        ref_vals, ref_vmax, ref_min_abs = reference_level_grid(level, mf, n)
+        assert np.array_equal(vals, ref_vals) and (vmax, min_abs) == (ref_vmax, ref_min_abs)
+        assert extreme(np.abs(ref_vals)) // n == row
+
+
+def test_cell_masks_on_sign_patterns():
+    # one negative corner, a zero, a nan and a value below tau, on a grid of
+    # two blocks whose last cell row wraps to row 0
+    n = 200
+    vals = np.full((n, n), 1.0)
+    vals[0, 0] = -1.0
+    vals[100, 50] = 0.0
+    vals[150, 199] = np.nan
+    vals[199, 120] = 1e-3
+    masks = dynamics._cell_masks(vals, 1e-2)
+    ref_masks = reference_cell_masks(vals, 1e-2)
+    assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
+    assert masks[0].sum() == 4 and masks[0][n - 1, n - 1]
+    assert masks[1].sum() == 12 and masks[1][n - 1, 119]
