@@ -3,25 +3,30 @@
 Every cubic field on the torus is built from a pair (K', f) plus two reals
 (beta, gamma); the specialized families fix parts of that data:
 
-* degree one      -- (c*y, -c*x, 0), a rigid rotation
+* degree one      -- K' = 0, f = c constant, beta = gamma = 0: (c*y, -c*x, 0)
 * quadratic       -- K' = alpha constant, f linear, beta = gamma = 0
-* Kolmogorov      -- x | P, y | Q, z | R; forces K' = c2*z, f = c1*x*y
-* two-parallel    -- K' = 2*(p*x + q*y), beta = -m*p/2, gamma = -m*q/2,
-                     R = (p*x + q*y)*(z^2 - 1)
+* Kolmogorov      -- K' = c2*z, f = c1*x*y, beta = gamma = 0 (x | P, y | Q, z | R)
+* two-parallel    -- K' = 2*(p*x + q*y) != 0, beta = -m*p/2, gamma = -m*q/2
 * pseudo-type-n   -- (A*y, -A*x, 0) with A homogeneous of degree n - 1
 
-Recognition extracts parameters by exact coefficient matching: the cofactor
-determines K, the pure-z coefficients of P and Q give beta and gamma, and f
-is the exact quotient (P - K*x/4 - beta*z) / y.  No fitting, exact or fail.
+Recognition extracts the cubic form once per field by exact coefficient
+matching: K' = K/z from the cofactor K, beta and gamma are the z
+coefficients of P and Q, f is the exact quotient (P - x*z*K'/4 - beta*z)/y,
+and Q must equal the closed form exactly (on the torus, R then does too).
+The specialized families are predicates on (K', f, beta, gamma);
+pseudo-type, whose degree is not bounded, keeps its own division check.
+No fitting, exact or fail.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (MultiPoly, NotDivisible, X, Y, Z, divide_exact)
+from .poly import (ONE, MultiPoly, NotDivisible, X, Y, Z, divide_exact,
+                   sum_of_products)
 from .scalars import Scalar
 from .vfield import (CofactorResult, RationalFn, TorusSurface, VectorField,
                      check_first_integral, cofactor_on_torus, torus_polynomial)
@@ -91,6 +96,9 @@ class FamilyTag:
     matches: tuple[Family, ...] = ()
 
 
+_surface = functools.lru_cache(maxsize=16)(TorusSurface)
+
+
 def _radial_bowl(m: Fraction) -> MultiPoly:
     """-m*(x^2 + y^2) + z^2 + m^2 - 1, the recurring R building block."""
     m = Fraction(m)
@@ -154,6 +162,9 @@ def build_pseudo_type(params: PseudoTypeParams, m: Fraction | None = None) -> Ve
 
 # -- recognition ------------------------------------------------------------
 
+_MINUS_XZ_4 = X * Z * Fraction(-1, 4)
+_MINUS_YZ_4 = Y * Z * Fraction(-1, 4)
+
 
 def _try_divide(p: MultiPoly, divisor: MultiPoly, var: str) -> MultiPoly | None:
     try:
@@ -162,75 +173,30 @@ def _try_divide(p: MultiPoly, divisor: MultiPoly, var: str) -> MultiPoly | None:
         return None
 
 
-def _match_degree_one(field: VectorField, m: Fraction,
-                      cof: CofactorResult) -> DegreeOneParams | None:
-    if field.degree > 1:
+def _cubic_form(field: VectorField, cof: CofactorResult) -> CubicParams | None:
+    """(K', f, beta, gamma) with the field equal to ``build_cubic`` of them;
+    P matches by construction of f, Q as a zero residual."""
+    if field.degree > 3 or cof.K.degree > 2:
         return None
-    c = field.P.coefficient((0, 1, 0))
-    if field.P == Y * c and field.Q == -(X * c) and field.R.is_zero():
-        return DegreeOneParams(c)
-    return None
-
-
-def _match_quadratic(field: VectorField, m: Fraction,
-                     cof: CofactorResult) -> QuadraticParams | None:
-    if field.degree > 2:
+    kprime = _try_divide(cof.K, Z, "z")
+    if kprime is None:
         return None
-    k = cof.K
-    if not set(k.terms) <= {(0, 0, 1)}:
-        return None
-    alpha = k.coefficient((0, 0, 1))
-    f = _try_divide(field.P - X * Z * (alpha * Fraction(1, 4)), Y, "y")
-    if f is None or f.degree > 1:
-        return None
-    params = QuadraticParams(alpha=alpha, f=f)
-    if build_quadratic(params, m) == field:
-        return params
-    return None
-
-
-def _match_kolmogorov(field: VectorField, m: Fraction,
-                      cof: CofactorResult) -> KolmogorovParams | None:
-    if field.degree > 3:
-        return None
-    for component, var in ((field.P, "x"), (field.Q, "y"), (field.R, "z")):
-        if not component.is_zero() and component.min_var_exponent(var) < 1:
-            return None
-    k = cof.K
-    if not set(k.terms) <= {(0, 0, 2)}:
-        return None
-    c2 = k.coefficient((0, 0, 2))
-    rest = field.P - X * Z * Z * (c2 * Fraction(1, 4))
-    if not set(rest.terms) <= {(1, 2, 0)}:
-        return None
-    c1 = rest.coefficient((1, 2, 0))
-    params = KolmogorovParams(c1=c1, c2=c2)
-    if build_kolmogorov(params, m) == field:
-        return params
-    return None
-
-
-def _match_two_parallel(field: VectorField, m: Fraction,
-                        cof: CofactorResult) -> TwoParallelParams | None:
-    if field.degree > 3:
-        return None
-    p = field.R.coefficient((1, 0, 2))
-    q = field.R.coefficient((0, 1, 2))
-    if p.is_zero() and q.is_zero():
-        return None
-    m = Fraction(m)
-    lead = (X * p + Y * q) * Z * Fraction(1, 2)
-    f = _try_divide(field.P - lead * X + Z * (p * Scalar(Fraction(m, 2))), Y, "y")
+    beta = field.P.coefficient((0, 0, 1))
+    gamma = field.Q.coefficient((0, 0, 1))
+    f = _try_divide(sum_of_products(((field.P, ONE), (kprime, _MINUS_XZ_4),
+                                     (MultiPoly.constant(beta), -Z))), Y, "y")
     if f is None or f.degree > 2:
         return None
-    params = TwoParallelParams(p=p, q=q, f=f)
-    if build_two_parallel(params, m) == field:
-        return params
-    return None
+    # R needs no check: on the torus 2*z*R = K*F - P*F_x - Q*F_y, so R is
+    # the closed form's once K, P and Q are
+    if not sum_of_products(((field.Q, ONE), (kprime, _MINUS_YZ_4), (f, X),
+                            (MultiPoly.constant(gamma), -Z))).is_zero():
+        return None
+    return CubicParams(Kprime=kprime, f=f, beta=beta, gamma=gamma)
 
 
-def _match_pseudo_type(field: VectorField, m: Fraction,
-                       cof: CofactorResult) -> PseudoTypeParams | None:
+def _pseudo_type_params(field: VectorField) -> PseudoTypeParams | None:
+    """(n, A) when the field is (A*y, -A*x, 0) with A homogeneous."""
     if not field.R.is_zero() or field.P.is_zero() or field.Q.is_zero():
         return None
     if not (field.P.is_homogeneous() and field.Q.is_homogeneous()):
@@ -244,49 +210,45 @@ def _match_pseudo_type(field: VectorField, m: Fraction,
     return PseudoTypeParams(n=n, A=a)
 
 
-def _match_cubic(field: VectorField, m: Fraction,
-                 cof: CofactorResult) -> CubicParams | None:
-    if field.degree > 3:
-        return None
-    kprime = _try_divide(cof.K, Z, "z") if not cof.K.is_zero() else MultiPoly.zero()
-    if kprime is None or kprime.degree > 1:
-        return None
-    beta = field.P.coefficient((0, 0, 1))
-    gamma = field.Q.coefficient((0, 0, 1))
-    f = _try_divide(field.P - X * Z * kprime * Fraction(1, 4) - Z * beta, Y, "y")
-    if f is None or f.degree > 2:
-        return None
-    params = CubicParams(Kprime=kprime, f=f, beta=beta, gamma=gamma)
-    if build_cubic(params, m) == field:
-        return params
-    return None
-
-
-_MATCHERS = (
-    (Family.DEGREE_ONE, _match_degree_one),
-    (Family.QUADRATIC, _match_quadratic),
-    (Family.KOLMOGOROV, _match_kolmogorov),
-    (Family.TWO_PARALLEL, _match_two_parallel),
-    (Family.PSEUDO_TYPE, _match_pseudo_type),
-    (Family.CUBIC, _match_cubic),
-)
-
-
-def recognize(field: VectorField, m: Fraction) -> FamilyTag:
-    """Most specific family tag, with every other matching family recorded."""
-    surface = TorusSurface(m)
-    cof = cofactor_on_torus(field, surface)
+def _recognize(field: VectorField, m: Fraction, cof: CofactorResult) -> FamilyTag:
+    """``recognize`` given the field's cofactor on the torus at m."""
     if not cof.on_torus:
         return FamilyTag(Family.NOT_ON_TORUS, None)
+    cubic = _cubic_form(field, cof)
     hits: list[tuple[Family, object]] = []
-    for family, matcher in _MATCHERS:
-        params = matcher(field, Fraction(m), cof)
-        if params is not None:
-            hits.append((family, params))
+    if cubic is not None:
+        # the specialized families are predicates on (K', f, beta, gamma)
+        kprime, f = cubic.Kprime, cubic.f
+        if cubic.beta.is_zero() and cubic.gamma.is_zero():
+            if kprime.is_zero() and f.is_scalar():
+                hits.append((Family.DEGREE_ONE, DegreeOneParams(f.constant_value())))
+            if kprime.is_scalar() and f.degree <= 1:
+                hits.append((Family.QUADRATIC,
+                             QuadraticParams(kprime.constant_value(), f)))
+            if kprime.terms.keys() <= {(0, 0, 1)} and f.terms.keys() <= {(1, 1, 0)}:
+                hits.append((Family.KOLMOGOROV,
+                             KolmogorovParams(c1=f.coefficient((1, 1, 0)),
+                                              c2=kprime.coefficient((0, 0, 1)))))
+        if not kprime.is_zero() and kprime.terms.keys() <= {(1, 0, 0), (0, 1, 0)}:
+            # K' = 2*(p*x + q*y), and p, q are R's x*z^2 and y*z^2 coefficients
+            p, q = field.R.coefficient((1, 0, 2)), field.R.coefficient((0, 1, 2))
+            half_m = Scalar(Fraction(m) / 2)
+            if cubic.beta == -(p * half_m) and cubic.gamma == -(q * half_m):
+                hits.append((Family.TWO_PARALLEL, TwoParallelParams(p=p, q=q, f=f)))
+    pseudo = _pseudo_type_params(field)
+    if pseudo is not None:
+        hits.append((Family.PSEUDO_TYPE, pseudo))
+    if cubic is not None:
+        hits.append((Family.CUBIC, cubic))
     if not hits:
         return FamilyTag(Family.UNCLASSIFIED, None)
     family, params = hits[0]
     return FamilyTag(family, params, tuple(f for f, _ in hits))
+
+
+def recognize(field: VectorField, m: Fraction) -> FamilyTag:
+    """Most specific family tag, with every other matching family recorded."""
+    return _recognize(field, m, cofactor_on_torus(field, _surface(Fraction(m))))
 
 
 def canonical_first_integrals(tag: FamilyTag, m: Fraction) -> list[RationalFn]:

@@ -21,6 +21,7 @@ Export format (a contract: the same trajectory always gives the same bytes):
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -43,7 +44,11 @@ class StepOverflow(RuntimeError):
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Sampled solution curve: rows of (t, x, y, z, theta, phi)."""
+    """Sampled solution curve: rows of (t, x, y, z, theta, phi).
+
+    ``data`` is a read-only float64 view of the array passed in: the samples
+    are formatted once, on the first export, and that text is reused.
+    """
 
     data: np.ndarray            # shape (n, 6), float64
     m: float
@@ -54,6 +59,9 @@ class Trajectory:
         if len(shape) != 2 or shape[1] != len(COLUMNS):
             raise ValueError(f"trajectory data must have shape (n, {len(COLUMNS)}), "
                              f"got {shape}")
+        data = np.asarray(self.data, dtype=np.float64).view()
+        data.flags.writeable = False
+        object.__setattr__(self, "data", data)
 
     def __len__(self) -> int:
         return self.data.shape[0]
@@ -83,6 +91,12 @@ class Trajectory:
         x, y, z = self.data[:, 1], self.data[:, 2], self.data[:, 3]
         f = (x * x + y * y - self.m) ** 2 + z * z - 1.0
         return float(np.max(np.abs(f - f[0])))
+
+    @functools.cached_property
+    def _csv(self) -> bytes:
+        """The CSV export, whose value text the JSON export reuses."""
+        values = tuple(self.data.ravel().tolist())
+        return (_CSV_HEADER + (_CSV_ROW * len(self)) % values).encode()
 
 
 def _angles(states: np.ndarray, m: float) -> np.ndarray:
@@ -133,13 +147,20 @@ def integrate(field: VectorField, start: tuple[float, float, float],
     return Trajectory(data, mf, project)
 
 
-# The text of "%.17g" (digits, "-", "+", ".", "e", "inf", "nan") never needs
-# JSON escaping, so each format fills one template per trajectory with one
-# %-format call over all the values.
+# The text of "%.17g" (digits, "-", "+", ".", "e", "inf", "nan") holds no
+# comma, newline or quote and never needs JSON escaping.  The CSV fills one
+# template per trajectory with one %-format call over all the values; the
+# JSON samples are that CSV text with its separators rewritten.
 _FIELD = "%.17g"
 _CSV_HEADER = ",".join(COLUMNS) + "\n"
 _CSV_ROW = ",".join([_FIELD] * len(COLUMNS)) + "\n"
-_JSON_ROW = "    [\n" + ",\n".join(['      "' + _FIELD + '"'] * len(COLUMNS)) + "\n    ]"
+# the row list opens with _JSON_OPEN, a CSV "," becomes _JSON_VALUE, a
+# newline between rows _JSON_ROW (by way of ";", as both new separators hold
+# what the other replaces) and the last newline _JSON_CLOSE
+_JSON_OPEN = b'[\n    [\n      "'
+_JSON_VALUE = b'",\n      "'
+_JSON_ROW = b'"\n    ],\n    [\n      "'
+_JSON_CLOSE = b'"\n    ]\n  ]\n}'
 # sort_keys puts "samples" last, so the header ends in its empty list
 _JSON_EMPTY_SAMPLES = "[]\n}"
 _JSON_KEYS = {"columns", "m", "projected", "samples"}
@@ -149,17 +170,18 @@ def export(traj: Trajectory, fmt: str) -> bytes:
     """Serialize a trajectory as CSV or JSON bytes (format in the module doc)."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown export format {fmt!r} (want csv or json)")
-    n = len(traj)
-    values = tuple(traj.data.ravel().tolist())
+    csv = traj._csv
     if fmt == "csv":
-        return (_CSV_HEADER + (_CSV_ROW * n) % values).encode()
+        return csv
     header = json.dumps({"columns": list(COLUMNS), "m": _FIELD % float(traj.m),
                          "projected": traj.projected, "samples": []},
-                        sort_keys=True, indent=2)
-    if not n:
-        return header.encode()
-    samples = ",\n".join([_JSON_ROW] * n) % values
-    return (header[:-len(_JSON_EMPTY_SAMPLES)] + "[\n" + samples + "\n  ]\n}").encode()
+                        sort_keys=True, indent=2).encode()
+    if not len(traj):
+        return header
+    rows = csv[len(_CSV_HEADER):-1]
+    return (header[:-len(_JSON_EMPTY_SAMPLES)] + _JSON_OPEN
+            + rows.replace(b"\n", b";").replace(b",", _JSON_VALUE).replace(b";", _JSON_ROW)
+            + _JSON_CLOSE)
 
 
 def trajectory_from_json(blob: bytes) -> Trajectory:

@@ -3,17 +3,20 @@
 ``compile_poly`` turns an exact polynomial into one generated python function
 of ``(x, y, z)``: a straight-line sum, starting from ``0.0``, of terms
 ``c*x*...*y*...*z*...`` in sorted term order.  Called with floats it gives
-point values (``eval_point`` and the ``rk4_orbit`` loop); called with numpy
-arrays it does the same arithmetic elementwise (``eval_grid``, the 1-D
-meridian scan).  Surface grid scans (``surface_blocks``) stream the matrix
-product ``U @ V.T`` over the same float terms in blocks of theta rows, each
-block about 256 KB of float64 in a reused work buffer, so every pass a scan
-makes over a block runs in the cache (loop blocking; Lam, Rothberg & Wolf,
-ASPLOS 1991).
+point values (``eval_point``); called with numpy arrays it does the same
+arithmetic elementwise (``eval_grid``, the 1-D meridian scan).
+``rk4_orbit`` runs one generated loop per field with those statements
+written out at each RK4 stage, so its states are bit for bit the ones the
+compiled functions give.  Surface grid scans (``surface_blocks``) stream the
+matrix product ``U @ V.T`` over the same float terms in blocks of theta
+rows, each block about 256 KB of float64 in a reused work buffer, so every
+pass a scan makes over a block runs in the cache (loop blocking; Lam,
+Rothberg & Wolf, ASPLOS 1991).
 """
 
 from __future__ import annotations
 
+import array
 import functools
 import math
 from dataclasses import dataclass
@@ -59,22 +62,33 @@ def compile_poly(p: MultiPoly, m_float: float | None = None) -> CompiledPoly:
     return _compile(p, m_float)
 
 
+def _sum_lines(terms: tuple, at: tuple[str, str, str], acc: str,
+               indent: str) -> list[str]:
+    """Statements that set ``acc`` to the terms' sum at the point named ``at``."""
+    lines = [f"{indent}{acc} = 0.0"]
+    for (i, j, k), c in terms:
+        factors = [repr(c)] + [at[0]] * i + [at[1]] * j + [at[2]] * k
+        while len(factors) > _FACTORS_PER_LINE:
+            lines.append(f"{indent}t = " + "*".join(factors[:_FACTORS_PER_LINE]))
+            factors = ["t", *factors[_FACTORS_PER_LINE:]]
+        lines.append(f"{indent}{acc} += " + "*".join(factors))
+    return lines
+
+
+def _define(lines: list[str], name: str) -> Callable:
+    # only repr(float), local names, range and inf reach exec; the repr of
+    # a coefficient that overflowed to a float is "inf" or "-inf"
+    namespace = {"__builtins__": {}, "range": range, "inf": math.inf}
+    exec("\n".join(lines), namespace)
+    return namespace[name]
+
+
 @functools.lru_cache(maxsize=_CACHE_SIZE)
 def _compile(p: MultiPoly, m_float: float | None) -> CompiledPoly:
     terms = p.float_terms(m_float)
-    # only repr(float) and the names x, y, z, t, acc, inf reach exec
-    lines = ["def f(x, y, z):", "    acc = 0.0"]
-    for (i, j, k), c in terms:
-        factors = [repr(c)] + ["x"] * i + ["y"] * j + ["z"] * k
-        while len(factors) > _FACTORS_PER_LINE:
-            lines.append("    t = " + "*".join(factors[:_FACTORS_PER_LINE]))
-            factors = ["t", *factors[_FACTORS_PER_LINE:]]
-        lines.append("    acc += " + "*".join(factors))
-    lines.append("    return acc")
-    # repr of a coefficient that overflowed to a float is "inf" or "-inf"
-    namespace = {"__builtins__": {}, "inf": math.inf}
-    exec("\n".join(lines), namespace)
-    return CompiledPoly(terms, namespace["f"])
+    lines = ["def f(x, y, z):", *_sum_lines(terms, ("x", "y", "z"), "acc", "    "),
+             "    return acc"]
+    return CompiledPoly(terms, _define(lines, "f"))
 
 
 def compile_finite(p: MultiPoly, m_float: float, what: str) -> CompiledPoly:
@@ -159,42 +173,62 @@ def surface_blocks(polys: Sequence[CompiledPoly], m: float,
                             for (u, vt), buf in zip(factors, buffers)]
 
 
+# One RK4 step with the stage evaluations of P, Q, R written out in place,
+# from the state (x, y, z); h = dt/2 and s6 = dt/6.
+_RK4_STAGES = (("k1", ("x", "y", "z"), "ax = x + h * k1x; ay = y + h * k1y; az = z + h * k1z"),
+               ("k2", ("ax", "ay", "az"), "bx = x + h * k2x; by = y + h * k2y; bz = z + h * k2z"),
+               ("k3", ("bx", "by", "bz"), "cx = x + dt * k3x; cy = y + dt * k3y; cz = z + dt * k3z"),
+               ("k4", ("cx", "cy", "cz"), None))
+_RK4_UPDATE = """\
+x += s6 * (k1x + 2.0 * (k2x + k3x) + k4x)
+y += s6 * (k1y + 2.0 * (k2y + k3y) + k4y)
+z += s6 * (k1z + 2.0 * (k2z + k3z) + k4z)
+if project:
+    s = x * x + y * y - m
+    f = s * s + z * z - 1.0
+    gx = 4.0 * x * s; gy = 4.0 * y * s; gz = 2.0 * z
+    g2 = gx * gx + gy * gy + gz * gz
+    if g2 > 0.0:
+        lam = f / g2
+        x -= lam * gx; y -= lam * gy; z -= lam * gz
+push((x, y, z))
+# written so that a nan state, for which every comparison is False, stops too
+if not (-1e6 <= x <= 1e6 and -1e6 <= y <= 1e6 and -1e6 <= z <= 1e6):
+    return step"""
+
+
+@functools.lru_cache(maxsize=_CACHE_SIZE)
+def _orbit_loop(p_terms: tuple, q_terms: tuple, r_terms: tuple) -> Callable:
+    """Generated RK4 loop for one field: the statements of the three compiled
+    polynomials inlined at each stage, so a step makes no function calls
+    but ``push((x, y, z))``, which stores the state it reached."""
+    body = []
+    for k, at, advance in _RK4_STAGES:
+        for terms, comp in zip((p_terms, q_terms, r_terms), "xyz"):
+            body += _sum_lines(terms, at, k + comp, "        ")
+        if advance:
+            body.append("        " + advance)
+    body += ["        " + line for line in _RK4_UPDATE.splitlines()]
+    lines = ["def orbit(x, y, z, dt, nsteps, project, m, push):",
+             "    h = 0.5 * dt; s6 = dt / 6.0",
+             "    for step in range(1, nsteps + 1):", *body,
+             "    return -1"]
+    return _define(lines, "orbit")
+
+
 def rk4_orbit(p_poly: CompiledPoly, q_poly: CompiledPoly, r_poly: CompiledPoly,
               start: tuple[float, float, float], dt: float, nsteps: int,
               project: bool, m: float) -> tuple[np.ndarray, int]:
-    """Fixed-step RK4; returns the state history and -1, or the first step
-    whose state is non-finite or beyond 1e6 in some coordinate.
+    """Fixed-step RK4; returns the states from the start on, shape (n, 3), and
+    -1 after all ``nsteps`` steps, or the first step whose state is
+    non-finite or beyond 1e6 in some coordinate, which is the last state.
 
     With ``project`` set, each step is followed by one Newton correction
-    along the torus gradient to re-impose F = 0.
+    along the torus gradient to re-impose F = 0.  The arithmetic is that of
+    evaluating the compiled polynomials at each stage, bit for bit.
     """
-    fp, fq, fr = p_poly.fn, q_poly.fn, r_poly.fn
-    dt, m = float(dt), float(m)
-    nsteps = int(nsteps)
+    loop = _orbit_loop(p_poly.terms, q_poly.terms, r_poly.terms)
     x, y, z = (float(v) for v in start)
-    out = np.empty((nsteps + 1, 3), dtype=np.float64)
-    out[0] = (x, y, z)
-    for step in range(1, nsteps + 1):
-        k1x = fp(x, y, z); k1y = fq(x, y, z); k1z = fr(x, y, z)
-        ax = x + 0.5 * dt * k1x; ay = y + 0.5 * dt * k1y; az = z + 0.5 * dt * k1z
-        k2x = fp(ax, ay, az); k2y = fq(ax, ay, az); k2z = fr(ax, ay, az)
-        bx = x + 0.5 * dt * k2x; by = y + 0.5 * dt * k2y; bz = z + 0.5 * dt * k2z
-        k3x = fp(bx, by, bz); k3y = fq(bx, by, bz); k3z = fr(bx, by, bz)
-        cx = x + dt * k3x; cy = y + dt * k3y; cz = z + dt * k3z
-        k4x = fp(cx, cy, cz); k4y = fq(cx, cy, cz); k4z = fr(cx, cy, cz)
-        x += dt / 6.0 * (k1x + 2.0 * (k2x + k3x) + k4x)
-        y += dt / 6.0 * (k1y + 2.0 * (k2y + k3y) + k4y)
-        z += dt / 6.0 * (k1z + 2.0 * (k2z + k3z) + k4z)
-        if project:
-            s = x * x + y * y - m
-            f = s * s + z * z - 1.0
-            gx = 4.0 * x * s; gy = 4.0 * y * s; gz = 2.0 * z
-            g2 = gx * gx + gy * gy + gz * gz
-            if g2 > 0.0:
-                lam = f / g2
-                x -= lam * gx; y -= lam * gy; z -= lam * gz
-        out[step] = (x, y, z)
-        # written so that a nan state, for which every comparison is False, stops too
-        if not (abs(x) <= 1e6 and abs(y) <= 1e6 and abs(z) <= 1e6):
-            return out, step
-    return out, -1
+    states = array.array("d", (x, y, z))
+    stop = loop(x, y, z, float(dt), int(nsteps), bool(project), float(m), states.extend)
+    return np.frombuffer(states, dtype=np.float64).reshape(-1, 3), stop

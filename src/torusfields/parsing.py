@@ -11,6 +11,12 @@ Grammar (whitespace insignificant, no implicit multiplication)::
 The symbol ``a`` denotes sqrt(m); it is the only named constant.  ``^``
 binds tighter than ``*``, unary minus tighter than ``+``.
 
+While a term is a product of variables, powers, rationals and ``a``, its
+value is one monomial ``(exp, coefficient)`` (an int, Fraction or Scalar);
+an ``expr`` sums its terms into one ``exp -> coefficient`` dict and builds
+one MultiPoly, or stays a monomial when one exponent is left.  Only a factor
+that really is a polynomial, such as ``(x + y)^3``, uses MultiPoly arithmetic.
+
 Serialization is deterministic: terms in graded lexicographic order
 (total degree first, then x > y > z), and ``parse(serialize(p), m) == p``.
 """
@@ -20,12 +26,12 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .poly import X, Y, Z, MultiPoly
+from .poly import MultiPoly
 from .scalars import Scalar
 
 MAX_EXPONENT = 64
 _TOKEN = re.compile(r"\s*(\d+|\S)")
-_VARIABLES = {"x": X, "y": Y, "z": Z}
+_VARIABLES = {"x": ((1, 0, 0), 1), "y": ((0, 1, 0), 1), "z": ((0, 0, 1), 1)}
 
 
 class ParseError(ValueError):
@@ -39,24 +45,37 @@ class ParseError(ValueError):
         super().__init__(f"at offset {offset}: expected {exp}, found {found}")
 
 
+def _as_poly(value: tuple | MultiPoly) -> MultiPoly:
+    return MultiPoly.monomial(*value) if type(value) is tuple else value
+
+
+def _negated(value: tuple | MultiPoly) -> tuple | MultiPoly:
+    return (value[0], -value[1]) if type(value) is tuple else -value
+
+
 class _Parser:
     def __init__(self, text: str, m: Fraction):
+        self.text = text
         self.m = m
-        # (token, offset): digit runs and single non-space characters
-        self.tokens = [(t.group(1), t.start(1)) for t in _TOKEN.finditer(text)]
-        self.tokens.append(("", len(text)))
+        # digit runs and single non-space characters, then "" for the end
+        self.tokens = _TOKEN.findall(text) + [""]
         self.pos = 0
 
+    def _offset(self, pos: int) -> int:
+        """Offset of token ``pos`` in the text; only errors need it."""
+        starts = [t.start(1) for t in _TOKEN.finditer(self.text)]
+        return starts[pos] if pos < len(starts) else len(self.text)
+
     def _peek(self) -> str:
-        return self.tokens[self.pos][0]
+        return self.tokens[self.pos]
 
     def _fail(self, expected: set[str]) -> None:
-        token, offset = self.tokens[self.pos]
-        raise ParseError(offset, expected,
+        token = self.tokens[self.pos]
+        raise ParseError(self._offset(self.pos), expected,
                          repr(token[0]) if token else "end of input")
 
     def _accept(self, ch: str) -> bool:
-        if self.tokens[self.pos][0] == ch:
+        if self.tokens[self.pos] == ch:
             self.pos += 1
             return True
         return False
@@ -66,7 +85,7 @@ class _Parser:
             self._fail({repr(ch)})
 
     def _uint(self) -> int:
-        token = self.tokens[self.pos][0]
+        token = self.tokens[self.pos]
         if not token.isdigit():
             self._fail({"unsigned integer"})
         self.pos += 1
@@ -76,34 +95,54 @@ class _Parser:
         result = self.expr()
         if self.pos != len(self.tokens) - 1:
             self._fail({"'+'", "'-'", "'*'", "'^'", "end of input"})
-        return result
+        return _as_poly(result)
 
-    def expr(self) -> MultiPoly:
-        acc = self.term()
+    def expr(self) -> tuple | MultiPoly:
+        value = self.term()
+        if self._peek() not in ("+", "-"):
+            return value
+        terms: dict = {}
+        polys: list[MultiPoly] = []
         while True:
-            if self._accept("+"):
-                acc = acc + self.term()
-            elif self._accept("-"):
-                acc = acc - self.term()
+            if type(value) is tuple:
+                exp, c = value
+                terms[exp] = terms[exp] + c if exp in terms else c
             else:
-                return acc
+                polys.append(value)
+            if self._accept("+"):
+                value = self.term()
+            elif self._accept("-"):
+                value = _negated(self.term())
+            else:
+                break
+        if not polys and len(terms) == 1:
+            return next(iter(terms.items()))
+        return sum(polys, MultiPoly(terms))
 
-    def term(self) -> MultiPoly:
+    def term(self) -> tuple | MultiPoly:
         acc = self.factor()
         while self._accept("*"):
-            acc = acc * self.factor()
+            value = self.factor()
+            if type(acc) is tuple and type(value) is tuple:
+                (i, j, k), (i2, j2, k2) = acc[0], value[0]
+                acc = (i + i2, j + j2, k + k2), acc[1] * value[1]
+            else:
+                acc = _as_poly(acc) * _as_poly(value)
         return acc
 
-    def factor(self) -> MultiPoly:
+    def factor(self) -> tuple | MultiPoly:
         base = self.base()
         if self._accept("^"):
-            exponent = self._uint()
-            if exponent > MAX_EXPONENT:
-                raise OverflowError(f"exponent {exponent} exceeds {MAX_EXPONENT}")
-            return base ** exponent
+            n = self._uint()
+            if n > MAX_EXPONENT:
+                raise OverflowError(f"exponent {n} exceeds {MAX_EXPONENT}")
+            if type(base) is tuple:
+                (i, j, k), c = base
+                return (i * n, j * n, k * n), c ** n
+            return base ** n
         return base
 
-    def base(self) -> MultiPoly:
+    def base(self) -> tuple | MultiPoly:
         ch = self._peek()
         if ch == "(":
             self.pos += 1
@@ -112,22 +151,23 @@ class _Parser:
             return inner
         if ch == "-":
             self.pos += 1
-            return -self.factor()
+            return _negated(self.factor())
         if ch in _VARIABLES:
             self.pos += 1
             return _VARIABLES[ch]
         if ch == "a":
             self.pos += 1
-            return MultiPoly.constant(Scalar.sqrt_m(self.m))
+            a = Scalar.sqrt_m(self.m)
+            return (0, 0, 0), a if a.q else a.p
         if ch.isdigit():
             num = self._uint()
             if self._accept("/"):
                 den = self._uint()
                 if den == 0:
-                    token, offset = self.tokens[self.pos - 1]
-                    raise ParseError(offset + len(token), {"nonzero denominator"}, "0")
-                return MultiPoly.constant(Fraction(num, den))
-            return MultiPoly.constant(num)
+                    offset = self._offset(self.pos - 1) + len(self.tokens[self.pos - 1])
+                    raise ParseError(offset, {"nonzero denominator"}, "0")
+                return (0, 0, 0), Fraction(num, den)
+            return (0, 0, 0), num
         self._fail({"rational", "'a'", "'x'", "'y'", "'z'", "'('", "'-'"})
         raise AssertionError("unreachable")
 

@@ -88,7 +88,7 @@ def _ints_of(pairs: Iterable[tuple[object, Scalar | int | Fraction]]
     for key, c in pairs:
         if not isinstance(c, Scalar):
             if c:
-                ps.append((key, Fraction(c)))
+                ps.append((key, c if type(c) in (int, Fraction) else Fraction(c)))
             continue
         if c.p:
             ps.append((key, c.p))
@@ -331,28 +331,8 @@ class MultiPoly:
         return _poly(_derivative(self._p, idx), _derivative(self._q, idx),
                      self._den, self.m)
 
-    def homogeneous_component(self, d: int) -> "MultiPoly":
-        """Sum of the terms of total degree exactly d."""
-        return _poly({e: c for e, c in self._p.items() if sum(e) == d},
-                     {e: c for e, c in self._q.items() if sum(e) == d}, self._den, self.m)
-
-    def homogeneous_parts(self) -> dict[int, "MultiPoly"]:
-        degrees = sorted({sum(e) for e in self._keys()})
-        return {d: self.homogeneous_component(d) for d in degrees}
-
     def is_homogeneous(self) -> bool:
         return len({sum(e) for e in self._keys()}) <= 1
-
-    def substitute(self, var: str, replacement: "MultiPoly | Scalar | int | Fraction") -> "MultiPoly":
-        """Formal composition: replace ``var`` by ``replacement``."""
-        repl = MultiPoly.coerce(replacement)
-        idx = _VAR_INDEX[var]
-        out = MultiPoly.zero()
-        for exp, coeff in self.terms.items():
-            rest = list(exp)
-            rest[idx] = 0
-            out = out + repl ** exp[idx] * MultiPoly.monomial(tuple(rest), coeff)
-        return out
 
     def eval_exact(self, point: tuple) -> Scalar:
         """Exact value at a point of Scalars (or ints/Fractions)."""
@@ -380,13 +360,6 @@ class MultiPoly:
             root = math.sqrt(float(self.m) if m_float is None else m_float)
         return tuple((e, _to_float(p.get(e, 0), q.get(e, 0), den, md, root))
                      for e in sorted(self._keys()))
-
-    def eval_float(self, point: tuple[float, float, float],
-                   m_float: float | None = None) -> float:
-        """Floating value; sqrt(m) coefficients are embedded numerically."""
-        x, y, z = point
-        return sum(c * x**i * y**j * z**k
-                   for (i, j, k), c in self.float_terms(m_float))
 
     # -- univariate views ----------------------------------------------------
 
@@ -457,7 +430,8 @@ def divide_exact(dividend: MultiPoly, divisor: MultiPoly, var: str = "z") -> Mul
     as its leading coefficient (true for F, z, z - k, y - t*x, a*x + b*y).
     Its inverse is taken once; the divisor made monic has its leading
     numerator equal to its denominator, so each step subtracts a numerator
-    product and rescales by that denominator only when it is not 1.
+    product and rescales by that denominator only when it is not 1.  A
+    monomial divisor ``c*var^d`` only shifts the exponents and scales.
     Raises :class:`NotDivisible` when a remainder survives.
     """
     if divisor.is_zero():
@@ -471,6 +445,14 @@ def divide_exact(dividend: MultiPoly, divisor: MultiPoly, var: str = "z") -> Mul
             f"divisor is not monic-izable in {var}: leading coefficient {lead!r}")
     lead = divisor.coefficient(lead_exp)
     lead_inv = None if lead == 1 else lead.inverse()
+    if len(divisor._keys()) == 1:
+        # c*var^d: the quotient is the dividend with var's exponents shifted
+        if any(e[idx] < d_deg for e in dividend._keys()):
+            raise NotDivisible(f"a term of {var}-degree below {d_deg} is left")
+        quot = _poly(_shifted(dividend._p, idx, -d_deg),
+                     _shifted(dividend._q, idx, -d_deg), dividend._den,
+                     _merge_m(dividend.m, divisor.m))
+        return quot if lead_inv is None else quot.scale(lead_inv)
     monic = divisor if lead_inv is None else divisor.scale(lead_inv)
 
     m = _merge_m(dividend.m, divisor.m)

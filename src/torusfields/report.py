@@ -20,7 +20,7 @@ from .dynamics import (MeridianVerdict, PeriodicityVerdict, SingularSet,
                        singular_points)
 from .families import (CubicParams, DegreeOneParams, Family,
                        KolmogorovParams, PseudoTypeParams, QuadraticParams,
-                       TwoParallelParams, recognize,
+                       TwoParallelParams, _recognize,
                        verified_first_integrals)
 from .parsing import parse, serialize
 from .poly import MultiPoly
@@ -157,7 +157,7 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
         return report
     report["cofactor"] = serialize(cof.K)
 
-    tag = recognize(field, m)
+    tag = _recognize(field, m, cof)
     report["family"] = {
         "tag": tag.family.value,
         "params": _params_dict(tag.params),

@@ -125,6 +125,8 @@ class Scalar:
         return Scalar._make(self.p + other.p, self.q + other.q,
                             _merge_m(self.m, other.m))
 
+    __radd__ = __add__
+
     def __neg__(self) -> "Scalar":
         return Scalar._make(-self.p, -self.q, self.m)
 
@@ -140,6 +142,13 @@ class Scalar:
                             self.p * other.q + self.q * other.p, m)
 
     __rmul__ = __mul__
+
+    def __pow__(self, n: int) -> "Scalar":
+        """self**n for an integer n >= 0."""
+        out = Scalar(1)
+        for _ in range(n):
+            out = out * self
+        return out
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; ZeroDivisionError for zero only."""

@@ -54,3 +54,34 @@ def random_quadratic_field(rng: random.Random, m=M_DEFAULT) -> VectorField:
     """Random on-torus quadratic field with coefficients in {-3..3}."""
     alpha = Scalar(rng.randint(-3, 3))
     return build_quadratic(QuadraticParams(alpha, random_linear(rng)), m)
+
+
+# -- polynomial helpers only the tests use ----------------------------------
+
+
+def eval_float(p: MultiPoly, point, m_float=None) -> float:
+    """Float value of p at a point; sqrt(m) coefficients embedded numerically."""
+    x, y, z = point
+    return sum(c * x**i * y**j * z**k for (i, j, k), c in p.float_terms(m_float))
+
+
+def homogeneous_component(p: MultiPoly, d: int) -> MultiPoly:
+    """Sum of the terms of p of total degree exactly d."""
+    return MultiPoly({e: c for e, c in p.terms.items() if sum(e) == d})
+
+
+def homogeneous_parts(p: MultiPoly) -> dict[int, MultiPoly]:
+    """Total degree -> the homogeneous component of p of that degree."""
+    return {d: homogeneous_component(p, d) for d in sorted({sum(e) for e in p.terms})}
+
+
+def substitute(p: MultiPoly, var: str, replacement) -> MultiPoly:
+    """Formal composition: ``var`` replaced by ``replacement`` in p."""
+    repl = MultiPoly.coerce(replacement)
+    idx = "xyz".index(var)
+    out = MultiPoly.zero()
+    for exp, coeff in p.terms.items():
+        rest = list(exp)
+        rest[idx] = 0
+        out = out + repl ** exp[idx] * MultiPoly.monomial(tuple(rest), coeff)
+    return out

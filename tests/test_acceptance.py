@@ -28,6 +28,8 @@ from torusfields import (CubicParams, Family, KolmogorovParams, MultiPoly,
                          parallel_periodicity, parse, recognize,
                          singular_points, torus_polynomial)
 
+from conftest import eval_float
+
 # every criterion but the bracket sweep (3) runs at a square m, an integer
 # non-square m and a non-integer m, which puts the sqrt(s) numerators of
 # the exact layer (sqrt(m) = sqrt(s)/md with s = mn*md) under the suite
@@ -306,7 +308,7 @@ def _isolated_singularities(m):
     # finite-difference oracle on the chart pushforward (B*y, -B*x)
     def push(xv, yv):
         zv = math.sqrt(1.0 - (xv * xv + yv * yv - mf) ** 2)
-        b = a_poly.eval_float((xv, yv, zv))
+        b = eval_float(a_poly, (xv, yv, zv))
         return b * yv, -b * xv
 
     h = 1e-5

@@ -13,7 +13,8 @@ from torusfields import (CubicParams, KolmogorovParams, MultiPoly,
                          invariant_parallels, lie_bracket, linear_xy_factors,
                          parse, recognize, TwoParallelParams)
 
-from conftest import random_linear, random_poly, random_scalar, sympy_scalar
+from conftest import (homogeneous_component, random_linear, random_poly,
+                      random_scalar, sympy_scalar)
 
 M = Fraction(4)
 # inventories run at a square m (sqrt(m) folds to 2) and at two non-square m
@@ -233,7 +234,7 @@ def test_meridian_bound_on_mixed_fields():
         else:
             n = rng.randint(2, 6)
             a_poly = random_poly(rng, max_degree=n - 1, max_terms=4)
-            a_poly = a_poly.homogeneous_component(n - 1)
+            a_poly = homogeneous_component(a_poly, n - 1)
             if a_poly.is_zero():
                 continue
             fields = [build_pseudo_type(PseudoTypeParams(n, a_poly))]
@@ -266,8 +267,8 @@ def test_parallel_plane_bound_for_cubics():
 def test_pseudo_type_2_bracket_meridian_bound():
     rng = random.Random(14)
     for _ in range(30):
-        a = random_linear(rng).homogeneous_component(1)
-        b = random_linear(rng).homogeneous_component(1)
+        a = homogeneous_component(random_linear(rng), 1)
+        b = homogeneous_component(random_linear(rng), 1)
         if a.is_zero() or b.is_zero():
             continue
         bracket = lie_bracket(build_pseudo_type(PseudoTypeParams(2, a)),

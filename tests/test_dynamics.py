@@ -17,7 +17,7 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
 from torusfields import dynamics
 from torusfields.dynamics import rotation_shape
 
-from conftest import random_linear
+from conftest import eval_float, homogeneous_component, random_linear
 
 M = Fraction(4)
 
@@ -72,7 +72,7 @@ def test_theta_dot_consistency_on_random_points():
         phi = rng.uniform(0, 2 * math.pi)
         x, y, z = surface_point(theta, phi)
         r = math.hypot(x, y)
-        direct = angular.eval_float((x, y, z)) / (r * r)
+        direct = eval_float(angular, (x, y, z)) / (r * r)
         assert cyl.theta_dot(r, theta, z) == pytest.approx(direct, abs=1e-9)
 
 
@@ -169,7 +169,7 @@ def test_kolmogorov_axis_points_are_singular():
     ko = build_kolmogorov(KolmogorovParams(Scalar(1), Scalar(2)), M)
     for pt in [(0.0, math.sqrt(5), 0.0), (0.0, -math.sqrt(3), 0.0),
                (math.sqrt(5), 0.0, 0.0), (-math.sqrt(3), 0.0, 0.0)]:
-        speed = math.sqrt(sum(c.eval_float(pt) ** 2 for c in ko.components()))
+        speed = math.sqrt(sum(eval_float(c, pt) ** 2 for c in ko.components()))
         assert speed < 1e-12
 
 
@@ -221,7 +221,7 @@ def test_pseudo_type_meridians_inside_singular_set():
 
     rng = random.Random(23)
     for _ in range(10):
-        parts = [random_linear(rng).homogeneous_component(1) for _ in range(2)]
+        parts = [homogeneous_component(random_linear(rng), 1) for _ in range(2)]
         if any(p.is_zero() for p in parts):
             continue
         a_poly = parts[0] * parts[1]
@@ -242,7 +242,7 @@ def chart_pushforward(a_poly, m):
     """FD oracle for the planar field (B*y, -B*x) on the upper chart."""
     def b(xv, yv):
         zv = math.sqrt(1 - (xv * xv + yv * yv - m) ** 2)
-        return a_poly.eval_float((xv, yv, zv))
+        return eval_float(a_poly, (xv, yv, zv))
 
     def field(xv, yv):
         return b(xv, yv) * yv, -b(xv, yv) * xv
@@ -343,7 +343,7 @@ def test_chart_trace_matches_fd_divergence():
 
         def push(xv, yv):
             zv = math.sqrt(max(1.0 - (xv * xv + yv * yv - 4.0) ** 2, 0.0))
-            b = a_poly.eval_float((xv, yv, zv))
+            b = eval_float(a_poly, (xv, yv, zv))
             return b * yv, -b * xv
 
         h = 1e-6

@@ -1,19 +1,26 @@
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from torusfields import (CubicParams, DegreeOneParams, DegreeViolation, Family,
-                         KolmogorovParams, MultiPoly, NoKnownIntegral,
-                         PseudoTypeParams, QuadraticParams, Scalar,
-                         TorusSurface, TwoParallelParams, VectorField, X, Y, Z,
-                         build_cubic, build_kolmogorov, build_pseudo_type,
-                         build_quadratic, build_two_parallel,
-                         canonical_first_integrals, check_first_integral,
-                         cofactor_on_torus, lie_bracket, parse, recognize,
+                         FamilyTag, KolmogorovParams, MultiPoly,
+                         NoKnownIntegral, NotDivisible, PseudoTypeParams,
+                         QuadraticParams, Scalar, TorusSurface,
+                         TwoParallelParams, VectorField, X, Y, Z, build_cubic,
+                         build_kolmogorov, build_pseudo_type, build_quadratic,
+                         build_two_parallel, canonical_first_integrals,
+                         check_first_integral, cofactor_on_torus,
+                         divide_exact, lie_bracket, parse, recognize,
                          verified_first_integrals)
 
-from conftest import random_linear, random_poly
+from conftest import random_linear, random_poly, random_scalar
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import corpus  # noqa: E402
 
 M = Fraction(4)
 
@@ -254,3 +261,188 @@ def test_quadratic_first_integral_verified():
         tag = recognize(field, M)
         results = verified_first_integrals(field, tag, M)
         assert results and all(ok for _, ok in results)
+
+
+# -- recognition against the build-and-compare matchers ----------------------
+#
+# The reference below is the recognizer as it was before the single cubic-form
+# extraction: each matcher derives its own parameters, builds its family's
+# field and compares it with the input.
+
+
+def _ref_divide(p, divisor, var):
+    try:
+        return divide_exact(p, divisor, var)
+    except NotDivisible:
+        return None
+
+
+def _ref_degree_one(field, m, cof):
+    if field.degree > 1:
+        return None
+    c = field.P.coefficient((0, 1, 0))
+    if field.P == Y * c and field.Q == -(X * c) and field.R.is_zero():
+        return DegreeOneParams(c)
+    return None
+
+
+def _ref_quadratic(field, m, cof):
+    if field.degree > 2:
+        return None
+    k = cof.K
+    if not set(k.terms) <= {(0, 0, 1)}:
+        return None
+    alpha = k.coefficient((0, 0, 1))
+    f = _ref_divide(field.P - X * Z * (alpha * Fraction(1, 4)), Y, "y")
+    if f is None or f.degree > 1:
+        return None
+    params = QuadraticParams(alpha=alpha, f=f)
+    return params if build_quadratic(params, m) == field else None
+
+
+def _ref_kolmogorov(field, m, cof):
+    if field.degree > 3:
+        return None
+    for component, var in ((field.P, "x"), (field.Q, "y"), (field.R, "z")):
+        if not component.is_zero() and component.min_var_exponent(var) < 1:
+            return None
+    k = cof.K
+    if not set(k.terms) <= {(0, 0, 2)}:
+        return None
+    c2 = k.coefficient((0, 0, 2))
+    rest = field.P - X * Z * Z * (c2 * Fraction(1, 4))
+    if not set(rest.terms) <= {(1, 2, 0)}:
+        return None
+    params = KolmogorovParams(c1=rest.coefficient((1, 2, 0)), c2=c2)
+    return params if build_kolmogorov(params, m) == field else None
+
+
+def _ref_two_parallel(field, m, cof):
+    if field.degree > 3:
+        return None
+    p = field.R.coefficient((1, 0, 2))
+    q = field.R.coefficient((0, 1, 2))
+    if p.is_zero() and q.is_zero():
+        return None
+    lead = (X * p + Y * q) * Z * Fraction(1, 2)
+    f = _ref_divide(field.P - lead * X + Z * (p * Scalar(Fraction(m, 2))), Y, "y")
+    if f is None or f.degree > 2:
+        return None
+    params = TwoParallelParams(p=p, q=q, f=f)
+    return params if build_two_parallel(params, m) == field else None
+
+
+def _ref_pseudo_type(field, m, cof):
+    if not field.R.is_zero() or field.P.is_zero() or field.Q.is_zero():
+        return None
+    if not (field.P.is_homogeneous() and field.Q.is_homogeneous()):
+        return None
+    n = field.P.degree
+    if field.Q.degree != n:
+        return None
+    a = _ref_divide(field.P, Y, "y")
+    if a is None or field.Q != -(a * X):
+        return None
+    return PseudoTypeParams(n=n, A=a)
+
+
+def _ref_cubic(field, m, cof):
+    if field.degree > 3:
+        return None
+    kprime = _ref_divide(cof.K, Z, "z") if not cof.K.is_zero() else MultiPoly.zero()
+    if kprime is None or kprime.degree > 1:
+        return None
+    beta = field.P.coefficient((0, 0, 1))
+    gamma = field.Q.coefficient((0, 0, 1))
+    f = _ref_divide(field.P - X * Z * kprime * Fraction(1, 4) - Z * beta, Y, "y")
+    if f is None or f.degree > 2:
+        return None
+    params = CubicParams(Kprime=kprime, f=f, beta=beta, gamma=gamma)
+    return params if build_cubic(params, m) == field else None
+
+
+_REF_MATCHERS = (
+    (Family.DEGREE_ONE, _ref_degree_one),
+    (Family.QUADRATIC, _ref_quadratic),
+    (Family.KOLMOGOROV, _ref_kolmogorov),
+    (Family.TWO_PARALLEL, _ref_two_parallel),
+    (Family.PSEUDO_TYPE, _ref_pseudo_type),
+    (Family.CUBIC, _ref_cubic),
+)
+
+
+def reference_recognize(field, m):
+    cof = cofactor_on_torus(field, TorusSurface(m))
+    if not cof.on_torus:
+        return FamilyTag(Family.NOT_ON_TORUS, None)
+    hits = [(family, params) for family, matcher in _REF_MATCHERS
+            if (params := matcher(field, Fraction(m), cof)) is not None]
+    if not hits:
+        return FamilyTag(Family.UNCLASSIFIED, None)
+    return FamilyTag(hits[0][0], hits[0][1], tuple(f for f, _ in hits))
+
+
+def _spec_field(spec):
+    return VectorField(*(parse(s, spec.m) for s in (spec.px, spec.qy, spec.rz)))
+
+
+def differential_fields(m, seed):
+    """Seeded draws, the named corpus, built two-parallel and degree-one
+    fields, the zero field, and perturbed copies that leave their family."""
+    rng = random.Random(seed)
+    specs = corpus.named_corpus(m)
+    for i in range(8):
+        specs += [corpus.draw_quadratic(rng, m), corpus.draw_kolmogorov(rng, m),
+                  corpus.draw_four_meridian_cubic(rng, m),
+                  corpus.draw_pseudo_type(rng, m, 2 + i % 5)]
+    fields = [_spec_field(spec) for spec in specs]
+    for _ in range(8):
+        fields.append(build_two_parallel(TwoParallelParams(
+            random_scalar(rng, m, sqrt_part=True),
+            random_scalar(rng, m, sqrt_part=True),
+            random_poly(rng, max_degree=2, max_terms=4, m=m, sqrt_part=True)), m))
+        c = random_scalar(rng, m, sqrt_part=True)
+        fields.append(VectorField(Y * c, -(X * c), MultiPoly.zero()))
+        # K' = 2*(p*x + q*y) with beta or gamma off the two-parallel values
+        p, q = Scalar(rng.randint(-3, 3)), Scalar(rng.randint(1, 3))
+        beta, gamma = -(p * Scalar(m / 2)), -(q * Scalar(m / 2))
+        tilt = (beta + 1, gamma) if rng.random() < 0.5 else (beta, gamma - 1)
+        fields.append(build_cubic(CubicParams(
+            (X * p + Y * q) * 2, random_poly(rng, max_degree=2, max_terms=3),
+            *tilt), m))
+        # one of beta, gamma nonzero: a cubic, and none of its families
+        tilted = [Scalar(0), random_scalar(rng, m) or Scalar(1)]
+        rng.shuffle(tilted)
+        fields.append(build_cubic(CubicParams(
+            random_linear(rng) if rng.random() < 0.5 else MultiPoly.constant(1),
+            random_linear(rng), *tilted), m))
+        # a quadratic field with constant f is not a rotation
+        fields.append(build_quadratic(QuadraticParams(
+            Scalar(rng.choice([-2, -1, 1, 2])), MultiPoly.constant(rng.randint(-3, 3))), m))
+        # z times a cubic with K' and f linear: the closed form with deg K' = 2
+        tall = build_cubic(CubicParams(random_linear(rng), random_linear(rng),
+                                       Scalar(0), Scalar(0)), m)
+        fields.append(VectorField(tall.P * Z, tall.Q * Z, tall.R * Z))
+    fields.append(VectorField(MultiPoly.zero(), MultiPoly.zero(), MultiPoly.zero()))
+    a = Scalar.sqrt_m(m)
+    negatives = []
+    for field in fields[::3]:
+        exp = tuple(rng.randint(0, 2) for _ in range(3))
+        bump = MultiPoly.monomial(exp, random_scalar(rng, m) or Scalar(1))
+        negatives += [
+            VectorField(field.P + bump, field.Q, field.R),
+            VectorField(field.P * a, field.Q * a, field.R * a),
+            VectorField(field.P * Z, field.Q * Z, field.R * Z),
+            VectorField(field.P, field.Q, field.R + Z),
+        ]
+    return fields + negatives
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_recognize_matches_build_and_compare_reference(m):
+    seen = set()
+    for field in differential_fields(m, seed=int(m * 2)):
+        tag = recognize(field, m)
+        assert tag == reference_recognize(field, m), field
+        seen.add(tag.family)
+    assert seen == set(Family)

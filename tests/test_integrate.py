@@ -159,6 +159,20 @@ def test_export_matches_reference_bytes(name, traj):
     assert export(back, "json") == blob
 
 
+def test_export_order_and_read_only_data():
+    # the samples are formatted on the first export, whichever format it is
+    ko = build_kolmogorov(KolmogorovParams(Scalar(1), Scalar(2)), M)
+    traj = integrate(ko, torus_point(0.8, 0.1), 0.05, 1e-3, M)
+    blob = export(traj, "json")
+    assert export(traj, "csv") == reference_export(traj, "csv")
+    assert blob == reference_export(traj, "json")
+    with pytest.raises(ValueError):
+        traj.data[0, 0] = 1.0
+    mine = np.zeros((2, 6))
+    Trajectory(mine, 4.0)
+    mine[0, 0] = 1.0        # the caller's own array stays writable
+
+
 def test_csv_export():
     empty = Trajectory(np.empty((0, 6)), 4.0)
     assert export(empty, "csv") == b"t,x,y,z,theta,phi\n"

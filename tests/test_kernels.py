@@ -253,6 +253,15 @@ def test_extreme_polynomials_compile(expr):
     ref = reference_terms(p, 5.0)
     assert eval_point(compile_poly(p), 1.0001, 0.5, 2.0) == \
         reference_eval_point(*ref, 1.0001, 0.5, 2.0)
+    # and written out in the RK4 loop
+    polys = [p, parse("y", Fraction(5)), parse("-z", Fraction(5))]
+    start = (1.0001, 0.5, 2.0)
+    got = rk4_orbit(*(compile_poly(poly, 5.0) for poly in polys), start, 1e-4,
+                    20, False, 5.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = reference_rk4_orbit(*(reference_terms(poly, 5.0) for poly in polys),
+                                   start, 1e-4, 20, False, 5.0)
+    assert_same_orbit(got, want)
 
 
 @pytest.mark.parametrize("expr, value", [("0", 0.0), ("-5/3", -5.0 / 3.0)])

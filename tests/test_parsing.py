@@ -1,9 +1,11 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
-from torusfields import MultiPoly, ParseError, Scalar, parse, serialize
+from torusfields import MultiPoly, ParseError, Scalar, X, Y, Z, parse, serialize
+from torusfields.parsing import MAX_EXPONENT
 
 from conftest import random_poly
 
@@ -85,3 +87,172 @@ def test_round_trip_graded_order_stable():
     for _ in range(50):
         p = random_poly(rng, max_degree=5, max_terms=8)
         assert serialize(parse(serialize(p), M)) == serialize(p)
+
+
+# -- parsing against the polynomial-per-factor reference ---------------------
+#
+# The reference is the recursive descent as it was before the monomial fast
+# value: every factor is a MultiPoly, terms are multiplied and summed as
+# polynomials one at a time.
+
+_REF_TOKEN = re.compile(r"\s*(\d+|\S)")
+_REF_VARIABLES = {"x": X, "y": Y, "z": Z}
+
+
+class ReferenceParser:
+    def __init__(self, text, m):
+        self.m = m
+        self.tokens = [(t.group(1), t.start(1)) for t in _REF_TOKEN.finditer(text)]
+        self.tokens.append(("", len(text)))
+        self.pos = 0
+
+    def _fail(self, expected):
+        token, offset = self.tokens[self.pos]
+        raise ParseError(offset, expected, repr(token[0]) if token else "end of input")
+
+    def _accept(self, ch):
+        if self.tokens[self.pos][0] == ch:
+            self.pos += 1
+            return True
+        return False
+
+    def _uint(self):
+        token = self.tokens[self.pos][0]
+        if not token.isdigit():
+            self._fail({"unsigned integer"})
+        self.pos += 1
+        return int(token)
+
+    def parse(self):
+        result = self.expr()
+        if self.pos != len(self.tokens) - 1:
+            self._fail({"'+'", "'-'", "'*'", "'^'", "end of input"})
+        return result
+
+    def expr(self):
+        acc = self.term()
+        while True:
+            if self._accept("+"):
+                acc = acc + self.term()
+            elif self._accept("-"):
+                acc = acc - self.term()
+            else:
+                return acc
+
+    def term(self):
+        acc = self.factor()
+        while self._accept("*"):
+            acc = acc * self.factor()
+        return acc
+
+    def factor(self):
+        base = self.base()
+        if self._accept("^"):
+            exponent = self._uint()
+            if exponent > MAX_EXPONENT:
+                raise OverflowError(f"exponent {exponent} exceeds {MAX_EXPONENT}")
+            return base ** exponent
+        return base
+
+    def base(self):
+        ch = self.tokens[self.pos][0]
+        if ch == "(":
+            self.pos += 1
+            inner = self.expr()
+            if not self._accept(")"):
+                self._fail({"')'"})
+            return inner
+        if ch == "-":
+            self.pos += 1
+            return -self.factor()
+        if ch in _REF_VARIABLES:
+            self.pos += 1
+            return _REF_VARIABLES[ch]
+        if ch == "a":
+            self.pos += 1
+            return MultiPoly.constant(Scalar.sqrt_m(self.m))
+        if ch.isdigit():
+            num = self._uint()
+            if self._accept("/"):
+                den = self._uint()
+                if den == 0:
+                    token, offset = self.tokens[self.pos - 1]
+                    raise ParseError(offset + len(token), {"nonzero denominator"}, "0")
+                return MultiPoly.constant(Fraction(num, den))
+            return MultiPoly.constant(num)
+        self._fail({"rational", "'a'", "'x'", "'y'", "'z'", "'('", "'-'"})
+
+
+def _outcome(parse_fn, text, m):
+    """The parsed polynomial, or the error's type and fields."""
+    try:
+        return parse_fn(text, m)
+    except ParseError as err:
+        return ("ParseError", err.offset, err.expected, err.found)
+    except OverflowError as err:
+        return ("OverflowError", str(err))
+
+
+def _random_expr(rng, depth=0):
+    if depth > 3 or rng.random() < 0.3:
+        n, d = rng.randint(0, 12), rng.randint(1, 6)
+        return rng.choice(["x", "y", "z", "a", str(n), f"{n}/{d}", f"({n}/{d})"])
+    kind = rng.choice(["sum", "product", "power", "minus", "parens"])
+    parts = [_random_expr(rng, depth + 1) for _ in range(rng.randint(2, 3))]
+    if kind == "sum":
+        return parts[0] + "".join(f" {rng.choice('+-')} {p}" for p in parts[1:])
+    if kind == "product":
+        return "*".join(parts)
+    if kind == "power":
+        e = rng.choice([0, 1, 2, 3, 3, MAX_EXPONENT + 1])
+        return f"({parts[0]})^{e}" if rng.random() < 0.5 else f"{parts[0]}^{e}"
+    if kind == "minus":
+        return "-" * rng.randint(1, 3) + parts[0]
+    return f"({parts[0]})"
+
+
+def _mangled(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 2)):
+        i = rng.randint(0, len(chars))
+        edit = rng.choice(["delete", "insert", "replace"])
+        if edit == "delete" and i < len(chars):
+            del chars[i]
+        elif edit == "insert":
+            chars.insert(i, rng.choice("()+-*^/ xyzab0"))
+        elif i < len(chars):
+            chars[i] = rng.choice("()+-*^/ xyzab0")
+    return "".join(chars)
+
+
+FIXED_CASES = [
+    "(2*a)^3*x", "-(1/2)^3", "(x - a*y)^2", "x^0", "(x + y)^0", "--x",
+    "-(-(-y))", "- -z^2", "(2 + 3*a)*x - (1 - a)*y^2", "x - x", "(x - x)*y",
+    "(x - x)^0", "0/7*x", "a^2 - 2*a", "x^65", "(x + 1)^65", "1/0", "x/y",
+    "", "x +", "(x", "x^", "1/", "x y", "b", "x ** 2", "2 ^ -1", ")",
+    "(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)",
+]
+
+
+def parser_corpus(m, seed):
+    rng = random.Random(seed)
+    texts = list(FIXED_CASES)
+    for _ in range(150):
+        p = random_poly(rng, max_degree=5, max_terms=8, m=m, sqrt_part=True)
+        texts.append(serialize(p))
+        texts.append(_mangled(rng, texts[-1]))
+    for _ in range(300):
+        texts.append(_random_expr(rng))
+        if rng.random() < 0.3:
+            texts.append(_mangled(rng, texts[-1]))
+    return texts
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(5), Fraction(9, 2)])
+def test_parse_matches_polynomial_per_factor_reference(m):
+    kinds = set()
+    for text in parser_corpus(m, seed=int(m * 2)):
+        got = _outcome(parse, text, m)
+        assert got == _outcome(lambda t, mm: ReferenceParser(t, mm).parse(), text, m), text
+        kinds.add(got[0] if isinstance(got, tuple) else "MultiPoly")
+    assert kinds == {"MultiPoly", "ParseError", "OverflowError"}

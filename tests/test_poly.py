@@ -10,7 +10,8 @@ from torusfields import (MalformedDivisor, MultiPoly, NotDivisible, Scalar,
                          parse, restrict_to_line, torus_polynomial)
 from torusfields.poly import NEG_INF, unipoly_gcd
 
-from conftest import random_poly
+from conftest import (eval_float, homogeneous_component, homogeneous_parts,
+                      random_poly, substitute)
 
 M = Fraction(4)
 
@@ -42,16 +43,16 @@ def test_differentiate_examples():
 
 def test_homogeneous_component():
     p = parse("(1/4)*x*z + x*y^2", M)
-    assert p.homogeneous_component(3) == X * Y ** 2
-    assert p.homogeneous_component(2) == parse("(1/4)*x*z", M)
-    assert MultiPoly.zero().homogeneous_component(5) == MultiPoly.zero()
+    assert homogeneous_component(p, 3) == X * Y ** 2
+    assert homogeneous_component(p, 2) == parse("(1/4)*x*z", M)
+    assert homogeneous_component(MultiPoly.zero(), 5) == MultiPoly.zero()
 
 
 def test_substitute_examples():
-    assert (Z ** 2 - 1).substitute("z", 1) == MultiPoly.zero()
+    assert substitute(Z ** 2 - 1, "z", 1) == MultiPoly.zero()
     F = torus_polynomial(M)
-    assert F.substitute("z", 0) == parse("(x^2+y^2-a^2)^2 - 1", M)
-    assert (X ** 2 + Y).substitute("y", X * Z) == X ** 2 + X * Z
+    assert substitute(F, "z", 0) == parse("(x^2+y^2-a^2)^2 - 1", M)
+    assert substitute(X ** 2 + Y, "y", X * Z) == X ** 2 + X * Z
 
 
 def test_eval():
@@ -59,7 +60,7 @@ def test_eval():
     ring = X ** 2 + Y ** 2 - MultiPoly.constant(M)
     assert ring.eval_exact((a, 0, 0)).is_zero()
     F = torus_polynomial(M)
-    assert F.eval_float((math.sqrt(4 + 1), 0.0, 0.0)) == pytest.approx(0, abs=1e-12)
+    assert eval_float(F, (math.sqrt(4 + 1), 0.0, 0.0)) == pytest.approx(0, abs=1e-12)
     assert Z.eval_exact((0, 0, 1)) == Scalar(1)
 
 
@@ -145,7 +146,7 @@ def test_homogeneous_partition(seed):
     rng = random.Random(seed)
     p = random_poly(rng, sqrt_part=True)
     total = MultiPoly.zero()
-    for _, part in p.homogeneous_parts().items():
+    for _, part in homogeneous_parts(p).items():
         total = total + part
     assert total == p
 
@@ -158,7 +159,7 @@ def test_eval_float_matches_exact(seed):
     pt_exact = tuple(Scalar(Fraction(rng.randint(-8, 8), 4)) for _ in range(3))
     pt_float = tuple(v.to_float() for v in pt_exact)
     exact = p.eval_exact(pt_exact).to_float()
-    approx = p.eval_float(pt_float)
+    approx = eval_float(p, pt_float)
     assert approx == pytest.approx(exact, abs=1e-10 * (1 + abs(exact)))
 
 

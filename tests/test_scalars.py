@@ -18,6 +18,8 @@ def test_basic_arithmetic():
     assert s(2, 1) - s(2, 1) == s(0)
     assert s(0, 1) * s(0, 1) == s(5)          # sqrt(5)^2 = 5
     assert s(1, 1) * s(1, -1) == s(-4)        # (1+r)(1-r) = 1 - 5
+    assert 2 + s(1, 1) == s(3, 1) and Fraction(1, 2) + s(0, 1) == s(Fraction(1, 2), 1)
+    assert s(1, 1) ** 2 == s(6, 2) and s(0, 1) ** 3 == s(0, 5) and s(7, 3) ** 0 == s(1)
     assert -s(2, -3) == s(-2, 3)
     assert s(Fraction(1, 2)) * 4 == s(2)
 
