@@ -30,12 +30,12 @@ from .curves import (MeridianPlane, MeridianSet, ParallelPlane, ParallelSet,
                      check_four_meridian_criterion, extactic_xy,
                      invariant_meridians, invariant_parallels,
                      linear_xy_factors)
-from .dynamics import (ChartError, CylindricalField, GridResolutionWarning,
-                       MeridianVerdict, PeriodicityVerdict, SingClass,
-                       SingKind, SingularSet, Verdict, chart_gradient,
-                       chart_trace, classify_singularity, cylindrical_form,
-                       grid_min_speed, meridian_periodicity,
-                       parallel_periodicity, singular_points)
+from .dynamics import (ChartError, GridResolutionWarning, MeridianVerdict,
+                       PeriodicityVerdict, SingClass, SingKind, SingularSet,
+                       Verdict, chart_gradient, chart_trace,
+                       classify_singularity, grid_min_speed,
+                       meridian_periodicity, parallel_periodicity,
+                       singular_points)
 from .integrate import (StepOverflow, Trajectory, export, integrate,
                         trajectory_from_json)
 from .report import build_report, report_json

@@ -11,8 +11,12 @@ x^alpha z^k group, and y - t0*x divides it to the power mu exactly when
 z-profiles of R.  So the planes and their multiplicities are the real roots
 of g from :func:`torusfields.roots.real_roots`: rational slopes and heights
 exactly (within that function's coefficient-size limit), the others
-isolated by an exact Sturm sequence and polished in floats.  Each meridian
-plane is still checked for invariance on its own before it is reported.
+isolated by an exact Sturm sequence and polished in floats.
+
+Every such factor is an invariant meridian plane with the same multiplicity:
+for L = y - t0*x, Q*x - P*y = x*chi(L) - P*L, so L divides Q*x - P*y exactly
+when L divides chi(L); for the plane x = 0, x divides Q*x - P*y exactly when
+x divides P = chi(x).  No plane is re-checked.
 """
 
 from __future__ import annotations
@@ -21,14 +25,11 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .poly import (MultiPoly, NotDivisible, X, Y, divide_exact,
-                   restrict_to_line, unipoly_gcd, z_profiles)
+from .poly import MultiPoly, X, Y, restrict_to_line, unipoly_gcd, z_profiles
 from .roots import real_roots
 from .scalars import Scalar
-from .vfield import VectorField, plane_residual
+from .vfield import VectorField
 from .families import CubicParams
-
-RESIDUAL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -61,9 +62,8 @@ class ParallelPlane:
     exact_k: Fraction | None = None
 
     def is_boundary(self) -> bool:
-        if self.exact_k is not None:
-            return abs(self.exact_k) == 1
-        return abs(abs(self.k) - 1.0) < 1e-9
+        # real_roots returns the endpoints +-1 of (-1, 1) as exact Fractions
+        return self.exact_k is not None and abs(self.exact_k) == 1
 
 
 @dataclass
@@ -127,10 +127,6 @@ class LinearFactor:
     multiplicity: int
 
 
-def _slope_divisor(t0: Fraction) -> MultiPoly:
-    return MultiPoly({(0, 1, 0): Scalar(1), (1, 0, 0): Scalar(-t0)})
-
-
 def linear_xy_factors(p: MultiPoly) -> list[LinearFactor]:
     """All factors of p of the form a*x + b*y, with multiplicities.
 
@@ -177,26 +173,9 @@ def invariant_meridians(field: VectorField) -> MeridianSet:
     if ext.is_zero():
         return MeridianSet(infinite=True)
     planes = [(plane_from_factor(factor), factor.multiplicity)
-              for factor in linear_xy_factors(ext)
-              if _meridian_invariant(field, factor)]
+              for factor in linear_xy_factors(ext)]
     planes.sort(key=lambda pm: pm[0].angle())
     return MeridianSet(False, planes)
-
-
-def _meridian_invariant(field: VectorField, factor: LinearFactor) -> bool:
-    if factor.slope is None:
-        return field.P.is_zero() or field.P.min_var_exponent("x") >= 1
-    if factor.exact:
-        ell = field.Q - field.P * Scalar(factor.slope)
-        if ell.is_zero():
-            return True
-        try:
-            divide_exact(ell, _slope_divisor(factor.slope), "y")
-            return True
-        except NotDivisible:
-            return False
-    t0 = float(factor.slope)
-    return plane_residual(field, -t0, 1.0) < RESIDUAL_TOL
 
 
 def invariant_parallels(field: VectorField) -> ParallelSet:

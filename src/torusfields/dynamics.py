@@ -1,4 +1,4 @@
-"""Cylindrical reduction, periodicity of invariant curves, singular points.
+"""Periodicity of invariant curves and singular points.
 
 On the torus a point is parametrized by two angles: theta around the z-axis
 and phi around the tube, with radius r = sqrt(m + cos(phi)) and height
@@ -28,9 +28,9 @@ import numpy as np
 from .curves import (MeridianPlane, check_four_meridian_criterion,
                      linear_xy_factors, plane_from_factor)
 from .families import (CubicParams, Family, FamilyTag, QuadraticParams,
-                       TwoParallelParams, build_cubic)
-from .kernels import (CompiledPoly, compile_finite, compile_poly, eval_grid,
-                      eval_point, row_blocks, surface_angles, surface_blocks)
+                       TwoParallelParams)
+from .kernels import (CompiledPoly, compile_finite, eval_grid, eval_point,
+                      row_blocks, surface_angles, surface_blocks)
 from .poly import MultiPoly, NotDivisible, UniPoly, Y, divide_exact
 from .roots import real_roots
 from .scalars import Scalar
@@ -95,39 +95,6 @@ class SingularSet:
     grid_min_norm: float | None = None
 
 
-# -- cylindrical coordinates ---------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CylindricalField:
-    r_dot: object      # callable (r, theta, z) -> float
-    theta_dot: object
-    z_dot: object
-
-
-def cylindrical_form(field: VectorField) -> CylindricalField:
-    """Evaluators for (dr/dt, dtheta/dt, dz/dt), valid for r > 0."""
-    radial_num = compile_poly(field.P * MultiPoly.variable("x")
-                              + field.Q * MultiPoly.variable("y"))
-    angular_num = compile_poly(field.Q * MultiPoly.variable("x")
-                               - field.P * MultiPoly.variable("y"))
-    vertical = compile_poly(field.R)
-
-    def r_dot(r: float, theta: float, z: float) -> float:
-        x, y = r * math.cos(theta), r * math.sin(theta)
-        return eval_point(radial_num, x, y, z) / r
-
-    def theta_dot(r: float, theta: float, z: float) -> float:
-        x, y = r * math.cos(theta), r * math.sin(theta)
-        return eval_point(angular_num, x, y, z) / (r * r)
-
-    def z_dot(r: float, theta: float, z: float) -> float:
-        x, y = r * math.cos(theta), r * math.sin(theta)
-        return eval_point(vertical, x, y, z)
-
-    return CylindricalField(r_dot, theta_dot, z_dot)
-
-
 # -- meridian limit cycles -----------------------------------------------------
 
 
@@ -173,16 +140,16 @@ def meridian_periodicity(params: CubicParams, m: Fraction,
     entries.sort(key=lambda e: e[0])
 
     kprime = compile_finite(params.Kprime, mf, "K'")
-    field = build_cubic(params, m)
-    angular = compile_finite(field.Q * MultiPoly.variable("x")
-                             - field.P * MultiPoly.variable("y"), mf, "Q*x - P*y")
+    # beta = gamma = 0 makes Q*x - P*y = -(x^2 + y^2)*f, so dtheta/dt has
+    # the sign of -f
+    f = compile_finite(params.f, mf, "f")
 
     phis, _, zs, rs = surface_angles(mf, samples)
 
     def theta_dot_sign(theta: float) -> int:
         x, y, z = _surface_point(theta, 0.0, mf)
-        v = eval_point(angular, x, y, z)
-        return (v > 0) - (v < 0)
+        v = eval_point(f, x, y, z)
+        return (v < 0) - (v > 0)
 
     angles = [e[0] for e in entries]
     out: list[MeridianVerdict] = []

@@ -11,11 +11,11 @@ Every cubic field on the torus is built from a pair (K', f) plus two reals
 
 Recognition extracts the cubic form once per field by exact coefficient
 matching: K' = K/z from the cofactor K, beta and gamma are the z
-coefficients of P and Q, f is the exact quotient (P - x*z*K'/4 - beta*z)/y,
-and Q must equal the closed form exactly (on the torus, R then does too).
-The specialized families are predicates on (K', f, beta, gamma);
-pseudo-type, whose degree is not bounded, keeps its own division check.
-No fitting, exact or fail.
+coefficients of P and Q, and f is the exact quotient
+(P - x*z*K'/4 - beta*z)/y; an on-torus field of degree <= 3 is then the
+closed form of those four values, with no further check.  The specialized
+families are predicates on (K', f, beta, gamma); pseudo-type, whose degree
+is not bounded, keeps its own division check.  No fitting, exact or fail.
 """
 
 from __future__ import annotations
@@ -163,7 +163,6 @@ def build_pseudo_type(params: PseudoTypeParams, m: Fraction | None = None) -> Ve
 # -- recognition ------------------------------------------------------------
 
 _MINUS_XZ_4 = X * Z * Fraction(-1, 4)
-_MINUS_YZ_4 = Y * Z * Fraction(-1, 4)
 
 
 def _try_divide(p: MultiPoly, divisor: MultiPoly, var: str) -> MultiPoly | None:
@@ -174,8 +173,16 @@ def _try_divide(p: MultiPoly, divisor: MultiPoly, var: str) -> MultiPoly | None:
 
 
 def _cubic_form(field: VectorField, cof: CofactorResult) -> CubicParams | None:
-    """(K', f, beta, gamma) with the field equal to ``build_cubic`` of them;
-    P matches by construction of f, Q as a zero residual."""
+    """(K', f, beta, gamma) with the field equal to ``build_cubic`` of them.
+
+    P matches by construction of f, and both fields have cofactor K'*z, so
+    the field minus ``build_cubic`` has P-part 0 and cofactor 0.  Its (Q, R)
+    then satisfy Q*F_y + R*F_z = 0, with F_y = 4*y*(x^2 + y^2 - m) and
+    F_z = 2*z, so it is (0, h*z, -2*y*(x^2 + y^2 - m)*h).  Degree <= 3 makes
+    h a constant, the difference of the z coefficients of Q, which is 0
+    because that coefficient was taken as gamma.  So Q and R match with no
+    check.
+    """
     if field.degree > 3 or cof.K.degree > 2:
         return None
     kprime = _try_divide(cof.K, Z, "z")
@@ -186,11 +193,6 @@ def _cubic_form(field: VectorField, cof: CofactorResult) -> CubicParams | None:
     f = _try_divide(sum_of_products(((field.P, ONE), (kprime, _MINUS_XZ_4),
                                      (MultiPoly.constant(beta), -Z))), Y, "y")
     if f is None or f.degree > 2:
-        return None
-    # R needs no check: on the torus 2*z*R = K*F - P*F_x - Q*F_y, so R is
-    # the closed form's once K, P and Q are
-    if not sum_of_products(((field.Q, ONE), (kprime, _MINUS_YZ_4), (f, X),
-                            (MultiPoly.constant(gamma), -Z))).is_zero():
         return None
     return CubicParams(Kprime=kprime, f=f, beta=beta, gamma=gamma)
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (MultiPoly, NotDivisible, divide_exact, divide_exact_z,
-                   restrict_to_line, sum_of_products)
+                   sum_of_products)
 from .scalars import Scalar
 
 
@@ -150,30 +150,3 @@ def invariant_surface_cofactor(field: VectorField, f: MultiPoly) -> CofactorResu
         return CofactorResult(True, divide_exact(derivative, f, var))
     except NotDivisible:
         return CofactorResult(False)
-
-
-def plane_residual(field: VectorField, a: float, b: float) -> float:
-    """Invariance residual of the plane a*x + b*y = 0, scan-normalized.
-
-    Substitutes y = t*x into chi(a*x + b*y) and evaluates every coefficient
-    polynomial at the plane's slope; the maximum normalized magnitude is the
-    residual (exactly zero for an invariant plane).
-    """
-    ell = a * field.P + b * field.Q
-    if ell.is_zero():
-        return 0.0
-    if b == 0.0:
-        # plane x = 0: residual is the x-free part of chi(x) = P
-        bad = [c.to_float() for (i, _, _), c in field.P.terms.items() if i == 0]
-        top = max((abs(c.to_float()) for c in field.P.terms.values()), default=1.0)
-        return max((abs(v) for v in bad), default=0.0) / max(top, 1e-300)
-    t0 = -a / b
-    worst = 0.0
-    for upoly in restrict_to_line(ell):
-        coeffs = upoly.to_floats()
-        scale = max(abs(c) * max(1.0, abs(t0)) ** i for i, c in enumerate(coeffs))
-        value = 0.0
-        for c in reversed(coeffs):
-            value = value * t0 + c
-        worst = max(worst, abs(value) / max(scale, 1e-300))
-    return worst

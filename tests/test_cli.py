@@ -88,6 +88,25 @@ def test_meridians_json(capsys):
     assert payload["count_with_multiplicity"] == 4
 
 
+# build_cubic(K' = 0, f = L*x, beta = 5/3 + a, gamma = -5 + a) with
+# L = gamma*x - beta*y: L divides Q*x - P*y, so the plane L = 0 is invariant
+PLANTED_PLANE = [
+    "--px", "(-5 + a)*x^2*y + (-5/3 - a)*x*y^2 + (5/3 + a)*z",
+    "--qy", "(5 - a)*x^3 + (5/3 + a)*x^2*y + (-5 + a)*z",
+    "--rz", "(-10/3 - 2*a)*x^3 + (10 - 2*a)*x^2*y + (-10/3 - 2*a)*x*y^2"
+            " + (10 - 2*a)*y^3 + (10 + 6*a)*x + (-30 + 6*a)*y"]
+
+
+def test_meridians_plane_with_slope_in_sqrt_m(capsys):
+    assert main(["meridians", *PLANTED_PLANE, "--m", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("2 invariant meridian(s) from 1 plane(s)")
+    assert main(["report", *PLANTED_PLANE, "--m", "3", "--grid", "64"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["meridians"]["count_with_multiplicity"] == 2
+    assert report["bounds_check"]["meridian_count"] == 2
+
+
 def test_classify_output(capsys):
     code = main(["classify", *SECT5, "--m", "4", "--json"])
     assert code == 0

@@ -306,7 +306,7 @@ def test_reported_planes_really_divide_extactic():
 
 
 def test_reported_planes_pass_invariance_residual():
-    from torusfields.vfield import plane_residual, apply
+    from torusfields.vfield import apply
 
     for m in MS:
         # exact planes: the field derivative of the plane divides exactly
@@ -319,12 +319,63 @@ def test_reported_planes_pass_invariance_residual():
                 var = "x" if not ppoly.coefficient((1, 0, 0)).is_zero() else "y"
                 divide_exact(derivative, ppoly, var)
 
-        # float planes: residual certificate below 1e-9
+        # float planes: the slopes t0 of x^2 - 2*y^2 solve 2*t0^2 - 1 = 0
         params = CubicParams(MultiPoly.zero(), parse("x^2 - 2*y^2", m),
                              Scalar(0), Scalar(0))
-        field = build_cubic(params, m)
-        for plane, _ in invariant_meridians(field).planes:
-            assert plane_residual(field, plane.a, plane.b) < 1e-9
+        planes = invariant_meridians(build_cubic(params, m)).planes
+        assert len(planes) == 2
+        for plane, _ in planes:
+            t0 = -plane.a / plane.b
+            assert abs(2 * t0 * t0 - 1) < 1e-12
+
+
+def _planted_plane_field(kprime, beta, gamma, cofactor, m):
+    """``build_cubic`` with f = L*cofactor for L = gamma*x - beta*y, so that
+    Q*x - P*y = L*(z - (x^2 + y^2)*cofactor) and the plane L = 0 is
+    invariant."""
+    f = (X * gamma - Y * beta) * cofactor
+    return build_cubic(CubicParams(kprime, f, beta, gamma), m)
+
+
+def _is_plane(plane, beta, gamma):
+    """The plane a*x + b*y = 0 is gamma*x - beta*y = 0."""
+    bf, gf = beta.to_float(), gamma.to_float()
+    return abs(plane.a * bf + plane.b * gf) < 1e-12 * math.hypot(bf, gf)
+
+
+@pytest.mark.parametrize("m", [Fraction(3), Fraction(5), Fraction(9, 2),
+                               Fraction(2)])
+def test_meridian_plane_with_irrational_slope_in_sqrt_m(m):
+    # the slope gamma/beta is irrational in Q(sqrt(m)), so only an exact
+    # argument decides that the plane is invariant
+    beta, gamma = Scalar(Fraction(5, 3), 1, m), Scalar(-5, 1, m)
+    field = _planted_plane_field(MultiPoly.zero(), beta, gamma, X, m)
+    mset = invariant_meridians(field)
+    assert len(mset.planes) == 1
+    plane, mult = mset.planes[0]
+    assert mult == 1
+    assert -plane.a / plane.b == pytest.approx(
+        (gamma * beta.inverse()).to_float(), abs=1e-12)
+    assert mset.meridian_count() == 2
+
+
+def _nonzero_fraction(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 6), rng.randint(1, 4))
+
+
+def test_planted_meridian_planes_are_reported():
+    rng = random.Random(2027)
+    for m in (Fraction(3), Fraction(5), Fraction(9, 2), Fraction(4)):
+        for _ in range(25):
+            # mixed p + q*sqrt(m) values at non-square m, rational ones at m = 4
+            beta, gamma = (Scalar(_nonzero_fraction(rng),
+                                  0 if m == 4 else _nonzero_fraction(rng), m)
+                           for _ in range(2))
+            field = _planted_plane_field(random_linear(rng), beta, gamma,
+                                         random_linear(rng), m)
+            mset = invariant_meridians(field)
+            assert not mset.infinite
+            assert any(_is_plane(plane, beta, gamma) for plane, _ in mset.planes)
 
 
 def test_parallels_irrational_height():

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -11,11 +12,12 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          Verdict, X, Y, Z, build_cubic, build_kolmogorov,
                          build_pseudo_type, build_quadratic,
                          build_two_parallel, classify_singularity,
-                         cylindrical_form, divide_exact, grid_min_speed,
-                         meridian_periodicity, parallel_periodicity, parse,
-                         recognize, singular_points)
+                         divide_exact, grid_min_speed, meridian_periodicity,
+                         parallel_periodicity, parse, recognize,
+                         singular_points)
 from torusfields import dynamics
 from torusfields.dynamics import rotation_shape
+from torusfields.kernels import compile_poly, eval_point
 
 from conftest import eval_float, homogeneous_component, random_linear
 
@@ -32,6 +34,34 @@ def sect5_params():
 
 
 # -- cylindrical form ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class CylindricalField:
+    r_dot: object      # callable (r, theta, z) -> float
+    theta_dot: object
+    z_dot: object
+
+
+def cylindrical_form(field):
+    """Evaluators for (dr/dt, dtheta/dt, dz/dt), valid for r > 0."""
+    radial_num = compile_poly(field.P * X + field.Q * Y)
+    angular_num = compile_poly(field.Q * X - field.P * Y)
+    vertical = compile_poly(field.R)
+
+    def r_dot(r, theta, z):
+        x, y = r * math.cos(theta), r * math.sin(theta)
+        return eval_point(radial_num, x, y, z) / r
+
+    def theta_dot(r, theta, z):
+        x, y = r * math.cos(theta), r * math.sin(theta)
+        return eval_point(angular_num, x, y, z) / (r * r)
+
+    def z_dot(r, theta, z):
+        x, y = r * math.cos(theta), r * math.sin(theta)
+        return eval_point(vertical, x, y, z)
+
+    return CylindricalField(r_dot, theta_dot, z_dot)
 
 
 def test_cylindrical_worked_example():
