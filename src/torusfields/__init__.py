@@ -3,12 +3,14 @@
 
 Exact arithmetic lives in Q(sqrt(m)) with m = a^2; invariance, cofactors,
 family recognition and invariant-curve inventories are computed with exact
-polynomial division, while periodicity scans, singular-point refinement and
-trajectory integration run on one float evaluator: each polynomial is
-compiled once to a generated straight-line python function.
+polynomial division, periodicity from the real roots of one polynomial per
+plane; singular-set scans and trajectory integration run on one float
+evaluator of polynomials compiled to straight-line python functions.
 """
 
 __version__ = "0.1.0"
+
+from types import ModuleType as _ModuleType
 
 from .scalars import MixedExtensionError, Scalar
 from .poly import (MalformedDivisor, MultiPoly, NotDivisible, UniPoly, X, Y,
@@ -40,4 +42,5 @@ from .integrate import (StepOverflow, Trajectory, export, integrate,
                         trajectory_from_json)
 from .report import build_report, report_json
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name, value in sorted(globals().items())  # no submodules
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -2,16 +2,17 @@
 
 On the torus a point is parametrized by two angles: theta around the z-axis
 and phi around the tube, with radius r = sqrt(m + cos(phi)) and height
-z = sin(phi).  Meridian periodicity reduces to a zero-existence scan of K'
-along a meridian; parallel periodicity reduces to real roots of an exact
-degree-4 polynomial obtained from the Weierstrass substitution
-t = tan(theta/2).  Singular-set extraction samples the relevant level
-function on a (theta, phi) grid and pins candidates down with Newton steps
-driven by exact derivatives.  The grid scans run in blocks of theta rows
-(``kernels.surface_blocks``): one pass fills the level grid and its max and
-min |level|, a second computes each cell's corner min, max and min |level|
-from a block plus one wrapped halo row, so no pass leaves the cache; the
-component walk then follows flagged cells by flat index.
+z = sin(phi).  Meridian periodicity reduces to real roots of one quartic
+per meridian plane, where the linear K' meets the plane's meridians;
+parallel periodicity to real roots of an exact degree-4 polynomial from the
+Weierstrass substitution t = tan(theta/2).  Singular-set extraction samples
+the relevant level function on a (theta, phi) grid and pins candidates down
+with Newton steps driven by exact derivatives.  The grid scans run in
+blocks of theta rows (``kernels.surface_blocks``): one pass fills the level
+grid and its max and min |level|, a second computes each cell's corner
+min, max and min |level| from a block plus one wrapped halo row, so no pass
+leaves the cache; the component walk then follows flagged cells by flat
+index.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from .curves import (MeridianPlane, check_four_meridian_criterion,
                      linear_xy_factors, plane_from_factor)
 from .families import (CubicParams, Family, FamilyTag, QuadraticParams,
                        TwoParallelParams)
-from .kernels import (CompiledPoly, compile_finite, eval_grid, eval_point,
+from .kernels import (CompiledPoly, compile_finite, eval_point,
                       row_blocks, surface_angles, surface_blocks)
 from .poly import MultiPoly, NotDivisible, UniPoly, Y, divide_exact
 from .roots import real_roots
 from .scalars import Scalar
 from .vfield import VectorField
 
-SCAN_SAMPLES = 8192
-INCONCLUSIVE_BAND = 1e-7
+NEAR_DOUBLE = 1e-6  # relative distance at which two float roots may be one
 GRID_DEFAULT = 512
 GRID_MIN = 32   # (x^2-z^2)*(y, -x, 0) shows both singular curves from 19 (m=4), 21 (m=3)
 GRID_MAX = 4096  # a 4096 x 4096 level grid is 128 MB of float64
@@ -103,98 +103,125 @@ def _surface_point(theta: float, phi: float, m: float) -> tuple[float, float, fl
     return r * math.cos(theta), r * math.sin(theta), math.sin(phi)
 
 
-def _refine_phi_zero(fn, lo: float, hi: float) -> float:
-    flo = fn(lo)
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fmid = fn(mid)
-        if fmid == 0.0:
-            lo = hi = mid
-            break
-        if (flo < 0) != (fmid < 0):
-            hi = mid
-        else:
-            lo, flo = mid, fmid
-    phi = 0.5 * (lo + hi)
-    h = 1e-7
-    for _ in range(4):
-        d = (fn(phi + h) - fn(phi - h)) / (2 * h)
-        if d == 0.0:
-            break
-        phi -= fn(phi) / d
-    return phi
+def _quartic(k0, kappa, k3, dd, m) -> list:
+    """Ascending coefficients of q(s) = k3^2*((dd*s^2 - m)^2 - 1) + (k0 + kappa*s)^2."""
+    k3k3 = k3 * k3
+    return [k3k3 * (m * m - 1) + k0 * k0, 2 * k0 * kappa,
+            kappa * kappa - 2 * m * dd * k3k3, 0, k3k3 * dd * dd]
 
 
-def meridian_periodicity(params: CubicParams, m: Fraction,
-                         samples: int = SCAN_SAMPLES) -> list[MeridianVerdict]:
+def _exact_zeros(k0: Scalar, kappa: Scalar, k3: Scalar, dd: Scalar,
+                 m: Fraction) -> dict[int, float]:
+    """side -> s where K' = k0 + kappa*s + k3*z vanishes at (s*d, z) on the
+    torus with side*s > 0 and dd = |d|^2, decided over Q(sqrt(m))."""
+    if k3:  # q(0) = k3^2*(m^2 - 1) + k0^2 > 0, and every root has dd*s^2 <= m + 1
+        q = UniPoly(_quartic(k0, kappa, k3, dd, m))
+        b = math.ceil(math.sqrt((float(m) + 1.0) / dd.to_float())) + 1
+        return {side: float(roots[0][0]) for side, span in ((1, (0, b)), (-1, (-b, 0)))
+                if (roots := real_roots(q, span))}
+    if not kappa:   # K' = k0 on the whole plane
+        s = math.sqrt(float(m) / dd.to_float())
+        return {} if k0 else {1: s, -1: -s}
+    s0 = -k0 * kappa.inverse()
+    ring = dd * s0 * s0 - m
+    return {s0.sign(): s0.to_float()} if (ring * ring - 1).sign() <= 0 else {}
+
+
+def _float_zeros(k0: float, kappa: float, k3: float, spread: float,
+                 mf: float) -> dict[int, float | None]:
+    """:func:`_exact_zeros` for a unit d in floats, spread = |k1*d1| + |k2*d2|;
+    None marks a near-double root, a tangency up to rounding."""
+    out: dict[int, float | None] = {}
+    if k3 == 0.0:   # K' at the meridian's ends s^2 = m -+ 1
+        ends = (math.sqrt(mf - 1.0), math.sqrt(mf + 1.0))
+        for side in (1, -1):
+            inner, outer = (k0 + kappa * side * e for e in ends)
+            if min(abs(inner), abs(outer)) <= NEAR_DOUBLE * (abs(k0) + spread * ends[1]):
+                out[side] = None
+            elif (inner < 0) != (outer < 0):
+                out[side] = -k0 / kappa
+        return out
+    norm = max(abs(k0), spread, abs(k3))
+    roots = np.roots(_quartic(k0 / norm, kappa / norm, k3 / norm, 1.0, mf)[::-1])
+    for r in roots:
+        side, tol = (1 if r.real > 0 else -1), NEAR_DOUBLE * abs(r)
+        if abs(r.imag) <= tol and sum(abs(o - r) <= tol for o in roots) > 1:
+            out.setdefault(side, None)
+        elif r.imag == 0.0:
+            out[side] = r.real
+    return out
+
+
+def meridian_periodicity(params: CubicParams, m: Fraction) -> list[MeridianVerdict]:
     """Per-meridian verdicts for a four-meridian cubic field.
 
     A meridian is a limit cycle exactly when K' never vanishes on it;
     stabilities then alternate with the sign of dtheta/dt on either side.
+    On the plane through d, K' = k0 + kappa*s + k3*z at (s*d, z), which is
+    on the meridian at the plane's angle for s > 0 and opposite for s < 0.
     """
     if not check_four_meridian_criterion(params):
         raise ValueError("field does not have exactly four invariant meridians")
+    if params.Kprime.degree > 1:
+        raise ValueError(f"deg K' = {params.Kprime.degree} exceeds 1")
     mf = float(m)
-    planes = [plane_from_factor(fa) for fa in linear_xy_factors(params.f)]
-    entries = [(pl.angle() + shift, pl) for pl in planes for shift in (0.0, math.pi)]
-    entries.sort(key=lambda e: e[0])
-
     kprime = compile_finite(params.Kprime, mf, "K'")
     # beta = gamma = 0 makes Q*x - P*y = -(x^2 + y^2)*f, so dtheta/dt has
     # the sign of -f
     f = compile_finite(params.f, mf, "f")
+    linear = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+    k0, k1, k2, k3 = (params.Kprime.coefficient(e) for e in linear)
+    k0f, k1f, k2f, k3f = (dict(kprime.terms).get(e, 0.0) for e in linear)
 
-    phis, _, zs, rs = surface_angles(mf, samples)
+    entries = []
+    for factor in linear_xy_factors(params.f):
+        plane = plane_from_factor(factor)
+        theta = plane.angle()
+        a, b = plane.exact_pair or (plane.a, plane.b)
+        # angle() folds pi to 0, where the meridian points along (b, -a)
+        d = (b, -a) if theta == 0.0 else (-b, a)
+        if plane.exact_pair is not None:
+            zeros = _exact_zeros(k0, k1 * d[0] + k2 * d[1], k3,
+                                 d[0] * d[0] + d[1] * d[1], m)
+            d = (d[0].to_float(), d[1].to_float())
+        elif not (k1 or k2):    # K' is the same on every plane
+            zeros = _exact_zeros(k0, Scalar(0), k3, Scalar(1), m)
+        else:
+            zeros = _float_zeros(k0f, k1f * d[0] + k2f * d[1], k3f,
+                                 abs(k1f * d[0]) + abs(k2f * d[1]), mf)
+        for side, shift in ((1, 0.0), (-1, math.pi)):
+            verdict, s = None, zeros.get(side, 0.0)     # s = 0 is off the torus
+            if s is None:
+                verdict = PeriodicityVerdict(Verdict.INCONCLUSIVE, reason=(
+                    "K' meets the meridian at a near-double root in floats"))
+            elif s:
+                x, y = s * d[0], s * d[1]
+                ring = x * x + y * y - mf
+                z = (-(k0f + k1f * x + k2f * y) / k3f if k3f
+                     else math.sqrt(max(1.0 - ring * ring, 0.0)))
+                verdict = PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=(x, y, z),
+                                             reason="K' vanishes on the meridian")
+            entries.append((theta + shift, plane, verdict))
+    entries.sort(key=lambda e: e[0])
+    angles = [e[0] for e in entries]
+    around = [angles[-1] - 2.0 * math.pi, *angles, angles[0] + 2.0 * math.pi]
 
     def theta_dot_sign(theta: float) -> int:
-        x, y, z = _surface_point(theta, 0.0, mf)
-        v = eval_point(f, x, y, z)
+        v = eval_point(f, *_surface_point(theta, 0.0, mf))
         return (v < 0) - (v > 0)
 
-    angles = [e[0] for e in entries]
-    out: list[MeridianVerdict] = []
-    for idx, (theta, plane) in enumerate(entries):
-        xs = rs * math.cos(theta)
-        ys = rs * math.sin(theta)
-        vals = eval_grid(kprime, xs, ys, zs)
-        nxt = np.roll(vals, -1)
-        change = np.nonzero((vals * nxt < 0) | (vals == 0))[0]
-        if change.size:
-            i = int(change[0])
-            lo = phis[i]
-            hi = phis[(i + 1) % samples] if i + 1 < samples else 2.0 * math.pi
-
-            def kp_phi(phi: float) -> float:
-                return eval_point(kprime, *_surface_point(theta, phi, mf))
-
-            phi0 = _refine_phi_zero(kp_phi, lo, hi) if vals[i] != 0 else lo
-            witness = _surface_point(theta, phi0, mf)
-            out.append(MeridianVerdict(theta, plane, PeriodicityVerdict(
-                Verdict.NOT_PERIODIC, witness=witness,
-                reason="K' vanishes on the meridian")))
-            continue
-        min_abs = float(np.min(np.abs(vals)))
-        if min_abs < INCONCLUSIVE_BAND:
-            out.append(MeridianVerdict(theta, plane, PeriodicityVerdict(
-                Verdict.INCONCLUSIVE,
-                reason=f"min |K'| = {min_abs:.2e} on scan, below {INCONCLUSIVE_BAND}")))
-            continue
-        prev_angle = angles[idx - 1] - (2.0 * math.pi if idx == 0 else 0.0)
-        next_angle = angles[(idx + 1) % len(angles)] + (
-            2.0 * math.pi if idx == len(angles) - 1 else 0.0)
-        below = theta_dot_sign(0.5 * (prev_angle + theta))
-        above = theta_dot_sign(0.5 * (theta + next_angle))
-        if below > 0 and above < 0:
-            stability = "stable"
-        elif below < 0 and above > 0:
-            stability = "unstable"
-        else:
-            out.append(MeridianVerdict(theta, plane, PeriodicityVerdict(
-                Verdict.INCONCLUSIVE,
-                reason="dtheta/dt does not change sign across the meridian")))
-            continue
-        out.append(MeridianVerdict(theta, plane, PeriodicityVerdict(
-            Verdict.LIMIT_CYCLE, stability=stability)))
+    out = []
+    for idx, (theta, plane, verdict) in enumerate(entries):
+        if verdict is None:
+            # stable when dtheta/dt > 0 just below theta and < 0 just above
+            signs = (theta_dot_sign(0.5 * (around[idx] + theta)),
+                     theta_dot_sign(0.5 * (theta + around[idx + 2])))
+            stability = {(1, -1): "stable", (-1, 1): "unstable"}.get(signs)
+            verdict = PeriodicityVerdict(Verdict.LIMIT_CYCLE, stability=stability) \
+                if stability else PeriodicityVerdict(
+                    Verdict.INCONCLUSIVE,
+                    reason="dtheta/dt does not change sign across the meridian")
+        out.append(MeridianVerdict(theta, plane, verdict))
     return out
 
 
@@ -396,11 +423,12 @@ def _components(flagged: np.ndarray, has_sign_change: np.ndarray
 
 
 def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
-                       classify: bool, numeric_only: bool) -> SingularSet:
+                       rotation: bool) -> SingularSet:
     """Zero set of a scalar function restricted to the torus surface.
 
-    With ``classify`` the level is the rotation coefficient A of a field
-    (A*y, -A*x, 0), and each isolated point off z = 0 is classified.
+    With ``rotation`` the level is the rotation coefficient A of a field
+    (A*y, -A*x, 0), and each isolated point off z = 0 is classified;
+    without it the level is |chi|^2 and the result is numeric only.
     """
     mf = float(m)
     level_terms = compile_finite(level, mf, what)
@@ -494,7 +522,7 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
                     stacklevel=2)
             for pt in found:
                 sing_class = None
-                if classify and abs(pt[2]) >= 1e-6:
+                if rotation and abs(pt[2]) >= 1e-6:
                     sing_class = _classify(
                         _chart_gradient(level_terms, grads, pt, mf), pt)
                 points.append((pt, sing_class))
@@ -512,21 +540,17 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
             curve_count += 1
 
     points.sort(key=lambda entry: entry[0])
-    if curve_count and points:
-        return SingularSet(SingKind.CURVES, points, curve_components=curve_count,
-                           description=f"{curve_count} singular curve component(s) "
-                                       f"plus {len(points)} isolated point(s)",
-                           numeric_only=numeric_only)
     if curve_count:
-        return SingularSet(SingKind.CURVES, [], curve_components=curve_count,
-                           description=f"{curve_count} singular curve component(s)",
-                           numeric_only=numeric_only)
-    if points:
-        return SingularSet(SingKind.ISOLATED, points,
-                           description=f"{len(points)} isolated singular point(s)",
-                           numeric_only=numeric_only)
-    return SingularSet(SingKind.EMPTY, [], numeric_only=numeric_only,
-                       grid_min_norm=min_abs)
+        kind, description = SingKind.CURVES, f"{curve_count} singular curve component(s)"
+        if points:
+            description += f" plus {len(points)} isolated point(s)"
+    elif points:
+        kind, description = SingKind.ISOLATED, f"{len(points)} isolated singular point(s)"
+    else:
+        kind, description = SingKind.EMPTY, ""
+    return SingularSet(kind, points, curve_components=curve_count,
+                       description=description, numeric_only=not rotation,
+                       grid_min_norm=None if kind != SingKind.EMPTY else min_abs)
 
 
 def grid_min_speed(field: VectorField, m: Fraction,
@@ -583,9 +607,9 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
     level = rotation_shape(field)
     if level is not None:
         return _levelset_singular(level, "A (of the field (A*y, -A*x, 0))", m, grid,
-                                  True, False)
+                                  rotation=True)
     speed_sq = (field.P * field.P + field.Q * field.Q + field.R * field.R)
-    return _levelset_singular(speed_sq, "P^2 + Q^2 + R^2", m, grid, False, True)
+    return _levelset_singular(speed_sq, "P^2 + Q^2 + R^2", m, grid, rotation=False)
 
 
 def _chart_gradient(a: CompiledPoly, grads: list[CompiledPoly],

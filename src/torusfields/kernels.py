@@ -4,7 +4,7 @@
 of ``(x, y, z)``: a straight-line sum, starting from ``0.0``, of terms
 ``c*x*...*y*...*z*...`` in sorted term order.  Called with floats it gives
 point values (``eval_point``); called with numpy arrays it does the same
-arithmetic elementwise (``eval_grid``, the 1-D meridian scan).
+arithmetic elementwise (``eval_grid``, which no stage of the package calls).
 ``rk4_orbit`` runs one generated loop per field with those statements
 written out at each RK4 stage, so its states are bit for bit the ones the
 compiled functions give.  Surface grid scans (``surface_blocks``) stream the

@@ -74,12 +74,8 @@ def _meridian_entries(mset: MeridianSet,
         pair = []
         for shift in (0.0, math.pi):
             angle = plane.angle() + shift
-            verdict = blanket
-            if verdicts is not None:
-                for mv in verdicts:
-                    if abs(mv.angle - angle) < 1e-9:
-                        verdict = mv.verdict
-                        break
+            verdict = blanket if verdicts is None else next(
+                (mv.verdict for mv in verdicts if abs(mv.angle - angle) < 1e-9), None)
             pair.append({"angle": angle, "verdict": _verdict_dict(verdict)})
         ppoly = plane.polynomial()
         entries.append({
@@ -93,16 +89,11 @@ def _meridian_entries(mset: MeridianSet,
 
 
 def _parallel_entries(pset: ParallelSet,
-                      verdicts: dict[float, PeriodicityVerdict] | None,
+                      verdicts: dict[Fraction, PeriodicityVerdict] | None,
                       blanket: PeriodicityVerdict | None) -> list[dict]:
     entries = []
-    for plane, mult in pset.planes:
-        verdict = blanket
-        if verdicts is not None:
-            for k, v in verdicts.items():
-                if abs(k - plane.k) < 1e-9:
-                    verdict = v
-                    break
+    for plane, mult in pset.planes:   # real_roots gives z = +-1 as exact_k +-1
+        verdict = blanket if verdicts is None else verdicts.get(plane.exact_k)
         entries.append({
             "k": plane.k,
             "k_expr": str(plane.exact_k) if plane.exact_k is not None else None,
@@ -169,14 +160,14 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
 
     meridian_verdicts: list[MeridianVerdict] | None = None
     meridian_blanket: PeriodicityVerdict | None = None
-    parallel_verdicts: dict[float, PeriodicityVerdict] | None = None
+    parallel_verdicts: dict[Fraction, PeriodicityVerdict] | None = None
     parallel_blanket: PeriodicityVerdict | None = None
 
     if tag.family == Family.CUBIC and isinstance(tag.params, CubicParams) \
             and check_four_meridian_criterion(tag.params):
         meridian_verdicts = meridian_periodicity(tag.params, m)
     elif tag.family == Family.TWO_PARALLEL and isinstance(tag.params, TwoParallelParams):
-        parallel_verdicts = {float(w): parallel_periodicity(tag.params, m, w)
+        parallel_verdicts = {Fraction(w): parallel_periodicity(tag.params, m, w)
                              for w in (1, -1)}
     elif tag.family == Family.QUADRATIC and isinstance(tag.params, QuadraticParams) \
             and not tag.params.alpha.is_zero():

@@ -1,3 +1,4 @@
+import collections
 import math
 import random
 from dataclasses import dataclass
@@ -11,13 +12,14 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          SingClass, SingKind, TwoParallelParams, VectorField,
                          Verdict, X, Y, Z, build_cubic, build_kolmogorov,
                          build_pseudo_type, build_quadratic,
-                         build_two_parallel, classify_singularity,
+                         build_two_parallel, check_four_meridian_criterion,
+                         classify_singularity,
                          divide_exact, grid_min_speed, meridian_periodicity,
                          parallel_periodicity, parse, recognize,
                          singular_points)
 from torusfields import dynamics
 from torusfields.dynamics import rotation_shape
-from torusfields.kernels import compile_poly, eval_point
+from torusfields.kernels import compile_poly, eval_grid, eval_point
 
 from conftest import eval_float, homogeneous_component, random_linear
 
@@ -148,6 +150,145 @@ def test_meridian_periodicity_requires_four_meridians():
     with pytest.raises(ValueError):
         meridian_periodicity(
             CubicParams(Z, parse("x^2 + y^2", M), Scalar(0), Scalar(0)), M)
+
+
+def cubic_params(kprime, f, m):
+    return CubicParams(parse(kprime, m), parse(f, m), Scalar(0), Scalar(0))
+
+
+def assert_witness_on_zero(params, m, witness):
+    """The witness lies on the torus and K' vanishes there."""
+    x, y, z = witness
+    assert abs((x * x + y * y - float(m)) ** 2 + z * z - 1.0) < 1e-9
+    assert abs(eval_float(params.Kprime, witness)) < 1e-9
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_meridian_tangency_on_x_plane_is_not_periodic(m):
+    # on x = 0, K' = -1 + x - z is -1 - z: it touches both meridians at z = -1
+    params = cubic_params("-1 + x - z", "(x - y)*x", m)
+    on_x = [mv for mv in meridian_periodicity(params, m)
+            if mv.plane.polynomial() == X]
+    assert [mv.angle for mv in on_x] == pytest.approx([math.pi / 2, 3 * math.pi / 2])
+    for mv in on_x:
+        assert mv.verdict.kind == Verdict.NOT_PERIODIC
+        assert_witness_on_zero(params, m, mv.verdict.witness)
+        assert mv.verdict.witness[2] == pytest.approx(-1.0)
+
+
+def test_meridian_kprime_zero_on_whole_plane():
+    # K' = x vanishes on every point of the plane x = 0
+    params = cubic_params("x", "x*y", M)
+    verdicts = meridian_periodicity(params, M)
+    on_x = [mv for mv in verdicts if mv.plane.polynomial() == X]
+    assert len(on_x) == 2
+    for mv in on_x:
+        assert mv.verdict.kind == Verdict.NOT_PERIODIC
+        assert_witness_on_zero(params, M, mv.verdict.witness)
+    # on y = 0, K' = x is nonzero: both meridians stay limit cycles
+    assert [mv.verdict.kind for mv in verdicts if mv not in on_x] == \
+        [Verdict.LIMIT_CYCLE] * 2
+
+
+@pytest.mark.parametrize("kprime, m, killed", [
+    ("x - 2", Fraction(4), True),    # x = 2 cuts the meridian at theta = 0
+    ("x - 2", Fraction(3), True),    # x^2 = m + 1: tangent to its outer edge
+    ("x - 4", Fraction(4), False),   # x = 4 misses the torus
+])
+def test_meridian_vertical_kprime_without_z(kprime, m, killed):
+    params = cubic_params(kprime, "x*y", m)
+    verdicts = meridian_periodicity(params, m)
+    assert [mv.angle for mv in verdicts] == \
+        pytest.approx([0, math.pi / 2, math.pi, 3 * math.pi / 2])
+    kinds = [mv.verdict.kind for mv in verdicts]
+    if killed:
+        assert kinds == [Verdict.NOT_PERIODIC] + [Verdict.LIMIT_CYCLE] * 3
+        assert_witness_on_zero(params, m, verdicts[0].verdict.witness)
+    else:
+        assert kinds == [Verdict.LIMIT_CYCLE] * 4
+
+
+def test_meridian_tangency_on_irrational_planes():
+    # f = x^2 - 2*y^2 has planes of slope +-1/sqrt(2); K' = -2 + 2*z has no
+    # x, y term, so it is -2 + 2*z on every plane and touches every meridian
+    # at its top z = 1
+    m = Fraction(9, 2)
+    params = cubic_params("-2 + 2*z", "x^2 - 2*y^2", m)
+    verdicts = meridian_periodicity(params, m)
+    assert len(verdicts) == 4 and not any(mv.plane.exact for mv in verdicts)
+    for mv in verdicts:
+        assert mv.verdict.kind == Verdict.NOT_PERIODIC
+        assert_witness_on_zero(params, m, mv.verdict.witness)
+        assert mv.verdict.witness[2] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("m", [Fraction(3), Fraction(5)])
+@pytest.mark.parametrize("kprime", ["y - a*x", "y - a*x + z + 1"])
+def test_meridian_degenerate_on_float_plane_is_never_a_limit_cycle(kprime, m):
+    # the planes y = +-a*x of y^2 - m*x^2 have float slopes; on y = a*x, K'
+    # is 0 (resp. touches both meridians at z = -1), which the floats
+    # cannot tell from a small nonzero K'
+    verdicts = meridian_periodicity(cubic_params(kprime, f"y^2 - {m}*x^2", m), m)
+    theta = math.atan(math.sqrt(m))
+    on_plane = [mv for mv in verdicts
+                if min(abs(mv.angle - t) for t in (theta, theta + math.pi)) < 1e-9]
+    assert len(on_plane) == 2 and not any(mv.plane.exact for mv in verdicts)
+    for mv in on_plane:
+        assert mv.verdict.kind in (Verdict.NOT_PERIODIC, Verdict.INCONCLUSIVE)
+    assert [mv.verdict.kind for mv in verdicts if mv not in on_plane] == \
+        [Verdict.LIMIT_CYCLE] * 2
+
+
+def reference_meridian_scan(kprime, m, theta, samples=8192):
+    """The sampled zero test meridian_periodicity made before it solved a
+    quartic: K' at ``samples`` points of the meridian at theta is
+    "vanishes" on a sign change or a zero sample, "band" (reported
+    inconclusive) when min |K'| < 1e-7, and "nonzero" otherwise."""
+    mf = float(m)
+    phis = np.linspace(0.0, 2.0 * math.pi, samples, endpoint=False)
+    rs = np.sqrt(mf + np.cos(phis))
+    vals = eval_grid(compile_poly(kprime, mf), rs * math.cos(theta),
+                     rs * math.sin(theta), np.sin(phis))
+    if np.any((vals * np.roll(vals, -1) < 0) | (vals == 0)):
+        return "vanishes"
+    return "band" if np.min(np.abs(vals)) < 1e-7 else "nonzero"
+
+
+def test_meridian_verdicts_match_the_reference_scan():
+    rng = random.Random(31)
+    outcomes = collections.Counter()
+    for _ in range(240):
+        m = rng.choice([Fraction(4), Fraction(3), Fraction(9, 2), Fraction(5, 4)])
+        ks = [rng.randint(-2, 2) for _ in range(4)]
+        if rng.random() < 0.3:
+            ks[rng.randrange(1, 3)] = 0
+        kprime = "{} + {}*x + {}*y + {}*z".format(*ks)
+        if rng.random() < 0.5:
+            # two rational linear forms: exact planes
+            c = [rng.randint(-3, 3) for _ in range(4)]
+            f = f"({c[0]}*x + {c[1]}*y)*({c[2]}*x + {c[3]}*y)"
+        else:
+            # mostly irrational slopes: float planes
+            f = f"x^2 + {rng.randint(-4, 4)}*x*y + {rng.randint(-3, 3)}*y^2"
+        params = cubic_params(kprime, f, m)
+        if params.f.is_zero() or not check_four_meridian_criterion(params):
+            continue
+        for mv in meridian_periodicity(params, m):
+            scan = reference_meridian_scan(params.Kprime, m, mv.angle)
+            kind = mv.verdict.kind
+            outcomes[scan, mv.plane.exact, kind] += 1
+            if scan == "vanishes":
+                assert kind == Verdict.NOT_PERIODIC, (kprime, f, m, mv)
+            elif scan == "nonzero":
+                # only the unchanged stability test may be inconclusive
+                assert kind == Verdict.LIMIT_CYCLE or mv.verdict.reason.startswith(
+                    "dtheta/dt"), (kprime, f, m, mv)
+            if kind == Verdict.NOT_PERIODIC:
+                assert_witness_on_zero(params, m, mv.verdict.witness)
+    # the scan's inconclusive answers here are exact tangencies on exact planes
+    band = {key: n for key, n in outcomes.items() if key[0] == "band"}
+    assert band and set(band) == {("band", True, Verdict.NOT_PERIODIC)}
+    assert sum(n for key, n in outcomes.items() if not key[1]) > 100
 
 
 # -- parallel periodicity ----------------------------------------------------
