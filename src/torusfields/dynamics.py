@@ -11,8 +11,11 @@ with Newton steps driven by exact derivatives.  The grid scans run in
 blocks of theta rows (``kernels.surface_blocks``): one pass fills the level
 grid and its max and min |level|, a second computes each cell's corner
 min, max and min |level| from a block plus one wrapped halo row, so no pass
-leaves the cache; the component walk then follows flagged cells by flat
-index.
+leaves the cache.  The 8-connected periodic components of the flagged cells
+are then labelled with array operations over the flagged cells alone
+(min-label hooking with pointer jumping); a component that changes sign
+counts as a curve, and only the others are seeded for Newton, from their
+local minima of |level|.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -41,6 +43,10 @@ NEAR_DOUBLE = 1e-6  # relative distance at which two float roots may be one
 GRID_DEFAULT = 512
 GRID_MIN = 32   # (x^2-z^2)*(y, -x, 0) shows both singular curves from 19 (m=4), 21 (m=3)
 GRID_MAX = 4096  # a 4096 x 4096 level grid is 128 MB of float64
+# cell offsets (di, dj): the forward half of the 8-neighbourhood, which
+# meets every adjacent pair once, and the whole of it
+_FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
+_NEIGHBOURS = _FORWARD + tuple((-di, -dj) for di, dj in _FORWARD)
 
 
 class ChartError(ValueError):
@@ -302,10 +308,12 @@ def _newton_2d(gradfn, start: tuple[float, float]) -> tuple[float, float] | None
     h = 1e-6
     for _ in range(60):
         g0, g1 = gradfn(th, ph)
-        a00 = (gradfn(th + h, ph)[0] - gradfn(th - h, ph)[0]) / (2 * h)
-        a01 = (gradfn(th, ph + h)[0] - gradfn(th, ph - h)[0]) / (2 * h)
-        a10 = (gradfn(th + h, ph)[1] - gradfn(th - h, ph)[1]) / (2 * h)
-        a11 = (gradfn(th, ph + h)[1] - gradfn(th, ph - h)[1]) / (2 * h)
+        th_hi, th_lo = gradfn(th + h, ph), gradfn(th - h, ph)
+        ph_hi, ph_lo = gradfn(th, ph + h), gradfn(th, ph - h)
+        a00 = (th_hi[0] - th_lo[0]) / (2 * h)
+        a01 = (ph_hi[0] - ph_lo[0]) / (2 * h)
+        a10 = (th_hi[1] - th_lo[1]) / (2 * h)
+        a11 = (ph_hi[1] - ph_lo[1]) / (2 * h)
         det = a00 * a11 - a01 * a10
         if abs(det) < 1e-14:
             return None
@@ -322,17 +330,52 @@ def _newton_2d(gradfn, start: tuple[float, float]) -> tuple[float, float] | None
     return None
 
 
-def _component_extent(cells: list[tuple[int, int]], n: int) -> int:
-    def circular_extent(coords: list[int]) -> int:
-        uniq = sorted(set(coords))
-        if len(uniq) == n:
-            return n
-        gaps = [(uniq[i + 1] - uniq[i]) for i in range(len(uniq) - 1)]
-        gaps.append(uniq[0] + n - uniq[-1])
-        return n - max(gaps)
+def _surface_gradient(grads: list[CompiledPoly], mf: float):
+    """(d/dtheta, d/dphi) on the torus of the level whose x, y, z
+    derivatives are ``grads``, as a function of (theta, phi)."""
+    def grad_surface(th: float, ph: float) -> tuple[float, float]:
+        r = math.sqrt(mf + math.cos(ph))
+        x, y, z = r * math.cos(th), r * math.sin(th), math.sin(ph)
+        gx, gy, gz = (eval_point(g, x, y, z) for g in grads)
+        r_phi = -math.sin(ph) / (2.0 * r)
+        return (gx * (-y) + gy * x,
+                gx * math.cos(th) * r_phi + gy * math.sin(th) * r_phi
+                + gz * math.cos(ph))
+    return grad_surface
 
-    return max(circular_extent([c[0] for c in cells]),
-               circular_extent([c[1] for c in cells]))
+
+def _component_extent(rows: np.ndarray, cols: np.ndarray, n: int) -> int:
+    def circular_extent(coords: np.ndarray) -> int:
+        present = np.zeros(n, dtype=bool)
+        present[coords] = True
+        uniq = np.flatnonzero(present)
+        if uniq.size == n:
+            return n
+        # the widest gap between neighbouring coordinates, the wrap included
+        return n - int((uniq[1:] - uniq[:-1]).max(initial=uniq[0] + n - uniq[-1]))
+
+    return max(circular_extent(rows), circular_extent(cols))
+
+
+def _first_min(values: np.ndarray) -> int:
+    """The index ``min`` picks over ``values``: the first value when it is
+    nan, else the first smallest value that is not nan."""
+    return 0 if np.isnan(values[0]) else int(np.nanargmin(values))
+
+
+def _local_min_seeds(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                     level: np.ndarray, cap: int = 32) -> np.ndarray:
+    """Positions in (rows, cols) of the cells whose |level| is at most that of
+    all 8 neighbours, by increasing |level| (ties in cell order), at most
+    ``cap`` of them; without such a cell, the cell of least |level|.
+    ``level`` is |vals| at (rows, cols)."""
+    n = vals.shape[0]
+    di, dj = (np.array(d)[:, None] for d in zip(*_NEIGHBOURS))
+    around = np.abs(vals[(rows + di) % n, (cols + dj) % n])
+    seeds = np.flatnonzero((around >= level).all(axis=0))
+    if not seeds.size:
+        return np.array([_first_min(level)])
+    return seeds[np.argsort(level[seeds], kind="stable")[:cap]]
 
 
 def _level_grid(level: CompiledPoly, mf: float,
@@ -388,38 +431,47 @@ def _cell_masks(vals: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _components(flagged: np.ndarray, has_sign_change: np.ndarray
-                ) -> Iterator[tuple[list[tuple[int, int]], bool]]:
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The 8-connected components of the flagged cells on the periodic grid,
-    each as its cells in walk order and whether any of them changes sign.
+    in order of their smallest flat cell index i * n + j, as (cells, bounds,
+    sign_change): component k holds the flat indices cells[bounds[k]:bounds[k
+    + 1]], ascending, and sign_change[k] says whether any of them changes sign.
 
-    Components are seeded in row-major order and walked depth first on flat
-    cell indices i * n + j, pushing neighbours in (di, dj) order.
+    Labels are hooked to the smaller label across each edge and shortcut by
+    pointer jumping until every edge joins equal labels (Shiloach & Vishkin,
+    J. Algorithms 3, 1982), on the flagged cells only.
     """
     n = flagged.shape[0]
-    flagged_cells = np.flatnonzero(flagged).tolist()
-    sign_cells = set(np.flatnonzero(has_sign_change).tolist())
-    unvisited = set(flagged_cells)
-    for seed in flagged_cells:
-        if seed not in unvisited:
-            continue
-        unvisited.remove(seed)
-        stack = [seed]
-        cells = []
-        sign_change = False
-        while stack:
-            cell = stack.pop()
-            i, j = divmod(cell, n)
-            cells.append((i, j))
-            if cell in sign_cells:
-                sign_change = True
-            cols = ((j - 1) % n, j, (j + 1) % n)
-            for row in (((i - 1) % n) * n, i * n, ((i + 1) % n) * n):
-                for col in cols:
-                    neighbour = row + col
-                    if neighbour in unvisited:
-                        unvisited.remove(neighbour)
-                        stack.append(neighbour)
-        yield cells, sign_change
+    flat = np.flatnonzero(flagged)
+    if not flat.size:
+        return flat, np.zeros(1, dtype=np.intp), np.zeros(0, dtype=bool)
+    rows, cols = np.divmod(flat, n)
+    edges = []      # per offset: positions in flat of adjacent flagged cells
+    for di, dj in _FORWARD:
+        neighbour = (rows + di) % n * n + (cols + dj) % n
+        pos = np.minimum(np.searchsorted(flat, neighbour), flat.size - 1)
+        hit = flat[pos] == neighbour
+        edges.append((np.flatnonzero(hit), pos[hit]))
+    # every label is a position at or below its own, and a root labels itself
+    label = np.arange(flat.size)
+    joined = False
+    while not joined:
+        joined = True
+        for tail, head in edges:
+            at_tail, at_head = label[tail], label[head]
+            if not np.array_equal(at_tail, at_head):
+                joined = False
+                np.minimum.at(label, at_tail, at_head)
+                np.minimum.at(label, at_head, at_tail)
+        while not np.array_equal(jumped := label[label], label):
+            label = jumped
+    roots = np.flatnonzero(label == np.arange(flat.size))
+    comp = np.searchsorted(roots, label)
+    sign_change = np.zeros(roots.size, dtype=bool)
+    np.logical_or.at(sign_change, comp, has_sign_change.ravel()[flat])
+    bounds = np.zeros(roots.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(comp), out=bounds[1:])
+    return flat[np.argsort(comp, kind="stable")], bounds, sign_change
 
 
 def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
@@ -450,36 +502,14 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
     grads = [compile_finite(level.differentiate(v), mf, f"the {v}-derivative of {what}")
              for v in "xyz"]
 
-    def grad_surface(th: float, ph: float) -> tuple[float, float]:
-        r = math.sqrt(mf + math.cos(ph))
-        x, y, z = r * math.cos(th), r * math.sin(th), math.sin(ph)
-        gx, gy, gz = (eval_point(g, x, y, z) for g in grads)
-        r_phi = -math.sin(ph) / (2.0 * r)
-        return (gx * (-y) + gy * x,
-                gx * math.cos(th) * r_phi + gy * math.sin(th) * r_phi
-                + gz * math.cos(ph))
-
-    curve_count = 0
+    grad_surface = _surface_gradient(grads, mf)
     points: list[tuple[tuple[float, float, float], SingClass | None]] = []
     point_cap = grid // 16
 
-    def local_min_seeds(cells: list[tuple[int, int]],
-                        cap: int = 32) -> list[tuple[int, int]]:
-        seeds = []
-        for i, j in cells:
-            v = abs(float(vals[i, j]))
-            if all(abs(float(vals[(i + di) % grid, (j + dj) % grid])) >= v
-                   for di in (-1, 0, 1) for dj in (-1, 0, 1)
-                   if (di, dj) != (0, 0)):
-                seeds.append((i, j))
-        seeds.sort(key=lambda c: abs(float(vals[c[0], c[1]])))
-        return seeds[:cap] or [min(cells,
-                                   key=lambda c: abs(float(vals[c[0], c[1]])))]
-
-    def refine(seed: tuple[int, int]):
+    def refine(i: int, j: int):
         """(point or None, |level| at the critical point or None)."""
-        th0 = angles[seed[0]] + math.pi / grid
-        ph0 = angles[seed[1]] + math.pi / grid
+        th0 = angles[i] + math.pi / grid
+        ph0 = angles[j] + math.pi / grid
         solution = _newton_2d(grad_surface, (th0, ph0))
         if solution is None:
             return None, None
@@ -489,10 +519,12 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
             return None, residual
         return pt, residual
 
-    for cells, component_sign_change in _components(flagged, has_sign_change):
-        if component_sign_change:
-            curve_count += 1
-            continue
+    cells, bounds, component_sign_change = _components(flagged, has_sign_change)
+    # a component that changes sign is one curve, whatever its cells
+    curve_count = int(np.count_nonzero(component_sign_change))
+    for k in np.flatnonzero(~component_sign_change):
+        rows, cols = np.divmod(cells[bounds[k]:bounds[k + 1]], grid)
+        level_abs = np.abs(vals[rows, cols])
         # no sign change: isolated minima of the level function, an
         # even-order zero curve, or a spurious low-|level| valley.  Newton
         # from every local minimum decides: nondegenerate zero minima
@@ -502,8 +534,8 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
         found = []
         positive_minimum = False
         newton_failed = False
-        for seed in local_min_seeds(cells):
-            pt, residual = refine(seed)
+        for seed in _local_min_seeds(vals, rows, cols, level_abs):
+            pt, residual = refine(rows[seed], cols[seed])
             if pt is not None:
                 if all(math.dist(pt, q) > 1e-6 for q in found) and \
                         all(math.dist(pt, q[0]) > 1e-6 for q in points):
@@ -512,7 +544,7 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
                 positive_minimum = True
             else:
                 newton_failed = True
-        extent = _component_extent(cells, grid)
+        extent = _component_extent(rows, cols, grid)
         if found:
             if extent > point_cap:
                 warnings.warn(
@@ -529,7 +561,7 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
         elif positive_minimum and not newton_failed:
             continue  # the level function bottoms out above zero here
         else:
-            comp_min = min(abs(float(vals[i, j])) for i, j in cells)
+            comp_min = level_abs[_first_min(level_abs)]
             if comp_min > 0.5 * tau:
                 continue  # flagged cells never got near zero: spurious
             if extent <= point_cap:

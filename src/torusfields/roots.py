@@ -137,8 +137,9 @@ def _values_at(pq: tuple[list[int], list[int]], t: Fraction) -> tuple[int, int]:
     return _horner(p, t.numerator, t.denominator), _horner(q, t.numerator, t.denominator)
 
 
-def _rational_root_candidates(g: UniPoly) -> set[Fraction]:
-    """Candidates of the rational-root theorem for the integer shadow of g.
+def _rational_root_candidates(g: UniPoly) -> list[tuple[int, int]]:
+    """Candidates (num, den) of the rational-root theorem for the integer
+    shadow of g, each in lowest terms with den > 0 and each once.
 
     A rational t is a root of g = A + B*sqrt(m) only if A(t) = B(t) = 0, so
     the shadow is A, or B when A vanishes, scaled to the least integers
@@ -147,27 +148,28 @@ def _rational_root_candidates(g: UniPoly) -> set[Fraction]:
     shadow = g.p if any(g.p) else [c * g.m.denominator for c in g.q]
     content = math.gcd(g.den, *shadow)
     ints = [c // content for c in shadow]
-    candidates: set[Fraction] = set()
+    candidates: list[tuple[int, int]] = []
     low = 0
     while low < len(ints) and ints[low] == 0:
         low += 1
     if low > 0:
-        candidates.add(Fraction(0))
+        candidates.append((0, 1))
     if low >= len(ints) - 1:
         return candidates
     a0, an = ints[low], ints[-1]
     if abs(a0) > RATIONAL_ROOT_LIMIT or abs(an) > RATIONAL_ROOT_LIMIT:
         return candidates
-    for num in _divisors(a0):
-        for den in _divisors(an):
-            candidates.add(Fraction(num, den))
-            candidates.add(Fraction(-num, den))
+    dens = set(_divisors(an))
+    for num in set(_divisors(a0)):
+        for den in dens:
+            if math.gcd(num, den) == 1:
+                candidates += ((num, den), (-num, den))
     return candidates
 
 
 def _rational_roots(g: UniPoly) -> list[Fraction]:
-    return [r for r in sorted(_rational_root_candidates(g))
-            if _values_at((g.p, g.q), r) == (0, 0)]
+    return sorted(Fraction(num, den) for num, den in _rational_root_candidates(g)
+                  if not _horner(g.p, num, den) and not _horner(g.q, num, den))
 
 
 class _RationalHit(Exception):

@@ -19,7 +19,7 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          singular_points)
 from torusfields import dynamics
 from torusfields.dynamics import rotation_shape
-from torusfields.kernels import compile_poly, eval_grid, eval_point
+from torusfields.kernels import compile_poly, eval_grid, eval_point, surface_angles
 
 from conftest import eval_float, homogeneous_component, random_linear
 
@@ -579,3 +579,149 @@ def test_generic_branch_finds_meridian_singularities():
     assert len(got) == 8
     for e, g in zip(expected, got):
         assert max(abs(ec - gc) for ec, gc in zip(e, g)) < 1e-6
+
+
+# -- reference: the per-cell seed loop and the nine-call Newton step ----------
+
+
+def reference_newton_2d(gradfn, start):
+    th, ph = start
+    h = 1e-6
+    for _ in range(60):
+        g0, g1 = gradfn(th, ph)
+        a00 = (gradfn(th + h, ph)[0] - gradfn(th - h, ph)[0]) / (2 * h)
+        a01 = (gradfn(th, ph + h)[0] - gradfn(th, ph - h)[0]) / (2 * h)
+        a10 = (gradfn(th + h, ph)[1] - gradfn(th - h, ph)[1]) / (2 * h)
+        a11 = (gradfn(th, ph + h)[1] - gradfn(th, ph - h)[1]) / (2 * h)
+        det = a00 * a11 - a01 * a10
+        if abs(det) < 1e-14:
+            return None
+        dth = (g0 * a11 - g1 * a01) / det
+        dph = (a00 * g1 - a10 * g0) / det
+        step = math.hypot(dth, dph)
+        if step > 0.5:
+            dth *= 0.5 / step
+            dph *= 0.5 / step
+        th -= dth
+        ph -= dph
+        if step < 1e-13:
+            return th, ph
+    return None
+
+
+def reference_local_min_seeds(vals, cells, cap=32):
+    grid = vals.shape[0]
+    seeds = []
+    for i, j in cells:
+        v = abs(float(vals[i, j]))
+        if all(abs(float(vals[(i + di) % grid, (j + dj) % grid])) >= v
+               for di in (-1, 0, 1) for dj in (-1, 0, 1)
+               if (di, dj) != (0, 0)):
+            seeds.append((i, j))
+    seeds.sort(key=lambda c: abs(float(vals[c[0], c[1]])))
+    return seeds[:cap] or [min(cells, key=lambda c: abs(float(vals[c[0], c[1]])))]
+
+
+def reference_component_extent(cells, n):
+    def circular_extent(coords):
+        uniq = sorted(set(coords))
+        if len(uniq) == n:
+            return n
+        gaps = [(uniq[i + 1] - uniq[i]) for i in range(len(uniq) - 1)]
+        gaps.append(uniq[0] + n - uniq[-1])
+        return n - max(gaps)
+
+    return max(circular_extent([c[0] for c in cells]),
+               circular_extent([c[1] for c in cells]))
+
+
+def seeds_of(vals, rows, cols):
+    """``dynamics._local_min_seeds`` as (i, j) cells, like the reference."""
+    level = np.abs(vals[rows, cols])
+    return [(int(rows[k]), int(cols[k]))
+            for k in dynamics._local_min_seeds(vals, rows, cols, level)]
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_seeds_and_newton_match_the_references(m):
+    rng = random.Random(12)
+    nonzero = [c for c in range(-5, 6) if c]
+    bowl = parse("y^2 + (z - 1/2)^2", m)
+    fields = [VectorField(bowl * Y, -(bowl * X), MultiPoly.zero()),
+              build_kolmogorov(KolmogorovParams(Scalar(1), Scalar(2)), m),
+              build_kolmogorov(KolmogorovParams(Scalar(rng.choice(nonzero)),
+                                                Scalar(rng.choice(nonzero))), m)]
+    mf, grid = float(m), dynamics.GRID_DEFAULT
+    angles = surface_angles(mf, grid)[0]
+    compared = 0
+    for field in fields:
+        level = rotation_shape(field)
+        if level is None:
+            level = field.P * field.P + field.Q * field.Q + field.R * field.R
+        vals, vmax, _ = dynamics._level_grid(compile_poly(level, mf), mf, grid)
+        tau = vmax * (2.0 * math.pi / grid) ** 2 * 4.0
+        has_sign_change, flagged = dynamics._cell_masks(vals, tau)
+        cells, bounds, sign_change = dynamics._components(flagged, has_sign_change)
+        grad = dynamics._surface_gradient(
+            [compile_poly(level.differentiate(v), mf) for v in "xyz"], mf)
+        starts = [(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
+                  for _ in range(10)]
+        for k in np.flatnonzero(~sign_change):
+            rows, cols = np.divmod(cells[bounds[k]:bounds[k + 1]], grid)
+            seeds = seeds_of(vals, rows, cols)
+            assert seeds == reference_local_min_seeds(vals, list(zip(rows, cols)))
+            starts += [(angles[i] + math.pi / grid, angles[j] + math.pi / grid)
+                       for i, j in seeds]
+            compared += 1
+        for start in starts:
+            assert dynamics._newton_2d(grad, start) == reference_newton_2d(grad, start)
+    assert compared >= 4 + 8 + 8   # the bowl's and the Kolmogorov fields' points
+
+
+def test_local_min_seeds_on_hand_grids():
+    n = 32
+    every = np.divmod(np.arange(n * n), n)
+    ties = np.full((n, n), 2.0)
+    ties[3, 3] = ties[3, 10] = -0.5
+    ties[20, 7] = 0.5
+    ties[10:13, 20:23] = -0.25          # a plateau: nine tied local minima
+    ramp = np.tile(np.arange(1.0, n + 1.0), (n, 1))    # no local minimum in 5..8
+    ramp_nan = ramp.copy()
+    ramp_nan[0, 5] = np.nan
+    ramp_late_nan = ramp.copy()
+    ramp_late_nan[4, 6] = np.nan
+    infs = np.full((n, n), np.inf)
+    infs[::3, ::5] = -np.inf
+    infs[7, 7], infs[8, 9], infs[30, 1] = 3.0, np.nan, 3.0
+    middle = np.divmod(np.array([i * n + j for i in range(n) for j in range(5, 9)]), n)
+    cases = [(ties, every), (infs, every), (ramp, middle), (ramp_nan, middle),
+             (ramp_late_nan, middle)]
+    for vals, (rows, cols) in cases:
+        want = reference_local_min_seeds(vals, list(zip(rows, cols)))
+        assert seeds_of(vals, rows, cols) == want
+    assert seeds_of(ties, *every)[:12] == [(10, 20), (10, 21), (10, 22), (11, 20),
+                                           (11, 21), (11, 22), (12, 20), (12, 21),
+                                           (12, 22), (3, 3), (3, 10), (20, 7)]
+    assert seeds_of(ramp_nan, *middle) == [(0, 5)]
+    assert seeds_of(ramp_late_nan, *middle) == [(0, 5)]
+
+
+def test_first_min_is_the_one_min_picks():
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        values = rng.choice([0.0, 1.0, 2.0, np.inf, np.nan], size=rng.integers(1, 8))
+        want = min(range(values.size), key=lambda k: float(values[k]))
+        assert dynamics._first_min(values) == want
+
+
+def test_component_extent_matches_the_reference():
+    rng = random.Random(3)
+    for n in (8, 33, 64):
+        cases = [[(0, 0)], [(0, 0), (n - 1, n - 1)], [(i, 5) for i in range(n)],
+                 [(2, 3), (2, 4), (5, n - 2)]]
+        cases += [[(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(1, 3 * n))]
+                  for _ in range(40)]
+        for cells in cases:
+            rows, cols = (np.array(c) for c in zip(*cells))
+            assert dynamics._component_extent(rows, cols, n) == \
+                reference_component_extent(cells, n)

@@ -343,6 +343,31 @@ def reference_components(flagged, has_sign_change):
         yield cells, sign_change
 
 
+def reference_component_arrays(flagged, has_sign_change):
+    """The walk's components in ``dynamics._components``'s form: (cells,
+    bounds, sign_change), each component's flat indices ascending."""
+    n = flagged.shape[0]
+    parts, signs = [], []
+    for cells, sign_change in reference_components(flagged, has_sign_change):
+        parts.append(sorted(i * n + j for i, j in cells))
+        signs.append(sign_change)
+    bounds = np.cumsum([0] + [len(part) for part in parts])
+    return (np.array([c for part in parts for c in part], dtype=np.intp),
+            bounds, np.array(signs, dtype=bool))
+
+
+def assert_same_components(flagged, has_sign_change):
+    """The labeller and the walk agree on the partition, on each component's
+    sign change and on the component order; cells come in row-major order."""
+    cells, bounds, sign_change = dynamics._components(flagged, has_sign_change)
+    n = flagged.shape[0]
+    got = [([divmod(int(c), n) for c in cells[a:b]], bool(s))
+           for a, b, s in zip(bounds, bounds[1:], sign_change)]
+    want = [(sorted(part), s) for part, s in reference_components(flagged, has_sign_change)]
+    assert got == want
+    assert bounds[-1] == cells.size == np.count_nonzero(flagged)
+
+
 def reference_grid_min_speed(field, m, grid=512):
     mf = float(m)
     total = sum(eval_surface(compile_finite(component, mf, name), mf, grid) ** 2
@@ -387,14 +412,13 @@ def test_blocked_scan_matches_full_grid(n, monkeypatch):
             masks = dynamics._cell_masks(vals, tau)
             ref_masks = reference_cell_masks(vals, tau)
             assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
-            assert list(dynamics._components(masks[1], masks[0])) == \
-                list(reference_components(ref_masks[1], ref_masks[0]))
+            assert_same_components(masks[1], masks[0])
     blocked = {(expr, m): singular_set_and_warnings(named_field(expr, m), m, n)
                for expr in NAMED_FIELDS for m in M_VALUES}
     monkeypatch.setattr(dynamics, "grid_min_speed", reference_grid_min_speed)
     monkeypatch.setattr(dynamics, "_level_grid", reference_level_grid)
     monkeypatch.setattr(dynamics, "_cell_masks", reference_cell_masks)
-    monkeypatch.setattr(dynamics, "_components", reference_components)
+    monkeypatch.setattr(dynamics, "_components", reference_component_arrays)
     for (expr, m), got in blocked.items():
         assert got == singular_set_and_warnings(named_field(expr, m), m, n)
 
@@ -428,3 +452,32 @@ def test_cell_masks_on_sign_patterns():
     assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
     assert masks[0].sum() == 4 and masks[0][n - 1, n - 1]
     assert masks[1].sum() == 12 and masks[1][n - 1, 119]
+
+
+def seam_masks(n):
+    """Hand masks: empty, full, a checkerboard, the four corner cells (one
+    component through the wrap) and a diagonal contact across each seam."""
+    masks = [np.zeros((n, n), dtype=bool), np.ones((n, n), dtype=bool),
+             np.indices((n, n)).sum(axis=0) % 2 == 0]
+    for pair in ([(0, 0), (0, n - 1), (n - 1, 0), (n - 1, n - 1)],
+                 [(0, 3), (n - 1, 4)], [(0, 4), (n - 1, 3)],     # the row seam
+                 [(3, 0), (4, n - 1)], [(4, 0), (3, n - 1)],     # the column seam
+                 [(0, 0), (n - 1, n - 1)], [(0, n - 1), (n - 1, 0)],
+                 [(2, 2), (4, 4)]):                              # apart: two
+        mask = np.zeros((n, n), dtype=bool)
+        mask[tuple(zip(*pair))] = True
+        masks.append(mask)
+    return masks
+
+
+@pytest.mark.parametrize("n", [8, 33, 64, 200])
+def test_components_match_the_walk(n):
+    rng = np.random.default_rng(n)
+    masks = seam_masks(n)
+    masks += [rng.random((n, n)) < density for density in (0.05, 0.3, 0.45, 0.6)]
+    for flagged in masks:
+        for has_sign_change in (np.zeros_like(flagged), flagged,
+                                flagged & (rng.random((n, n)) < 0.1)):
+            assert_same_components(flagged, has_sign_change)
+    counts = [dynamics._components(mask, mask)[2].size for mask in masks[:11]]
+    assert counts == [0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2]

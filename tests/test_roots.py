@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from torusfields import Scalar, UniPoly, dense_scan_roots, real_roots
+from torusfields import roots
 from torusfields.roots import square_free_parts
 
 from conftest import sympy_scalar
@@ -222,3 +223,46 @@ def test_against_sympy(m, seed):
         assert [k for _, k in scanned] == [k for _, k in got]
         assert [r for r, _ in scanned] == pytest.approx(
             [float(r) for r, _ in got], abs=1e-9)
+
+
+# -- reference: the rational-root search over the whole Fraction candidate set
+
+
+def reference_rational_roots(g):
+    shadow = g.p if any(g.p) else [c * g.m.denominator for c in g.q]
+    content = math.gcd(g.den, *shadow)
+    ints = [c // content for c in shadow]
+    candidates = set()
+    low = 0
+    while low < len(ints) and ints[low] == 0:
+        low += 1
+    if low > 0:
+        candidates.add(Fraction(0))
+    if low < len(ints) - 1:
+        a0, an = ints[low], ints[-1]
+        if abs(a0) <= roots.RATIONAL_ROOT_LIMIT and abs(an) <= roots.RATIONAL_ROOT_LIMIT:
+            for num in roots._divisors(a0):
+                for den in roots._divisors(an):
+                    candidates.add(Fraction(num, den))
+                    candidates.add(Fraction(-num, den))
+    return [r for r in sorted(candidates)
+            if roots._values_at((g.p, g.q), r) == (0, 0)]
+
+
+@pytest.mark.parametrize("m", FIELDS)
+def test_rational_roots_match_the_candidate_set_search(m):
+    rng = random.Random(31 if m is None else m.numerator)
+    scales = [Scalar(Fraction(rng.randint(1, 9), rng.randint(1, 4)))]
+    if m is not None:
+        scales.append(Scalar(0, Fraction(rng.randint(1, 5), rng.randint(1, 3)), m))
+    for _ in range(60):
+        poly = _random_product(rng, m)
+        if rng.random() < 0.3:
+            poly = poly * UniPoly([0, 1])       # a root at 0
+        poly = poly * UniPoly([rng.choice(scales)])
+        for g in [poly] + [part for part, _ in square_free_parts(poly)]:
+            assert roots._rational_roots(g) == reference_rational_roots(g)
+    # 36 = 6^2 lists the divisor 6 twice; each root still comes back once
+    square = UniPoly([-36, 0, 1])
+    assert roots._rational_roots(square) == reference_rational_roots(square) == \
+        [Fraction(-6), Fraction(6)]
