@@ -81,6 +81,8 @@ def _emit(args, text: str) -> None:
 
 
 def _emit_bytes(args, blob: bytes) -> None:
+    if not blob.endswith(b"\n"):
+        blob += b"\n"
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(blob)

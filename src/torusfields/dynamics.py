@@ -9,13 +9,17 @@ Weierstrass substitution t = tan(theta/2).  Singular-set extraction samples
 the relevant level function on a (theta, phi) grid and pins candidates down
 with Newton steps driven by exact derivatives.  The grid scans run in
 blocks of theta rows (``kernels.surface_blocks``): one pass fills the level
-grid and its max and min |level|, a second computes each cell's corner
-min, max and min |level| from a block plus one wrapped halo row, so no pass
-leaves the cache.  The 8-connected periodic components of the flagged cells
-are then labelled with array operations over the flagged cells alone
-(min-label hooking with pointer jumping); a component that changes sign
-counts as a curve, and only the others are seeded for Newton, from their
-local minima of |level|.
+grid, each theta row's min and max, and the max and min |level|; a second
+computes each cell's corner min and max from a block plus one wrapped halo
+row, so no pass leaves the cache.  That second pass runs only on the rows
+whose extremes allow a flagged cell: a cell row whose two grid rows are all
+at least tau, or all at most -tau, has none, so each block is reduced over
+the span between its first and last remaining row (min/max culling;
+Wilhelms & Van Gelder, ACM TOG 11(3), 1992).  The 8-connected periodic
+components of the flagged cells are then labelled with array operations
+over the flagged cells alone (min-label hooking with pointer jumping); a
+component that changes sign counts as a curve, and only the others are
+seeded for Newton, from their local minima of |level|.
 """
 
 from __future__ import annotations
@@ -379,17 +383,25 @@ def _local_min_seeds(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def _level_grid(level: CompiledPoly, mf: float,
-                grid: int) -> tuple[np.ndarray, float, float]:
-    """The level on the grid, with its max and min |level|, in one blocked pass."""
+                grid: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+    """The level on the grid, each theta row's (min, max) as a (2, grid)
+    array, and the max and min |level|, in one blocked pass."""
     vals = np.empty((grid, grid))
-    maxima, minima = [], []
+    extremes = np.empty((2, grid))
+    minima = []
     for rows, (block,) in surface_blocks([level], mf, grid):
         vals[rows] = block
-        np.abs(block, out=block)
-        maxima.append(block.max())
-        minima.append(block.min())
+        low = block.min(axis=1, out=extremes[0, rows])
+        high = block.max(axis=1, out=extremes[1, rows])
+        if np.any((low < 0.0) & (high > 0.0)):
+            # a row through zero: its min |level| is inside it
+            np.abs(block, out=block)
+            minima.append(block.min())
+        else:
+            minima.append(np.minimum(np.abs(low), np.abs(high)).min())
     # numpy reductions, so a nan value propagates as it did over the full grid
-    return vals, float(np.max(maxima)), float(np.min(minima))
+    vmax = np.maximum(np.abs(extremes[0]), np.abs(extremes[1])).max()
+    return vals, extremes, float(vmax), float(np.min(minima))
 
 
 def _corner_reduce(op, rows: np.ndarray, pair: np.ndarray, out: np.ndarray) -> None:
@@ -400,33 +412,54 @@ def _corner_reduce(op, rows: np.ndarray, pair: np.ndarray, out: np.ndarray) -> N
     op(pair[:, -1], pair[:, 0], out=out[:, -1])
 
 
-def _cell_masks(vals: np.ndarray, tau: float) -> tuple[np.ndarray, np.ndarray]:
+def _cell_masks(vals: np.ndarray, extremes: np.ndarray,
+                tau: float) -> tuple[np.ndarray, np.ndarray]:
     """(has_sign_change, flagged) per cell [i, j], the cell with corners
     (i, j), (i+1, j), (i, j+1), (i+1, j+1) mod n.  A cell changes sign when
     the level is negative at one corner and positive at another; it is
-    flagged when it changes sign or some corner has |level| < tau."""
+    flagged when it changes sign or some corner has |level| < tau.
+
+    ``extremes`` holds each grid row's min and max, and tau is at least 0
+    or nan.  Cell row i, whose corners all lie in grid rows i and i+1 mod
+    n, has no flagged cell when those rows are all at least tau or all at
+    most -tau; a nan extreme or tau never rules a row out.  Each block is reduced over
+    the span from its first to its last remaining cell row.  A cell that
+    does not change sign has min |corner| = min(|corner min|, |corner max|),
+    so the flag needs only the corner min and max.
+    """
     n = vals.shape[0]
+    sign_change = np.zeros((n, n), dtype=bool)
+    flagged = np.zeros((n, n), dtype=bool)
+    low, high = extremes
+    ruled_out = ((np.minimum(low, np.roll(low, -1)) >= tau)
+                 | (np.maximum(high, np.roll(high, -1)) <= -tau))
+    candidates = np.flatnonzero(~ruled_out)
+    if not candidates.size:
+        return sign_change, flagged
     blocks = row_blocks(n)
     height = max(b - a for a, b in blocks)
-    sign_change = np.empty((n, n), dtype=bool)
-    flagged = np.empty((n, n), dtype=bool)
-    window = np.empty((height + 1, n))      # a block and its wrapped halo row
+    window = np.empty((height + 1, n))      # a span ending at row n - 1, and row 0
     pair, cell_min, cell_max = np.empty((3, height, n))
-    positive = np.empty((height, n), dtype=bool)
-    for a, b in blocks:
+    other = np.empty((height, n), dtype=bool)
+    for first, last in np.searchsorted(candidates, blocks):
+        if first == last:
+            continue
+        a, b = int(candidates[first]), int(candidates[last - 1]) + 1
         h = b - a
-        rows = window[:h + 1]
-        rows[:h] = vals[a:b]
-        rows[h] = vals[b % n]
+        if b < n:
+            rows = vals[a:b + 1]
+        else:
+            rows = window[:h + 1]
+            rows[:h] = vals[a:b]
+            rows[h] = vals[0]
         _corner_reduce(np.minimum, rows, pair[:h], cell_min[:h])
         _corner_reduce(np.maximum, rows, pair[:h], cell_max[:h])
-        np.less(cell_min[:h], 0.0, out=sign_change[a:b])
-        np.greater(cell_max[:h], 0.0, out=positive[:h])
-        sign_change[a:b] &= positive[:h]
-        np.abs(rows, out=rows)
-        _corner_reduce(np.minimum, rows, pair[:h], cell_min[:h])
-        np.less(cell_min[:h], tau, out=flagged[a:b])
-        flagged[a:b] |= sign_change[a:b]
+        changes, flags = sign_change[a:b], flagged[a:b]
+        np.less(cell_min[:h], 0.0, out=changes)
+        changes &= np.greater(cell_max[:h], 0.0, out=other[:h])
+        np.less(cell_min[:h], tau, out=flags)
+        flags &= np.greater(cell_max[:h], -tau, out=other[:h])
+        flags |= changes
     return sign_change, flagged
 
 
@@ -491,13 +524,13 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
         return SingularSet(SingKind.EMPTY, [], grid_min_norm=abs(level_terms.terms[0][1]))
 
     angles = surface_angles(mf, grid)[0]
-    vals, vmax, min_abs = _level_grid(level_terms, mf, grid)
+    vals, extremes, vmax, min_abs = _level_grid(level_terms, mf, grid)
     if vmax == 0.0:
         return SingularSet(SingKind.CURVES, [], curve_components=1,
                            description="the whole torus is singular")
 
     tau = vmax * (2.0 * math.pi / grid) ** 2 * 4.0
-    has_sign_change, flagged = _cell_masks(vals, tau)
+    has_sign_change, flagged = _cell_masks(vals, extremes, tau)
 
     grads = [compile_finite(level.differentiate(v), mf, f"the {v}-derivative of {what}")
              for v in "xyz"]

@@ -16,7 +16,7 @@ Export format (a contract: the same trajectory always gives the same bytes):
 * JSON: ``json.dumps(..., sort_keys=True, indent=2)`` of the object with
   keys ``columns`` (the six names), ``m`` (a string), ``projected`` (a
   bool) and ``samples`` (a list of six-string rows), in that key order,
-  two-space indent and no trailing newline.
+  two-space indent and no trailing newline (the CLI writes one after it).
 """
 
 from __future__ import annotations

@@ -11,7 +11,9 @@ compiled functions give.  Surface grid scans (``surface_blocks``) stream the
 matrix product ``U @ V.T`` over the same float terms in blocks of theta
 rows, each block about 256 KB of float64 in a reused work buffer, so every
 pass a scan makes over a block runs in the cache (loop blocking; Lam,
-Rothberg & Wolf, ASPLOS 1991).
+Rothberg & Wolf, ASPLOS 1991).  The factors U and V are built from powers
+of cos, sin and r kept per (m, n) across scans (``_surface_power``), and a
+factor with one column is multiplied out by broadcasting, not by BLAS.
 """
 
 from __future__ import annotations
@@ -34,6 +36,9 @@ _CACHE_SIZE = 256
 _FACTORS_PER_LINE = 256
 # float64 values per theta-row block of a surface scan (256 KB).
 _BLOCK_VALUES = 32768
+# Powers of cos, sin and r kept across surface scans: 1 MB of tables at the
+# default grid of 512 points.
+_POWERS_KEPT = 256
 
 
 def backend() -> str:
@@ -143,6 +148,29 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
+@functools.lru_cache(maxsize=_POWERS_KEPT)
+def _surface_power(m: float, n: int, table: int, e: int) -> np.ndarray:
+    """Read-only ``surface_angles(m, n)[table] ** e``, table 1, 2 or 3 for cos,
+    sin or r: the scans of one grid ask for the same few powers every call."""
+    power = surface_angles(m, n)[table] ** e
+    power.flags.writeable = False
+    return power
+
+
+def _surface_factors(compiled: CompiledPoly, m: float,
+                     n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(U, V.T) with U @ V.T the polynomial on the n x n grid: a column per
+    (i, j), U's holding cos^i sin^j and V's r^(i+j) times the sum of c sin^k."""
+    phi_parts: dict[tuple[int, int], np.ndarray] = {}
+    for (i, j, k), c in compiled.terms:
+        phi_parts[i, j] = phi_parts.get((i, j), 0.0) + c * _surface_power(m, n, 2, k)
+    u, v = np.empty((2, n, len(phi_parts)))
+    for col, ((i, j), part) in enumerate(phi_parts.items()):
+        u[:, col] = _surface_power(m, n, 1, i) * _surface_power(m, n, 2, j)
+        v[:, col] = _surface_power(m, n, 3, i + j) * part
+    return u, v.T
+
+
 def surface_blocks(polys: Sequence[CompiledPoly], m: float,
                    n: int) -> Iterator[tuple[slice, list[np.ndarray]]]:
     """Each polynomial on the n x n torus grid, indexed [theta, phi], by
@@ -152,25 +180,20 @@ def surface_blocks(polys: Sequence[CompiledPoly], m: float,
     so a polynomial on the grid is U @ V.T with a column per (i, j); a block
     is the product of U's rows with V.T.  With OpenBLAS a block is
     bit-equal to the same rows of the full product when n is a multiple of
-    8.  Each block lives in a work buffer that the next block overwrites:
-    copy what must outlive the step.
+    8.  A one-column product is a single multiply per value, with no sum,
+    so broadcasting gives the same bits without a BLAS call.  Each block
+    lives in a work buffer that the next block overwrites: copy what must
+    outlive the step.
     """
-    _, cos, sin, r = surface_angles(float(m), n)
     factors = []
     for compiled in polys:
-        phi_parts: dict[tuple[int, int], np.ndarray] = {}
-        for (i, j, k), c in compiled.terms:
-            phi_parts[i, j] = phi_parts.get((i, j), 0.0) + c * sin ** k
-        u, v = np.empty((2, n, len(phi_parts)))
-        for col, ((i, j), part) in enumerate(phi_parts.items()):
-            u[:, col] = cos ** i * sin ** j
-            v[:, col] = r ** (i + j) * part
-        factors.append((u, v.T))
+        u, vt = _surface_factors(compiled, float(m), n)
+        factors.append((u, vt, np.multiply if u.shape[1] == 1 else np.matmul))
     blocks = row_blocks(n)
     buffers = np.empty((len(polys), max(b - a for a, b in blocks), n))
     for a, b in blocks:
-        yield slice(a, b), [np.matmul(u[a:b], vt, out=buf[:b - a])
-                            for (u, vt), buf in zip(factors, buffers)]
+        yield slice(a, b), [product(u[a:b], vt, out=buf[:b - a])
+                            for (u, vt, product), buf in zip(factors, buffers)]
 
 
 # One RK4 step with the stage evaluations of P, Q, R written out in place,

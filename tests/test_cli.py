@@ -219,7 +219,22 @@ def test_integrate_json_round_trip(tmp_path):
     from torusfields import export, trajectory_from_json
 
     blob = out.read_bytes()
-    assert export(trajectory_from_json(blob), "json") == blob
+    assert export(trajectory_from_json(blob), "json") + b"\n" == blob
+
+
+def test_integrate_json_ends_with_one_newline(tmp_path, capsys):
+    from torusfields import export, trajectory_from_json
+
+    args = ["integrate", "--px", "y", "--qy", "-x", "--rz", "0", "--m", "4",
+            "--start", "2.0,0,0", "--t-end", "0.05", "--dt", "0.01", "--format", "json"]
+    assert main(args) == 0
+    printed = capsys.readouterr().out
+    assert printed.endswith("}\n") and not printed.endswith("\n\n")
+    out = tmp_path / "orbit.json"
+    assert main([*args, "--out", str(out)]) == 0
+    assert out.read_text() == printed
+    # the library export keeps its bytes: the newline is the CLI's
+    assert export(trajectory_from_json(out.read_bytes()), "json") + b"\n" == out.read_bytes()
 
 
 def test_report_deterministic_across_processes(tmp_path):

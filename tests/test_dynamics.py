@@ -658,9 +658,9 @@ def test_seeds_and_newton_match_the_references(m):
         level = rotation_shape(field)
         if level is None:
             level = field.P * field.P + field.Q * field.Q + field.R * field.R
-        vals, vmax, _ = dynamics._level_grid(compile_poly(level, mf), mf, grid)
+        vals, extremes, vmax, _ = dynamics._level_grid(compile_poly(level, mf), mf, grid)
         tau = vmax * (2.0 * math.pi / grid) ** 2 * 4.0
-        has_sign_change, flagged = dynamics._cell_masks(vals, tau)
+        has_sign_change, flagged = dynamics._cell_masks(vals, extremes, tau)
         cells, bounds, sign_change = dynamics._components(flagged, has_sign_change)
         grad = dynamics._surface_gradient(
             [compile_poly(level.differentiate(v), mf) for v in "xyz"], mf)

@@ -10,7 +10,7 @@ import warnings
 from torusfields import (CubicParams, MultiPoly, Scalar, VectorField, X, Y,
                          build_cubic, grid_min_speed, recognize, singular_points,
                          integrate, meridian_periodicity, parse)
-from torusfields import dynamics
+from torusfields import dynamics, kernels
 from torusfields.kernels import (compile_finite, compile_poly, eval_grid,
                                  eval_point, rk4_orbit, row_blocks,
                                  surface_angles, surface_blocks)
@@ -40,9 +40,9 @@ def test_zero_polynomial_kernel():
     assert np.all(eval_grid(arrays, np.ones(4), np.ones(4), np.ones(4)) == 0.0)
 
 
-def eval_surface(compiled, m, n):
-    """Full-grid reference: the compiled terms on the n x n torus grid,
-    indexed [theta, phi], as one product U @ V.T."""
+def reference_factors(compiled, m, n):
+    """U and V of the compiled terms on the n x n grid, every power of cos,
+    sin and r computed afresh."""
     _, cos, sin, r = surface_angles(float(m), n)
     phi_parts = {}
     for (i, j, k), c in compiled.terms:
@@ -51,6 +51,13 @@ def eval_surface(compiled, m, n):
     for col, ((i, j), part) in enumerate(phi_parts.items()):
         u[:, col] = cos ** i * sin ** j
         v[:, col] = r ** (i + j) * part
+    return u, v
+
+
+def eval_surface(compiled, m, n):
+    """Full-grid reference: the compiled terms on the n x n torus grid,
+    indexed [theta, phi], as one product U @ V.T."""
+    u, v = reference_factors(compiled, m, n)
     return u @ v.T
 
 
@@ -306,13 +313,18 @@ def reference_cell_reduce(op, a):
     return op(out, np.roll(out, -1, axis=1), out=out)
 
 
+def row_extremes(vals):
+    """Each grid row's (min, max), the form ``dynamics._level_grid`` gives."""
+    return np.array([vals.min(axis=1), vals.max(axis=1)])
+
+
 def reference_level_grid(level, mf, n):
     vals = eval_surface(level, mf, n)
     abs_vals = np.abs(vals)
-    return vals, float(np.max(abs_vals)), float(np.min(abs_vals))
+    return vals, row_extremes(vals), float(np.max(abs_vals)), float(np.min(abs_vals))
 
 
-def reference_cell_masks(vals, tau):
+def reference_cell_masks(vals, extremes, tau):
     has_sign_change = ((reference_cell_reduce(np.minimum, vals) < 0.0)
                        & (reference_cell_reduce(np.maximum, vals) > 0.0))
     flagged = has_sign_change | (reference_cell_reduce(np.minimum, np.abs(vals)) < tau)
@@ -404,13 +416,14 @@ def test_blocked_scan_matches_full_grid(n, monkeypatch):
             field = named_field(expr, m)
             assert grid_min_speed(field, m, n) == reference_grid_min_speed(field, m, n)
             level = scan_level(field, mf)
-            vals, vmax, min_abs = dynamics._level_grid(level, mf, n)
-            ref_vals, ref_vmax, ref_min_abs = reference_level_grid(level, mf, n)
+            vals, extremes, vmax, min_abs = dynamics._level_grid(level, mf, n)
+            ref_vals, ref_extremes, ref_vmax, ref_min_abs = reference_level_grid(level, mf, n)
             assert np.array_equal(vals, ref_vals)
+            assert np.array_equal(extremes, ref_extremes)
             assert (vmax, min_abs) == (ref_vmax, ref_min_abs)
             tau = vmax * (2.0 * math.pi / n) ** 2 * 4.0
-            masks = dynamics._cell_masks(vals, tau)
-            ref_masks = reference_cell_masks(vals, tau)
+            masks = dynamics._cell_masks(vals, extremes, tau)
+            ref_masks = reference_cell_masks(vals, extremes, tau)
             assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
             assert_same_components(masks[1], masks[0])
     blocked = {(expr, m): singular_set_and_warnings(named_field(expr, m), m, n)
@@ -432,9 +445,10 @@ def test_level_grid_extremes_in_any_block_row(row):
     for expr, extreme in ((f"3 + {c}*x + {s}*y", np.argmax),
                           (f"10 - ({c}*x + {s}*y)", np.argmin)):
         level = compile_poly(parse(expr, M), mf)
-        vals, vmax, min_abs = dynamics._level_grid(level, mf, n)
-        ref_vals, ref_vmax, ref_min_abs = reference_level_grid(level, mf, n)
+        vals, extremes, vmax, min_abs = dynamics._level_grid(level, mf, n)
+        ref_vals, ref_extremes, ref_vmax, ref_min_abs = reference_level_grid(level, mf, n)
         assert np.array_equal(vals, ref_vals) and (vmax, min_abs) == (ref_vmax, ref_min_abs)
+        assert np.array_equal(extremes, ref_extremes)
         assert extreme(np.abs(ref_vals)) // n == row
 
 
@@ -447,11 +461,99 @@ def test_cell_masks_on_sign_patterns():
     vals[100, 50] = 0.0
     vals[150, 199] = np.nan
     vals[199, 120] = 1e-3
-    masks = dynamics._cell_masks(vals, 1e-2)
-    ref_masks = reference_cell_masks(vals, 1e-2)
+    masks = dynamics._cell_masks(vals, row_extremes(vals), 1e-2)
+    ref_masks = reference_cell_masks(vals, row_extremes(vals), 1e-2)
     assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
     assert masks[0].sum() == 4 and masks[0][n - 1, n - 1]
     assert masks[1].sum() == 12 and masks[1][n - 1, 119]
+
+
+def masks_and_reference(vals, tau):
+    extremes = row_extremes(vals)
+    return dynamics._cell_masks(vals, extremes, tau), reference_cell_masks(vals, extremes, tau)
+
+
+def assert_masks_match(vals, tau):
+    masks, ref_masks = masks_and_reference(vals, tau)
+    assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
+    return masks
+
+
+def reduced_spans(monkeypatch):
+    """Cell rows per ``_corner_reduce`` call the masks make, one entry per
+    call (a min and a max per reduced span)."""
+    heights = []
+    reduce = dynamics._corner_reduce
+
+    def record(op, rows, pair, out):
+        heights.append(rows.shape[0] - 1)
+        reduce(op, rows, pair, out)
+    monkeypatch.setattr(dynamics, "_corner_reduce", record)
+    return heights
+
+
+@pytest.mark.parametrize("tau", [1e-2, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("base", [1.0, -1.0])
+def test_cell_masks_on_special_values(base, tau):
+    # rows of two blocks of 100 rows, each holding one special value in a
+    # grid of one sign; -tau and tau are nan for a nan tau
+    n = 200
+    vals = np.full((n, n), base)
+    specials = [math.nan, math.inf, -math.inf, 0.0, -0.0, tau, -tau, tau / 2,
+                -tau / 2, 1e-3, -1e-3, -base]
+    for k, value in enumerate(specials):
+        vals[10 + 15 * k, 7 * k] = value
+    vals[185:190] = -base                  # whole rows of the other sign
+    assert_masks_match(vals, tau)
+    for value in (math.nan, math.inf, -math.inf, 0.0):
+        assert_masks_match(np.full((n, n), value), tau)
+
+
+@pytest.mark.parametrize("n", [33, 200, 512])
+def test_cell_masks_near_zero_vertex_across_the_wrap(n):
+    # a vertex at (row, 5) lies in cell rows row - 1 and row, mod n
+    for row, cell_rows in ((n - 1, [n - 2, n - 1]), (0, [0, n - 1])):
+        vals = np.full((n, n), 1.0)
+        vals[row, 5] = 1e-6
+        has_sign_change, flagged = assert_masks_match(vals, 1e-3)
+        assert not has_sign_change.any()
+        assert list(np.flatnonzero(flagged.any(axis=1))) == cell_rows
+        assert flagged.sum() == 4
+
+
+def test_cell_masks_reduce_only_candidate_rows(monkeypatch):
+    n = 200                                 # blocks (0, 100) and (100, 200)
+    heights = reduced_spans(monkeypatch)
+    assert_masks_match(np.full((n, n), 1.0), 0.5)
+    assert heights == []                    # no candidate row
+    vals = np.full((n, n), 1.0)
+    vals[99, 3] = vals[100, 40] = 0.0       # cell rows 98, 99 | 99, 100
+    _, flagged = assert_masks_match(vals, 0.5)
+    assert list(np.flatnonzero(flagged.any(axis=1))) == [98, 99, 100]
+    assert heights == [2, 2, 1, 1]          # the span crosses the block boundary
+    heights.clear()
+    vals = np.full((n, n), -1.0)
+    vals[10, 0] = vals[60, 0] = 1.0         # cell rows 9, 10 and 59, 60: one span
+    vals[199, 9] = 2.0                      # cell rows 198, 199, wrapping to row 0
+    has_sign_change, _ = assert_masks_match(vals, 0.5)
+    assert list(np.flatnonzero(has_sign_change.any(axis=1))) == [9, 10, 59, 60, 198, 199]
+    assert heights == [52, 52, 2, 2]
+    heights.clear()
+    rng = np.random.default_rng(5)
+    for tau in (0.1, math.nan):             # every row a candidate
+        assert_masks_match(rng.standard_normal((n, n)), tau)
+    assert heights == [100] * 8
+
+
+@pytest.mark.parametrize("n", [32, 33, 200, 512])
+def test_cell_masks_on_random_sparse_zeros(n):
+    rng = np.random.default_rng(n)
+    for count in (0, 1, 5, 40):
+        vals = rng.uniform(0.5, 2.0, (n, n)) * rng.choice((-1.0, 1.0), (n, 1))
+        vals[rng.integers(0, n, count), rng.integers(0, n, count)] = \
+            rng.uniform(-0.1, 0.1, count)
+        for tau in (0.0, 0.05, 0.5, 1.0):
+            assert_masks_match(vals, tau)
 
 
 def seam_masks(n):
@@ -481,3 +583,20 @@ def test_components_match_the_walk(n):
             assert_same_components(flagged, has_sign_change)
     counts = [dynamics._components(mask, mask)[2].size for mask in masks[:11]]
     assert counts == [0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 2]
+
+
+@pytest.mark.parametrize("n", [32, 33, 200, 512])
+def test_cached_power_factors_match_fresh_powers(n):
+    for m in M_VALUES:
+        mf = float(m)
+        for expr in NAMED_FIELDS:
+            field = named_field(expr, m)
+            for compiled in (scan_level(field, mf),
+                             *(compile_poly(c, mf) for c in field.components())):
+                u, vt = kernels._surface_factors(compiled, mf, n)
+                ref_u, ref_v = reference_factors(compiled, mf, n)
+                assert np.array_equal(u, ref_u) and np.array_equal(vt, ref_v.T)
+        power = kernels._surface_power(mf, n, 3, 5)
+        assert power is kernels._surface_power(mf, n, 3, 5)
+        assert not power.flags.writeable
+        assert np.array_equal(power, surface_angles(mf, n)[3] ** 5)

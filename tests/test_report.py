@@ -1,7 +1,7 @@
 import json
 from fractions import Fraction
 
-from torusfields import Verdict, build_report, parse, report_json
+from torusfields import Verdict, build_report, kernels, parse, report_json
 
 SECT5 = dict(px="(1/4)*x*z + x*y^2", qy="(1/4)*y*z - x^2*y",
              rz="(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)")
@@ -98,3 +98,17 @@ def test_report_float_planes_reparse_or_null():
         # K' = 0 on these meridians, so periodicity verdicts must attach
         for mer in entry["meridians"]:
             assert mer["verdict"]["kind"] == "not-periodic"
+
+
+def test_report_bytes_repeat_across_m_and_grid():
+    # the grid tables kept per (m, grid) must not leak into another m or grid
+    bowl = dict(px="(y^2 + (z - 1/2)^2)*y", qy="-(y^2 + (z - 1/2)^2)*x", rz="0")
+    kernels._surface_power.cache_clear()
+    kernels.surface_angles.cache_clear()
+    first = {}
+    for m, grid in [(4, 512), (3, 512), (4, 512), (4, 200), (3, 200), (4, 512),
+                    (3, 512), (4, 200), (3, 200)]:
+        for name, field in (("worked", SECT5), ("bowl", bowl)):
+            blob = report_json(build_report(m=Fraction(m), grid=grid, **field))
+            assert first.setdefault((name, m, grid), blob) == blob
+    assert len(first) == 8
