@@ -422,10 +422,10 @@ def _cell_masks(vals: np.ndarray, extremes: np.ndarray,
     ``extremes`` holds each grid row's min and max, and tau is at least 0
     or nan.  Cell row i, whose corners all lie in grid rows i and i+1 mod
     n, has no flagged cell when those rows are all at least tau or all at
-    most -tau; a nan extreme or tau never rules a row out.  Each block is reduced over
-    the span from its first to its last remaining cell row.  A cell that
-    does not change sign has min |corner| = min(|corner min|, |corner max|),
-    so the flag needs only the corner min and max.
+    most -tau; a nan extreme or tau never rules a row out.  Each block is
+    reduced over the span from its first to its last remaining cell row.
+    A cell that does not change sign has min |corner| = min(|corner min|,
+    |corner max|), so the flag needs only the corner min and max.
     """
     n = vals.shape[0]
     sign_change = np.zeros((n, n), dtype=bool)
