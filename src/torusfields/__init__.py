@@ -35,9 +35,8 @@ from .curves import (MeridianPlane, MeridianSet, ParallelPlane, ParallelSet,
 from .dynamics import (ChartError, GridResolutionWarning, MeridianVerdict,
                        PeriodicityVerdict, SingClass, SingKind, SingularSet,
                        Verdict, chart_gradient, chart_trace,
-                       classify_singularity, grid_min_speed,
-                       meridian_periodicity, parallel_periodicity,
-                       singular_points)
+                       classify_singularity, meridian_periodicity,
+                       parallel_periodicity, singular_points)
 from .integrate import (StepOverflow, Trajectory, export, integrate,
                         trajectory_from_json)
 from .report import build_report, report_json

@@ -20,6 +20,18 @@ components of the flagged cells are then labelled with array operations
 over the flagged cells alone (min-label hooking with pointer jumping); a
 component that changes sign counts as a curve, and only the others are
 seeded for Newton, from their local minima of |level|.
+
+Quadratic and degree-one fields have no singular points; their report
+carries the grid minimum of |chi|, which has a closed form in the normal
+form K' = alpha, f = f0 + f1*x + f2*y + f3*z: with r^2 = m + cos(phi),
+|chi|^2 = r^2*(alpha^2*sin(phi)^2/16 + f^2) + (alpha^2/4)*cos(phi)^2*r^4.
+For each theta-row block the range of f1*cos + f2*sin over its rows gives,
+per phi, an interval for f and so a lower bound of |chi|^2 (Moore,
+Interval Analysis, 1966), shrunk by a margin of 2^-40 times the sum of
+the term magnitudes that covers the table, product and square rounding
+(``_speed_bounds``).  The blocks are scanned in increasing bound order
+until the next bound exceeds the least value found, which is then the
+full scan's minimum, bit for bit.
 """
 
 from __future__ import annotations
@@ -51,6 +63,13 @@ GRID_MAX = 4096  # a 4096 x 4096 level grid is 128 MB of float64
 # meets every adjacent pair once, and the whole of it
 _FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
 _NEIGHBOURS = _FORWARD + tuple((-di, -dj) for di, dj in _FORWARD)
+# exponents of the monomials 1, x, y, z
+_LINEAR = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
+# the speed bound's relative margin, and the largest scale it is computed at
+_BOUND_MARGIN = 2.0 ** -40
+_BOUND_SCALE = 2.0 ** 500
+# block x phi values per pass of the speed bounds (256 KB of float64)
+_BOUND_VALUES = 32768
 
 
 class ChartError(ValueError):
@@ -179,9 +198,8 @@ def meridian_periodicity(params: CubicParams, m: Fraction) -> list[MeridianVerdi
     # beta = gamma = 0 makes Q*x - P*y = -(x^2 + y^2)*f, so dtheta/dt has
     # the sign of -f
     f = compile_finite(params.f, mf, "f")
-    linear = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-    k0, k1, k2, k3 = (params.Kprime.coefficient(e) for e in linear)
-    k0f, k1f, k2f, k3f = (dict(kprime.terms).get(e, 0.0) for e in linear)
+    k0, k1, k2, k3 = (params.Kprime.coefficient(e) for e in _LINEAR)
+    k0f, k1f, k2f, k3f = (dict(kprime.terms).get(e, 0.0) for e in _LINEAR)
 
     entries = []
     for factor in linear_xy_factors(params.f):
@@ -618,20 +636,107 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
                        grid_min_norm=None if kind != SingKind.EMPTY else min_abs)
 
 
-def grid_min_speed(field: VectorField, m: Fraction,
+def _speed_bounds(compiled: list[CompiledPoly], alpha: Scalar, f: MultiPoly,
+                  mf: float, n: int) -> np.ndarray:
+    """Per ``row_blocks(n)`` block, a number that no value P^2 + Q^2 + R^2
+    of the scan in that block is below, for a field in the normal form K' =
+    alpha, f linear, beta = gamma = 0 compiled as ``compiled``.  Every bound
+    is -inf when there is one block, when f1 = f2 = 0 (the bound would not
+    depend on theta) and when the scale T (below) exceeds 2^500.
+
+    The scan evaluates at p = (rho*c, rho*s, z), from the tables: c, s the
+    cos and sin of theta, z, C the sin and cos of phi, rho = sqrt(m + C).
+    With q = alpha/4, P = q*x*z + f*y and Q = q*y*z - f*x give P^2 + Q^2 =
+    (x^2 + y^2)*((q*z)^2 + f^2) at every point, and on the torus R =
+    -2*q*C*rho^2, so |chi(p)| is the norm of (rho*q*z, rho*f(p),
+    2*q*C*rho^2) up to table rounding.  f(p) = rho*(g - t) with g = f1*c +
+    f2*s and t = -(f0 + f3*z)/rho; over the block's rows g lies in [lo, hi],
+    the least and greatest of its values there, so |rho*f(p)| is at least
+    rho^2 times the distance of t from [lo, hi].  N = min over phi of the
+    norm with that distance in place of f(p) bounds |chi| on the block.
+
+    Error margin, with u = 2^-53, R = sqrt(m + 1) >= rho and T the sum of
+    |c| * R^(i+j) over the terms c*x^i*y^j*z^k of P, Q and R, at least |P|,
+    |Q|, |R| and N anywhere.  numpy's cos and sin are within a few ulp, so
+    c^2 + s^2 and z^2 + C^2 are within 17u of 1, and the sum and sqrt making
+    rho are correctly rounded; that puts |chi(p)| within 50u*T of the norm
+    above.  The rounding of the coefficients, g, t, lo, hi and N adds under
+    15u*T, so |chi(p)| >= N - 64u*T.  The powers, products and at most
+    4-term sums of the scan's factors and of U @ V.T put its (P, Q, R)
+    within 32u*T of the exact values at p, and its three squares and two
+    sums lose at most a factor (1 - u)^3 and 2^-1073 to underflow.  So with
+    e = 2^-40 = 8192u, (1 - e) * max(N - e*T, 0)^2, set to 0 below 2^-1000
+    where underflow could matter, is at most every value of the block.
+    T <= 2^500 keeps every square finite; a phi with rho = 0 makes the
+    bounds nan, and a nan bound never stops the scan.
+    """
+    blocks = row_blocks(n)
+    bounds = np.full(len(blocks), -math.inf)
+    f0, f1, f2, f3 = (f.coefficient(e).to_float() for e in _LINEAR)
+    if len(blocks) == 1 or not (f1 or f2):
+        return bounds
+    rm = np.sqrt(mf + 1.0)     # a numpy float, whose powers overflow to inf
+    scale = sum(abs(c) * rm ** (i + j)
+                for poly in compiled for (i, j, _), c in poly.terms)
+    if not scale <= _BOUND_SCALE:
+        return bounds
+    _, cos, sin, rho = surface_angles(mf, n)
+    g = f1 * cos + f2 * sin
+    starts = [a for a, _ in blocks]
+    lows, highs = np.minimum.reduceat(g, starts), np.maximum.reduceat(g, starts)
+    t = -(f0 + f3 * sin) / rho
+    rho2 = rho * rho
+    q = alpha.to_float() / 4.0
+    fixed = np.square(rho * q * sin) + np.square(2.0 * q * cos * rho2)
+    step = max(1, _BOUND_VALUES // n)
+    for k in range(0, len(blocks), step):
+        gap = np.clip(t, lows[k:k + step, None], highs[k:k + step, None])
+        gap -= t
+        gap *= rho2
+        bounds[k:k + step] = (np.square(gap, out=gap) + fixed).min(axis=1)
+    bounds = (1.0 - _BOUND_MARGIN) * np.square(
+        np.maximum(np.sqrt(bounds) - _BOUND_MARGIN * scale, 0.0))
+    bounds[bounds < 2.0 ** -1000] = 0.0
+    return bounds
+
+
+def grid_min_speed(field: VectorField, alpha: Scalar, f: MultiPoly, m: Fraction,
                    grid: int = GRID_DEFAULT) -> float:
-    """Minimum of |chi| over a (theta, phi) grid on the torus."""
+    """Minimum of |chi| over a (theta, phi) grid on the torus for a field in
+    the normal form K' = alpha, f linear, beta = gamma = 0: a quadratic
+    field, or with alpha = 0 and f = c a degree-one field.
+
+    The theta-row blocks of the scan go in increasing order of their bound
+    (``_speed_bounds``), each evaluated as ``surface_blocks`` evaluates it,
+    and the scan stops at the first block whose bound exceeds the least
+    value so far: no block left can hold a smaller one, so the minimum is
+    that of the full scan, bit for bit.  Raises ValueError when the minimum
+    is not finite.
+    """
     mf = float(m)
     compiled = [compile_finite(component, mf, name)
                 for component, name in zip(field.components(), "PQR")]
     minima = []
-    for _, (p, q, r) in surface_blocks(compiled, mf, grid):
-        # P^2, then + Q^2, then + R^2: the order of the full-grid sum
-        np.square(p, out=p)
-        p += np.square(q, out=q)
-        p += np.square(r, out=r)
-        minima.append(p.min())
-    return float(np.sqrt(np.min(minima)))
+    least = math.inf
+    with np.errstate(all="ignore"):
+        bounds = _speed_bounds(compiled, alpha, f, mf, grid)
+        order = np.argsort(bounds, kind="stable")
+        scan = surface_blocks(compiled, mf, grid, order)
+        for k in order:
+            if bounds[k] > least:
+                break
+            _, (p, q, r) = next(scan)
+            # P^2, then + Q^2, then + R^2: the order of the full-grid sum
+            np.square(p, out=p)
+            p += np.square(q, out=q)
+            p += np.square(r, out=r)
+            minima.append(p.min())
+            least = min(least, minima[-1])
+        speed = float(np.sqrt(np.min(minima)))
+    if not math.isfinite(speed):
+        raise ValueError(f"|chi| is not finite on the {grid}x{grid} grid: the "
+                         "field's values exceed the float range")
+    return speed
 
 
 def rotation_shape(field: VectorField) -> MultiPoly | None:
@@ -662,13 +767,14 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
         raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
     if grid > GRID_MAX:
         raise ValueError(f"grid must be at most {GRID_MAX}, got {grid}")
-    if tag.family == Family.QUADRATIC and isinstance(tag.params, QuadraticParams) \
-            and not tag.params.alpha.is_zero():
-        return SingularSet(SingKind.EMPTY, [],
-                           grid_min_norm=grid_min_speed(field, m, grid))
-    if tag.family == Family.DEGREE_ONE and not tag.params.c.is_zero():
-        return SingularSet(SingKind.EMPTY, [],
-                           grid_min_norm=grid_min_speed(field, m, grid))
+    params = tag.params
+    if tag.family == Family.QUADRATIC and isinstance(params, QuadraticParams) \
+            and not params.alpha.is_zero():
+        return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
+            field, params.alpha, params.f, m, grid))
+    if tag.family == Family.DEGREE_ONE and not params.c.is_zero():
+        return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
+            field, Scalar(0), MultiPoly.constant(params.c), m, grid))
     level = rotation_shape(field)
     if level is not None:
         return _levelset_singular(level, "A (of the field (A*y, -A*x, 0))", m, grid,

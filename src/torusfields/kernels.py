@@ -12,8 +12,9 @@ matrix product ``U @ V.T`` over the same float terms in blocks of theta
 rows, each block about 256 KB of float64 in a reused work buffer, so every
 pass a scan makes over a block runs in the cache (loop blocking; Lam,
 Rothberg & Wolf, ASPLOS 1991).  The factors U and V are built from powers
-of cos, sin and r kept per (m, n) across scans (``_surface_power``), and a
-factor with one column is multiplied out by broadcasting, not by BLAS.
+of cos and sin kept per n and of r kept per (m, n) across scans
+(``_surface_power``), and a factor with one column is multiplied out by
+broadcasting, not by BLAS.
 """
 
 from __future__ import annotations
@@ -126,13 +127,23 @@ def eval_grid(compiled: CompiledPoly, xs: np.ndarray, ys: np.ndarray,
 
 
 @functools.lru_cache(maxsize=8)
-def surface_angles(m: float, n: int) -> tuple[np.ndarray, ...]:
-    """Read-only (angles, cos, sin, sqrt(m + cos)) of the n-point angle grid."""
+def _circle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only (angles, cos, sin) of the n-point angle grid."""
     angles = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
-    table = (angles, np.cos(angles), np.sin(angles), np.sqrt(m + np.cos(angles)))
+    table = (angles, np.cos(angles), np.sin(angles))
     for arr in table:
         arr.flags.writeable = False
     return table
+
+
+@functools.lru_cache(maxsize=8)
+def surface_angles(m: float, n: int) -> tuple[np.ndarray, ...]:
+    """Read-only (angles, cos, sin, sqrt(m + cos)) of the n-point angle grid;
+    the angle, cos and sin tables are the same arrays for every m."""
+    angles, cos, sin = _circle(n)
+    r = np.sqrt(m + cos)
+    r.flags.writeable = False
+    return angles, cos, sin, r
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -149,10 +160,12 @@ def row_blocks(n: int) -> list[tuple[int, int]]:
 
 
 @functools.lru_cache(maxsize=_POWERS_KEPT)
-def _surface_power(m: float, n: int, table: int, e: int) -> np.ndarray:
+def _surface_power(m: float | None, n: int, table: int, e: int) -> np.ndarray:
     """Read-only ``surface_angles(m, n)[table] ** e``, table 1, 2 or 3 for cos,
-    sin or r: the scans of one grid ask for the same few powers every call."""
-    power = surface_angles(m, n)[table] ** e
+    sin or r: the scans of one grid ask for the same few powers every call.
+    The cos and sin powers do not depend on m and are asked for with m None,
+    so every m shares them."""
+    power = (_circle(n) if m is None else surface_angles(m, n))[table] ** e
     power.flags.writeable = False
     return power
 
@@ -163,18 +176,22 @@ def _surface_factors(compiled: CompiledPoly, m: float,
     (i, j), U's holding cos^i sin^j and V's r^(i+j) times the sum of c sin^k."""
     phi_parts: dict[tuple[int, int], np.ndarray] = {}
     for (i, j, k), c in compiled.terms:
-        phi_parts[i, j] = phi_parts.get((i, j), 0.0) + c * _surface_power(m, n, 2, k)
+        phi_parts[i, j] = phi_parts.get((i, j), 0.0) + c * _surface_power(None, n, 2, k)
     u, v = np.empty((2, n, len(phi_parts)))
     for col, ((i, j), part) in enumerate(phi_parts.items()):
-        u[:, col] = _surface_power(m, n, 1, i) * _surface_power(m, n, 2, j)
+        u[:, col] = _surface_power(None, n, 1, i) * _surface_power(None, n, 2, j)
         v[:, col] = _surface_power(m, n, 3, i + j) * part
     return u, v.T
 
 
-def surface_blocks(polys: Sequence[CompiledPoly], m: float,
-                   n: int) -> Iterator[tuple[slice, list[np.ndarray]]]:
+def surface_blocks(polys: Sequence[CompiledPoly], m: float, n: int,
+                   order: Sequence[int] | None = None
+                   ) -> Iterator[tuple[slice, list[np.ndarray]]]:
     """Each polynomial on the n x n torus grid, indexed [theta, phi], by
     theta-row blocks: yields (rows, blocks), blocks[p] = polys[p] on those rows.
+    ``order`` lists the indices into ``row_blocks(n)`` of the blocks to
+    yield, in that order; by default every block is yielded in turn.  A
+    block is computed only when the caller asks for it.
 
     On the torus x^i y^j z^k = (cos^i sin^j)(theta) * (r^(i+j) sin^k)(phi),
     so a polynomial on the grid is U @ V.T with a column per (i, j); a block
@@ -191,7 +208,7 @@ def surface_blocks(polys: Sequence[CompiledPoly], m: float,
         factors.append((u, vt, np.multiply if u.shape[1] == 1 else np.matmul))
     blocks = row_blocks(n)
     buffers = np.empty((len(polys), max(b - a for a, b in blocks), n))
-    for a, b in blocks:
+    for a, b in (blocks if order is None else (blocks[k] for k in order)):
         yield slice(a, b), [product(u[a:b], vt, out=buf[:b - a])
                             for (u, vt, product), buf in zip(factors, buffers)]
 

@@ -340,6 +340,29 @@ def test_non_finite_derivative_coefficient_is_a_usage_error(command, m, capsys, 
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+# coefficients that are finite floats but whose squares overflow: a
+# degree-one field and a quadratic one, both on the exact no-singularity path
+HUGE_SPEED = {"degree-one": ["--px", "(10^40)^5*y", "--qy", "-(10^40)^5*x", "--rz", "0"],
+              "quadratic": ["--px", "(1/2)*x*z + (10^40)^5*y",
+                            "--qy", "(1/2)*y*z - (10^40)^5*x",
+                            "--rz", "(-a^2*(x^2+y^2) + z^2 + a^4 - 1)"]}
+
+
+@pytest.mark.parametrize("field", sorted(HUGE_SPEED))
+@pytest.mark.parametrize("m", ["5", "4"])
+@pytest.mark.parametrize("command", [["singular", "--grid", "32"],
+                                     ["report", "--grid", "32"]],
+                         ids=["singular", "report"])
+def test_non_finite_grid_speed_is_a_usage_error(command, m, field, capsys, recwarn):
+    code = main([*command, *HUGE_SPEED[field], "--m", m])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("error: |chi| is not finite on the 32x32 grid: the "
+                            "field's values exceed the float range\n")
+    assert captured.out == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("m", ["5", "4"])
 def test_integrate_non_finite_state_is_an_error(m, capsys):
     # the coefficients are finite floats but the field's values overflow,

@@ -14,7 +14,7 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          build_pseudo_type, build_quadratic,
                          build_two_parallel, check_four_meridian_criterion,
                          classify_singularity,
-                         divide_exact, grid_min_speed, meridian_periodicity,
+                         divide_exact, meridian_periodicity,
                          parallel_periodicity, parse, recognize,
                          singular_points)
 from torusfields import dynamics
@@ -524,8 +524,9 @@ def test_chart_trace_matches_fd_divergence():
 
 
 def test_grid_min_speed_positive_for_rotation():
-    assert grid_min_speed(VectorField(Y, -X, MultiPoly.zero()), M,
-                          grid=64) > 1.0
+    # the rotation is the degree-one field with c = 1: alpha = 0, f = 1
+    assert dynamics.grid_min_speed(VectorField(Y, -X, MultiPoly.zero()), Scalar(0),
+                                   MultiPoly.constant(1), M, grid=64) > 1.0
 
 
 def test_singular_points_rejects_coarse_grid():

@@ -7,8 +7,9 @@ import pytest
 
 import warnings
 
-from torusfields import (CubicParams, MultiPoly, Scalar, VectorField, X, Y,
-                         build_cubic, grid_min_speed, recognize, singular_points,
+from torusfields import (CubicParams, Family, MultiPoly, QuadraticParams, Scalar,
+                         VectorField, X, Y, build_cubic, build_quadratic,
+                         recognize, singular_points,
                          integrate, meridian_periodicity, parse)
 from torusfields import dynamics, kernels
 from torusfields.kernels import (compile_finite, compile_poly, eval_grid,
@@ -103,7 +104,8 @@ def test_surface_angle_tables_keyed_by_m():
     n = 16
     at_4, at_3 = surface_angles(4.0, n), surface_angles(3.0, n)
     assert at_4 is not at_3
-    assert np.array_equal(at_4[0], at_3[0])
+    # the angle, cos and sin tables do not depend on m: one array each
+    assert all(at_4[t] is at_3[t] for t in (0, 1, 2))
     assert np.array_equal(at_4[3], np.sqrt(4.0 + np.cos(at_4[0])))
     assert np.array_equal(at_3[3], np.sqrt(3.0 + np.cos(at_3[0])))
     assert not at_4[3].flags.writeable
@@ -380,7 +382,9 @@ def assert_same_components(flagged, has_sign_change):
     assert bounds[-1] == cells.size == np.count_nonzero(flagged)
 
 
-def reference_grid_min_speed(field, m, grid=512):
+def reference_grid_min_speed(field, alpha, f, m, grid=512):
+    """Full-grid reference of ``dynamics.grid_min_speed``; the normal form
+    (alpha, f) is not needed without the block bounds."""
     mf = float(m)
     total = sum(eval_surface(compile_finite(component, mf, name), mf, grid) ** 2
                 for component, name in zip(field.components(), "PQR"))
@@ -389,6 +393,16 @@ def reference_grid_min_speed(field, m, grid=512):
 
 def named_field(expr, m):
     return VectorField(*(parse(e, m) for e in expr))
+
+
+def normal_form(field, m):
+    """(alpha, f) of a quadratic or degree-one field, else None."""
+    tag = recognize(field, m)
+    if tag.family == Family.QUADRATIC:
+        return tag.params.alpha, tag.params.f
+    if tag.family == Family.DEGREE_ONE:
+        return Scalar(0), MultiPoly.constant(tag.params.c)
+    return None
 
 
 def scan_level(field, mf):
@@ -414,7 +428,10 @@ def test_blocked_scan_matches_full_grid(n, monkeypatch):
         mf = float(m)
         for expr in NAMED_FIELDS:
             field = named_field(expr, m)
-            assert grid_min_speed(field, m, n) == reference_grid_min_speed(field, m, n)
+            normal = normal_form(field, m)
+            if normal is not None:
+                assert dynamics.grid_min_speed(field, *normal, m, n) \
+                    == reference_grid_min_speed(field, *normal, m, n)
             level = scan_level(field, mf)
             vals, extremes, vmax, min_abs = dynamics._level_grid(level, mf, n)
             ref_vals, ref_extremes, ref_vmax, ref_min_abs = reference_level_grid(level, mf, n)
@@ -434,6 +451,80 @@ def test_blocked_scan_matches_full_grid(n, monkeypatch):
     monkeypatch.setattr(dynamics, "_components", reference_component_arrays)
     for (expr, m), got in blocked.items():
         assert got == singular_set_and_warnings(named_field(expr, m), m, n)
+
+
+SPEED_M = [Fraction(4), Fraction(3), Fraction(9, 2), Fraction(5, 4), Fraction(2)]
+# one block (32, 33, 100), two of 100 rows, 333 (not a multiple of 8), eight
+# blocks of 64 and thirty-two of 32 rows
+SPEED_N = [32, 33, 100, 200, 333, 512, 1024]
+
+
+def draw_normal_form_field(rng, m, kind):
+    """A seeded quadratic field, one with f1 = f2 = 0 ("theta-free"), or a
+    degree-one field, with small rational coefficients that carry a sqrt(m)
+    part now and then."""
+    def coefficient():
+        c = Scalar(Fraction(rng.randint(-7, 7), rng.randint(1, 4)))
+        if rng.random() < 0.3:
+            c = c + Scalar(0, Fraction(rng.randint(-2, 2), 3), m)
+        return c if c else Scalar(1)
+    if kind == "degree-one":
+        c = coefficient()
+        return VectorField(Y * c, -(X * c), MultiPoly.zero())
+    f = MultiPoly.constant(coefficient()) + MultiPoly.variable("z") * coefficient()
+    if kind != "theta-free":
+        f = f + X * coefficient() + Y * coefficient()
+    return build_quadratic(QuadraticParams(coefficient(), f), m)
+
+
+@pytest.mark.parametrize("m", SPEED_M)
+def test_culled_speed_scan_matches_full_grid(m):
+    rng = random.Random(f"speed scan at m = {m}")
+    mf = float(m)
+    skipped = 0
+    for kind in ["quadratic"] * 4 + ["theta-free", "degree-one"]:
+        field = draw_normal_form_field(rng, m, kind)
+        alpha, f = normal_form(field, m)
+        compiled = [compile_finite(c, mf, name) for c, name in zip(field.components(), "PQR")]
+        for n in SPEED_N:
+            speed = dynamics.grid_min_speed(field, alpha, f, m, n)
+            assert speed == reference_grid_min_speed(field, alpha, f, m, n)
+            # the bounds hold block by block, not only where the minimum is
+            bounds = dynamics._speed_bounds(compiled, alpha, f, mf, n)
+            minima = [(p * p + q * q + r * r).min()
+                      for _, (p, q, r) in surface_blocks(compiled, mf, n)]
+            assert all(low <= least for low, least in zip(bounds, minima))
+            skipped += np.count_nonzero(bounds > min(minima))
+    assert skipped > 0
+
+
+def test_speed_bounds_beyond_their_scale_leave_every_block_a_candidate():
+    # f = 10^150*(x - 2y): term magnitudes near 2^503, every value finite
+    m, n = Fraction(4), 512
+    field = build_quadratic(QuadraticParams(Scalar(2), parse("(10^50)^3*(x - 2*y)", m)), m)
+    alpha, f = normal_form(field, m)
+    compiled = [compile_finite(c, 4.0, name) for c, name in zip(field.components(), "PQR")]
+    assert np.all(dynamics._speed_bounds(compiled, alpha, f, 4.0, n) == -math.inf)
+    speed = dynamics.grid_min_speed(field, alpha, f, m, n)
+    assert math.isfinite(speed) and speed == reference_grid_min_speed(field, alpha, f, m, n)
+
+
+@pytest.mark.parametrize("m, evaluated", [(Fraction(4), 3), (Fraction(3), 4)])
+def test_corpus_quadratic_speed_scan_skips_blocks(m, evaluated, monkeypatch):
+    # the corpus quadratic K' = 2, f = 1 + x - 2y + z at n = 512
+    n = 512
+    field = build_quadratic(QuadraticParams(Scalar(2), parse("1 + x - 2*y + z", m)), m)
+    products = []
+
+    def counted_blocks(polys, mf, n, order=None):
+        for rows, blocks in surface_blocks(polys, mf, n, order):
+            products.append(len(blocks))
+            yield rows, blocks
+
+    monkeypatch.setattr(dynamics, "surface_blocks", counted_blocks)
+    speed = dynamics.grid_min_speed(field, *normal_form(field, m), m, n)
+    assert speed == reference_grid_min_speed(field, None, None, m, n)
+    assert len(row_blocks(n)) == 8 and products == [3] * evaluated
 
 
 @pytest.mark.parametrize("row", [0, 99, 100, 199])
