@@ -9,11 +9,11 @@ Weierstrass substitution t = tan(theta/2).  Singular-set extraction samples
 the relevant level function on a (theta, phi) grid and pins candidates down
 with Newton steps driven by exact derivatives.  The grid scans run in
 blocks of theta rows (``kernels.surface_blocks``): one pass fills the level
-grid, each theta row's min and max, and the max and min |level|; a second
-computes each cell's corner min and max from a block plus one wrapped halo
-row, so no pass leaves the cache.  That second pass runs only on the rows
-whose extremes allow a flagged cell: a cell row whose two grid rows are all
-at least tau, or all at most -tau, has none, so each block is reduced over
+grid and each theta row's min and max; a second computes each cell's
+corner min and max from a block plus one wrapped halo row, so no pass
+leaves the cache.  That second pass runs only on the rows whose extremes
+allow a flagged cell: a cell row whose two grid rows are all at least
+tau, or all at most -tau, has none, so each block is reduced over
 the span between its first and last remaining row (min/max culling;
 Wilhelms & Van Gelder, ACM TOG 11(3), 1992).  The 8-connected periodic
 components of the flagged cells are then labelled with array operations
@@ -23,15 +23,12 @@ seeded for Newton, from their local minima of |level|.
 
 Quadratic and degree-one fields have no singular points; their report
 carries the grid minimum of |chi|, which has a closed form in the normal
-form K' = alpha, f = f0 + f1*x + f2*y + f3*z: with r^2 = m + cos(phi),
-|chi|^2 = r^2*(alpha^2*sin(phi)^2/16 + f^2) + (alpha^2/4)*cos(phi)^2*r^4.
-For each theta-row block the range of f1*cos + f2*sin over its rows gives,
-per phi, an interval for f and so a lower bound of |chi|^2 (Moore,
-Interval Analysis, 1966), shrunk by a margin of 2^-40 times the sum of
-the term magnitudes that covers the table, product and square rounding
-(``_speed_bounds``).  The blocks are scanned in increasing bound order
-until the next bound exceeds the least value found, which is then the
-full scan's minimum, bit for bit.
+form K' = alpha, f = f0 + f1*x + f2*y + f3*z: with q = alpha/4 and r^2 =
+m + cos(phi), |chi|^2 = r^2*((q*sin(phi))^2 + f^2) + (2*q*cos(phi)*r^2)^2,
+and f = r*(g(theta) - t(phi)) with g = f1*cos + f2*sin and t = -(f0 +
+f3*sin(phi))/r.  Per phi the least value over the theta rows is at the g
+nearest t, one lookup among the sorted g, so no 2-D grid is evaluated.
+Every empty singular set reports min |chi| over its grid.
 """
 
 from __future__ import annotations
@@ -65,11 +62,6 @@ _FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
 _NEIGHBOURS = _FORWARD + tuple((-di, -dj) for di, dj in _FORWARD)
 # exponents of the monomials 1, x, y, z
 _LINEAR = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-# the speed bound's relative margin, and the largest scale it is computed at
-_BOUND_MARGIN = 2.0 ** -40
-_BOUND_SCALE = 2.0 ** 500
-# block x phi values per pass of the speed bounds (256 KB of float64)
-_BOUND_VALUES = 32768
 
 
 class ChartError(ValueError):
@@ -401,25 +393,18 @@ def _local_min_seeds(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
 
 
 def _level_grid(level: CompiledPoly, mf: float,
-                grid: int) -> tuple[np.ndarray, np.ndarray, float, float]:
+                grid: int) -> tuple[np.ndarray, np.ndarray, float]:
     """The level on the grid, each theta row's (min, max) as a (2, grid)
-    array, and the max and min |level|, in one blocked pass."""
+    array, and the max |level|, in one blocked pass."""
     vals = np.empty((grid, grid))
     extremes = np.empty((2, grid))
-    minima = []
-    for rows, (block,) in surface_blocks([level], mf, grid):
+    for rows, block in surface_blocks(level, mf, grid):
         vals[rows] = block
-        low = block.min(axis=1, out=extremes[0, rows])
-        high = block.max(axis=1, out=extremes[1, rows])
-        if np.any((low < 0.0) & (high > 0.0)):
-            # a row through zero: its min |level| is inside it
-            np.abs(block, out=block)
-            minima.append(block.min())
-        else:
-            minima.append(np.minimum(np.abs(low), np.abs(high)).min())
+        block.min(axis=1, out=extremes[0, rows])
+        block.max(axis=1, out=extremes[1, rows])
     # numpy reductions, so a nan value propagates as it did over the full grid
     vmax = np.maximum(np.abs(extremes[0]), np.abs(extremes[1])).max()
-    return vals, extremes, float(vmax), float(np.min(minima))
+    return vals, extremes, float(vmax)
 
 
 def _corner_reduce(op, rows: np.ndarray, pair: np.ndarray, out: np.ndarray) -> None:
@@ -535,14 +520,12 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
     """
     mf = float(m)
     level_terms = compile_finite(level, mf, what)
-    if level.is_scalar():
-        if level.is_zero():
-            return SingularSet(SingKind.CURVES, [], curve_components=1,
-                               description="the whole torus is singular")
-        return SingularSet(SingKind.EMPTY, [], grid_min_norm=abs(level_terms.terms[0][1]))
-
-    angles = surface_angles(mf, grid)[0]
-    vals, extremes, vmax, min_abs = _level_grid(level_terms, mf, grid)
+    angles, _, _, radius = surface_angles(mf, grid)
+    with np.errstate(all="ignore"):
+        vals, extremes, vmax = _level_grid(level_terms, mf, grid)
+    if not math.isfinite(vmax):
+        raise ValueError(f"{what} is not finite on the {grid}x{grid} grid: the "
+                         "field's values exceed the float range")
     if vmax == 0.0:
         return SingularSet(SingKind.CURVES, [], curve_components=1,
                            description="the whole torus is singular")
@@ -633,106 +616,51 @@ def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
         kind, description = SingKind.EMPTY, ""
     return SingularSet(kind, points, curve_components=curve_count,
                        description=description, numeric_only=not rotation,
-                       grid_min_norm=None if kind != SingKind.EMPTY else min_abs)
+                       grid_min_norm=None if kind != SingKind.EMPTY
+                       else _grid_min_chi(vals, radius, rotation))
 
 
-def _speed_bounds(compiled: list[CompiledPoly], alpha: Scalar, f: MultiPoly,
-                  mf: float, n: int) -> np.ndarray:
-    """Per ``row_blocks(n)`` block, a number that no value P^2 + Q^2 + R^2
-    of the scan in that block is below, for a field in the normal form K' =
-    alpha, f linear, beta = gamma = 0 compiled as ``compiled``.  Every bound
-    is -inf when there is one block, when f1 = f2 = 0 (the bound would not
-    depend on theta) and when the scale T (below) exceeds 2^500.
-
-    The scan evaluates at p = (rho*c, rho*s, z), from the tables: c, s the
-    cos and sin of theta, z, C the sin and cos of phi, rho = sqrt(m + C).
-    With q = alpha/4, P = q*x*z + f*y and Q = q*y*z - f*x give P^2 + Q^2 =
-    (x^2 + y^2)*((q*z)^2 + f^2) at every point, and on the torus R =
-    -2*q*C*rho^2, so |chi(p)| is the norm of (rho*q*z, rho*f(p),
-    2*q*C*rho^2) up to table rounding.  f(p) = rho*(g - t) with g = f1*c +
-    f2*s and t = -(f0 + f3*z)/rho; over the block's rows g lies in [lo, hi],
-    the least and greatest of its values there, so |rho*f(p)| is at least
-    rho^2 times the distance of t from [lo, hi].  N = min over phi of the
-    norm with that distance in place of f(p) bounds |chi| on the block.
-
-    Error margin, with u = 2^-53, R = sqrt(m + 1) >= rho and T the sum of
-    |c| * R^(i+j) over the terms c*x^i*y^j*z^k of P, Q and R, at least |P|,
-    |Q|, |R| and N anywhere.  numpy's cos and sin are within a few ulp, so
-    c^2 + s^2 and z^2 + C^2 are within 17u of 1, and the sum and sqrt making
-    rho are correctly rounded; that puts |chi(p)| within 50u*T of the norm
-    above.  The rounding of the coefficients, g, t, lo, hi and N adds under
-    15u*T, so |chi(p)| >= N - 64u*T.  The powers, products and at most
-    4-term sums of the scan's factors and of U @ V.T put its (P, Q, R)
-    within 32u*T of the exact values at p, and its three squares and two
-    sums lose at most a factor (1 - u)^3 and 2^-1073 to underflow.  So with
-    e = 2^-40 = 8192u, (1 - e) * max(N - e*T, 0)^2, set to 0 below 2^-1000
-    where underflow could matter, is at most every value of the block.
-    T <= 2^500 keeps every square finite; a phi with rho = 0 makes the
-    bounds nan, and a nan bound never stops the scan.
-    """
-    blocks = row_blocks(n)
-    bounds = np.full(len(blocks), -math.inf)
-    f0, f1, f2, f3 = (f.coefficient(e).to_float() for e in _LINEAR)
-    if len(blocks) == 1 or not (f1 or f2):
-        return bounds
-    rm = np.sqrt(mf + 1.0)     # a numpy float, whose powers overflow to inf
-    scale = sum(abs(c) * rm ** (i + j)
-                for poly in compiled for (i, j, _), c in poly.terms)
-    if not scale <= _BOUND_SCALE:
-        return bounds
-    _, cos, sin, rho = surface_angles(mf, n)
-    g = f1 * cos + f2 * sin
-    starts = [a for a, _ in blocks]
-    lows, highs = np.minimum.reduceat(g, starts), np.maximum.reduceat(g, starts)
-    t = -(f0 + f3 * sin) / rho
-    rho2 = rho * rho
-    q = alpha.to_float() / 4.0
-    fixed = np.square(rho * q * sin) + np.square(2.0 * q * cos * rho2)
-    step = max(1, _BOUND_VALUES // n)
-    for k in range(0, len(blocks), step):
-        gap = np.clip(t, lows[k:k + step, None], highs[k:k + step, None])
-        gap -= t
-        gap *= rho2
-        bounds[k:k + step] = (np.square(gap, out=gap) + fixed).min(axis=1)
-    bounds = (1.0 - _BOUND_MARGIN) * np.square(
-        np.maximum(np.sqrt(bounds) - _BOUND_MARGIN * scale, 0.0))
-    bounds[bounds < 2.0 ** -1000] = 0.0
-    return bounds
+def _grid_min_chi(vals: np.ndarray, radius: np.ndarray, rotation: bool) -> float:
+    """min |chi| over the level grid ``vals``, which it overwrites: |chi| =
+    |A|*r for the rotation coefficient A, else sqrt(|chi|^2)."""
+    np.abs(vals, out=vals)
+    if rotation:
+        vals *= radius      # r depends on phi, the column
+        return float(vals.min())
+    return math.sqrt(vals.min())
 
 
 def grid_min_speed(field: VectorField, alpha: Scalar, f: MultiPoly, m: Fraction,
                    grid: int = GRID_DEFAULT) -> float:
-    """Minimum of |chi| over a (theta, phi) grid on the torus for a field in
+    """Minimum of |chi| over the (theta, phi) grid on the torus for a field in
     the normal form K' = alpha, f linear, beta = gamma = 0: a quadratic
     field, or with alpha = 0 and f = c a degree-one field.
 
-    The theta-row blocks of the scan go in increasing order of their bound
-    (``_speed_bounds``), each evaluated as ``surface_blocks`` evaluates it,
-    and the scan stops at the first block whose bound exceeds the least
-    value so far: no block left can hold a smaller one, so the minimum is
-    that of the full scan, bit for bit.  Raises ValueError when the minimum
-    is not finite.
+    With q = alpha/4, P = q*x*z + f*y, Q = q*y*z - f*x and, on the torus, R
+    = -2*q*cos(phi)*r^2, so |chi|^2 = r^2*((q*sin(phi))^2 + f^2) +
+    (2*q*cos(phi)*r^2)^2 with f = r*(g - t), g = f1*cos(theta) +
+    f2*sin(theta) and t = -(f0 + f3*sin(phi))/r.  Per phi the least value
+    over theta is at the g nearest t, found among the sorted g; the result
+    is the minimum of P^2 + Q^2 + R^2 over the grid up to rounding.  Raises
+    ValueError when a component has a coefficient beyond the float range,
+    or when the minimum is not finite.
     """
     mf = float(m)
-    compiled = [compile_finite(component, mf, name)
-                for component, name in zip(field.components(), "PQR")]
-    minima = []
-    least = math.inf
+    for component, name in zip(field.components(), "PQR"):
+        compile_finite(component, mf, name)
+    _, cos, sin, r = surface_angles(mf, grid)
+    f0, f1, f2, f3 = (f.coefficient(e).to_float() for e in _LINEAR)
+    q = alpha.to_float() / 4.0
     with np.errstate(all="ignore"):
-        bounds = _speed_bounds(compiled, alpha, f, mf, grid)
-        order = np.argsort(bounds, kind="stable")
-        scan = surface_blocks(compiled, mf, grid, order)
-        for k in order:
-            if bounds[k] > least:
-                break
-            _, (p, q, r) = next(scan)
-            # P^2, then + Q^2, then + R^2: the order of the full-grid sum
-            np.square(p, out=p)
-            p += np.square(q, out=q)
-            p += np.square(r, out=r)
-            minima.append(p.min())
-            least = min(least, minima[-1])
-        speed = float(np.sqrt(np.min(minima)))
+        g = np.sort(f1 * cos + f2 * sin)
+        t = -(f0 + f3 * sin) / r
+        # the sorted g on either side of t, clamped at both ends
+        above = np.searchsorted(g, t)
+        d = np.minimum(np.abs(t - g[np.maximum(above - 1, 0)]),
+                       np.abs(t - g[np.minimum(above, grid - 1)]))
+        r2 = r * r
+        speed = float(np.sqrt(np.min(r2 * np.square(q * sin) + np.square(r2 * d)
+                                     + np.square(2.0 * q * cos * r2))))
     if not math.isfinite(speed):
         raise ValueError(f"|chi| is not finite on the {grid}x{grid} grid: the "
                          "field's values exceed the float range")

@@ -7,14 +7,14 @@ point values (``eval_point``); called with numpy arrays it does the same
 arithmetic elementwise (``eval_grid``, which no stage of the package calls).
 ``rk4_orbit`` runs one generated loop per field with those statements
 written out at each RK4 stage, so its states are bit for bit the ones the
-compiled functions give.  Surface grid scans (``surface_blocks``) stream the
-matrix product ``U @ V.T`` over the same float terms in blocks of theta
-rows, each block about 256 KB of float64 in a reused work buffer, so every
-pass a scan makes over a block runs in the cache (loop blocking; Lam,
-Rothberg & Wolf, ASPLOS 1991).  The factors U and V are built from powers
-of cos and sin kept per n and of r kept per (m, n) across scans
-(``_surface_power``), and a factor with one column is multiplied out by
-broadcasting, not by BLAS.
+compiled functions give.  A surface grid scan (``surface_blocks``, which
+the singular scan's level grid uses) streams the matrix product ``U @ V.T``
+of one polynomial's float terms in blocks of theta rows, each block about
+256 KB of float64 in a reused work buffer, so every pass a scan makes over
+a block runs in the cache (loop blocking; Lam, Rothberg & Wolf, ASPLOS
+1991).  The factors U and V are built from powers of cos and sin kept per
+n and of r kept per (m, n) across scans (``_surface_power``), and a factor
+with one column is multiplied out by broadcasting, not by BLAS.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import array
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -184,14 +184,10 @@ def _surface_factors(compiled: CompiledPoly, m: float,
     return u, v.T
 
 
-def surface_blocks(polys: Sequence[CompiledPoly], m: float, n: int,
-                   order: Sequence[int] | None = None
-                   ) -> Iterator[tuple[slice, list[np.ndarray]]]:
-    """Each polynomial on the n x n torus grid, indexed [theta, phi], by
-    theta-row blocks: yields (rows, blocks), blocks[p] = polys[p] on those rows.
-    ``order`` lists the indices into ``row_blocks(n)`` of the blocks to
-    yield, in that order; by default every block is yielded in turn.  A
-    block is computed only when the caller asks for it.
+def surface_blocks(compiled: CompiledPoly, m: float,
+                   n: int) -> Iterator[tuple[slice, np.ndarray]]:
+    """The polynomial on the n x n torus grid, indexed [theta, phi], by
+    theta-row blocks in turn: yields (rows, its values on those rows).
 
     On the torus x^i y^j z^k = (cos^i sin^j)(theta) * (r^(i+j) sin^k)(phi),
     so a polynomial on the grid is U @ V.T with a column per (i, j); a block
@@ -202,15 +198,12 @@ def surface_blocks(polys: Sequence[CompiledPoly], m: float, n: int,
     lives in a work buffer that the next block overwrites: copy what must
     outlive the step.
     """
-    factors = []
-    for compiled in polys:
-        u, vt = _surface_factors(compiled, float(m), n)
-        factors.append((u, vt, np.multiply if u.shape[1] == 1 else np.matmul))
+    u, vt = _surface_factors(compiled, float(m), n)
+    product = np.multiply if u.shape[1] == 1 else np.matmul
     blocks = row_blocks(n)
-    buffers = np.empty((len(polys), max(b - a for a, b in blocks), n))
-    for a, b in (blocks if order is None else (blocks[k] for k in order)):
-        yield slice(a, b), [product(u[a:b], vt, out=buf[:b - a])
-                            for (u, vt, product), buf in zip(factors, buffers)]
+    buffer = np.empty((max(b - a for a, b in blocks), n))
+    for a, b in blocks:
+        yield slice(a, b), product(u[a:b], vt, out=buffer[:b - a])
 
 
 # One RK4 step with the stage evaluations of P, Q, R written out in place,

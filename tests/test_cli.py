@@ -363,6 +363,42 @@ def test_non_finite_grid_speed_is_a_usage_error(command, m, field, capsys, recwa
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+# finite coefficients whose values overflow on the grid, so the level A of
+# the field (A*y, -A*x, 0) is not finite there
+HUGE_LEVEL = {a: ["--px", f"((1/2)*(10^44)^7*({a}))*y", "--qy", f"-((1/2)*(10^44)^7*({a}))*x",
+                  "--rz", "0"]
+              for a in ("x^2+y^2", "x+2*y")}
+
+
+@pytest.mark.parametrize("field", sorted(HUGE_LEVEL))
+@pytest.mark.parametrize("m", ["5", "4"])
+@pytest.mark.parametrize("command", [["singular", "--grid", "32"],
+                                     ["report", "--grid", "32"]],
+                         ids=["singular", "report"])
+def test_non_finite_level_grid_is_a_usage_error(command, m, field, capsys, recwarn):
+    code = main([*command, *HUGE_LEVEL[field], "--m", m])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("error: A (of the field (A*y, -A*x, 0)) is not finite on "
+                            "the 32x32 grid: the field's values exceed the float range\n")
+    assert captured.out == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_non_finite_speed_grid_is_a_usage_error(capsys, recwarn):
+    # the worked cubic with f = 10^153*x*y: P^2 + Q^2 + R^2 overflows at m = 5
+    f = "(10^51)^3"
+    code = main(["singular", "--grid", "32", "--m", "5", "--px", f"(1/4)*x*z + {f}*x*y^2",
+                 "--qy", f"(1/4)*y*z - {f}*x^2*y",
+                 "--rz", "(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("error: P^2 + Q^2 + R^2 is not finite on the 32x32 grid: "
+                            "the field's values exceed the float range\n")
+    assert captured.out == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
 @pytest.mark.parametrize("m", ["5", "4"])
 def test_integrate_non_finite_state_is_an_error(m, capsys):
     # the coefficients are finite floats but the field's values overflow,

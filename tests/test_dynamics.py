@@ -524,9 +524,36 @@ def test_chart_trace_matches_fd_divergence():
 
 
 def test_grid_min_speed_positive_for_rotation():
-    # the rotation is the degree-one field with c = 1: alpha = 0, f = 1
+    # the rotation is the degree-one field with c = 1: alpha = 0, f = 1, and
+    # |chi| = r is least at phi = pi, a grid angle, where r = sqrt(3)
     assert dynamics.grid_min_speed(VectorField(Y, -X, MultiPoly.zero()), Scalar(0),
-                                   MultiPoly.constant(1), M, grid=64) > 1.0
+                                   MultiPoly.constant(1), M, grid=64) \
+        == pytest.approx(math.sqrt(3.0), rel=2.0 ** -50)
+
+
+def grid_chi(field, m, grid):
+    """min |chi| over the grid from P, Q and R evaluated point by point."""
+    mf = float(m)
+    angles = surface_angles(mf, grid)[0]
+    theta, phi = np.meshgrid(angles, angles, indexing="ij")
+    rr = np.sqrt(mf + np.cos(phi))
+    at = (rr * np.cos(theta), rr * np.sin(theta), np.sin(phi))
+    chi = [eval_grid(compile_poly(c, mf), *at) for c in field.components()]
+    return float(np.sqrt(sum(v * v for v in chi)).min())
+
+
+def test_empty_singular_sets_report_the_grid_minimum_of_chi():
+    # the worked cubic takes the |chi|^2 scan and A = x^2 + y^2 the rotation
+    # scan; both report min |chi|, not min |chi|^2 or min |A|
+    a_poly = parse("x^2 + y^2", M)
+    cubic = VectorField(parse("(1/4)*x*z + x*y^2", M), parse("(1/4)*y*z - x^2*y", M),
+                        parse("(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)", M))
+    rotation = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
+    for field, near in ((cubic, 0.4998), (rotation, 3.0 * math.sqrt(3.0))):
+        sing = singular_points(field, recognize(field, M), M)
+        assert sing.kind == SingKind.EMPTY
+        assert sing.grid_min_norm == pytest.approx(grid_chi(field, M, 512), rel=1e-12)
+        assert sing.grid_min_norm == pytest.approx(near, rel=1e-4)
 
 
 def test_singular_points_rejects_coarse_grid():
@@ -537,11 +564,12 @@ def test_singular_points_rejects_coarse_grid():
 
 @pytest.mark.parametrize("a_text", ["1", "y^2 + (z - 1/2)^2"])
 def test_singular_points_rejects_grid_above_maximum(a_text, monkeypatch):
-    # checked before any grid is allocated: the rigid rotation would scan
-    # |chi| and the other field its level A
+    # checked before any grid is allocated: the rigid rotation would take
+    # |chi| from its angle tables and the other field would scan its level A
     def no_scan(*args, **kwargs):
         raise AssertionError("scan started")
 
+    monkeypatch.setattr(dynamics, "surface_angles", no_scan)
     monkeypatch.setattr(dynamics, "surface_blocks", no_scan)
     a_poly = parse(a_text, M)
     field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
@@ -659,7 +687,7 @@ def test_seeds_and_newton_match_the_references(m):
         level = rotation_shape(field)
         if level is None:
             level = field.P * field.P + field.Q * field.Q + field.R * field.R
-        vals, extremes, vmax, _ = dynamics._level_grid(compile_poly(level, mf), mf, grid)
+        vals, extremes, vmax = dynamics._level_grid(compile_poly(level, mf), mf, grid)
         tau = vmax * (2.0 * math.pi / grid) ** 2 * 4.0
         has_sign_change, flagged = dynamics._cell_masks(vals, extremes, tau)
         cells, bounds, sign_change = dynamics._components(flagged, has_sign_change)

@@ -65,7 +65,7 @@ def eval_surface(compiled, m, n):
 def blocked_surface(compiled, m, n):
     """The theta-row blocks of ``surface_blocks`` stacked into one grid."""
     grid = np.empty((n, n))
-    for rows, (block,) in surface_blocks([compiled], m, n):
+    for rows, block in surface_blocks(compiled, m, n):
         grid[rows] = block
     return grid
 
@@ -322,8 +322,7 @@ def row_extremes(vals):
 
 def reference_level_grid(level, mf, n):
     vals = eval_surface(level, mf, n)
-    abs_vals = np.abs(vals)
-    return vals, row_extremes(vals), float(np.max(abs_vals)), float(np.min(abs_vals))
+    return vals, row_extremes(vals), float(np.max(np.abs(vals)))
 
 
 def reference_cell_masks(vals, extremes, tau):
@@ -382,9 +381,9 @@ def assert_same_components(flagged, has_sign_change):
     assert bounds[-1] == cells.size == np.count_nonzero(flagged)
 
 
-def reference_grid_min_speed(field, alpha, f, m, grid=512):
-    """Full-grid reference of ``dynamics.grid_min_speed``; the normal form
-    (alpha, f) is not needed without the block bounds."""
+def reference_grid_min_speed(field, m, grid=512):
+    """Full-grid reference of ``dynamics.grid_min_speed``: the square root
+    of the least P^2 + Q^2 + R^2 over the grid, whatever the field."""
     mf = float(m)
     total = sum(eval_surface(compile_finite(component, mf, name), mf, grid) ** 2
                 for component, name in zip(field.components(), "PQR"))
@@ -430,14 +429,15 @@ def test_blocked_scan_matches_full_grid(n, monkeypatch):
             field = named_field(expr, m)
             normal = normal_form(field, m)
             if normal is not None:
-                assert dynamics.grid_min_speed(field, *normal, m, n) \
-                    == reference_grid_min_speed(field, *normal, m, n)
+                speed = dynamics.grid_min_speed(field, *normal, m, n)
+                assert abs(speed - reference_grid_min_speed(field, m, n)) \
+                    <= 2.0 ** -47 * speed_scale(field, m)
             level = scan_level(field, mf)
-            vals, extremes, vmax, min_abs = dynamics._level_grid(level, mf, n)
-            ref_vals, ref_extremes, ref_vmax, ref_min_abs = reference_level_grid(level, mf, n)
+            vals, extremes, vmax = dynamics._level_grid(level, mf, n)
+            ref_vals, ref_extremes, ref_vmax = reference_level_grid(level, mf, n)
             assert np.array_equal(vals, ref_vals)
             assert np.array_equal(extremes, ref_extremes)
-            assert (vmax, min_abs) == (ref_vmax, ref_min_abs)
+            assert vmax == ref_vmax
             tau = vmax * (2.0 * math.pi / n) ** 2 * 4.0
             masks = dynamics._cell_masks(vals, extremes, tau)
             ref_masks = reference_cell_masks(vals, extremes, tau)
@@ -445,7 +445,6 @@ def test_blocked_scan_matches_full_grid(n, monkeypatch):
             assert_same_components(masks[1], masks[0])
     blocked = {(expr, m): singular_set_and_warnings(named_field(expr, m), m, n)
                for expr in NAMED_FIELDS for m in M_VALUES}
-    monkeypatch.setattr(dynamics, "grid_min_speed", reference_grid_min_speed)
     monkeypatch.setattr(dynamics, "_level_grid", reference_level_grid)
     monkeypatch.setattr(dynamics, "_cell_masks", reference_cell_masks)
     monkeypatch.setattr(dynamics, "_components", reference_component_arrays)
@@ -453,10 +452,20 @@ def test_blocked_scan_matches_full_grid(n, monkeypatch):
         assert got == singular_set_and_warnings(named_field(expr, m), m, n)
 
 
-SPEED_M = [Fraction(4), Fraction(3), Fraction(9, 2), Fraction(5, 4), Fraction(2)]
-# one block (32, 33, 100), two of 100 rows, 333 (not a multiple of 8), eight
-# blocks of 64 and thirty-two of 32 rows
+SPEED_M = [Fraction(4), Fraction(3), Fraction(9, 2), Fraction(5, 4), Fraction(2),
+           Fraction(101, 100)]
+# odd and even sizes, and 333, which is not a multiple of 8
 SPEED_N = [32, 33, 100, 200, 333, 512, 1024]
+
+
+def speed_scale(field, m):
+    """T, the sum of |c|*sqrt(m + 1)^(i+j) over the float terms c*x^i*y^j*z^k
+    of P, Q and R: at least |P|, |Q| and |R| anywhere on the torus."""
+    mf = float(m)
+    rm = math.sqrt(mf + 1.0)
+    return sum(abs(c) * rm ** (i + j)
+               for component, name in zip(field.components(), "PQR")
+               for (i, j, _), c in compile_finite(component, mf, name).terms)
 
 
 def draw_normal_form_field(rng, m, kind):
@@ -478,53 +487,19 @@ def draw_normal_form_field(rng, m, kind):
 
 
 @pytest.mark.parametrize("m", SPEED_M)
-def test_culled_speed_scan_matches_full_grid(m):
+def test_closed_form_speed_matches_full_grid(m):
     rng = random.Random(f"speed scan at m = {m}")
-    mf = float(m)
-    skipped = 0
-    for kind in ["quadratic"] * 4 + ["theta-free", "degree-one"]:
-        field = draw_normal_form_field(rng, m, kind)
+    fields = [draw_normal_form_field(rng, m, kind)
+              for kind in ["quadratic"] * 4 + ["theta-free", "degree-one"]]
+    # f = 10^150*(x - 2y): term magnitudes near 2^503, every square finite
+    fields.append(build_quadratic(
+        QuadraticParams(Scalar(2), parse("(10^50)^3*(x - 2*y)", m)), m))
+    for field in fields:
         alpha, f = normal_form(field, m)
-        compiled = [compile_finite(c, mf, name) for c, name in zip(field.components(), "PQR")]
+        bound = 2.0 ** -47 * speed_scale(field, m)
         for n in SPEED_N:
             speed = dynamics.grid_min_speed(field, alpha, f, m, n)
-            assert speed == reference_grid_min_speed(field, alpha, f, m, n)
-            # the bounds hold block by block, not only where the minimum is
-            bounds = dynamics._speed_bounds(compiled, alpha, f, mf, n)
-            minima = [(p * p + q * q + r * r).min()
-                      for _, (p, q, r) in surface_blocks(compiled, mf, n)]
-            assert all(low <= least for low, least in zip(bounds, minima))
-            skipped += np.count_nonzero(bounds > min(minima))
-    assert skipped > 0
-
-
-def test_speed_bounds_beyond_their_scale_leave_every_block_a_candidate():
-    # f = 10^150*(x - 2y): term magnitudes near 2^503, every value finite
-    m, n = Fraction(4), 512
-    field = build_quadratic(QuadraticParams(Scalar(2), parse("(10^50)^3*(x - 2*y)", m)), m)
-    alpha, f = normal_form(field, m)
-    compiled = [compile_finite(c, 4.0, name) for c, name in zip(field.components(), "PQR")]
-    assert np.all(dynamics._speed_bounds(compiled, alpha, f, 4.0, n) == -math.inf)
-    speed = dynamics.grid_min_speed(field, alpha, f, m, n)
-    assert math.isfinite(speed) and speed == reference_grid_min_speed(field, alpha, f, m, n)
-
-
-@pytest.mark.parametrize("m, evaluated", [(Fraction(4), 3), (Fraction(3), 4)])
-def test_corpus_quadratic_speed_scan_skips_blocks(m, evaluated, monkeypatch):
-    # the corpus quadratic K' = 2, f = 1 + x - 2y + z at n = 512
-    n = 512
-    field = build_quadratic(QuadraticParams(Scalar(2), parse("1 + x - 2*y + z", m)), m)
-    products = []
-
-    def counted_blocks(polys, mf, n, order=None):
-        for rows, blocks in surface_blocks(polys, mf, n, order):
-            products.append(len(blocks))
-            yield rows, blocks
-
-    monkeypatch.setattr(dynamics, "surface_blocks", counted_blocks)
-    speed = dynamics.grid_min_speed(field, *normal_form(field, m), m, n)
-    assert speed == reference_grid_min_speed(field, None, None, m, n)
-    assert len(row_blocks(n)) == 8 and products == [3] * evaluated
+            assert abs(speed - reference_grid_min_speed(field, m, n)) <= bound
 
 
 @pytest.mark.parametrize("row", [0, 99, 100, 199])
@@ -536,9 +511,9 @@ def test_level_grid_extremes_in_any_block_row(row):
     for expr, extreme in ((f"3 + {c}*x + {s}*y", np.argmax),
                           (f"10 - ({c}*x + {s}*y)", np.argmin)):
         level = compile_poly(parse(expr, M), mf)
-        vals, extremes, vmax, min_abs = dynamics._level_grid(level, mf, n)
-        ref_vals, ref_extremes, ref_vmax, ref_min_abs = reference_level_grid(level, mf, n)
-        assert np.array_equal(vals, ref_vals) and (vmax, min_abs) == (ref_vmax, ref_min_abs)
+        vals, extremes, vmax = dynamics._level_grid(level, mf, n)
+        ref_vals, ref_extremes, ref_vmax = reference_level_grid(level, mf, n)
+        assert np.array_equal(vals, ref_vals) and vmax == ref_vmax
         assert np.array_equal(extremes, ref_extremes)
         assert extreme(np.abs(ref_vals)) // n == row
 
