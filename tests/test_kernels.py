@@ -489,17 +489,24 @@ def draw_normal_form_field(rng, m, kind):
 @pytest.mark.parametrize("m", SPEED_M)
 def test_closed_form_speed_matches_full_grid(m):
     rng = random.Random(f"speed scan at m = {m}")
-    fields = [draw_normal_form_field(rng, m, kind)
-              for kind in ["quadratic"] * 4 + ["theta-free", "degree-one"]]
+    for kind in ["quadratic"] * 4 + ["theta-free", "degree-one"]:
+        assert_speed_matches_full_grid(draw_normal_form_field(rng, m, kind), m)
+
+
+def assert_speed_matches_full_grid(field, m):
+    alpha, f = normal_form(field, m)
+    bound = 2.0 ** -47 * speed_scale(field, m)
+    for n in SPEED_N:
+        speed = dynamics.grid_min_speed(field, alpha, f, m, n)
+        assert math.isfinite(speed)
+        assert abs(speed - reference_grid_min_speed(field, m, n)) <= bound
+
+
+@pytest.mark.parametrize("m", SPEED_M)
+def test_huge_coefficient_speed_matches_full_grid(m):
     # f = 10^150*(x - 2y): term magnitudes near 2^503, every square finite
-    fields.append(build_quadratic(
-        QuadraticParams(Scalar(2), parse("(10^50)^3*(x - 2*y)", m)), m))
-    for field in fields:
-        alpha, f = normal_form(field, m)
-        bound = 2.0 ** -47 * speed_scale(field, m)
-        for n in SPEED_N:
-            speed = dynamics.grid_min_speed(field, alpha, f, m, n)
-            assert abs(speed - reference_grid_min_speed(field, m, n)) <= bound
+    field = build_quadratic(QuadraticParams(Scalar(2), parse("(10^50)^3*(x - 2*y)", m)), m)
+    assert_speed_matches_full_grid(field, m)
 
 
 @pytest.mark.parametrize("row", [0, 99, 100, 199])
