@@ -34,8 +34,7 @@ from .curves import (MeridianPlane, MeridianSet, ParallelPlane, ParallelSet,
                      linear_xy_factors)
 from .dynamics import (ChartError, GridResolutionWarning, MeridianVerdict,
                        PeriodicityVerdict, SingClass, SingKind, SingularSet,
-                       Verdict, chart_gradient, chart_trace,
-                       classify_singularity, meridian_periodicity,
+                       Verdict, classify_singularity, meridian_periodicity,
                        parallel_periodicity, singular_points)
 from .integrate import (StepOverflow, Trajectory, export, integrate,
                         trajectory_from_json)

@@ -5,30 +5,19 @@ and phi around the tube, with radius r = sqrt(m + cos(phi)) and height
 z = sin(phi).  Meridian periodicity reduces to real roots of one quartic
 per meridian plane, where the linear K' meets the plane's meridians;
 parallel periodicity to real roots of an exact degree-4 polynomial from the
-Weierstrass substitution t = tan(theta/2).  Singular-set extraction samples
-the relevant level function on a (theta, phi) grid and pins candidates down
-with Newton steps driven by exact derivatives.  The grid scans run in
-blocks of theta rows (``kernels.surface_blocks``): one pass fills the level
-grid and each theta row's min and max; a second computes each cell's
-corner min and max from a block plus one wrapped halo row, so no pass
-leaves the cache.  That second pass runs only on the rows whose extremes
-allow a flagged cell: a cell row whose two grid rows are all at least
-tau, or all at most -tau, has none, so each block is reduced over
-the span between its first and last remaining row (min/max culling;
-Wilhelms & Van Gelder, ACM TOG 11(3), 1992).  The 8-connected periodic
-components of the flagged cells are then labelled with array operations
-over the flagged cells alone (min-label hooking with pointer jumping); a
-component that changes sign counts as a curve, and only the others are
-seeded for Newton, from their local minima of |level|.
+Weierstrass substitution t = tan(theta/2).
 
-Quadratic and degree-one fields have no singular points; their report
-carries the grid minimum of |chi|, which has a closed form in the normal
-form K' = alpha, f = f0 + f1*x + f2*y + f3*z: with q = alpha/4 and r^2 =
-m + cos(phi), |chi|^2 = r^2*((q*sin(phi))^2 + f^2) + (2*q*cos(phi)*r^2)^2,
-and f = r*(g(theta) - t(phi)) with g = f1*cos + f2*sin and t = -(f0 +
-f3*sin(phi))/r.  Per phi the least value over the theta rows is at the g
-nearest t, one lookup among the sorted g, so no 2-D grid is evaluated.
-Every empty singular set reports min |chi| over its grid.
+A tangent field is chi = a*(-y, x, 0) + b*(x*z, y*z, -2*rho^2*ring) with
+rho^2 = x^2 + y^2 and ring = rho^2 - m, two orthogonal directions, so it
+vanishes where G1 = y*P - x*Q = -a*rho^2 and G2 = 2*z*(x*P + y*Q) - ring*R
+= 2*b*rho^2 both do, and |chi|^2 = (G1^2 + G2^2*w/4)/rho^2 with w = z^2 +
+4*rho^2*ring^2: no square is formed.  On the torus the cubic form has G1 =
+M = rho^2*f + z*(beta*y - gamma*x) and G2 = 2*L, L = rho^2*K'/4 + beta*x +
+gamma*y.  The scans sample the levels by blocks of theta rows with each
+row's min and max, reduce cell corners only on rows that those allow to
+hold a flagged cell (Wilhelms & Van Gelder, ACM TOG 11(3), 1992), label
+the periodic components of the flagged cells and refine them by damped
+Newton steps with exact derivatives.
 """
 
 from __future__ import annotations
@@ -43,11 +32,10 @@ import numpy as np
 
 from .curves import (MeridianPlane, check_four_meridian_criterion,
                      linear_xy_factors, plane_from_factor)
-from .families import (CubicParams, Family, FamilyTag, QuadraticParams,
-                       TwoParallelParams)
+from .families import CubicParams, FamilyTag, TwoParallelParams
 from .kernels import (CompiledPoly, compile_finite, eval_point,
                       row_blocks, surface_angles, surface_blocks)
-from .poly import MultiPoly, NotDivisible, UniPoly, Y, divide_exact
+from .poly import MultiPoly, NotDivisible, UniPoly, X, Y, Z, divide_exact
 from .roots import real_roots
 from .scalars import Scalar
 from .vfield import VectorField
@@ -60,6 +48,7 @@ GRID_MAX = 4096  # a 4096 x 4096 level grid is 128 MB of float64
 # meets every adjacent pair once, and the whole of it
 _FORWARD = ((0, 1), (1, -1), (1, 0), (1, 1))
 _NEIGHBOURS = _FORWARD + tuple((-di, -dj) for di, dj in _FORWARD)
+_CORNERS = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])[:, :, None]     # (di, dj) of a cell
 # exponents of the monomials 1, x, y, z
 _LINEAR = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
 
@@ -317,45 +306,56 @@ def parallel_periodicity(params: TwoParallelParams, m: Fraction,
 # -- singular points --------------------------------------------------------------
 
 
-def _newton_2d(gradfn, start: tuple[float, float]) -> tuple[float, float] | None:
+def _torus_functions(polys: list[MultiPoly], whats: list[str], mf: float):
+    """(theta, phi) -> (values, rows): the polynomials (named ``whats`` in
+    errors) and their (d/dtheta, d/dphi) at that point, by exact derivatives."""
+    values = [compile_finite(p, mf, what).fn for p, what in zip(polys, whats)]
+    grads = [[compile_finite(p.differentiate(v), mf, f"the {v}-derivative of {what}").fn
+              for v in "xyz"] for p, what in zip(polys, whats)]
+
+    def at(th: float, ph: float):
+        c, s, cos_ph = math.cos(th), math.sin(th), math.cos(ph)
+        r = math.sqrt(mf + cos_ph)
+        x, y, z = r * c, r * s, math.sin(ph)
+        r_phi = -z / (2.0 * r)
+        rows = [(gy * x - gx * y, (gx * c + gy * s) * r_phi + gz * cos_ph)
+                for gx, gy, gz in ((g(x, y, z) for g in grad) for grad in grads)]
+        return [v(x, y, z) for v in values], rows
+    return at
+
+
+def _newton_pair(at, start: tuple[float, float]) -> tuple[float, float]:
+    """Damped Newton (Levenberg-Marquardt) steps from ``start`` towards a
+    common zero of the two functions of ``at`` (:func:`_torus_functions`),
+    each equation divided by its gradient's length: (J^T J + lam*I) d = J^T v
+    with lam = |v|^2 (Yamashita & Fukushima, 2001), Newton's step at a
+    regular zero and a step still where J is singular; one equation twice
+    projects along its gradient.  Steps are capped at 0.5; it stops after a
+    step below 1e-13 or 60 steps."""
     th, ph = start
-    h = 1e-6
     for _ in range(60):
-        g0, g1 = gradfn(th, ph)
-        th_hi, th_lo = gradfn(th + h, ph), gradfn(th - h, ph)
-        ph_hi, ph_lo = gradfn(th, ph + h), gradfn(th, ph - h)
-        a00 = (th_hi[0] - th_lo[0]) / (2 * h)
-        a01 = (ph_hi[0] - ph_lo[0]) / (2 * h)
-        a10 = (th_hi[1] - th_lo[1]) / (2 * h)
-        a11 = (ph_hi[1] - ph_lo[1]) / (2 * h)
-        det = a00 * a11 - a01 * a10
-        if abs(det) < 1e-14:
-            return None
-        dth = (g0 * a11 - g1 * a01) / det
-        dph = (a00 * g1 - a10 * g0) / det
+        (v0, a00, a01), (v1, a10, a11) = [
+            (v / n, a / n, b / n) if (n := math.hypot(a, b)) > 0.0 else (v, a, b)
+            for v, (a, b) in zip(*at(th, ph))]
+        lam = v0 * v0 + v1 * v1
+        g0, g1 = a00 * v0 + a10 * v1, a01 * v0 + a11 * v1
+        n00, n11 = a00 * a00 + a10 * a10 + lam, a01 * a01 + a11 * a11 + lam
+        n01 = a00 * a01 + a10 * a11
+        det = n00 * n11 - n01 * n01
+        if not det > 0.0:
+            break
+        dth, dph = (g0 * n11 - g1 * n01) / det, (n00 * g1 - n01 * g0) / det
         step = math.hypot(dth, dph)
-        if step > 0.5:
-            dth *= 0.5 / step
-            dph *= 0.5 / step
-        th -= dth
-        ph -= dph
+        cap = 0.5 / max(step, 0.5)
+        th, ph = th - dth * cap, ph - dph * cap
         if step < 1e-13:
-            return th, ph
-    return None
+            break
+    return th, ph
 
 
-def _surface_gradient(grads: list[CompiledPoly], mf: float):
-    """(d/dtheta, d/dphi) on the torus of the level whose x, y, z
-    derivatives are ``grads``, as a function of (theta, phi)."""
-    def grad_surface(th: float, ph: float) -> tuple[float, float]:
-        r = math.sqrt(mf + math.cos(ph))
-        x, y, z = r * math.cos(th), r * math.sin(th), math.sin(ph)
-        gx, gy, gz = (eval_point(g, x, y, z) for g in grads)
-        r_phi = -math.sin(ph) / (2.0 * r)
-        return (gx * (-y) + gy * x,
-                gx * math.cos(th) * r_phi + gy * math.sin(th) * r_phi
-                + gz * math.cos(ph))
-    return grad_surface
+def _angle_gap(a: tuple[float, float], b: tuple[float, float]) -> float:
+    """The larger of the wrapped theta and phi distances of two angle pairs."""
+    return max(abs((p - q + math.pi) % (2.0 * math.pi) - math.pi) for p, q in zip(a, b))
 
 
 def _component_extent(rows: np.ndarray, cols: np.ndarray, n: int) -> int:
@@ -367,44 +367,46 @@ def _component_extent(rows: np.ndarray, cols: np.ndarray, n: int) -> int:
             return n
         # the widest gap between neighbouring coordinates, the wrap included
         return n - int((uniq[1:] - uniq[:-1]).max(initial=uniq[0] + n - uniq[-1]))
-
     return max(circular_extent(rows), circular_extent(cols))
 
 
 def _first_min(values: np.ndarray) -> int:
-    """The index ``min`` picks over ``values``: the first value when it is
-    nan, else the first smallest value that is not nan."""
+    """The index ``min`` picks: the first value if nan, else the first least."""
     return 0 if np.isnan(values[0]) else int(np.nanargmin(values))
 
 
-def _local_min_seeds(vals: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                     level: np.ndarray, cap: int = 32) -> np.ndarray:
-    """Positions in (rows, cols) of the cells whose |level| is at most that of
-    all 8 neighbours, by increasing |level| (ties in cell order), at most
-    ``cap`` of them; without such a cell, the cell of least |level|.
-    ``level`` is |vals| at (rows, cols)."""
-    n = vals.shape[0]
+def _local_min_seeds(vals: np.ndarray, scales, rows: np.ndarray, cols: np.ndarray,
+                     cap: int = 32) -> np.ndarray:
+    """Positions in (rows, cols) of the cells whose score, sum |vals[k]| /
+    scales[k], is at most all 8 neighbours', by increasing score (ties in cell
+    order), at most ``cap``; without such a cell, the cell of least score."""
+    n = vals.shape[1]
     di, dj = (np.array(d)[:, None] for d in zip(*_NEIGHBOURS))
-    around = np.abs(vals[(rows + di) % n, (cols + dj) % n])
+    level, around = (sum(np.abs(v[i, j]) / s for v, s in zip(vals, scales))
+                     for i, j in ((rows, cols), ((rows + di) % n, (cols + dj) % n)))
     seeds = np.flatnonzero((around >= level).all(axis=0))
     if not seeds.size:
         return np.array([_first_min(level)])
     return seeds[np.argsort(level[seeds], kind="stable")[:cap]]
 
 
-def _level_grid(level: CompiledPoly, mf: float,
-                grid: int) -> tuple[np.ndarray, np.ndarray, float]:
-    """The level on the grid, each theta row's (min, max) as a (2, grid)
-    array, and the max |level|, in one blocked pass."""
-    vals = np.empty((grid, grid))
-    extremes = np.empty((2, grid))
-    for rows, block in surface_blocks(level, mf, grid):
-        vals[rows] = block
-        block.min(axis=1, out=extremes[0, rows])
-        block.max(axis=1, out=extremes[1, rows])
-    # numpy reductions, so a nan value propagates as it did over the full grid
-    vmax = np.maximum(np.abs(extremes[0]), np.abs(extremes[1])).max()
-    return vals, extremes, float(vmax)
+def _level_grid(levels: list[CompiledPoly], whats: list[str], mf: float,
+                grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The k levels' (k, grid, grid) grid, each theta row's (min, max) and each
+    level's max |value|, by blocks; ValueError names (``whats``) one not finite."""
+    vals = np.empty((len(levels), grid, grid))
+    extremes = np.empty((len(levels), 2, grid))
+    with np.errstate(all="ignore"):
+        for level, out, ext in zip(levels, vals, extremes):
+            for rows, block in surface_blocks(level, mf, grid, out):
+                block.min(axis=1, out=ext[0, rows])
+                block.max(axis=1, out=ext[1, rows])
+        vmax = np.maximum(np.abs(extremes[:, 0]), np.abs(extremes[:, 1])).max(axis=1)
+    for what, peak in zip(whats, vmax):
+        if not math.isfinite(peak):
+            raise ValueError(f"{what} is not finite on the {grid}x{grid} grid: the "
+                             "field's values exceed the float range")
+    return vals, extremes, vmax
 
 
 def _corner_reduce(op, rows: np.ndarray, pair: np.ndarray, out: np.ndarray) -> None:
@@ -416,53 +418,51 @@ def _corner_reduce(op, rows: np.ndarray, pair: np.ndarray, out: np.ndarray) -> N
 
 
 def _cell_masks(vals: np.ndarray, extremes: np.ndarray,
-                tau: float) -> tuple[np.ndarray, np.ndarray]:
-    """(has_sign_change, flagged) per cell [i, j], the cell with corners
-    (i, j), (i+1, j), (i, j+1), (i+1, j+1) mod n.  A cell changes sign when
-    the level is negative at one corner and positive at another; it is
-    flagged when it changes sign or some corner has |level| < tau.
-
-    ``extremes`` holds each grid row's min and max, and tau is at least 0
-    or nan.  Cell row i, whose corners all lie in grid rows i and i+1 mod
-    n, has no flagged cell when those rows are all at least tau or all at
-    most -tau; a nan extreme or tau never rules a row out.  Each block is
-    reduced over the span from its first to its last remaining cell row.
-    A cell that does not change sign has min |corner| = min(|corner min|,
-    |corner max|), so the flag needs only the corner min and max.
-    """
-    n = vals.shape[0]
+                taus) -> tuple[np.ndarray, np.ndarray]:
+    """(has_sign_change, flagged) per cell [i, j], with corners (i, j), (i+1,
+    j), (i, j+1), (i+1, j+1) mod n: the cells that change sign (a corner
+    below 0 and one above) for every level of ``vals``, and those flagged
+    for every level, when they change sign or some corner has |level| < tau
+    (``taus``, at least 0 or nan).  Cell row i has none when for some level,
+    by its ``extremes``, grid rows i and i+1 mod n are all at least tau or
+    all at most -tau (a nan never rules a row out); each block is reduced
+    over the span from its first to its last remaining cell row."""
+    n = vals.shape[1]
     sign_change = np.zeros((n, n), dtype=bool)
     flagged = np.zeros((n, n), dtype=bool)
-    low, high = extremes
-    ruled_out = ((np.minimum(low, np.roll(low, -1)) >= tau)
-                 | (np.maximum(high, np.roll(high, -1)) <= -tau))
+    low, high, tau = extremes[:, 0], extremes[:, 1], np.asarray(taus)[:, None]
+    ruled_out = ((np.minimum(low, np.roll(low, -1, axis=1)) >= tau)
+                 | (np.maximum(high, np.roll(high, -1, axis=1)) <= -tau)).any(axis=0)
     candidates = np.flatnonzero(~ruled_out)
-    if not candidates.size:
-        return sign_change, flagged
     blocks = row_blocks(n)
     height = max(b - a for a, b in blocks)
     window = np.empty((height + 1, n))      # a span ending at row n - 1, and row 0
     pair, cell_min, cell_max = np.empty((3, height, n))
-    other = np.empty((height, n), dtype=bool)
+    other, changes, flags = np.empty((3, height, n), dtype=bool)
     for first, last in np.searchsorted(candidates, blocks):
         if first == last:
             continue
         a, b = int(candidates[first]), int(candidates[last - 1]) + 1
         h = b - a
-        if b < n:
-            rows = vals[a:b + 1]
-        else:
-            rows = window[:h + 1]
-            rows[:h] = vals[a:b]
-            rows[h] = vals[0]
-        _corner_reduce(np.minimum, rows, pair[:h], cell_min[:h])
-        _corner_reduce(np.maximum, rows, pair[:h], cell_max[:h])
-        changes, flags = sign_change[a:b], flagged[a:b]
-        np.less(cell_min[:h], 0.0, out=changes)
-        changes &= np.greater(cell_max[:h], 0.0, out=other[:h])
-        np.less(cell_min[:h], tau, out=flags)
-        flags &= np.greater(cell_max[:h], -tau, out=other[:h])
-        flags |= changes
+        for k, (level, t) in enumerate(zip(vals, taus)):
+            if b < n:
+                rows = level[a:b + 1]
+            else:
+                rows = window[:h + 1]
+                rows[:h] = level[a:b]
+                rows[h] = level[0]
+            _corner_reduce(np.minimum, rows, pair[:h], cell_min[:h])
+            _corner_reduce(np.maximum, rows, pair[:h], cell_max[:h])
+            # the first level's masks in place, the others' ANDed into them
+            change, flag = (sign_change[a:b], flagged[a:b]) if k == 0 else (changes[:h], flags[:h])
+            np.less(cell_min[:h], 0.0, out=change)
+            change &= np.greater(cell_max[:h], 0.0, out=other[:h])
+            np.less(cell_min[:h], t, out=flag)
+            flag &= np.greater(cell_max[:h], -t, out=other[:h])
+            flag |= change
+            if k:
+                sign_change[a:b] &= change
+                flagged[a:b] &= flag
     return sign_change, flagged
 
 
@@ -472,11 +472,9 @@ def _components(flagged: np.ndarray, has_sign_change: np.ndarray
     in order of their smallest flat cell index i * n + j, as (cells, bounds,
     sign_change): component k holds the flat indices cells[bounds[k]:bounds[k
     + 1]], ascending, and sign_change[k] says whether any of them changes sign.
-
     Labels are hooked to the smaller label across each edge and shortcut by
     pointer jumping until every edge joins equal labels (Shiloach & Vishkin,
-    J. Algorithms 3, 1982), on the flagged cells only.
-    """
+    J. Algorithms 3, 1982), on the flagged cells only."""
     n = flagged.shape[0]
     flat = np.flatnonzero(flagged)
     if not flat.size:
@@ -510,211 +508,226 @@ def _components(flagged: np.ndarray, has_sign_change: np.ndarray
     return flat[np.argsort(comp, kind="stable")], bounds, sign_change
 
 
-def _levelset_singular(level: MultiPoly, what: str, m: Fraction, grid: int,
-                       rotation: bool) -> SingularSet:
-    """Zero set of a scalar function restricted to the torus surface.
+def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid: int,
+                   quarter: float | None = None) -> SingularSet:
+    """Zeros of one level A, the rotation coefficient of (A*y, -A*x, 0), when
+    ``quarter`` is None; else common zeros of a pair (first, second), numeric
+    only, with |chi|^2 = (second^2 + quarter*first^2*w)/rho^2.
 
-    With ``rotation`` the level is the rotation coefficient A of a field
-    (A*y, -A*x, 0), and each isolated point off z = 0 is classified;
-    without it the level is |chi|^2 and the result is numeric only.
+    Newton runs from the seeds of each component of the cells flagged for
+    every level and accepts each level at most 1e-8 of its grid maximum.  A
+    component whose corners hold both signs of A is a curve; its other zeros
+    are critical points, found on A's theta derivative x*A_y - y*A_x and
+    2*rho^2 times its phi derivative, 2*rho^2*ring*A_z - z*(x*A_x + y*A_y).
+    A curve of zeros is normal to both gradients: where they are parallel,
+    a zero two cells out along a tangent makes the component a curve.
     """
     mf = float(m)
-    level_terms = compile_finite(level, mf, what)
-    angles, _, _, radius = surface_angles(mf, grid)
-    with np.errstate(all="ignore"):
-        vals, extremes, vmax = _level_grid(level_terms, mf, grid)
-    if not math.isfinite(vmax):
-        raise ValueError(f"{what} is not finite on the {grid}x{grid} grid: the "
-                         "field's values exceed the float range")
-    if vmax == 0.0:
+    compiled = [compile_finite(p, mf, what) for p, what in zip(levels, whats)]
+    vals, extremes, vmax = _level_grid(compiled, whats, mf, grid)
+    if not vmax.any():
         return SingularSet(SingKind.CURVES, [], curve_components=1,
                            description="the whole torus is singular")
+    # a function that is 0 on the whole grid flags every cell
+    taus = np.where(vmax > 0.0, vmax * (2.0 * math.pi / grid) ** 2 * 4.0, math.inf)
+    cells, bounds, sign_change = _components(*_cell_masks(vals, extremes, taus)[::-1])
+    rotation = quarter is None
+    if rotation:
+        (level,), (terms,), what = levels, compiled, whats[0]
+        ax, ay, az = derivatives = [level.differentiate(v) for v in "xyz"]
+        grads = [compile_finite(d, mf, f"the {v}-derivative of {what}")
+                 for d, v in zip(derivatives, "xyz")]
+        rho2 = X * X + Y * Y
+        levels = [X * ay - Y * ax, rho2 * (rho2 - m) * az * 2 - Z * (X * ax + Y * ay)]
+        whats = [f"the theta-derivative of {what}",
+                 f"2*(x^2 + y^2) times the phi-derivative of {what}"]
+    angles = surface_angles(mf, grid)[0]
+    cell = 2.0 * math.pi / grid
+    at = None
 
-    tau = vmax * (2.0 * math.pi / grid) ** 2 * 4.0
-    has_sign_change, flagged = _cell_masks(vals, extremes, tau)
+    def refine(start: tuple[float, float], pair=None) -> tuple[float, float] | None:
+        nonlocal at
+        at = at or _torus_functions(levels, whats, mf)
+        solution = _newton_pair(pair or at, start)
+        values = [terms.fn(*_surface_point(*solution, mf))] if rotation \
+            else at(*solution)[0]
+        return solution if all(abs(v) <= 1e-8 * peak
+                               for v, peak in zip(values, vmax)) else None
 
-    grads = [compile_finite(level.differentiate(v), mf, f"the {v}-derivative of {what}")
-             for v in "xyz"]
+    def on_curve(solution: tuple[float, float]) -> bool:
+        (a00, a01), (a10, a11) = rows = at(*solution)[1]
+        # rows not parallel, and not vanishing next to their level's scale
+        if abs(a00 * a11 - a01 * a10) > 1e-6 * math.prod(
+                max(math.hypot(*row), 1e-6 * vmax[0 if rotation else k])
+                for k, row in enumerate(rows)):
+            return False
+        # probes two cells out along each zero curve's tangent, and along the
+        # axes where a gradient vanishes, projected onto each zero curve
+        for d_th, d_ph in [(-b, a) for a, b in rows] + [(1, 0), (-1, 0), (0, 1), (0, -1)]:
+            norm = math.hypot(d_th, d_ph)
+            for k in range(2 if norm > 0.0 else 0):
+                other = refine((solution[0] + 2.0 * cell * d_th / norm,
+                                solution[1] + 2.0 * cell * d_ph / norm),
+                               lambda th, ph: [[row[k]] * 2 for row in at(th, ph)])
+                if other is not None and 0.5 * cell < _angle_gap(other, solution) <= 4.0 * cell:
+                    return True
+        return False
 
-    grad_surface = _surface_gradient(grads, mf)
-    points: list[tuple[tuple[float, float, float], SingClass | None]] = []
-    point_cap = grid // 16
-
-    def refine(i: int, j: int):
-        """(point or None, |level| at the critical point or None)."""
-        th0 = angles[i] + math.pi / grid
-        ph0 = angles[j] + math.pi / grid
-        solution = _newton_2d(grad_surface, (th0, ph0))
-        if solution is None:
-            return None, None
-        pt = _surface_point(solution[0], solution[1], mf)
-        residual = abs(eval_point(level_terms, *pt))
-        if residual > 1e-8 * vmax:
-            return None, residual
-        return pt, residual
-
-    cells, bounds, component_sign_change = _components(flagged, has_sign_change)
-    # a component that changes sign is one curve, whatever its cells
-    curve_count = int(np.count_nonzero(component_sign_change))
-    for k in np.flatnonzero(~component_sign_change):
+    zeros: list[tuple[float, float]] = []
+    curve_count = 0
+    for k in range(bounds.size - 1):
         rows, cols = np.divmod(cells[bounds[k]:bounds[k + 1]], grid)
-        level_abs = np.abs(vals[rows, cols])
-        # no sign change: isolated minima of the level function, an
-        # even-order zero curve, or a spurious low-|level| valley.  Newton
-        # from every local minimum decides: nondegenerate zero minima
-        # converge with a vanishing level, nonzero minima converge with a
-        # clearly positive one, and a curve's flat gradient does not
-        # converge at all.
-        found = []
-        positive_minimum = False
-        newton_failed = False
-        for seed in _local_min_seeds(vals, rows, cols, level_abs):
-            pt, residual = refine(rows[seed], cols[seed])
-            if pt is not None:
-                if all(math.dist(pt, q) > 1e-6 for q in found) and \
-                        all(math.dist(pt, q[0]) > 1e-6 for q in points):
-                    found.append(pt)
-            elif residual is not None:
-                positive_minimum = True
-            else:
-                newton_failed = True
-        extent = _component_extent(rows, cols, grid)
-        if found:
-            if extent > point_cap:
+        # corners of both signs, though no one cell's, when A is 0 on grid points
+        if rotation and (sign_change[k] or np.ptp(np.sign(
+                vals[0][(rows + _CORNERS[0]) % grid, (cols + _CORNERS[1]) % grid])) == 2.0):
+            curve_count += 1
+            continue
+        found: list[tuple[float, float]] = []
+        for seed in _local_min_seeds(vals, np.where(vmax > 0.0, vmax, 1.0), rows, cols):
+            solution = refine((angles[rows[seed]] + math.pi / grid,
+                               angles[cols[seed]] + math.pi / grid))
+            if solution is None or any(_angle_gap(solution, z) <= 0.5 * cell
+                                       for z in found + zeros):
+                continue
+            if on_curve(solution):
+                curve_count += 1
+                break
+            found.append(solution)
+        else:
+            if found and (extent := _component_extent(rows, cols, grid)) > grid // 16:
                 warnings.warn(
                     f"singular component of extent {extent} cells resolved "
                     f"into {len(found)} point(s); a {grid}x{grid} grid is "
-                    "coarse for this level function", GridResolutionWarning,
-                    stacklevel=2)
-            for pt in found:
-                sing_class = None
-                if rotation and abs(pt[2]) >= 1e-6:
-                    sing_class = _classify(
-                        _chart_gradient(level_terms, grads, pt, mf), pt)
-                points.append((pt, sing_class))
-        elif positive_minimum and not newton_failed:
-            continue  # the level function bottoms out above zero here
-        else:
-            comp_min = level_abs[_first_min(level_abs)]
-            if comp_min > 0.5 * tau:
-                continue  # flagged cells never got near zero: spurious
-            if extent <= point_cap:
-                warnings.warn(
-                    "Newton refinement failed on a small singular component; "
-                    "keeping it as a curve candidate", GridResolutionWarning,
-                    stacklevel=2)
-            curve_count += 1
-
-    points.sort(key=lambda entry: entry[0])
+                    "coarse for this field", GridResolutionWarning, stacklevel=3)
+            zeros += found
+    points = []
+    for pt in sorted(_surface_point(th, ph, mf) for th, ph in zeros):
+        classify = rotation and abs(pt[2]) >= 1e-6
+        points.append((pt, _classify(_chart_gradient(terms, grads, pt, mf), pt)
+                       if classify else None))
+    if not (points or curve_count):     # rotation: |chi| = |A|*r, r by phi, the column
+        return SingularSet(SingKind.EMPTY, [], numeric_only=not rotation, grid_min_norm=float(
+            (np.abs(vals[0]) * surface_angles(mf, grid)[3]).min()) if rotation
+            else _grid_min_chi(vals, mf, quarter))
+    description = f"{len(points)} isolated singular point(s)"
     if curve_count:
-        kind, description = SingKind.CURVES, f"{curve_count} singular curve component(s)"
-        if points:
-            description += f" plus {len(points)} isolated point(s)"
-    elif points:
-        kind, description = SingKind.ISOLATED, f"{len(points)} isolated singular point(s)"
-    else:
-        kind, description = SingKind.EMPTY, ""
-    return SingularSet(kind, points, curve_components=curve_count,
-                       description=description, numeric_only=not rotation,
-                       grid_min_norm=None if kind != SingKind.EMPTY
-                       else _grid_min_chi(vals, radius, rotation))
+        description = f"{curve_count} singular curve component(s)" + (
+            f" plus {len(points)} isolated point(s)" if points else "")
+    return SingularSet(SingKind.CURVES if curve_count else SingKind.ISOLATED, points,
+                       curve_count, description, numeric_only=not rotation)
 
 
-def _grid_min_chi(vals: np.ndarray, radius: np.ndarray, rotation: bool) -> float:
-    """min |chi| over the level grid ``vals``, which it overwrites: |chi| =
-    |A|*r for the rotation coefficient A, else sqrt(|chi|^2)."""
-    np.abs(vals, out=vals)
-    if rotation:
-        vals *= radius      # r depends on phi, the column
-        return float(vals.min())
-    return math.sqrt(vals.min())
+def _finite_speed(chi_sq: float, grid: int) -> float:
+    if not math.isfinite(chi_sq):
+        raise ValueError(f"|chi| is not finite on the {grid}x{grid} grid: the "
+                         "field's values exceed the float range")
+    return math.sqrt(chi_sq)
+
+
+def _grid_min_chi(vals: np.ndarray, mf: float, quarter: float) -> float:
+    """min |chi| over the grid from the pair's grids ``vals``, which it
+    squares in place block by block: |chi|^2 = (second^2 +
+    quarter*first^2*w)/rho^2, where w and rho^2 depend on phi, the column."""
+    n = vals.shape[1]
+    _, cos, sin, r = surface_angles(mf, n)
+    least = np.full(n, math.inf)     # per column, so rho^2 divides it last
+    with np.errstate(all="ignore"):
+        w = quarter * (np.square(sin) + 4.0 * r * r * np.square(cos))
+        for a, b in row_blocks(n):
+            first, second = np.square(vals[:, a:b], out=vals[:, a:b])
+            first *= w
+            first += second
+            np.minimum(least, first.min(axis=0), out=least)
+        return _finite_speed(float((least / (r * r)).min()), n)
 
 
 def grid_min_speed(field: VectorField, alpha: Scalar, f: MultiPoly, m: Fraction,
                    grid: int = GRID_DEFAULT) -> float:
-    """Minimum of |chi| over the (theta, phi) grid on the torus for a field in
-    the normal form K' = alpha, f linear, beta = gamma = 0: a quadratic
-    field, or with alpha = 0 and f = c a degree-one field.
-
-    With q = alpha/4, P = q*x*z + f*y, Q = q*y*z - f*x and, on the torus, R
-    = -2*q*cos(phi)*r^2, so |chi|^2 = r^2*((q*sin(phi))^2 + f^2) +
-    (2*q*cos(phi)*r^2)^2 with f = r*(g - t), g = f1*cos(theta) +
-    f2*sin(theta) and t = -(f0 + f3*sin(phi))/r.  Per phi the least value
-    over theta is at the g nearest t, found among the sorted g; the result
-    is the minimum of P^2 + Q^2 + R^2 over the grid up to rounding.  Raises
-    ValueError when a component has a coefficient beyond the float range,
-    or when the minimum is not finite.
-    """
+    """Minimum of |chi| over the grid for the cubic form with K' = alpha,
+    beta = gamma = 0 and alpha != 0 or f a nonzero constant: |chi|^2 = (M^2 +
+    L^2*w)/rho^2 with M = rho^2*f and L = q*rho^2, q = alpha/4, by phi alone,
+    over the grid of M for a quadratic f.  A linear f = r*(g - t), g =
+    f1*cos(theta) + f2*sin(theta), t = -(f0 + f3*sin(phi))/r, is least per
+    phi at the g nearest t among the sorted g.  ValueError when P, Q or R
+    has a coefficient beyond the float range, or M or the minimum is not
+    finite."""
     mf = float(m)
     for component, name in zip(field.components(), "PQR"):
         compile_finite(component, mf, name)
+    what = "M = y*P - x*Q"
+    vals = _level_grid([compile_finite(field.P * Y - field.Q * X, mf, what)], [what], mf,
+                       grid)[0][0] if f.degree > 1 else None
     _, cos, sin, r = surface_angles(mf, grid)
     f0, f1, f2, f3 = (f.coefficient(e).to_float() for e in _LINEAR)
     q = alpha.to_float() / 4.0
     with np.errstate(all="ignore"):
+        r2 = r * r
+        if vals is not None:
+            np.square(vals, out=vals)
+            vals += np.square(q * r2) * (np.square(sin) + 4.0 * r2 * np.square(cos))
+            vals /= r2
+            return _finite_speed(float(vals.min()), grid)
         g = np.sort(f1 * cos + f2 * sin)
         t = -(f0 + f3 * sin) / r
         # the sorted g on either side of t, clamped at both ends
         above = np.searchsorted(g, t)
         d = np.minimum(np.abs(t - g[np.maximum(above - 1, 0)]),
                        np.abs(t - g[np.minimum(above, grid - 1)]))
-        r2 = r * r
-        speed = float(np.sqrt(np.min(r2 * np.square(q * sin) + np.square(r2 * d)
-                                     + np.square(2.0 * q * cos * r2))))
-    if not math.isfinite(speed):
-        raise ValueError(f"|chi| is not finite on the {grid}x{grid} grid: the "
-                         "field's values exceed the float range")
-    return speed
+        chi_sq = float(np.min(r2 * np.square(q * sin) + np.square(r2 * d)
+                                + np.square(2.0 * q * cos * r2)))
+    return _finite_speed(chi_sq, grid)
 
 
 def rotation_shape(field: VectorField) -> MultiPoly | None:
     """A with field = (A*y, -A*x, 0), if the field has that shape."""
     if not field.R.is_zero():
         return None
-    if field.P.is_zero() and field.Q.is_zero():
-        return MultiPoly.zero()
     try:
         a = divide_exact(field.P, Y, "y")
     except NotDivisible:
         return None
-    if field.Q != -(a * MultiPoly.variable("x")):
-        return None
-    return a
+    return a if field.Q == -(a * X) else None
 
 
 def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
                     grid: int = GRID_DEFAULT) -> SingularSet:
-    """Singular set of the field on the torus, classified where possible.
-
-    Quadratic fields with a nonzero vertical component and nonzero rigid
-    rotations have no singular points at all; fields of the shape
-    (A*y, -A*x, 0) are singular exactly on the zero set of A.  Anything
-    else falls back to a grid minimization of |chi|^2, reported as numeric.
-    """
+    """Singular set of the field on the torus, classified where possible:
+    empty when the cubic form of ``tag`` has beta = gamma = 0 and K' a nonzero
+    constant, or K' = 0 and f a nonzero constant; the zeros of A for (A*y,
+    -A*x, 0); else a numeric scan of (L, M), or of (G2, G1) outside the
+    cubic form."""
     if grid < GRID_MIN:
         raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
     if grid > GRID_MAX:
         raise ValueError(f"grid must be at most {GRID_MAX}, got {grid}")
-    params = tag.params
-    if tag.family == Family.QUADRATIC and isinstance(params, QuadraticParams) \
-            and not params.alpha.is_zero():
+    cubic = tag.cubic
+    if cubic is not None and cubic.beta.is_zero() and cubic.gamma.is_zero() \
+            and cubic.Kprime.is_scalar() \
+            and (cubic.Kprime or (cubic.f.is_scalar() and cubic.f)):
         return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
-            field, params.alpha, params.f, m, grid))
-    if tag.family == Family.DEGREE_ONE and not params.c.is_zero():
-        return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
-            field, Scalar(0), MultiPoly.constant(params.c), m, grid))
+            field, cubic.Kprime.constant_value(), cubic.f, m, grid))
     level = rotation_shape(field)
     if level is not None:
-        return _levelset_singular(level, "A (of the field (A*y, -A*x, 0))", m, grid,
-                                  rotation=True)
-    speed_sq = (field.P * field.P + field.Q * field.Q + field.R * field.R)
-    return _levelset_singular(speed_sq, "P^2 + Q^2 + R^2", m, grid, rotation=False)
+        return _scan_singular([level], ["A (of the field (A*y, -A*x, 0))"], m, grid)
+    pair, whats, quarter = _tangential_pair(field, cubic, m)
+    return _scan_singular(pair, whats, m, grid, quarter)
+
+
+def _tangential_pair(field: VectorField, cubic: CubicParams | None, m: Fraction
+                     ) -> tuple[list[MultiPoly], list[str], float]:
+    """(pair, names, quarter) of the scan: (L, M) for the cubic form, else (G2, G1)."""
+    rho2 = X * X + Y * Y
+    g1 = field.P * Y - field.Q * X     # M = rho^2*f + z*(beta*y - gamma*x)
+    if cubic is not None:
+        return ([rho2 * cubic.Kprime * Fraction(1, 4) + X * cubic.beta + Y * cubic.gamma, g1],
+                ["L = (x^2 + y^2)*K'/4 + beta*x + gamma*y", "M = y*P - x*Q"], 1.0)
+    return ([Z * (X * field.P + Y * field.Q) * 2 - (rho2 - m) * field.R, g1],
+            ["G2 = 2*z*(x*P + y*Q) - (x^2 + y^2 - m)*R", "G1 = y*P - x*Q"], 0.25)
 
 
 def _chart_gradient(a: CompiledPoly, grads: list[CompiledPoly],
                     q: tuple[float, float, float], mf: float) -> tuple[float, float]:
-    """(B_x, B_y) at q from A and its x, y, z derivatives compiled at m;
-    q must have |z| >= 1e-6."""
+    """(B_x, B_y) at q, |z| >= 1e-6, from A and its x, y, z derivatives."""
     x0, y0, z0 = q
     scale = max((abs(c) for _, c in a.terms), default=1.0)
     if abs(eval_point(a, x0, y0, z0)) > 1e-8 * max(scale, 1.0):
@@ -724,40 +737,21 @@ def _chart_gradient(a: CompiledPoly, grads: list[CompiledPoly],
     return ax + az * (-2.0 * x0 * ring / z0), ay + az * (-2.0 * y0 * ring / z0)
 
 
-def chart_gradient(field: VectorField, q: tuple[float, float, float],
-                   m: Fraction) -> tuple[float, float]:
-    """(B_x, B_y) at q, where B restricts the rotation coefficient A to the
-    open half-torus chart z = sign(z0) * sqrt(1 - (x^2 + y^2 - m)^2)."""
+def classify_singularity(field: VectorField, q: tuple[float, float, float],
+                         m: Fraction) -> SingClass:
+    """Classification of an isolated singular point of (A*y, -A*x, 0) in the
+    chart z = sign(z0) * sqrt(1 - (x^2 + y^2 - m)^2) of the open half torus:
+    with B the restriction of A, the planar field (B*y, -B*x) has at a zero
+    of B the trace B_x*y0 - B_y*x0 and determinant zero (:func:`_classify`).
+    """
     if abs(q[2]) < 1e-6:
         raise ChartError(f"|z| = {abs(q[2]):.2e} is too small for the chart")
-    try:
-        a_poly = divide_exact(field.P, Y, "y")
-    except NotDivisible as exc:
-        raise ValueError("field is not of the shape (A*y, -A*x, 0)") from exc
+    if (a_poly := rotation_shape(field)) is None:
+        raise ValueError("field is not of the shape (A*y, -A*x, 0)")
     mf = float(m)
     grads = [compile_finite(a_poly.differentiate(v), mf, f"the {v}-derivative of A")
              for v in "xyz"]
-    return _chart_gradient(compile_finite(a_poly, mf, "A"), grads, q, mf)
-
-
-def chart_trace(field: VectorField, q: tuple[float, float, float],
-                m: Fraction) -> float:
-    """Trace (= divergence) of the chart pushforward (B*y, -B*x) at q."""
-    bx, by = chart_gradient(field, q, m)
-    return bx * q[1] - by * q[0]
-
-
-def classify_singularity(field: VectorField, q: tuple[float, float, float],
-                         m: Fraction) -> SingClass:
-    """Classification of an isolated singular point of (A*y, -A*x, 0).
-
-    Works in the orthogonal chart of the open upper (or lower) half of the
-    torus: with B the restriction of A to the chart, the Jacobian of the
-    planar field (B*y, -B*x) at a zero of B has trace B_x*y0 - B_y*x0 and
-    zero determinant, which separates semi-hyperbolic points from nilpotent
-    and linearly zero ones.
-    """
-    return _classify(chart_gradient(field, q, m), q)
+    return _classify(_chart_gradient(compile_finite(a_poly, mf, "A"), grads, q, mf), q)
 
 
 def _classify(gradient: tuple[float, float], q: tuple[float, float, float]) -> SingClass:

@@ -20,6 +20,7 @@ is not bounded, keeps its own division check.  No fitting, exact or fail.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
 from dataclasses import dataclass
@@ -94,6 +95,8 @@ class FamilyTag:
     family: Family
     params: object | None
     matches: tuple[Family, ...] = ()
+    # the cubic form the families are read from, derived: not compared
+    cubic: CubicParams | None = dataclasses.field(default=None, compare=False)
 
 
 _surface = functools.lru_cache(maxsize=16)(TorusSurface)
@@ -245,7 +248,7 @@ def _recognize(field: VectorField, m: Fraction, cof: CofactorResult) -> FamilyTa
     if not hits:
         return FamilyTag(Family.UNCLASSIFIED, None)
     family, params = hits[0]
-    return FamilyTag(family, params, tuple(f for f, _ in hits))
+    return FamilyTag(family, params, tuple(f for f, _ in hits), cubic)
 
 
 def recognize(field: VectorField, m: Fraction) -> FamilyTag:

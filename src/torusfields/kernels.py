@@ -8,10 +8,10 @@ arithmetic elementwise (``eval_grid``, which no stage of the package calls).
 ``rk4_orbit`` runs one generated loop per field with those statements
 written out at each RK4 stage, so its states are bit for bit the ones the
 compiled functions give.  A surface grid scan (``surface_blocks``, which
-the singular scan's level grid uses) streams the matrix product ``U @ V.T``
-of one polynomial's float terms in blocks of theta rows, each block about
-256 KB of float64 in a reused work buffer, so every pass a scan makes over
-a block runs in the cache (loop blocking; Lam, Rothberg & Wolf, ASPLOS
+the singular scan's level grids use) writes the matrix product ``U @ V.T``
+of one polynomial's float terms into its grid by blocks of theta rows,
+each block about 256 KB of float64, so every pass a scan makes over a
+block runs in the cache (loop blocking; Lam, Rothberg & Wolf, ASPLOS
 1991).  The factors U and V are built from powers of cos and sin kept per
 n and of r kept per (m, n) across scans (``_surface_power``), and a factor
 with one column is multiplied out by broadcasting, not by BLAS.
@@ -29,7 +29,7 @@ import numpy as np
 
 from .poly import MultiPoly
 
-# Compiled polynomials kept: repeated reports and chart_gradient calls on one
+# Compiled polynomials kept: repeated reports and classifications on one
 # field compile the same polynomials and derivatives again.
 _CACHE_SIZE = 256
 # Factors per generated expression: a product nests once per factor, and the
@@ -184,26 +184,23 @@ def _surface_factors(compiled: CompiledPoly, m: float,
     return u, v.T
 
 
-def surface_blocks(compiled: CompiledPoly, m: float,
-                   n: int) -> Iterator[tuple[slice, np.ndarray]]:
-    """The polynomial on the n x n torus grid, indexed [theta, phi], by
-    theta-row blocks in turn: yields (rows, its values on those rows).
+def surface_blocks(compiled: CompiledPoly, m: float, n: int,
+                   out: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+    """The polynomial on the n x n torus grid ``out``, indexed [theta, phi],
+    by theta-row blocks in turn: yields (rows, out[rows]) once those rows
+    hold its values.
 
     On the torus x^i y^j z^k = (cos^i sin^j)(theta) * (r^(i+j) sin^k)(phi),
     so a polynomial on the grid is U @ V.T with a column per (i, j); a block
     is the product of U's rows with V.T.  With OpenBLAS a block is
     bit-equal to the same rows of the full product when n is a multiple of
     8.  A one-column product is a single multiply per value, with no sum,
-    so broadcasting gives the same bits without a BLAS call.  Each block
-    lives in a work buffer that the next block overwrites: copy what must
-    outlive the step.
+    so broadcasting gives the same bits without a BLAS call.
     """
     u, vt = _surface_factors(compiled, float(m), n)
     product = np.multiply if u.shape[1] == 1 else np.matmul
-    blocks = row_blocks(n)
-    buffer = np.empty((max(b - a for a, b in blocks), n))
-    for a, b in blocks:
-        yield slice(a, b), product(u[a:b], vt, out=buffer[:b - a])
+    for a, b in row_blocks(n):
+        yield slice(a, b), product(u[a:b], vt, out=out[a:b])
 
 
 # One RK4 step with the stage evaluations of P, Q, R written out in place,

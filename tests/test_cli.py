@@ -1,11 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from torusfields import dynamics, parse
+from torusfields import CubicParams, Scalar, build_cubic, dynamics, parse, serialize
 from torusfields.cli import _grid_size, main
 from torusfields.dynamics import GRID_MAX, GRID_MIN
 
@@ -385,18 +386,120 @@ def test_non_finite_level_grid_is_a_usage_error(command, m, field, capsys, recwa
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
+def worked_cubic_with(f):
+    """The worked cubic with f*x*y in place of x*y, as CLI arguments."""
+    return ["--px", f"(1/4)*x*z + {f}*x*y^2", "--qy", f"(1/4)*y*z - {f}*x^2*y",
+            "--rz", "(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)"]
+
+
 def test_non_finite_speed_grid_is_a_usage_error(capsys, recwarn):
-    # the worked cubic with f = 10^153*x*y: P^2 + Q^2 + R^2 overflows at m = 5
-    f = "(10^51)^3"
-    code = main(["singular", "--grid", "32", "--m", "5", "--px", f"(1/4)*x*z + {f}*x*y^2",
-                 "--qy", f"(1/4)*y*z - {f}*x^2*y",
-                 "--rz", "(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)"])
+    # the worked cubic with f = 10^153*x*y, whose P^2 + Q^2 + R^2 overflows
+    # at m = 5: K' = 1 and beta = gamma = 0 leave no singular point, and the
+    # minimum of |chi| over the grids of L and M is finite
+    code = main(["singular", "--grid", "32", "--m", "5", "--json",
+                 *worked_cubic_with("(10^51)^3")])
+    captured = capsys.readouterr()
+    assert code == 0
+    payload = json.loads(captured.out)
+    assert payload["kind"] == "empty" and payload["numeric_only"] is False
+    assert 0.0 < payload["grid_min_speed"] < float("inf")
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("m", ["5", "4"])
+@pytest.mark.parametrize("command", [["singular", "--grid", "32"],
+                                     ["report", "--grid", "32"]],
+                         ids=["singular", "report"])
+def test_non_finite_m_grid_is_a_usage_error(command, m, capsys, recwarn):
+    # f = 10^308*x*y: M = (x^2 + y^2)*f has float coefficients, and its
+    # values overflow on the grid
+    code = main([*command, "--m", m, *worked_cubic_with("(10^44)^7")])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == ("error: P^2 + Q^2 + R^2 is not finite on the 32x32 grid: "
+    assert captured.err == ("error: M = y*P - x*Q is not finite on the 32x32 grid: "
                             "the field's values exceed the float range\n")
     assert captured.out == ""
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+# -- singular sets of the cubic form: each of these answers is exact ----------
+
+REPRO_MS = ["4", "3", "9/2"]
+
+
+def cubic_argv(kprime, f, m, beta=0, gamma=0):
+    """CLI arguments of the cubic field (K', f, beta, gamma) at m."""
+    m = Fraction(m)
+    field = build_cubic(CubicParams(parse(kprime, m), parse(f, m), Scalar(Fraction(beta)),
+                                    Scalar(Fraction(gamma))), m)
+    return ["--px", serialize(field.P), "--qy", serialize(field.Q),
+            "--rz", serialize(field.R), "--m", str(m)]
+
+
+def singular_payload(argv, capsys):
+    code = main(["singular", "--json", *argv])
+    assert code == 0
+    return json.loads(capsys.readouterr().out)
+
+
+@pytest.mark.parametrize("m", REPRO_MS)
+@pytest.mark.parametrize("f", ["10^4", "10^40"])
+def test_worked_cubic_with_large_f_has_no_singular_points(f, m, capsys):
+    # K' = 1 and beta = gamma = 0: L = (x^2 + y^2)/4 vanishes nowhere
+    payload = singular_payload([*worked_cubic_with(f), "--m", m], capsys)
+    assert payload["kind"] == "empty" and payload["numeric_only"] is False
+    assert payload["grid_min_speed"] > 0.4
+
+
+def test_near_miss_pair_has_no_singular_points(capsys):
+    # L = 0 and M = 0 pass near each other without meeting: min |chi| is
+    # about 0.185 on a 2048 x 2048 grid
+    f = ("3*x^2 + 5*x*y + (17/4)*x*z + 2*y^2 + (7/2)*y*z + (3/2)*z^2 + (9/2)*x"
+         " + 5*y + (7/2)*z - 3")
+    payload = singular_payload(
+        cubic_argv("2*x + (3/2)*y + 2*z - 1", f, "9/2", Fraction(1, 2), Fraction(1, 2)), capsys)
+    assert payload["kind"] == "empty" and payload["numeric_only"] is True
+    assert payload["grid_min_speed"] == pytest.approx(0.185, abs=2e-3)
+
+
+@pytest.mark.parametrize("m", REPRO_MS)
+def test_kprime_touching_zero_gives_two_points(m, capsys):
+    # K' = 1 - z touches 0 along z = 1, where f = (x + y/2 - 3/2)*(z - 1/2)
+    # vanishes at the two points with x + y/2 = 3/2
+    payload = singular_payload(cubic_argv("1 - z", "(x + (1/2)*y - 3/2)*(z - 1/2)", m),
+                               capsys)
+    assert payload["kind"] == "isolated-points" and payload["curve_components"] == 0
+    points = [p["point"] for p in payload["points"]]
+    assert len(points) == 2 and math.dist(*points) > 1.0
+    for x, y, z in points:
+        assert z == pytest.approx(1.0, abs=1e-12)
+        assert x + y / 2 == pytest.approx(1.5, abs=1e-6)
+        assert x * x + y * y == pytest.approx(float(Fraction(m)), abs=1e-6)
+
+
+@pytest.mark.parametrize("m", REPRO_MS)
+def test_double_meridian_factor_gives_four_points(m, capsys):
+    # K' = z, f = x^2: singular where x = 0 meets z = 0
+    payload = singular_payload(cubic_argv("z", "x^2", m), capsys)
+    assert payload["kind"] == "isolated-points"
+    mf = float(Fraction(m))
+    got = [p["point"] for p in payload["points"]]
+    assert len(got) == 4
+    for want in ((0.0, s * math.sqrt(mf + t), 0.0) for s in (1, -1) for t in (1, -1)):
+        assert min(math.dist(g, want) for g in got) < 1e-9
+
+
+@pytest.mark.parametrize("m", REPRO_MS)
+@pytest.mark.parametrize("kprime, f, curves", [
+    ("z", "z*x", 2),              # z divides L and M: the circles z = 0
+    ("z - 1/2", "z^2 - 1/4", 2),  # z - 1/2 divides both: two circles
+    ("z", "0", 2),                # M = 0 on the whole torus: L's circles z = 0
+    ("z - 1", "0", 1),            # L touches 0 along the circle z = 1
+])
+def test_common_zero_curves(kprime, f, curves, m, capsys):
+    payload = singular_payload(cubic_argv(kprime, f, m), capsys)
+    assert payload["kind"] == "curves" and payload["points"] == []
+    assert payload["curve_components"] == curves
 
 
 @pytest.mark.parametrize("m", ["5", "4"])

@@ -1,8 +1,10 @@
 import collections
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from torusfields.dynamics import rotation_shape
 from torusfields.kernels import compile_poly, eval_grid, eval_point, surface_angles
 
 from conftest import eval_float, homogeneous_component, random_linear
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import corpus  # noqa: E402
 
 M = Fraction(4)
 
@@ -498,11 +503,10 @@ def test_stable_meridian_theta_distance_monotone():
 
 
 def test_chart_trace_matches_fd_divergence():
-    from torusfields.dynamics import chart_trace
-
-    # points on the singular curve of A = x - 2, where the trace is nonzero
+    # points on the singular curve of A = x - 2, where the trace B_x*y0 -
+    # B_y*x0 that _classify takes from the chart gradient is nonzero
     a_poly = parse("x - 2", M)
-    field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
+    grads = [compile_poly(a_poly.differentiate(v), 4.0) for v in "xyz"]
     rng = random.Random(2718)
     for _ in range(8):
         y0 = rng.uniform(-0.85, 0.85)
@@ -510,7 +514,9 @@ def test_chart_trace_matches_fd_divergence():
         if inner <= 1e-3:
             continue
         q = (2.0, y0, math.sqrt(inner))
-        symbolic = chart_trace(field, q, M)
+        bx, by = dynamics._chart_gradient(compile_poly(a_poly, 4.0), grads, q, 4.0)
+        symbolic = bx * q[1] - by * q[0]
+        assert dynamics._classify((bx, by), q) == SingClass.SEMI_HYPERBOLIC
 
         def push(xv, yv):
             zv = math.sqrt(max(1.0 - (xv * xv + yv * yv - 4.0) ** 2, 0.0))
@@ -543,8 +549,9 @@ def grid_chi(field, m, grid):
 
 
 def test_empty_singular_sets_report_the_grid_minimum_of_chi():
-    # the worked cubic takes the |chi|^2 scan and A = x^2 + y^2 the rotation
-    # scan; both report min |chi|, not min |chi|^2 or min |A|
+    # the worked cubic is empty by its cubic form and takes min |chi| from
+    # the grids of L and M, and A = x^2 + y^2 takes the rotation scan; both
+    # report min |chi|, not min |chi|^2 or min |A|
     a_poly = parse("x^2 + y^2", M)
     cubic = VectorField(parse("(1/4)*x*z + x*y^2", M), parse("(1/4)*y*z - x^2*y", M),
                         parse("(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)", M))
@@ -610,45 +617,90 @@ def test_generic_branch_finds_meridian_singularities():
         assert max(abs(ec - gc) for ec, gc in zip(e, g)) < 1e-6
 
 
-# -- reference: the per-cell seed loop and the nine-call Newton step ----------
+# -- the paper's condition: invariant curves and the singular set ---------------
 
 
-def reference_newton_2d(gradfn, start):
-    th, ph = start
-    h = 1e-6
-    for _ in range(60):
-        g0, g1 = gradfn(th, ph)
-        a00 = (gradfn(th + h, ph)[0] - gradfn(th - h, ph)[0]) / (2 * h)
-        a01 = (gradfn(th, ph + h)[0] - gradfn(th, ph - h)[0]) / (2 * h)
-        a10 = (gradfn(th + h, ph)[1] - gradfn(th - h, ph)[1]) / (2 * h)
-        a11 = (gradfn(th, ph + h)[1] - gradfn(th, ph - h)[1]) / (2 * h)
-        det = a00 * a11 - a01 * a10
-        if abs(det) < 1e-14:
-            return None
-        dth = (g0 * a11 - g1 * a01) / det
-        dph = (a00 * g1 - a10 * g0) / det
-        step = math.hypot(dth, dph)
-        if step > 0.5:
-            dth *= 0.5 / step
-            dph *= 0.5 / step
-        th -= dth
-        ph -= dph
-        if step < 1e-13:
-            return th, ph
-    return None
+def chi_at(field, m, pt):
+    return math.sqrt(sum(eval_point(compile_poly(c, float(m)), *pt) ** 2
+                         for c in field.components()))
 
 
-def reference_local_min_seeds(vals, cells, cap=32):
-    grid = vals.shape[0]
+def draw_two_parallel(rng, m):
+    """p, q small, not both 0, and f quadratic with up to four small terms."""
+    p = q = 0
+    while p == q == 0:
+        p, q = rng.randint(-2, 2), rng.randint(-2, 2)
+    monomials = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
+                 (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+    f = MultiPoly({e: Scalar(Fraction(rng.randint(-3, 3), rng.choice((1, 2))))
+                   for e in rng.sample(monomials, rng.randint(1, 4))})
+    return TwoParallelParams(Scalar(p), Scalar(q), f)
+
+
+def assert_verdict_matches_singular_set(verdict, sing, on_curve, curve_points, field, m):
+    """Not periodic exactly when a reported point lies on the curve, or the
+    whole curve is singular and the set has a curve component."""
+    on = [pt for pt, _ in sing.points if on_curve(pt)]
+    whole = max(chi_at(field, m, pt) for pt in curve_points) < 1e-9
+    assert not (whole and on) and (sing.curve_components > 0 or not whole)
+    assert (verdict.kind == Verdict.NOT_PERIODIC) == bool(on or whole), (field, sing)
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_periodicity_verdicts_match_the_singular_set(m):
+    # the paper: an invariant meridian or parallel is a periodic orbit
+    # exactly when no singular point lies on it
+    mf, phis = float(m), [2.0 * math.pi * k / 97 for k in range(97)]
+    kinds = collections.Counter()
+    rng = random.Random(f"meridians at m = {m}")
+    for _ in range(30):
+        spec = corpus.draw_four_meridian_cubic(rng, m)
+        field = VectorField(*(parse(e, m) for e in (spec.px, spec.qy, spec.rz)))
+        tag = recognize(field, m)
+        sing = singular_points(field, tag, m)
+        assert all(chi_at(field, m, pt) < 1e-8 for pt, _ in sing.points)
+        for mv in meridian_periodicity(tag.cubic, m):
+            assert_verdict_matches_singular_set(
+                mv.verdict, sing,
+                lambda pt: dynamics._angle_gap((math.atan2(pt[1], pt[0]), 0.0),
+                                               (mv.angle, 0.0)) < 1e-6,
+                [surface_point(mv.angle, ph, mf) for ph in phis], field, m)
+            kinds[mv.verdict.kind] += 1
+    rng = random.Random(f"parallels at m = {m}")
+    for _ in range(30):
+        params = draw_two_parallel(rng, m)
+        field = build_two_parallel(params, m)
+        sing = singular_points(field, recognize(field, m), m)
+        assert all(chi_at(field, m, pt) < 1e-8 for pt, _ in sing.points)
+        for which in (1, -1):
+            verdict = parallel_periodicity(params, m, which)
+            assert_verdict_matches_singular_set(
+                verdict, sing, lambda pt: abs(pt[2] - which) < 1e-6,
+                [surface_point(th, which * math.pi / 2, mf) for th in phis], field, m)
+            kinds["parallel", verdict.kind] += 1
+    assert kinds[Verdict.NOT_PERIODIC] > 20 and kinds[Verdict.LIMIT_CYCLE] > 20
+    assert kinds["parallel", Verdict.NOT_PERIODIC] > 10
+    assert kinds["parallel", Verdict.PERIODIC_ORBIT] > 2
+
+
+# -- reference: the per-cell seed loop, and the closed-form points ------------
+
+
+def reference_local_min_seeds(vals, cells, cap=32, scales=(1.0,)):
+    """The seeds of ``dynamics._local_min_seeds`` cell by cell: ``vals`` is
+    one level's grid or a stack of levels, scored by sum |level| / scale."""
+    stack = vals if vals.ndim == 3 else vals[None]
+    grid = stack.shape[1]
+
+    def score(i, j):
+        return sum(abs(float(v[i % grid, j % grid])) / s for v, s in zip(stack, scales))
     seeds = []
     for i, j in cells:
-        v = abs(float(vals[i, j]))
-        if all(abs(float(vals[(i + di) % grid, (j + dj) % grid])) >= v
-               for di in (-1, 0, 1) for dj in (-1, 0, 1)
-               if (di, dj) != (0, 0)):
+        if all(score(i + di, j + dj) >= score(i, j)
+               for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)):
             seeds.append((i, j))
-    seeds.sort(key=lambda c: abs(float(vals[c[0], c[1]])))
-    return seeds[:cap] or [min(cells, key=lambda c: abs(float(vals[c[0], c[1]])))]
+    seeds.sort(key=lambda c: score(*c))
+    return seeds[:cap] or [min(cells, key=lambda c: score(*c))]
 
 
 def reference_component_extent(cells, n):
@@ -664,47 +716,65 @@ def reference_component_extent(cells, n):
                circular_extent([c[1] for c in cells]))
 
 
-def seeds_of(vals, rows, cols):
+def seeds_of(vals, rows, cols, scales=(1.0,)):
     """``dynamics._local_min_seeds`` as (i, j) cells, like the reference."""
-    level = np.abs(vals[rows, cols])
+    stack = vals if vals.ndim == 3 else vals[None]
     return [(int(rows[k]), int(cols[k]))
-            for k in dynamics._local_min_seeds(vals, rows, cols, level)]
+            for k in dynamics._local_min_seeds(stack, scales, rows, cols)]
+
+
+def bowl_and_kolmogorov_scans(m, rng):
+    """(levels, Newton pair, closed-form points): the bowl's A with its
+    critical-point pair, and the pairs (L, M) of two Kolmogorov fields."""
+    mf = float(m)
+    bowl = parse("y^2 + (z - 1/2)^2", m)
+    ax, ay, az = (bowl.differentiate(v) for v in "xyz")
+    rho2 = X * X + Y * Y
+    scans = [([bowl], [X * ay - Y * ax, rho2 * (rho2 - m) * az * 2 - Z * (X * ax + Y * ay)],
+              [(s * math.sqrt(mf + t * math.sqrt(3.0) / 2.0), 0.0, 0.5)
+               for s in (1, -1) for t in (1, -1)])]
+    nonzero = [c for c in range(-5, 6) if c]
+    axis = [(s * math.sqrt(mf + t), 0.0, 0.0) for s in (1, -1) for t in (1, -1)]
+    for c1, c2 in ((1, 2), (rng.choice(nonzero), rng.choice(nonzero))):
+        field = build_kolmogorov(KolmogorovParams(Scalar(c1), Scalar(c2)), m)
+        pair = dynamics._tangential_pair(field, recognize(field, m).cubic, m)[0]
+        scans.append((pair, pair, axis + [(y, x, z) for x, y, z in axis]))
+    return scans
 
 
 @pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
 def test_seeds_and_newton_match_the_references(m):
-    rng = random.Random(12)
-    nonzero = [c for c in range(-5, 6) if c]
-    bowl = parse("y^2 + (z - 1/2)^2", m)
-    fields = [VectorField(bowl * Y, -(bowl * X), MultiPoly.zero()),
-              build_kolmogorov(KolmogorovParams(Scalar(1), Scalar(2)), m),
-              build_kolmogorov(KolmogorovParams(Scalar(rng.choice(nonzero)),
-                                                Scalar(rng.choice(nonzero))), m)]
+    # the seeds are the reference's local minima of the score, and Newton
+    # from each lands within 1e-12 of one of the closed-form points
     mf, grid = float(m), dynamics.GRID_DEFAULT
     angles = surface_angles(mf, grid)[0]
     compared = 0
-    for field in fields:
-        level = rotation_shape(field)
-        if level is None:
-            level = field.P * field.P + field.Q * field.Q + field.R * field.R
-        vals, extremes, vmax = dynamics._level_grid(compile_poly(level, mf), mf, grid)
-        tau = vmax * (2.0 * math.pi / grid) ** 2 * 4.0
-        has_sign_change, flagged = dynamics._cell_masks(vals, extremes, tau)
-        cells, bounds, sign_change = dynamics._components(flagged, has_sign_change)
-        grad = dynamics._surface_gradient(
-            [compile_poly(level.differentiate(v), mf) for v in "xyz"], mf)
-        starts = [(rng.uniform(0, 2 * math.pi), rng.uniform(0, 2 * math.pi))
-                  for _ in range(10)]
-        for k in np.flatnonzero(~sign_change):
+    for levels, newton_pair, points in bowl_and_kolmogorov_scans(m, random.Random(12)):
+        compiled = [compile_poly(p, mf) for p in levels]
+        vals, extremes, vmax = dynamics._level_grid(compiled, ["level"] * len(levels), mf, grid)
+        scales = vmax if len(levels) == 2 else (1.0,)
+        taus = vmax * (2.0 * math.pi / grid) ** 2 * 4.0
+        cells, bounds, _ = dynamics._components(*dynamics._cell_masks(vals, extremes, taus)[::-1])
+        at = dynamics._torus_functions(newton_pair, ["first", "second"], mf)
+        for k in range(bounds.size - 1):
             rows, cols = np.divmod(cells[bounds[k]:bounds[k + 1]], grid)
-            seeds = seeds_of(vals, rows, cols)
-            assert seeds == reference_local_min_seeds(vals, list(zip(rows, cols)))
-            starts += [(angles[i] + math.pi / grid, angles[j] + math.pi / grid)
-                       for i, j in seeds]
+            seeds = seeds_of(vals, rows, cols, scales)
+            assert seeds == reference_local_min_seeds(vals, list(zip(rows, cols)), scales=scales)
+            for i, j in seeds:
+                th, ph = dynamics._newton_pair(at, (angles[i] + math.pi / grid,
+                                                    angles[j] + math.pi / grid))
+                pt = surface_point(th, ph, mf)
+                assert min(math.dist(pt, q) for q in points) < 1e-12
             compared += 1
-        for start in starts:
-            assert dynamics._newton_2d(grad, start) == reference_newton_2d(grad, start)
     assert compared >= 4 + 8 + 8   # the bowl's and the Kolmogorov fields' points
+
+
+def test_newton_pair_steps_nowhere_from_a_common_zero():
+    # a start on a zero of both functions, with independent gradients, where
+    # v = 0: a step of length 0, taken without dividing by it
+    at = dynamics._torus_functions([parse("x - 2", M), Z], ["x - 2", "z"], 4.0)
+    start = (math.acos(2.0 / math.sqrt(5.0)), 0.0)   # x = 2, z = 0 on the torus
+    assert dynamics._newton_pair(lambda th, ph: ([0.0, 0.0], at(th, ph)[1]), start) == start
 
 
 def test_local_min_seeds_on_hand_grids():

@@ -7,7 +7,7 @@ import pytest
 
 import warnings
 
-from torusfields import (CubicParams, Family, MultiPoly, QuadraticParams, Scalar,
+from torusfields import (CubicParams, MultiPoly, QuadraticParams, Scalar,
                          VectorField, X, Y, build_cubic, build_quadratic,
                          recognize, singular_points,
                          integrate, meridian_periodicity, parse)
@@ -63,10 +63,10 @@ def eval_surface(compiled, m, n):
 
 
 def blocked_surface(compiled, m, n):
-    """The theta-row blocks of ``surface_blocks`` stacked into one grid."""
+    """The grid ``surface_blocks`` fills, checking each block it yields."""
     grid = np.empty((n, n))
-    for rows, block in surface_blocks(compiled, m, n):
-        grid[rows] = block
+    for rows, block in surface_blocks(compiled, m, n, grid):
+        assert np.shares_memory(block, grid) and block.shape == grid[rows].shape
     return grid
 
 
@@ -320,16 +320,30 @@ def row_extremes(vals):
     return np.array([vals.min(axis=1), vals.max(axis=1)])
 
 
-def reference_level_grid(level, mf, n):
-    vals = eval_surface(level, mf, n)
-    return vals, row_extremes(vals), float(np.max(np.abs(vals)))
+def reference_level_grid(levels, whats, mf, n):
+    """``dynamics._level_grid`` from full-grid products, one per level."""
+    vals = np.array([eval_surface(level, mf, n) for level in levels])
+    return vals, np.array([row_extremes(v) for v in vals]), np.abs(vals).max(axis=(1, 2))
 
 
-def reference_cell_masks(vals, extremes, tau):
+def reference_level_masks(vals, tau):
+    """(has_sign_change, flagged) of one level on the full grid."""
     has_sign_change = ((reference_cell_reduce(np.minimum, vals) < 0.0)
                        & (reference_cell_reduce(np.maximum, vals) > 0.0))
     flagged = has_sign_change | (reference_cell_reduce(np.minimum, np.abs(vals)) < tau)
     return has_sign_change, flagged
+
+
+def reference_cell_masks(vals, extremes, taus):
+    """``dynamics._cell_masks``: the cells that change sign, or are flagged,
+    for every level, from each level's full-grid masks."""
+    masks = [reference_level_masks(v, t) for v, t in zip(vals, taus)]
+    return tuple(np.logical_and.reduce([mask[i] for mask in masks]) for i in (0, 1))
+
+
+def cell_masks(vals, extremes, tau):
+    """``dynamics._cell_masks`` of a single level."""
+    return dynamics._cell_masks(vals[None], extremes[None], [tau])
 
 
 def reference_components(flagged, has_sign_change):
@@ -395,21 +409,26 @@ def named_field(expr, m):
 
 
 def normal_form(field, m):
-    """(alpha, f) of a quadratic or degree-one field, else None."""
-    tag = recognize(field, m)
-    if tag.family == Family.QUADRATIC:
-        return tag.params.alpha, tag.params.f
-    if tag.family == Family.DEGREE_ONE:
-        return Scalar(0), MultiPoly.constant(tag.params.c)
+    """(alpha, f) of a field whose singular set is empty by its cubic form:
+    K' = alpha and beta = gamma = 0, with alpha != 0 or f a nonzero
+    constant; else None."""
+    cubic = recognize(field, m).cubic
+    if cubic is None or cubic.beta or cubic.gamma or not cubic.Kprime.is_scalar():
+        return None
+    if cubic.Kprime or (cubic.f.is_scalar() and cubic.f):
+        return cubic.Kprime.constant_value(), cubic.f
     return None
 
 
-def scan_level(field, mf):
-    """The level the singular scan samples for ``field``, compiled."""
+def scan_levels(field, m):
+    """The levels a scan samples for ``field``, compiled, and their names:
+    A of a field (A*y, -A*x, 0), else the pair (L, M) of its cubic form, or
+    (G2, G1)."""
     level = dynamics.rotation_shape(field)
-    if level is None:
-        level = field.P * field.P + field.Q * field.Q + field.R * field.R
-    return compile_poly(level, mf)
+    if level is not None:
+        return [compile_poly(level, float(m))], ["A"]
+    pair, whats, _ = dynamics._tangential_pair(field, recognize(field, m).cubic, m)
+    return [compile_poly(p, float(m)) for p in pair], whats
 
 
 def singular_set_and_warnings(field, m, n):
@@ -432,15 +451,15 @@ def test_blocked_scan_matches_full_grid(n, monkeypatch):
                 speed = dynamics.grid_min_speed(field, *normal, m, n)
                 assert abs(speed - reference_grid_min_speed(field, m, n)) \
                     <= 2.0 ** -47 * speed_scale(field, m)
-            level = scan_level(field, mf)
-            vals, extremes, vmax = dynamics._level_grid(level, mf, n)
-            ref_vals, ref_extremes, ref_vmax = reference_level_grid(level, mf, n)
+            levels, whats = scan_levels(field, m)
+            vals, extremes, vmax = dynamics._level_grid(levels, whats, mf, n)
+            ref_vals, ref_extremes, ref_vmax = reference_level_grid(levels, whats, mf, n)
             assert np.array_equal(vals, ref_vals)
             assert np.array_equal(extremes, ref_extremes)
-            assert vmax == ref_vmax
-            tau = vmax * (2.0 * math.pi / n) ** 2 * 4.0
-            masks = dynamics._cell_masks(vals, extremes, tau)
-            ref_masks = reference_cell_masks(vals, extremes, tau)
+            assert np.array_equal(vmax, ref_vmax)
+            taus = vmax * (2.0 * math.pi / n) ** 2 * 4.0
+            masks = dynamics._cell_masks(vals, extremes, taus)
+            ref_masks = reference_cell_masks(vals, extremes, taus)
             assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
             assert_same_components(masks[1], masks[0])
     blocked = {(expr, m): singular_set_and_warnings(named_field(expr, m), m, n)
@@ -518,11 +537,11 @@ def test_level_grid_extremes_in_any_block_row(row):
     for expr, extreme in ((f"3 + {c}*x + {s}*y", np.argmax),
                           (f"10 - ({c}*x + {s}*y)", np.argmin)):
         level = compile_poly(parse(expr, M), mf)
-        vals, extremes, vmax = dynamics._level_grid(level, mf, n)
-        ref_vals, ref_extremes, ref_vmax = reference_level_grid(level, mf, n)
-        assert np.array_equal(vals, ref_vals) and vmax == ref_vmax
+        vals, extremes, vmax = dynamics._level_grid([level], ["level"], mf, n)
+        ref_vals, ref_extremes, ref_vmax = reference_level_grid([level], ["level"], mf, n)
+        assert np.array_equal(vals, ref_vals) and np.array_equal(vmax, ref_vmax)
         assert np.array_equal(extremes, ref_extremes)
-        assert extreme(np.abs(ref_vals)) // n == row
+        assert extreme(np.abs(ref_vals[0])) // n == row
 
 
 def test_cell_masks_on_sign_patterns():
@@ -534,16 +553,15 @@ def test_cell_masks_on_sign_patterns():
     vals[100, 50] = 0.0
     vals[150, 199] = np.nan
     vals[199, 120] = 1e-3
-    masks = dynamics._cell_masks(vals, row_extremes(vals), 1e-2)
-    ref_masks = reference_cell_masks(vals, row_extremes(vals), 1e-2)
+    masks = cell_masks(vals, row_extremes(vals), 1e-2)
+    ref_masks = reference_level_masks(vals, 1e-2)
     assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
     assert masks[0].sum() == 4 and masks[0][n - 1, n - 1]
     assert masks[1].sum() == 12 and masks[1][n - 1, 119]
 
 
 def masks_and_reference(vals, tau):
-    extremes = row_extremes(vals)
-    return dynamics._cell_masks(vals, extremes, tau), reference_cell_masks(vals, extremes, tau)
+    return cell_masks(vals, row_extremes(vals), tau), reference_level_masks(vals, tau)
 
 
 def assert_masks_match(vals, tau):
@@ -618,6 +636,24 @@ def test_cell_masks_reduce_only_candidate_rows(monkeypatch):
     assert heights == [100] * 8
 
 
+def test_cell_masks_rule_out_rows_by_every_level(monkeypatch):
+    # on 200 rows (blocks (0, 100) and (100, 200)) the first level allows
+    # cell rows 9, 10, 59 and 60, the second 59, 60, 150 and 151: only 59
+    # and 60 can hold a cell flagged for both, and only they are reduced
+    n = 200
+    heights = reduced_spans(monkeypatch)
+    vals = np.ones((2, n, n))
+    vals[0, 10, 0] = vals[0, 60, 5] = -1.0
+    vals[1, 60, 5] = vals[1, 151, 9] = -1.0
+    extremes = np.array([row_extremes(v) for v in vals])
+    masks = dynamics._cell_masks(vals, extremes, [0.5, 0.5])
+    ref_masks = reference_cell_masks(vals, extremes, [0.5, 0.5])
+    assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
+    assert list(np.flatnonzero(masks[1].any(axis=1))) == [59, 60]
+    assert masks[1].sum() == masks[0].sum() == 4
+    assert heights == [2] * 4           # one span, a min and a max per level
+
+
 @pytest.mark.parametrize("n", [32, 33, 200, 512])
 def test_cell_masks_on_random_sparse_zeros(n):
     rng = np.random.default_rng(n)
@@ -664,7 +700,7 @@ def test_cached_power_factors_match_fresh_powers(n):
         mf = float(m)
         for expr in NAMED_FIELDS:
             field = named_field(expr, m)
-            for compiled in (scan_level(field, mf),
+            for compiled in (*scan_levels(field, m)[0],
                              *(compile_poly(c, mf) for c in field.components())):
                 u, vt = kernels._surface_factors(compiled, mf, n)
                 ref_u, ref_v = reference_factors(compiled, mf, n)

@@ -7,12 +7,18 @@ as ``perfbench/run.py --trace 1`` does.
 
 import importlib
 import sys
+import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import torusfields as tf
+from torusfields import GridResolutionWarning
+
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+import corpus  # noqa: E402
 import spans  # noqa: E402
 import workloads  # noqa: E402
 
@@ -33,6 +39,25 @@ def test_first_input_passes_its_check(name, tmp_path):
         raw, bad = run_op(workload, quadratic)
         assert raw.bracket is not None
         assert bad == []
+
+
+def test_report_corpus_pass_fires_no_grid_resolution_warning(tmp_path):
+    # the named corpus at m = 4 and 3 and the seed-1 draws, each checked
+    workload = workloads.WORKLOADS["report_corpus"](1, str(tmp_path))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for inp in workload.inputs:
+            assert run_op(workload, inp)[1] == []
+    assert len(workload.inputs) == 28
+    assert not [w for w in caught if issubclass(w.category, GridResolutionWarning)]
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_named_corpus_reports_match_the_hand_written_facts(m):
+    # singular kinds, counts and classes, and points within 1e-8
+    for spec in corpus.named_corpus(m):
+        report = tf.build_report(spec.px, spec.qy, spec.rz, m, grid=512)
+        assert workloads.check_report(spec, 0, tf.report_json(report)) == []
 
 
 def test_traced_names_resolve_and_uninstall(tmp_path):
