@@ -13,11 +13,15 @@ vanishes where G1 = y*P - x*Q = -a*rho^2 and G2 = 2*z*(x*P + y*Q) - ring*R
 = 2*b*rho^2 both do, and |chi|^2 = (G1^2 + G2^2*w/4)/rho^2 with w = z^2 +
 4*rho^2*ring^2: no square is formed.  On the torus the cubic form has G1 =
 M = rho^2*f + z*(beta*y - gamma*x) and G2 = 2*L, L = rho^2*K'/4 + beta*x +
-gamma*y.  The scans sample the levels by blocks of theta rows with each
-row's min and max, reduce cell corners only on rows that those allow to
-hold a flagged cell (Wilhelms & Van Gelder, ACM TOG 11(3), 1992), label
-the periodic components of the flagged cells and refine them by damped
-Newton steps with exact derivatives.
+gamma*y.  With beta = gamma = 0 and K' = k0 + k3*z, both vanish where z =
+z0 = -k0/k3 and f = 0: on the torus's circles at z0, where f is the same
+half-angle quartic in t as on a parallel, so when rho^2 = m -+ sqrt(1 -
+z0^2) is rational the set is decided exactly, with no grid.  The scans
+sample the levels by blocks of theta rows with each row's min and max,
+reduce cell corners only on rows that those allow to hold a flagged cell
+(Wilhelms & Van Gelder, ACM TOG 11(3), 1992), label the periodic
+components of the flagged cells and refine them by damped Newton steps
+with exact derivatives.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .kernels import (CompiledPoly, compile_finite, eval_point,
                       row_blocks, surface_angles, surface_blocks)
 from .poly import MultiPoly, NotDivisible, UniPoly, X, Y, Z, divide_exact
 from .roots import real_roots
-from .scalars import Scalar
+from .scalars import MixedExtensionError, Scalar, _rational_sqrt
 from .vfield import VectorField
 
 NEAR_DOUBLE = 1e-6  # relative distance at which two float roots may be one
@@ -243,35 +247,34 @@ def _sqrtm_power(m: Fraction, e: int) -> Scalar:
     return Scalar(0, base, m) if odd else Scalar(base)
 
 
-def _parallel_obstruction_poly(params: TwoParallelParams, m: Fraction,
-                               which: int) -> tuple[UniPoly, Scalar]:
-    """The obstruction in t = tan(theta/2), times (1 + t^2)^2, plus g(pi).
+# (1 - t^2)^i*(2*t)^j*(1 + t^2)^(2 - i - j), ascending in t: cos^i*sin^j*(1 +
+# t^2)^2 at cos = (1 - t^2)/(1 + t^2), sin = 2*t/(1 + t^2), t = tan(theta/2)
+_HALF_ANGLE = {(0, 0): (1, 0, 2, 0, 1), (1, 0): (1, 0, 0, 0, -1), (0, 1): (0, 2, 0, 2, 0),
+               (2, 0): (1, 0, -2, 0, 1), (1, 1): (0, 2, 0, -2, 0), (0, 2): (0, 0, 4, 0, 0)}
 
-    Roots of the returned polynomial (and a vanishing g(pi)) are the angles
-    where the parallel z = which carries a singular point.
+
+def _circle_poly(f: MultiPoly, z0: Fraction, rho2: Fraction) -> UniPoly:
+    """f of degree <= 2 on the circle x^2 + y^2 = rho2, z = z0, times (1 +
+    t^2)^2 with t = tan(theta/2): degree <= 4, and its t^4 coefficient is f
+    at theta = pi.  MixedExtensionError when f has a sqrt(m) part that
+    Q(sqrt(rho2)) does not hold."""
+    coeffs = [Scalar(0)] * 5
+    for (i, j, k), c in f.terms.items():
+        c = c * z0 ** k * _sqrtm_power(rho2, i + j)
+        coeffs = [a + c * n if n else a for a, n in zip(coeffs, _HALF_ANGLE[i, j])]
+    return UniPoly(coeffs)
+
+
+def _parallel_obstruction_poly(params: TwoParallelParams, m: Fraction,
+                               which: int) -> UniPoly:
+    """The obstruction in t = tan(theta/2), times (1 + t^2)^2.
+
+    On z = which, M = m*g with g = f - which*(p*y - q*x)/2; the roots of the
+    returned polynomial, and theta = pi when its degree is below 4, are the
+    angles where the parallel carries a singular point.
     """
-    w = Fraction(which)
-    cos_t = UniPoly([1, 0, -1])
-    sin_t = UniPoly([0, 2])
-    denom = UniPoly([1, 0, 1])
-    total = UniPoly()
-    for (i, j, k), coeff in params.f.terms.items():
-        c = coeff * (w ** k) * _sqrtm_power(m, i + j)
-        piece = UniPoly([c])
-        for _ in range(i):
-            piece = piece * cos_t
-        for _ in range(j):
-            piece = piece * sin_t
-        for _ in range(2 - i - j):
-            piece = piece * denom
-        total = total + piece
-    correction = (sin_t.scale(params.p * _sqrtm_power(m, 1))
-                  - cos_t.scale(params.q * _sqrtm_power(m, 1))) * denom
-    total = total - correction.scale(Scalar(Fraction(w) / 2))
-    a = Scalar.sqrt_m(m)
-    g_pi = (params.f.eval_exact((-a, Scalar(0), Scalar(w)))
-            - params.q * a * Scalar(Fraction(w) / 2))
-    return total, g_pi
+    g = params.f - (Y * params.p - X * params.q) * Fraction(which, 2)
+    return _circle_poly(g, Fraction(which), m)
 
 
 def parallel_periodicity(params: TwoParallelParams, m: Fraction,
@@ -281,17 +284,13 @@ def parallel_periodicity(params: TwoParallelParams, m: Fraction,
         raise ValueError("which must be +1 or -1")
     if params.p.is_zero() and params.q.is_zero():
         raise ValueError("two-parallel family requires (p, q) != (0, 0)")
-    obstruction, g_pi = _parallel_obstruction_poly(params, Fraction(m), which)
-    if obstruction.is_zero() and g_pi.is_zero():
+    obstruction = _parallel_obstruction_poly(params, Fraction(m), which)
+    if obstruction.is_zero():
         witness = _surface_point(0.0, math.pi / 2 * which, float(m))
         return PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=witness,
                                   reason="every point of the parallel is singular")
-    witnesses: list[float] = []
-    if not obstruction.is_zero() and obstruction.degree >= 1:
-        witnesses.extend(2.0 * math.atan(t) for t, _ in real_roots(obstruction))
-    elif obstruction.is_zero():
-        witnesses.append(0.0)
-    if g_pi.is_zero():
+    witnesses = [2.0 * math.atan(t) for t, _ in real_roots(obstruction)]
+    if obstruction.degree < 4:
         witnesses.append(math.pi)
     if witnesses:
         theta = witnesses[0] % (2.0 * math.pi)
@@ -554,13 +553,15 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
         return solution if all(abs(v) <= 1e-8 * peak
                                for v, peak in zip(values, vmax)) else None
 
-    def on_curve(solution: tuple[float, float]) -> bool:
+    def flat_rows(solution: tuple[float, float]):
+        """The Jacobian rows at ``solution``, or None when they are not
+        parallel and do not vanish next to their level's scale."""
         (a00, a01), (a10, a11) = rows = at(*solution)[1]
-        # rows not parallel, and not vanishing next to their level's scale
-        if abs(a00 * a11 - a01 * a10) > 1e-6 * math.prod(
-                max(math.hypot(*row), 1e-6 * vmax[0 if rotation else k])
-                for k, row in enumerate(rows)):
-            return False
+        return None if abs(a00 * a11 - a01 * a10) > 1e-6 * math.prod(
+            max(math.hypot(*row), 1e-6 * vmax[0 if rotation else k])
+            for k, row in enumerate(rows)) else rows
+
+    def on_curve(solution: tuple[float, float], rows) -> bool:
         # probes two cells out along each zero curve's tangent, and along the
         # axes where a gradient vanishes, projected onto each zero curve
         for d_th, d_ph in [(-b, a) for a, b in rows] + [(1, 0), (-1, 0), (0, 1), (0, -1)]:
@@ -582,19 +583,24 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
                 vals[0][(rows + _CORNERS[0]) % grid, (cols + _CORNERS[1]) % grid])) == 2.0):
             curve_count += 1
             continue
+        # a wide component is suspect on A, and on a pair only in a flat
+        # valley: a transversal crossing of two zero curves has a regular Jacobian
         found: list[tuple[float, float]] = []
+        flat = rotation
         for seed in _local_min_seeds(vals, np.where(vmax > 0.0, vmax, 1.0), rows, cols):
             solution = refine((angles[rows[seed]] + math.pi / grid,
                                angles[cols[seed]] + math.pi / grid))
             if solution is None or any(_angle_gap(solution, z) <= 0.5 * cell
                                        for z in found + zeros):
                 continue
-            if on_curve(solution):
-                curve_count += 1
-                break
+            if (jacobian := flat_rows(solution)) is not None:
+                if on_curve(solution, jacobian):
+                    curve_count += 1
+                    break
+                flat = True
             found.append(solution)
         else:
-            if found and (extent := _component_extent(rows, cols, grid)) > grid // 16:
+            if found and flat and (extent := _component_extent(rows, cols, grid)) > grid // 16:
                 warnings.warn(
                     f"singular component of extent {extent} cells resolved "
                     f"into {len(found)} point(s); a {grid}x{grid} grid is "
@@ -609,12 +615,17 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
         return SingularSet(SingKind.EMPTY, [], numeric_only=not rotation, grid_min_norm=float(
             (np.abs(vals[0]) * surface_angles(mf, grid)[3]).min()) if rotation
             else _grid_min_chi(vals, mf, quarter))
+    return _singular_set(points, curve_count, not rotation)
+
+
+def _singular_set(points: list, curves: int, numeric_only: bool) -> SingularSet:
+    """A nonempty set of isolated ``points`` and ``curves`` curve components."""
     description = f"{len(points)} isolated singular point(s)"
-    if curve_count:
-        description = f"{curve_count} singular curve component(s)" + (
+    if curves:
+        description = f"{curves} singular curve component(s)" + (
             f" plus {len(points)} isolated point(s)" if points else "")
-    return SingularSet(SingKind.CURVES if curve_count else SingKind.ISOLATED, points,
-                       curve_count, description, numeric_only=not rotation)
+    return SingularSet(SingKind.CURVES if curves else SingKind.ISOLATED, points,
+                       curves, description, numeric_only)
 
 
 def _finite_speed(chi_sq: float, grid: int) -> float:
@@ -641,16 +652,15 @@ def _grid_min_chi(vals: np.ndarray, mf: float, quarter: float) -> float:
         return _finite_speed(float((least / (r * r)).min()), n)
 
 
-def grid_min_speed(field: VectorField, alpha: Scalar, f: MultiPoly, m: Fraction,
+def grid_min_speed(field: VectorField, kprime: MultiPoly, f: MultiPoly, m: Fraction,
                    grid: int = GRID_DEFAULT) -> float:
-    """Minimum of |chi| over the grid for the cubic form with K' = alpha,
-    beta = gamma = 0 and alpha != 0 or f a nonzero constant: |chi|^2 = (M^2 +
-    L^2*w)/rho^2 with M = rho^2*f and L = q*rho^2, q = alpha/4, by phi alone,
-    over the grid of M for a quadratic f.  A linear f = r*(g - t), g =
-    f1*cos(theta) + f2*sin(theta), t = -(f0 + f3*sin(phi))/r, is least per
-    phi at the g nearest t among the sorted g.  ValueError when P, Q or R
-    has a coefficient beyond the float range, or M or the minimum is not
-    finite."""
+    """Minimum of |chi| over the grid for the cubic form with K' = k0 + k3*z
+    and beta = gamma = 0: |chi|^2 = (M^2 + L^2*w)/rho^2 with M = rho^2*f and
+    L = q*rho^2, q = K'(sin(phi))/4, by phi alone, over the grid of M for a
+    quadratic f.  A linear f = r*(g - t), g = f1*cos(theta) + f2*sin(theta),
+    t = -(f0 + f3*sin(phi))/r, is least per phi at the g nearest t among the
+    sorted g.  ValueError when P, Q or R has a coefficient beyond the float
+    range, or M or the minimum is not finite."""
     mf = float(m)
     for component, name in zip(field.components(), "PQR"):
         compile_finite(component, mf, name)
@@ -659,8 +669,9 @@ def grid_min_speed(field: VectorField, alpha: Scalar, f: MultiPoly, m: Fraction,
                        grid)[0][0] if f.degree > 1 else None
     _, cos, sin, r = surface_angles(mf, grid)
     f0, f1, f2, f3 = (f.coefficient(e).to_float() for e in _LINEAR)
-    q = alpha.to_float() / 4.0
+    k0, k3 = (kprime.coefficient(e).to_float() for e in (_LINEAR[0], _LINEAR[3]))
     with np.errstate(all="ignore"):
+        q = (k0 + k3 * sin) / 4.0
         r2 = r * r
         if vals is not None:
             np.square(vals, out=vals)
@@ -691,26 +702,72 @@ def rotation_shape(field: VectorField) -> MultiPoly | None:
 
 def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
                     grid: int = GRID_DEFAULT) -> SingularSet:
-    """Singular set of the field on the torus, classified where possible:
-    empty when the cubic form of ``tag`` has beta = gamma = 0 and K' a nonzero
-    constant, or K' = 0 and f a nonzero constant; the zeros of A for (A*y,
-    -A*x, 0); else a numeric scan of (L, M), or of (G2, G1) outside the
-    cubic form."""
+    """Singular set of the field on the torus, classified where possible.
+
+    With beta = gamma = 0 in the cubic form of ``tag``, it is empty when K'
+    is a nonzero constant, or K' = 0 and f a nonzero constant, and it is
+    decided on the parallels of K' = k0 + k3*z = 0 by :func:`_height_singular`.
+    Else it is the zeros of A for (A*y, -A*x, 0), or a numeric scan of (L,
+    M), or of (G2, G1) outside the cubic form."""
     if grid < GRID_MIN:
         raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
     if grid > GRID_MAX:
         raise ValueError(f"grid must be at most {GRID_MAX}, got {grid}")
     cubic = tag.cubic
-    if cubic is not None and cubic.beta.is_zero() and cubic.gamma.is_zero() \
-            and cubic.Kprime.is_scalar() \
-            and (cubic.Kprime or (cubic.f.is_scalar() and cubic.f)):
-        return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
-            field, cubic.Kprime.constant_value(), cubic.f, m, grid))
+    if cubic is not None and cubic.beta.is_zero() and cubic.gamma.is_zero():
+        kprime, f = cubic.Kprime, cubic.f
+        if kprime.is_scalar() and (kprime or (f.is_scalar() and f)):
+            return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
+                field, kprime, f, m, grid))
+        if kprime.coefficient(_LINEAR[3]) and not (kprime.coefficient(_LINEAR[1])
+                                                    or kprime.coefficient(_LINEAR[2])):
+            exact = _height_singular(field, cubic, Fraction(m), grid)
+            if exact is not None:
+                return exact
     level = rotation_shape(field)
     if level is not None:
         return _scan_singular([level], ["A (of the field (A*y, -A*x, 0))"], m, grid)
     pair, whats, quarter = _tangential_pair(field, cubic, m)
     return _scan_singular(pair, whats, m, grid, quarter)
+
+
+def _height_singular(field: VectorField, cubic: CubicParams, m: Fraction,
+                     grid: int) -> SingularSet | None:
+    """The singular set for beta = gamma = 0 and K' = k0 + k3*z, k3 != 0.
+
+    L = rho^2*K'/4 and M = rho^2*f, so the set is f = 0 on the circles of
+    the torus at z0 = -k0/k3, where rho^2 = m -+ sqrt(1 - z0^2): empty when
+    |z0| > 1, else per circle the real roots t = tan(theta/2) of
+    :func:`_circle_poly` and theta = pi when its degree is below 4, or the
+    whole circle when it is 0.  None, for the scan, when rho^2 is irrational
+    or f has a sqrt(m) part that Q(sqrt(rho^2)) does not hold."""
+    k0, k3 = (cubic.Kprime.coefficient(e) for e in (_LINEAR[0], _LINEAR[3]))
+    if (k0 * k0 - k3 * k3).sign() <= 0:
+        z0 = -k0 * k3.inverse()
+        root = None if z0.q else _rational_sqrt(1 - z0.p * z0.p)
+        if root is None:
+            return None
+        try:
+            circles = [(rho2, _circle_poly(cubic.f, z0.p, rho2))
+                       for rho2 in dict.fromkeys((m - root, m + root))]
+        except MixedExtensionError:
+            return None
+        points, curves, z = [], 0, float(z0.p)
+        for rho2, poly in circles:
+            if poly.is_zero():
+                curves += 1
+                continue
+            rho = math.sqrt(rho2)
+            # rational in t, so t = 0 and t = +-1 give exact zeros on the axes
+            for t, _ in real_roots(poly):
+                cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
+                points.append((rho * float(cos), rho * float(sin), z))
+            if poly.degree < 4:
+                points.append((-rho, 0.0, z))
+        if points or curves:
+            return _singular_set([(pt, None) for pt in sorted(points)], curves, False)
+    return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
+        field, cubic.Kprime, cubic.f, m, grid))
 
 
 def _tangential_pair(field: VectorField, cubic: CubicParams | None, m: Fraction

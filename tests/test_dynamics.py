@@ -2,6 +2,7 @@ import collections
 import math
 import random
 import sys
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
@@ -14,7 +15,8 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          SingClass, SingKind, TwoParallelParams, VectorField,
                          Verdict, X, Y, Z, build_cubic, build_kolmogorov,
                          build_pseudo_type, build_quadratic,
-                         build_two_parallel, check_four_meridian_criterion,
+                         build_report, build_two_parallel,
+                         check_four_meridian_criterion,
                          classify_singularity,
                          divide_exact, meridian_periodicity,
                          parallel_periodicity, parse, recognize,
@@ -22,6 +24,7 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
 from torusfields import dynamics
 from torusfields.dynamics import rotation_shape
 from torusfields.kernels import compile_poly, eval_grid, eval_point, surface_angles
+from torusfields.poly import UniPoly
 
 from conftest import eval_float, homogeneous_component, random_linear
 
@@ -331,6 +334,43 @@ def test_parallel_theta_pi_witness():
     assert verdict.kind == Verdict.NOT_PERIODIC
 
 
+def reference_obstruction(params, m, which):
+    """The parallel obstruction by products of t-polynomials: each term of f
+    times cos^i*sin^j*(1 + t^2)^(2-i-j) on rho = sqrt(m), z = which, minus
+    which*(p*y - q*x)/2 the same way, and g(pi) from f at (-a, 0, which)."""
+    a = Scalar.sqrt_m(m)
+    cos_t, sin_t, denom = UniPoly([1, 0, -1]), UniPoly([0, 2]), UniPoly([1, 0, 1])
+    total = UniPoly()
+    for (i, j, k), coeff in params.f.terms.items():
+        piece = UniPoly([coeff * Fraction(which) ** k * a ** (i + j)])
+        for factor, times in ((cos_t, i), (sin_t, j), (denom, 2 - i - j)):
+            for _ in range(times):
+                piece = piece * factor
+        total = total + piece
+    correction = (sin_t.scale(params.p * a) - cos_t.scale(params.q * a)) * denom
+    total = total - correction.scale(Scalar(Fraction(which, 2)))
+    g_pi = params.f.eval_exact((-a, Scalar(0), Scalar(which))) - params.q * a * Fraction(which, 2)
+    return total, g_pi
+
+
+def test_parallel_obstruction_matches_the_products():
+    # the half-angle table gives the polynomial the products give, with
+    # coefficients in Q(sqrt(m)) and at square m alike
+    for m in (Fraction(4), Fraction(3), Fraction(9, 2), Fraction(5, 4)):
+        rng = random.Random(f"obstruction at m = {m}")
+        for _ in range(40):
+            params = draw_two_parallel(rng, m)
+            if rng.random() < 0.3:
+                params = TwoParallelParams(params.p + Scalar(0, 1, m), params.q,
+                                           params.f + X * Scalar(0, Fraction(1, 3), m))
+            for which in (1, -1):
+                poly = dynamics._parallel_obstruction_poly(params, m, which)
+                total, g_pi = reference_obstruction(params, m, which)
+                assert poly == total
+                # g(pi) is the t^4 coefficient
+                assert (poly.coeffs[4] if poly.degree == 4 else 0) == g_pi
+
+
 def test_parallel_requires_pq():
     with pytest.raises(ValueError):
         parallel_periodicity(
@@ -530,9 +570,9 @@ def test_chart_trace_matches_fd_divergence():
 
 
 def test_grid_min_speed_positive_for_rotation():
-    # the rotation is the degree-one field with c = 1: alpha = 0, f = 1, and
+    # the rotation is the degree-one field with c = 1: K' = 0, f = 1, and
     # |chi| = r is least at phi = pi, a grid angle, where r = sqrt(3)
-    assert dynamics.grid_min_speed(VectorField(Y, -X, MultiPoly.zero()), Scalar(0),
+    assert dynamics.grid_min_speed(VectorField(Y, -X, MultiPoly.zero()), MultiPoly.zero(),
                                    MultiPoly.constant(1), M, grid=64) \
         == pytest.approx(math.sqrt(3.0), rel=2.0 ** -50)
 
@@ -606,7 +646,7 @@ def test_generic_branch_finds_meridian_singularities():
     tag = recognize(field, M)
     result = singular_points(field, tag, M, grid=256)
     assert result.kind == SingKind.ISOLATED
-    assert result.numeric_only
+    assert not result.numeric_only
     expected = sorted([(s * r, 0.0, 0.0) for s in (1, -1)
                        for r in (math.sqrt(3), math.sqrt(5))]
                       + [(0.0, s * r, 0.0) for s in (1, -1)
@@ -615,6 +655,163 @@ def test_generic_branch_finds_meridian_singularities():
     assert len(got) == 8
     for e, g in zip(expected, got):
         assert max(abs(ec - gc) for ec, gc in zip(e, g)) < 1e-6
+
+
+# -- exact singular sets on the parallels of K' = k0 + k3*z ----------------------
+
+# z0 = -k0/k3 with sqrt(1 - z0^2) rational, then two heights off the torus
+HEIGHTS = [Fraction(0), Fraction(1), Fraction(-1), Fraction(3, 5), Fraction(-3, 5),
+           Fraction(4, 5), Fraction(-4, 5), Fraction(7, 5), Fraction(-3, 2)]
+
+
+def draw_height_field(rng, m, z0):
+    """beta = gamma = 0, K' = k3*(z - z0) and f a product of two linear
+    forms, one of them z - z0 now and then (whole singular circles)."""
+    k3 = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
+    kprime = MultiPoly({(0, 0, 1): Scalar(k3), (0, 0, 0): Scalar(-k3 * z0)})
+    first = Z - z0 if rng.random() < 0.15 else random_linear(rng)
+    return build_cubic(CubicParams(kprime, first * random_linear(rng), Scalar(0), Scalar(0)), m)
+
+
+def field_scale(field, m):
+    """The sum of |c|*sqrt(m + 1)^(i+j) over the terms c*x^i*y^j*z^k of P, Q
+    and R: at least |P|, |Q| and |R| anywhere on the torus."""
+    rm = math.sqrt(float(m) + 1.0)
+    return sum(abs(c) * rm ** (i + j) for component in field.components()
+               for (i, j, _), c in compile_poly(component, float(m)).terms)
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_exact_parallel_sets_match_the_pair_scan(m):
+    # the exact set against the scan of (L, M) at the default grid: the same
+    # kind and curve count, every exact point a zero of chi and every scan
+    # point next to an exact one; the scan may miss a point (its seeds are
+    # local minima over all 8 neighbours, in the component or not)
+    rng = random.Random(f"parallels of K' at m = {m}")
+    kinds = collections.Counter()
+    for z0 in HEIGHTS:
+        for _ in range(6):
+            field = draw_height_field(rng, m, z0)
+            tag = recognize(field, m)
+            exact = singular_points(field, tag, m)
+            pair, whats, quarter = dynamics._tangential_pair(field, tag.cubic, m)
+            scan = dynamics._scan_singular(pair, whats, m, dynamics.GRID_DEFAULT, quarter)
+            assert not exact.numeric_only and scan.numeric_only
+            assert (exact.kind, exact.curve_components) == (scan.kind, scan.curve_components)
+            kinds[exact.kind] += 1
+            if exact.kind == SingKind.EMPTY:
+                assert abs(exact.grid_min_norm - scan.grid_min_norm) \
+                    <= 2.0 ** -47 * scan.grid_min_norm
+                continue
+            scale = field_scale(field, m)
+            points = [pt for pt, _ in exact.points]
+            assert all(pt[2] == float(z0) and chi_at(field, m, pt) <= 2.0 ** -42 * scale
+                       for pt in points)
+            assert len(set(points)) == len(points)
+            assert len(scan.points) <= len(points)
+            df = [compile_poly(tag.cubic.f.differentiate(v), float(m)) for v in "xy"]
+            for q, _ in scan.points:
+                gap, (x, y, z) = min((math.dist(pt, q), pt) for pt in points)
+                # f's theta-derivative x*f_y - y*f_x vanishes at a multiple
+                # root, where the scan's zero is degenerate and float-limited
+                tangent = abs(x * eval_point(df[1], x, y, z) - y * eval_point(df[0], x, y, z))
+                simple = tangent > 1e-6 * scale
+                assert gap <= ((1e-7 if abs(z0) == 1 else 1e-8) if simple else 1e-3)
+    assert kinds[SingKind.EMPTY] >= 12 and kinds[SingKind.ISOLATED] > 30
+    assert kinds[SingKind.CURVES] > 0
+
+
+def test_named_kolmogorov_points_are_exact():
+    # K' = 2*z, f = x*y: z0 = 0, and x*y = 0 on the circles rho^2 = m -+ 1
+    for m in (Fraction(4), Fraction(3), Fraction(9, 2)):
+        spec = next(s for s in corpus.named_corpus(m) if s.name == "kolmogorov")
+        field = VectorField(*(parse(e, m) for e in (spec.px, spec.qy, spec.rz)))
+        result = singular_points(field, recognize(field, m), m)
+        assert result.kind == SingKind.ISOLATED and not result.numeric_only
+        assert result.description == "8 isolated singular point(s)"
+        points = [pt for pt, cls in result.points]
+        assert all(cls is None for _, cls in result.points)
+        # exact zeros: one of x, y and z itself, never a rounding residue
+        assert all(pt[2] == 0.0 and (pt[0] == 0.0) != (pt[1] == 0.0) for pt in points)
+        assert all(min(abs(math.hypot(pt[0], pt[1]) - math.sqrt(float(m) + s))
+                       for s in (1, -1)) <= 1e-15 for pt in points)
+        assert points == sorted(points)
+        assert max(math.dist(p, q) for p, q in zip(points, corpus.kolmogorov_points(m))) \
+            <= 1e-15
+
+
+def test_top_parallel_points_are_exact():
+    # K' = 1 - z touches the torus on z = 1, rho^2 = m, where f = 0 on the line
+    # x + y/2 = 3/2: two points with z exactly 1
+    f = parse("(x + (1/2)*y - 3/2)*(z - 1/2)", M)
+    field = build_cubic(CubicParams(parse("1 - z", M), f, Scalar(0), Scalar(0)), M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = singular_points(field, recognize(field, M), M)
+    assert result.kind == SingKind.ISOLATED and not result.numeric_only
+    assert len(result.points) == 2
+    for (x, y, z), _ in result.points:
+        assert z == 1.0
+        assert abs(x * x + y * y - 4.0) <= 1e-14 and abs(x + y / 2 - 1.5) <= 1e-14
+        assert chi_at(field, M, (x, y, z)) <= 1e-13
+
+
+def test_whole_parallels_are_curves():
+    # K' = z, f = z*x: f = 0 on the whole of both circles at z = 0
+    field = build_cubic(CubicParams(Z, Z * X, Scalar(0), Scalar(0)), M)
+    result = singular_points(field, recognize(field, M), M)
+    assert result.kind == SingKind.CURVES and not result.numeric_only
+    assert result.curve_components == 2 and result.points == []
+    assert result.description == "2 singular curve component(s)"
+
+
+@pytest.mark.parametrize("kprime, f, m", [
+    ("z - 1/2", "x*y", Fraction(4)),        # rho^2 = 4 -+ sqrt(3)/2, irrational
+    ("z", "a*x + y", Fraction(3)),          # sqrt(3)*x on rho^2 = 2 and 4
+])
+def test_parallel_sets_beyond_q_sqrt_rho2_are_scanned(kprime, f, m):
+    field = build_cubic(CubicParams(parse(kprime, m), parse(f, m), Scalar(0), Scalar(0)), m)
+    result = singular_points(field, recognize(field, m), m)
+    assert result.kind == SingKind.ISOLATED and result.numeric_only
+    assert all(chi_at(field, m, pt) <= 1e-9 for pt, _ in result.points)
+
+
+def test_parallel_sets_off_the_torus_are_empty_exactly():
+    # |z0| = 3/2 > 1 with coefficients in Q(sqrt(m)): decided by the sign of
+    # k0^2 - k3^2, and |chi| taken with q = K'(sin(phi))/4 per phi
+    for m in (Fraction(3), Fraction(9, 2)):
+        kprime, f = parse("a*z + (3/2)*a", m), parse("x*y + a*z", m)
+        field = build_cubic(CubicParams(kprime, f, Scalar(0), Scalar(0)), m)
+        tag = recognize(field, m)
+        result = singular_points(field, tag, m)
+        assert result.kind == SingKind.EMPTY and not result.numeric_only
+        assert result.grid_min_norm == pytest.approx(grid_chi(field, m, 512), rel=1e-12)
+
+
+def test_kolmogorov_report_evaluates_no_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid evaluated")
+
+    monkeypatch.setattr(dynamics, "surface_blocks", no_grid)
+    monkeypatch.setattr(dynamics, "_level_grid", no_grid)
+    for m in (Fraction(4), Fraction(3)):
+        spec = next(s for s in corpus.named_corpus(m) if s.name == "kolmogorov")
+        for grid in (512, 200):
+            sing = build_report(spec.px, spec.qy, spec.rz, m, grid=grid)["singular_set"]
+            assert sing["kind"] == "isolated-points" and not sing["numeric_only"]
+
+
+def test_transversal_pair_crossings_do_not_warn():
+    # K' = -2*x + y + z - 1 meets f = 0 at two points where the zero curves
+    # of L and M cross at a shallow angle: a wide component, but a regular
+    # Jacobian at each point
+    f = parse("2*(2*x + y)*x", M)
+    field = build_cubic(CubicParams(parse("-2*x + y + z - 1", M), f, Scalar(0), Scalar(0)), M)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = singular_points(field, recognize(field, M), M)
+    assert result.kind == SingKind.ISOLATED and len(result.points) == 2
+    assert all(chi_at(field, M, pt) <= 1e-9 for pt, _ in result.points)
 
 
 # -- the paper's condition: invariant curves and the singular set ---------------

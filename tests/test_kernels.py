@@ -409,14 +409,14 @@ def named_field(expr, m):
 
 
 def normal_form(field, m):
-    """(alpha, f) of a field whose singular set is empty by its cubic form:
+    """(K', f) of a field whose singular set is empty by its cubic form:
     K' = alpha and beta = gamma = 0, with alpha != 0 or f a nonzero
     constant; else None."""
     cubic = recognize(field, m).cubic
     if cubic is None or cubic.beta or cubic.gamma or not cubic.Kprime.is_scalar():
         return None
     if cubic.Kprime or (cubic.f.is_scalar() and cubic.f):
-        return cubic.Kprime.constant_value(), cubic.f
+        return cubic.Kprime, cubic.f
     return None
 
 
@@ -513,10 +513,10 @@ def test_closed_form_speed_matches_full_grid(m):
 
 
 def assert_speed_matches_full_grid(field, m):
-    alpha, f = normal_form(field, m)
+    kprime, f = normal_form(field, m)
     bound = 2.0 ** -47 * speed_scale(field, m)
     for n in SPEED_N:
-        speed = dynamics.grid_min_speed(field, alpha, f, m, n)
+        speed = dynamics.grid_min_speed(field, kprime, f, m, n)
         assert math.isfinite(speed)
         assert abs(speed - reference_grid_min_speed(field, m, n)) <= bound
 
