@@ -16,7 +16,10 @@ M = rho^2*f + z*(beta*y - gamma*x) and G2 = 2*L, L = rho^2*K'/4 + beta*x +
 gamma*y.  With beta = gamma = 0 and K' = k0 + k3*z, both vanish where z =
 z0 = -k0/k3 and f = 0: on the torus's circles at z0, where f is the same
 half-angle quartic in t as on a parallel, so when rho^2 = m -+ sqrt(1 -
-z0^2) is rational the set is decided exactly, with no grid.  The scans
+z0^2) is rational the set is decided exactly, with no grid.  For (A*y,
+-A*x, 0) with A a form in x and y of degree d >= 1, A = rho^d*A(cos(theta),
+sin(theta)) vanishes exactly on the two meridians of each distinct real
+linear factor of A, found as the meridian planes are.  The scans
 sample the levels by blocks of theta rows with each row's min and max,
 reduce cell corners only on rows that those allow to hold a flagged cell
 (Wilhelms & Van Gelder, ACM TOG 11(3), 1992), label the periodic
@@ -376,14 +379,18 @@ def _first_min(values: np.ndarray) -> int:
 
 def _local_min_seeds(vals: np.ndarray, scales, rows: np.ndarray, cols: np.ndarray,
                      cap: int = 32) -> np.ndarray:
-    """Positions in (rows, cols) of the cells whose score, sum |vals[k]| /
-    scales[k], is at most all 8 neighbours', by increasing score (ties in cell
-    order), at most ``cap``; without such a cell, the cell of least score."""
+    """Positions in (rows, cols), a component's cells in ascending flat order,
+    of the cells whose score, sum |vals[k]| / scales[k], is at most that of
+    each of their 8 neighbours in the component, by increasing score (ties in
+    cell order), at most ``cap``; without such a cell, the cell of least score."""
     n = vals.shape[1]
     di, dj = (np.array(d)[:, None] for d in zip(*_NEIGHBOURS))
+    ni, nj = (rows + di) % n, (cols + dj) % n
     level, around = (sum(np.abs(v[i, j]) / s for v, s in zip(vals, scales))
-                     for i, j in ((rows, cols), ((rows + di) % n, (cols + dj) % n)))
-    seeds = np.flatnonzero((around >= level).all(axis=0))
+                     for i, j in ((rows, cols), (ni, nj)))
+    flat, neighbour = rows * n + cols, ni * n + nj
+    outside = flat[np.minimum(np.searchsorted(flat, neighbour), flat.size - 1)] != neighbour
+    seeds = np.flatnonzero(((around >= level) | outside).all(axis=0))
     if not seeds.size:
         return np.array([_first_min(level)])
     return seeds[np.argsort(level[seeds], kind="stable")[:cap]]
@@ -707,8 +714,10 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
     With beta = gamma = 0 in the cubic form of ``tag``, it is empty when K'
     is a nonzero constant, or K' = 0 and f a nonzero constant, and it is
     decided on the parallels of K' = k0 + k3*z = 0 by :func:`_height_singular`.
-    Else it is the zeros of A for (A*y, -A*x, 0), or a numeric scan of (L,
-    M), or of (G2, G1) outside the cubic form."""
+    Else for (A*y, -A*x, 0) it is the zeros of A: two meridians per distinct
+    real linear factor when A is a form in x and y of degree >= 1 that has
+    one, else a scan of A.  Otherwise it is a numeric scan of (L, M), or of
+    (G2, G1) outside the cubic form."""
     if grid < GRID_MIN:
         raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
     if grid > GRID_MAX:
@@ -726,6 +735,12 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
                 return exact
     level = rotation_shape(field)
     if level is not None:
+        # a binary form A vanishes on the torus exactly on the two meridians
+        # of each of its real linear factors, disjoint circles
+        if level.degree >= 1 and level.is_homogeneous() and not level.var_degree("z"):
+            planes = linear_xy_factors(level)
+            if planes:
+                return _singular_set([], 2 * len(planes), False)
         return _scan_singular([level], ["A (of the field (A*y, -A*x, 0))"], m, grid)
     pair, whats, quarter = _tangential_pair(field, cubic, m)
     return _scan_singular(pair, whats, m, grid, quarter)

@@ -368,10 +368,11 @@ def test_non_finite_grid_speed_is_a_usage_error(command, m, field, capsys, recwa
 # the field (A*y, -A*x, 0) is not finite there
 HUGE_LEVEL = {a: ["--px", f"((1/2)*(10^44)^7*({a}))*y", "--qy", f"-((1/2)*(10^44)^7*({a}))*x",
                   "--rz", "0"]
-              for a in ("x^2+y^2", "x+2*y")}
+              for a in ("x^2+y^2", "x+2*z", "x+2*y")}
 
 
-@pytest.mark.parametrize("field", sorted(HUGE_LEVEL))
+# x^2 + y^2 has no real linear factor and x + 2*z holds z: both are scanned
+@pytest.mark.parametrize("field", ["x^2+y^2", "x+2*z"])
 @pytest.mark.parametrize("m", ["5", "4"])
 @pytest.mark.parametrize("command", [["singular", "--grid", "32"],
                                      ["report", "--grid", "32"]],
@@ -383,6 +384,21 @@ def test_non_finite_level_grid_is_a_usage_error(command, m, field, capsys, recwa
     assert captured.err == ("error: A (of the field (A*y, -A*x, 0)) is not finite on "
                             "the 32x32 grid: the field's values exceed the float range\n")
     assert captured.out == ""
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize("m", ["5", "4"])
+@pytest.mark.parametrize("command", ["singular", "report"])
+def test_huge_binary_form_level_is_decided_exactly(command, m, capsys, recwarn):
+    # A = (1/2)*(10^44)^7*(x + 2*y) overflows on the grid, but its zeros are
+    # the two meridians of its plane, found with no grid
+    code = main([command, "--grid", "32", "--json", *HUGE_LEVEL["x+2*y"], "--m", m])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    payload = json.loads(captured.out)
+    sing = payload if command == "singular" else payload["singular_set"]
+    assert sing["kind"] == "curves" and sing["curve_components"] == 2
+    assert sing["points"] == [] and sing["numeric_only"] is False
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 

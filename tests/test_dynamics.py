@@ -410,6 +410,50 @@ def test_pseudo_type_z_curves():
     assert result.curve_components == 2   # circles x^2 + y^2 = m +- 1
 
 
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_binary_form_zeros_are_their_planes_meridians(m):
+    # A a form in x, y: its zeros on the torus are the two meridians of each
+    # distinct real linear factor, whatever the grid
+    rng = random.Random(f"pseudo-type zeros at m = {m}")
+    for i in range(30):
+        spec = corpus.draw_pseudo_type(rng, m, 2 + i % 5)
+        field = VectorField(*(parse(e, m) for e in (spec.px, spec.qy, spec.rz)))
+        tag = recognize(field, m)
+        planes = spec.exact_planes + spec.float_planes
+        for grid in (32, 200, 512):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", dynamics.GridResolutionWarning)
+                sing = singular_points(field, tag, m, grid)
+            if planes:
+                assert sing.kind == SingKind.CURVES, spec.px
+                assert sing.curve_components == 2 * planes, spec.px
+            else:   # an irreducible quadratic times a constant
+                assert sing.kind == SingKind.EMPTY, spec.px
+            assert sing.points == [] and not sing.numeric_only
+
+
+def test_close_planes_give_their_own_curves():
+    # the planes x = -2*y and x = -sqrt(3)*y meet the torus about five cells
+    # apart at grid 512, close enough for a grid scan to merge their curves
+    m = Fraction(9, 2)
+    field = build_pseudo_type(PseudoTypeParams(4, parse("(x^2 - 3*y^2)*(x + 2*y)", m)))
+    sing = singular_points(field, recognize(field, m), m)
+    assert sing.kind == SingKind.CURVES and sing.curve_components == 6
+
+
+def test_pseudo_type_report_evaluates_no_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid evaluated")
+
+    monkeypatch.setattr(dynamics, "surface_blocks", no_grid)
+    monkeypatch.setattr(dynamics, "_level_grid", no_grid)
+    for m in (Fraction(4), Fraction(3)):
+        spec = next(s for s in corpus.named_corpus(m) if s.name == "pseudo-type")
+        for grid in (512, 200):
+            sing = build_report(spec.px, spec.qy, spec.rz, m, grid=grid)["singular_set"]
+            assert sing["kind"] == "curves" and sing["curve_components"] == 4
+
+
 def test_isolated_points_closed_form():
     a_poly = parse("y^2 + (z - 1/2)^2", M)
     field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
@@ -885,16 +929,20 @@ def test_periodicity_verdicts_match_the_singular_set(m):
 
 def reference_local_min_seeds(vals, cells, cap=32, scales=(1.0,)):
     """The seeds of ``dynamics._local_min_seeds`` cell by cell: ``vals`` is
-    one level's grid or a stack of levels, scored by sum |level| / scale."""
+    one level's grid or a stack of levels, scored by sum |level| / scale, and
+    ``cells`` the component, whose cells alone are compared."""
     stack = vals if vals.ndim == 3 else vals[None]
     grid = stack.shape[1]
+    cells = [(int(i), int(j)) for i, j in cells]
+    members = set(cells)
 
     def score(i, j):
         return sum(abs(float(v[i % grid, j % grid])) / s for v, s in zip(stack, scales))
     seeds = []
     for i, j in cells:
         if all(score(i + di, j + dj) >= score(i, j)
-               for di in (-1, 0, 1) for dj in (-1, 0, 1) if (di, dj) != (0, 0)):
+               for di in (-1, 0, 1) for dj in (-1, 0, 1)
+               if (di, dj) != (0, 0) and ((i + di) % grid, (j + dj) % grid) in members):
             seeds.append((i, j))
     seeds.sort(key=lambda c: score(*c))
     return seeds[:cap] or [min(cells, key=lambda c: score(*c))]
@@ -981,7 +1029,8 @@ def test_local_min_seeds_on_hand_grids():
     ties[3, 3] = ties[3, 10] = -0.5
     ties[20, 7] = 0.5
     ties[10:13, 20:23] = -0.25          # a plateau: nine tied local minima
-    ramp = np.tile(np.arange(1.0, n + 1.0), (n, 1))    # no local minimum in 5..8
+    # in the columns 5..8 alone, column 5 holds the local minima
+    ramp = np.tile(np.arange(1.0, n + 1.0), (n, 1))
     ramp_nan = ramp.copy()
     ramp_nan[0, 5] = np.nan
     ramp_late_nan = ramp.copy()
@@ -990,16 +1039,36 @@ def test_local_min_seeds_on_hand_grids():
     infs[::3, ::5] = -np.inf
     infs[7, 7], infs[8, 9], infs[30, 1] = 3.0, np.nan, 3.0
     middle = np.divmod(np.array([i * n + j for i in range(n) for j in range(5, 9)]), n)
+    corner = np.divmod(np.array([i * n + j for i in range(2) for j in range(5, 9)]), n)
     cases = [(ties, every), (infs, every), (ramp, middle), (ramp_nan, middle),
-             (ramp_late_nan, middle)]
+             (ramp_late_nan, middle), (ramp_nan, corner)]
     for vals, (rows, cols) in cases:
         want = reference_local_min_seeds(vals, list(zip(rows, cols)))
         assert seeds_of(vals, rows, cols) == want
     assert seeds_of(ties, *every)[:12] == [(10, 20), (10, 21), (10, 22), (11, 20),
                                            (11, 21), (11, 22), (12, 20), (12, 21),
                                            (12, 22), (3, 3), (3, 10), (20, 7)]
-    assert seeds_of(ramp_nan, *middle) == [(0, 5)]
-    assert seeds_of(ramp_late_nan, *middle) == [(0, 5)]
+    assert seeds_of(ramp, *middle) == [(i, 5) for i in range(n)]
+    # a cell next to a nan in the component is no local minimum
+    assert seeds_of(ramp_nan, *middle) == [(i, 5) for i in range(2, n - 1)]
+    assert seeds_of(ramp_late_nan, *middle) == [(i, 5) for i in range(n) if not 3 <= i <= 5]
+    # no local minimum in rows 0..1: the cell of least score, a nan first
+    assert seeds_of(ramp_nan, *corner) == [(0, 5)]
+
+
+def test_pair_scan_seeds_compare_cells_of_their_component():
+    # along a zero circle of L the component is one column wide, and an
+    # unflagged neighbour of lower score must not cost a zero of M its seed
+    m = Fraction(3)
+    cubic = CubicParams(parse("-(3/2)*z + 9/10", m), parse(
+        "6*x^2 + 5*x*y - 12*x*z + y^2 - 5*y*z + 6*z^2 + 15*x + 6*y - 15*z + 9", m),
+        Scalar(0), Scalar(0))
+    field = build_cubic(cubic, m)
+    exact = dynamics._height_singular(field, cubic, m, dynamics.GRID_DEFAULT)
+    pair, whats, quarter = dynamics._tangential_pair(field, cubic, m)
+    scan = dynamics._scan_singular(pair, whats, m, dynamics.GRID_DEFAULT, quarter)
+    assert len(exact.points) == len(scan.points) == 8
+    assert all(min(math.dist(pt, q) for q, _ in exact.points) < 1e-8 for pt, _ in scan.points)
 
 
 def test_first_min_is_the_one_min_picks():
