@@ -19,12 +19,18 @@ half-angle quartic in t as on a parallel, so when rho^2 = m -+ sqrt(1 -
 z0^2) is rational the set is decided exactly, with no grid.  For (A*y,
 -A*x, 0) with A a form in x and y of degree d >= 1, A = rho^d*A(cos(theta),
 sin(theta)) vanishes exactly on the two meridians of each distinct real
-linear factor of A, found as the meridian planes are.  The scans
-sample the levels by blocks of theta rows with each row's min and max,
-reduce cell corners only on rows that those allow to hold a flagged cell
-(Wilhelms & Van Gelder, ACM TOG 11(3), 1992), label the periodic
-components of the flagged cells and refine them by damped Newton steps
-with exact derivatives.
+linear factor of A, found as the meridian planes are.  A semidefinite A of
+degree <= 2 vanishes, with its gradient, exactly on the null space of its
+symmetric matrix in (x, y, z, 1), found by exact symmetric elimination: a
+point, a line meeting the torus at the real roots of a quartic, or a plane
+z = k.  The scans sample the levels by blocks of theta rows with each row's
+min and max, reduce cell corners only on rows that those allow to hold a
+flagged cell (Wilhelms & Van Gelder, ACM TOG 11(3), 1992), label the
+periodic components of the flagged cells and refine them by damped Newton
+steps with exact derivatives.  Every grid minimum of |chi| comes from one
+reducer, which folds each block of theta rows into a running minimum per
+phi column: as the block is made when no scan keeps the grid, else from
+the scan's grids once the set is known to be empty.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .kernels import (CompiledPoly, compile_finite, eval_point,
 from .poly import MultiPoly, NotDivisible, UniPoly, X, Y, Z, divide_exact
 from .roots import real_roots
 from .scalars import MixedExtensionError, Scalar, _rational_sqrt
-from .vfield import VectorField
+from .vfield import VectorField, torus_surface
 
 NEAR_DOUBLE = 1e-6  # relative distance at which two float roots may be one
 GRID_DEFAULT = 512
@@ -396,6 +402,11 @@ def _local_min_seeds(vals: np.ndarray, scales, rows: np.ndarray, cols: np.ndarra
     return seeds[np.argsort(level[seeds], kind="stable")[:cap]]
 
 
+def _not_finite(what: str, grid: int) -> ValueError:
+    return ValueError(f"{what} is not finite on the {grid}x{grid} grid: the "
+                      "field's values exceed the float range")
+
+
 def _level_grid(levels: list[CompiledPoly], whats: list[str], mf: float,
                 grid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The k levels' (k, grid, grid) grid, each theta row's (min, max) and each
@@ -410,9 +421,44 @@ def _level_grid(levels: list[CompiledPoly], whats: list[str], mf: float,
         vmax = np.maximum(np.abs(extremes[:, 0]), np.abs(extremes[:, 1])).max(axis=1)
     for what, peak in zip(whats, vmax):
         if not math.isfinite(peak):
-            raise ValueError(f"{what} is not finite on the {grid}x{grid} grid: the "
-                             "field's values exceed the float range")
+            raise _not_finite(what, grid)
     return vals, extremes, vmax
+
+
+def _column_min(score, n: int):
+    """(fold, least) for a minimum over the n x n grid: fold(values), given
+    the levels' values on one block of theta rows, lowers least, one entry
+    per phi column, to the least score(values, out) of the block's cells,
+    written into the scratch block out.  So a block just made is reduced
+    while it is still in cache, and a map of a column's values that never
+    falls as they rise, such as x -> (x + c)/rho^2 at a phi, gives the same
+    minimum applied to least last."""
+    least = np.full(n, math.inf)
+    scratch = np.empty((max(b - a for a, b in row_blocks(n)), n))
+
+    def fold(values) -> None:
+        with np.errstate(all="ignore"):
+            np.minimum(least, score(values, scratch[:len(values[0])]).min(axis=0), out=least)
+    return fold, least
+
+
+def _fold_grid(level: CompiledPoly, what: str, mf: float, grid: int, fold) -> None:
+    """``fold`` over the level's blocks, with no grid kept; ValueError names
+    ``what`` when a value is not finite.  Blocks are checked only when the
+    sum of |c|*(m + 1)^((i+j)/2) over the level's terms, which bounds it on
+    the torus, is not far inside the float range."""
+    with np.errstate(all="ignore"):
+        bound = sum(abs(c) * np.float64(mf + 1.0) ** ((i + j) / 2)
+                    for (i, j, _), c in level.terms)
+        for _, block in surface_blocks(level, mf, grid):
+            if not bound < 1e300 and not np.isfinite(block).all():
+                raise _not_finite(what, grid)
+            fold([block])
+
+
+def _abs_level(values: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """|A| per cell: |chi| = |A|*r for (A*y, -A*x, 0), with r by phi, the column."""
+    return np.abs(values[0], out=out)
 
 
 def _corner_reduce(op, rows: np.ndarray, pair: np.ndarray, out: np.ndarray) -> None:
@@ -547,7 +593,7 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
         levels = [X * ay - Y * ax, rho2 * (rho2 - m) * az * 2 - Z * (X * ax + Y * ay)]
         whats = [f"the theta-derivative of {what}",
                  f"2*(x^2 + y^2) times the phi-derivative of {what}"]
-    angles = surface_angles(mf, grid)[0]
+    angles, cos, sin, r = surface_angles(mf, grid)
     cell = 2.0 * math.pi / grid
     at = None
 
@@ -618,10 +664,17 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
         classify = rotation and abs(pt[2]) >= 1e-6
         points.append((pt, _classify(_chart_gradient(terms, grads, pt, mf), pt)
                        if classify else None))
-    if not (points or curve_count):     # rotation: |chi| = |A|*r, r by phi, the column
-        return SingularSet(SingKind.EMPTY, [], numeric_only=not rotation, grid_min_norm=float(
-            (np.abs(vals[0]) * surface_angles(mf, grid)[3]).min()) if rotation
-            else _grid_min_chi(vals, mf, quarter))
+    if not (points or curve_count):
+        # folded from the kept grids: during the scan it would cost every
+        # set that is not empty a pass over them
+        with np.errstate(all="ignore"):
+            fold, least = _column_min(_abs_level if rotation else _pair_score(
+                quarter * (np.square(sin) + 4.0 * r * r * np.square(cos)), grid), grid)
+            for a, b in row_blocks(grid):
+                fold(vals[:, a:b])
+            return SingularSet(SingKind.EMPTY, [], numeric_only=not rotation, grid_min_norm=float(
+                (least * r).min()) if rotation
+                else _finite_speed(float((least / (r * r)).min()), grid))
     return _singular_set(points, curve_count, not rotation)
 
 
@@ -642,21 +695,19 @@ def _finite_speed(chi_sq: float, grid: int) -> float:
     return math.sqrt(chi_sq)
 
 
-def _grid_min_chi(vals: np.ndarray, mf: float, quarter: float) -> float:
-    """min |chi| over the grid from the pair's grids ``vals``, which it
-    squares in place block by block: |chi|^2 = (second^2 +
-    quarter*first^2*w)/rho^2, where w and rho^2 depend on phi, the column."""
-    n = vals.shape[1]
-    _, cos, sin, r = surface_angles(mf, n)
-    least = np.full(n, math.inf)     # per column, so rho^2 divides it last
-    with np.errstate(all="ignore"):
-        w = quarter * (np.square(sin) + 4.0 * r * r * np.square(cos))
-        for a, b in row_blocks(n):
-            first, second = np.square(vals[:, a:b], out=vals[:, a:b])
-            first *= w
-            first += second
-            np.minimum(least, first.min(axis=0), out=least)
-        return _finite_speed(float((least / (r * r)).min()), n)
+def _pair_score(w: np.ndarray, n: int):
+    """score(values, out) for :func:`_column_min`: second^2 + first^2*w per
+    cell of a pair (first, second), with w, by phi, quarter*(z^2 +
+    4*rho^2*ring^2); then |chi|^2 = score/rho^2."""
+    second_sq = np.empty((max(b - a for a, b in row_blocks(n)), n))
+
+    def score(values: list[np.ndarray], out: np.ndarray) -> np.ndarray:
+        first, second = values
+        np.square(first, out=out)
+        out *= w
+        out += np.square(second, out=second_sq[:len(out)])
+        return out
+    return score
 
 
 def grid_min_speed(field: VectorField, kprime: MultiPoly, f: MultiPoly, m: Fraction,
@@ -671,20 +722,20 @@ def grid_min_speed(field: VectorField, kprime: MultiPoly, f: MultiPoly, m: Fract
     mf = float(m)
     for component, name in zip(field.components(), "PQR"):
         compile_finite(component, mf, name)
-    what = "M = y*P - x*Q"
-    vals = _level_grid([compile_finite(field.P * Y - field.Q * X, mf, what)], [what], mf,
-                       grid)[0][0] if f.degree > 1 else None
+    if f.degree > 1:
+        what = "M = y*P - x*Q"
+        fold, least = _column_min(lambda values, out: np.square(values[0], out=out), grid)
+        _fold_grid(compile_finite(field.P * Y - field.Q * X, mf, what), what, mf, grid, fold)
     _, cos, sin, r = surface_angles(mf, grid)
     f0, f1, f2, f3 = (f.coefficient(e).to_float() for e in _LINEAR)
     k0, k3 = (kprime.coefficient(e).to_float() for e in (_LINEAR[0], _LINEAR[3]))
     with np.errstate(all="ignore"):
         q = (k0 + k3 * sin) / 4.0
         r2 = r * r
-        if vals is not None:
-            np.square(vals, out=vals)
-            vals += np.square(q * r2) * (np.square(sin) + 4.0 * r2 * np.square(cos))
-            vals /= r2
-            return _finite_speed(float(vals.min()), grid)
+        if f.degree > 1:
+            least += np.square(q * r2) * (np.square(sin) + 4.0 * r2 * np.square(cos))
+            least /= r2
+            return _finite_speed(float(least.min()), grid)
         g = np.sort(f1 * cos + f2 * sin)
         t = -(f0 + f3 * sin) / r
         # the sorted g on either side of t, clamped at both ends
@@ -714,10 +765,10 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
     With beta = gamma = 0 in the cubic form of ``tag``, it is empty when K'
     is a nonzero constant, or K' = 0 and f a nonzero constant, and it is
     decided on the parallels of K' = k0 + k3*z = 0 by :func:`_height_singular`.
-    Else for (A*y, -A*x, 0) it is the zeros of A: two meridians per distinct
-    real linear factor when A is a form in x and y of degree >= 1 that has
-    one, else a scan of A.  Otherwise it is a numeric scan of (L, M), or of
-    (G2, G1) outside the cubic form."""
+    Else for (A*y, -A*x, 0) it is the zeros of A (:func:`_rotation_singular`):
+    exact for a form in x and y of degree >= 1 and for a semidefinite A of
+    degree <= 2, else a scan of A.  Otherwise it is a numeric scan of (L,
+    M), or of (G2, G1) outside the cubic form."""
     if grid < GRID_MIN:
         raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
     if grid > GRID_MAX:
@@ -735,15 +786,126 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
                 return exact
     level = rotation_shape(field)
     if level is not None:
-        # a binary form A vanishes on the torus exactly on the two meridians
-        # of each of its real linear factors, disjoint circles
-        if level.degree >= 1 and level.is_homogeneous() and not level.var_degree("z"):
-            planes = linear_xy_factors(level)
-            if planes:
-                return _singular_set([], 2 * len(planes), False)
-        return _scan_singular([level], ["A (of the field (A*y, -A*x, 0))"], m, grid)
+        return _rotation_singular(level, Fraction(m), grid)
     pair, whats, quarter = _tangential_pair(field, cubic, m)
     return _scan_singular(pair, whats, m, grid, quarter)
+
+
+def _rotation_singular(a: MultiPoly, m: Fraction, grid: int) -> SingularSet:
+    """The zeros of A on the torus for (A*y, -A*x, 0), where |chi| = |A|*r.
+
+    A binary form A = rho^d*A(cos(theta), sin(theta)) vanishes exactly on
+    the two meridians of each real linear factor, disjoint circles; with
+    none the set is empty, and min |chi| over the grid is min |A(cos(theta),
+    sin(theta))| times min r^(d+1).  A semidefinite A of degree <= 2 is
+    decided by :func:`_semidefinite_singular`; any other A is scanned."""
+    what = "A (of the field (A*y, -A*x, 0))"
+    if a.degree >= 1 and a.is_homogeneous() and not a.var_degree("z"):
+        planes = linear_xy_factors(a)
+        if planes:
+            return _singular_set([], 2 * len(planes), False)
+        mf = float(m)
+        _, cos, sin, r = surface_angles(mf, grid)
+        with np.errstate(all="ignore"):
+            on_circle = np.abs(compile_finite(a, mf, what).fn(cos, sin, 0.0))
+            if not math.isfinite(on_circle.max() * (r ** a.degree).max()):
+                raise _not_finite(what, grid)
+            return SingularSet(SingKind.EMPTY, [], grid_min_norm=float(
+                on_circle.min() * (r ** (a.degree + 1)).min()))
+    if a and a.degree <= 2:
+        exact = _semidefinite_singular(a, m, grid, what)
+        if exact is not None:
+            return exact
+    return _scan_singular([a], [what], m, grid)
+
+
+def _gram(a: MultiPoly) -> list[list[Scalar]]:
+    """The symmetric S with a = v^T S v, v = (x, y, z, 1), for deg a <= 2."""
+    s = [[Scalar(0)] * 4 for _ in range(4)]
+    for exp, c in a.terms.items():
+        i, j = ([v for v, e in enumerate(exp) for _ in range(e)] + [3, 3])[:2]
+        if i == j:
+            s[i][i] = s[i][i] + c
+        else:
+            s[i][j] = s[j][i] = s[i][j] + c * Fraction(1, 2)
+    return s
+
+
+def _semidefinite_zeros(a: MultiPoly) -> tuple | None:
+    """Where a semidefinite a of degree <= 2 vanishes, S*(x, y, z, 1) = 0
+    (:func:`_gram`), as (point, directions) of that affine space over
+    Q(sqrt(m)), or () when it is empty; None when a is indefinite.
+
+    Symmetric elimination pivots on the diagonal, x, y and z before 1, so
+    a = sum of l_k^2/d_k: a is semidefinite exactly when every pivot d_k
+    has one sign and what is left is 0.  A pivot on 1 leaves |a| >= |d_k|;
+    else the pivots solve for their variables, the others are free."""
+    s = _gram(a)
+    live, pivots, sign = [0, 1, 2, 3], [], 0
+    while (k := next((i for i in live if s[i][i]), None)) is not None:
+        if sign and s[k][k].sign() != sign:
+            return None
+        sign = s[k][k].sign()
+        live.remove(k)
+        inv = s[k][k].inverse()
+        row = [(j, s[k][j] * inv) for j in live if s[k][j]]
+        pivots.append((k, row))
+        for i in live:
+            if s[i][k]:
+                for j, c in row:
+                    s[i][j] = s[i][j] - s[i][k] * c
+    if any(s[i][j] for i in live for j in live):
+        return None
+    if 3 not in live:
+        return ()
+
+    def solve(v: dict[int, Scalar]) -> list[Scalar]:
+        for k, row in reversed(pivots):
+            v[k] = -sum((c * v[j] for j, c in row), Scalar(0))
+        return [v[i] for i in range(3)]
+    return (solve({i: Scalar(int(i == 3)) for i in live}),
+            [solve({i: Scalar(int(i == f)) for i in live}) for f in live if f != 3])
+
+
+def _semidefinite_singular(a: MultiPoly, m: Fraction, grid: int,
+                           what: str) -> SingularSet | None:
+    """The zeros of a semidefinite A of degree <= 2 on the torus F = 0.
+
+    A vanishes, with its gradient, on the affine space of
+    :func:`_semidefinite_zeros`: a point is kept when F is exactly 0 there,
+    a line meets the torus at the real roots of F along it, a quartic, and
+    a plane z = k holds 2, 1 or 0 circles as |k| <, = or > 1.  Every point
+    is linearly zero (no class for |z| < 1e-6, as the scan).  None, for the
+    scan, when A is indefinite or vanishes on any other plane."""
+    zeros = _semidefinite_zeros(a)
+    if zeros is None:
+        return None
+    points, curves = [], 0
+    if zeros:
+        point, directions = zeros
+        if not directions:
+            if torus_surface(m).F.eval_exact(point).is_zero():
+                points.append(tuple(c.to_float() for c in point))
+        elif len(directions) == 1:
+            x, y, z = (UniPoly([c, d]) for c, d in zip(point, directions[0]))
+            ring = x * x + y * y - UniPoly([m])
+            for t, _ in real_roots(ring * ring + z * z - UniPoly([1])):
+                points.append(tuple((c + d * t).to_float() if isinstance(t, Fraction)
+                                    else c.to_float() + d.to_float() * t
+                                    for c, d in zip(point, directions[0])))
+        elif len(directions) == 2 and not (directions[0][2] or directions[1][2]):
+            curves = 1 - (point[2] * point[2] - 1).sign()
+        else:
+            return None
+    if points or curves:
+        return _singular_set([(pt, SingClass.LINEARLY_ZERO if abs(pt[2]) >= 1e-6 else None)
+                              for pt in sorted(points)], curves, False)
+    mf = float(m)
+    fold, least = _column_min(_abs_level, grid)
+    _fold_grid(compile_finite(a, mf, what), what, mf, grid, fold)
+    with np.errstate(all="ignore"):
+        return SingularSet(SingKind.EMPTY, [], grid_min_norm=float(
+            (least * surface_angles(mf, grid)[3]).min()))
 
 
 def _height_singular(field: VectorField, cubic: CubicParams, m: Fraction,

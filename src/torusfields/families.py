@@ -22,15 +22,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .poly import (ONE, MultiPoly, NotDivisible, X, Y, Z, divide_exact,
                    sum_of_products)
 from .scalars import Scalar
-from .vfield import (CofactorResult, RationalFn, TorusSurface, VectorField,
-                     check_first_integral, cofactor_on_torus, torus_polynomial)
+from .vfield import (CofactorResult, RationalFn, VectorField, check_first_integral,
+                     cofactor_on_torus, torus_polynomial, torus_surface)
 
 
 class DegreeViolation(ValueError):
@@ -98,8 +97,6 @@ class FamilyTag:
     # the cubic form the families are read from, derived: not compared
     cubic: CubicParams | None = dataclasses.field(default=None, compare=False)
 
-
-_surface = functools.lru_cache(maxsize=16)(TorusSurface)
 
 
 def _radial_bowl(m: Fraction) -> MultiPoly:
@@ -253,7 +250,7 @@ def _recognize(field: VectorField, m: Fraction, cof: CofactorResult) -> FamilyTa
 
 def recognize(field: VectorField, m: Fraction) -> FamilyTag:
     """Most specific family tag, with every other matching family recorded."""
-    return _recognize(field, m, cofactor_on_torus(field, _surface(Fraction(m))))
+    return _recognize(field, m, cofactor_on_torus(field, torus_surface(Fraction(m))))
 
 
 def canonical_first_integrals(tag: FamilyTag, m: Fraction) -> list[RationalFn]:

@@ -8,13 +8,14 @@ arithmetic elementwise (``eval_grid``, which no stage of the package calls).
 ``rk4_orbit`` runs one generated loop per field with those statements
 written out at each RK4 stage, so its states are bit for bit the ones the
 compiled functions give.  A surface grid scan (``surface_blocks``, which
-the singular scan's level grids use) writes the matrix product ``U @ V.T``
-of one polynomial's float terms into its grid by blocks of theta rows,
-each block about 256 KB of float64, so every pass a scan makes over a
-block runs in the cache (loop blocking; Lam, Rothberg & Wolf, ASPLOS
-1991).  The factors U and V are built from powers of cos and sin kept per
-n and of r kept per (m, n) across scans (``_surface_power``), and a factor
-with one column is multiplied out by broadcasting, not by BLAS.
+the singular scan's level grids and the |chi| minima use) writes the matrix
+product ``U @ V.T`` of one polynomial's float terms into its grid, or into
+one reused block, by blocks of theta rows, each block about 256 KB of
+float64, so every pass a scan makes over a block runs in the cache (loop
+blocking; Lam, Rothberg & Wolf, ASPLOS 1991).  The factors U and V are
+built from powers of cos and sin kept per n and of r kept per (m, n)
+across scans (``_surface_power``), and a factor with one column is
+multiplied out by broadcasting, not by BLAS.
 """
 
 from __future__ import annotations
@@ -185,10 +186,11 @@ def _surface_factors(compiled: CompiledPoly, m: float,
 
 
 def surface_blocks(compiled: CompiledPoly, m: float, n: int,
-                   out: np.ndarray) -> Iterator[tuple[slice, np.ndarray]]:
+                   out: np.ndarray | None = None) -> Iterator[tuple[slice, np.ndarray]]:
     """The polynomial on the n x n torus grid ``out``, indexed [theta, phi],
     by theta-row blocks in turn: yields (rows, out[rows]) once those rows
-    hold its values.
+    hold its values.  Without ``out`` each block is written over the last
+    one in a buffer of one block, and no grid is kept.
 
     On the torus x^i y^j z^k = (cos^i sin^j)(theta) * (r^(i+j) sin^k)(phi),
     so a polynomial on the grid is U @ V.T with a column per (i, j); a block
@@ -199,8 +201,11 @@ def surface_blocks(compiled: CompiledPoly, m: float, n: int,
     """
     u, vt = _surface_factors(compiled, float(m), n)
     product = np.multiply if u.shape[1] == 1 else np.matmul
-    for a, b in row_blocks(n):
-        yield slice(a, b), product(u[a:b], vt, out=out[a:b])
+    blocks = row_blocks(n)
+    buffer = np.empty((max(b - a for a, b in blocks), n)) if out is None else None
+    for a, b in blocks:
+        target = out[a:b] if buffer is None else buffer[:b - a]
+        yield slice(a, b), product(u[a:b], vt, out=target)
 
 
 # One RK4 step with the stage evaluations of P, Q, R written out in place,

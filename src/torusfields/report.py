@@ -25,7 +25,7 @@ from .families import (CubicParams, DegreeOneParams, Family,
 from .parsing import parse, serialize
 from .poly import MultiPoly
 from .scalars import Scalar
-from .vfield import TorusSurface, VectorField, cofactor_on_torus
+from .vfield import VectorField, cofactor_on_torus, torus_surface
 
 
 def _scalar_expr(s: Scalar) -> str:
@@ -127,8 +127,7 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
     """Run the whole pipeline on one field and return the report dict."""
     m = Fraction(m)
     field = VectorField(parse(px, m), parse(qy, m), parse(rz, m))
-    surface = TorusSurface(m)
-    cof = cofactor_on_torus(field, surface)
+    cof = cofactor_on_torus(field, torus_surface(m))
     report: dict = {
         "schema": "torus-fields/1",
         "version": __version__,

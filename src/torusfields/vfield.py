@@ -10,6 +10,7 @@ division, no ansatz solving.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -63,6 +64,10 @@ class TorusSurface:
 
     def radius(self) -> Scalar:
         return Scalar.sqrt_m(self.m)
+
+
+# one surface per m, kept for the last 16: every stage that needs F asks again
+torus_surface = functools.lru_cache(maxsize=16)(TorusSurface)
 
 
 @dataclass(frozen=True)

@@ -368,11 +368,13 @@ def test_non_finite_grid_speed_is_a_usage_error(command, m, field, capsys, recwa
 # the field (A*y, -A*x, 0) is not finite there
 HUGE_LEVEL = {a: ["--px", f"((1/2)*(10^44)^7*({a}))*y", "--qy", f"-((1/2)*(10^44)^7*({a}))*x",
                   "--rz", "0"]
-              for a in ("x^2+y^2", "x+2*z", "x+2*y")}
+              for a in ("x^2+y^2", "x+2*z", "x+2*y", "x^2+y^2+z^2+1")}
 
 
-# x^2 + y^2 has no real linear factor and x + 2*z holds z: both are scanned
-@pytest.mark.parametrize("field", ["x^2+y^2", "x+2*z"])
+# x^2 + y^2 has no real linear factor, so its empty set takes min |chi| from
+# the angle tables; x + 2*z is indefinite and scanned; x^2 + y^2 + z^2 + 1
+# is semidefinite with no zero, and its grid minimum folds the grid of A
+@pytest.mark.parametrize("field", ["x^2+y^2", "x+2*z", "x^2+y^2+z^2+1"])
 @pytest.mark.parametrize("m", ["5", "4"])
 @pytest.mark.parametrize("command", [["singular", "--grid", "32"],
                                      ["report", "--grid", "32"]],

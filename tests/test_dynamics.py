@@ -468,6 +468,138 @@ def test_isolated_points_closed_form():
     assert all(cls == SingClass.LINEARLY_ZERO for _, cls in result.points)
 
 
+BINARY_FORMS_WITHOUT_PLANES = ["x^2 + y^2", "2*x^2 - x*y + y^2", "-(x^2 + x*y + y^2)",
+                               "(x^2 + y^2)*(x^2 + x*y + y^2)", "a*x^2 + y^2"]
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_binary_forms_without_planes_take_no_grid(m, monkeypatch):
+    # A = rho^d*A(cos(theta), sin(theta)) has no zero on the torus, and
+    # min |chi| = min |A|*r over the grid is a product of two 1-D minima
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid evaluated")
+
+    fields = [VectorField(a * Y, -(a * X), MultiPoly.zero())
+              for a in (parse(text, m) for text in BINARY_FORMS_WITHOUT_PLANES)]
+    grids = (512, 200, 333)
+    scans = [[dynamics._scan_singular([rotation_shape(field)], ["A"], m, n).grid_min_norm
+              for n in grids] for field in fields]
+    monkeypatch.setattr(dynamics, "surface_blocks", no_grid)
+    for field, scanned in zip(fields, scans):
+        for n, reference in zip(grids, scanned):
+            sing = singular_points(field, recognize(field, m), m, n)
+            assert sing.kind == SingKind.EMPTY and not sing.numeric_only
+            assert sing.grid_min_norm == pytest.approx(reference, rel=1e-12, abs=0.0)
+
+
+def rotation(a_poly):
+    return VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
+
+
+def assert_same_set(exact, scan):
+    """Kind, curve count, points within 1e-6 and their classes, and for an
+    empty set the same grid minimum: both come from one reducer."""
+    assert (exact.kind, exact.curve_components) == (scan.kind, scan.curve_components)
+    assert len(exact.points) == len(scan.points)
+    for pt, cls in exact.points:
+        near = min(scan.points, key=lambda other: math.dist(pt, other[0]))
+        assert math.dist(pt, near[0]) < 1e-6 and cls == near[1]
+    if exact.kind == SingKind.EMPTY:
+        assert exact.grid_min_norm == scan.grid_min_norm
+
+
+def scan_of(a_poly, m, grid=1024):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dynamics.GridResolutionWarning)
+        return dynamics._scan_singular([a_poly], ["A"], m, grid)
+
+
+def bowl_line_points(m):
+    return sorted((s * math.sqrt(float(m) + t * math.sqrt(3.0) / 2.0), 0.0, 0.5)
+                  for s in (1, -1) for t in (1, -1))
+
+
+# (m, A, the zeros on the torus by hand: a list of points, or a count of
+# circles), a semidefinite A each: a null point on and off the torus, null
+# lines meeting it in 0, 1 (tangent), 2 (tangent) and 4 points, and planes
+# z = k with |k| <, = and > 1
+SEMIDEFINITE_CASES = [
+    (Fraction(3), "(x - 2)^2 + y^2 + z^2", [(2.0, 0.0, 0.0)]),
+    (Fraction(4), "(x - 1)^2 + (y - 2)^2 + z^2", [(1.0, 2.0, 0.0)]),
+    (Fraction(9, 2), "(x - a)^2 + y^2 + (z - 1)^2", [(math.sqrt(4.5), 0.0, 1.0)]),
+    *((m, "x^2 + y^2 + z^2", []) for m in (Fraction(4), Fraction(3), Fraction(9, 2))),
+    *((m, "y^2 + (z - 2)^2", []) for m in (Fraction(4), Fraction(3), Fraction(9, 2))),
+    (Fraction(3), "(x - 2)^2 + y^2", [(2.0, 0.0, 0.0)]),
+    (Fraction(4), "3*(x - 1)^2 + (y - 2)^2", [(1.0, 2.0, 0.0)]),
+    *((m, "y^2 + (z - 1)^2", [(-math.sqrt(m), 0.0, 1.0), (math.sqrt(m), 0.0, 1.0)])
+      for m in (Fraction(4), Fraction(3), Fraction(9, 2))),
+    *((m, "-(y^2 + (z - 1/2)^2)", bowl_line_points(m))
+      for m in (Fraction(4), Fraction(3), Fraction(9, 2))),
+    *((m, "2*(z - 1/2)^2", 2) for m in (Fraction(4), Fraction(3), Fraction(9, 2))),
+    *((m, "-(z + 1)^2", 1) for m in (Fraction(4), Fraction(3), Fraction(9, 2))),
+    *((m, "(z - 3/2)^2", []) for m in (Fraction(4), Fraction(3), Fraction(9, 2))),
+]
+# At these tangencies of A's null line the scan's points lie about
+# sqrt(1e-8) away, and it reads the vertical lines' one point as a curve.
+TANGENT_LINES = {"(x - 2)^2 + y^2", "3*(x - 1)^2 + (y - 2)^2", "y^2 + (z - 1)^2"}
+
+
+@pytest.mark.parametrize("m, text, zeros", SEMIDEFINITE_CASES)
+def test_semidefinite_zeros_on_hand_cases(m, text, zeros, monkeypatch):
+    a_poly = parse(text, m)
+    scan = scan_of(a_poly, m)
+    monkeypatch.setattr(dynamics, "_scan_singular", None)
+    sing = singular_points(rotation(a_poly), recognize(rotation(a_poly), m), m, 1024)
+    assert not sing.numeric_only
+    if isinstance(zeros, int):
+        assert sing.kind == SingKind.CURVES and sing.curve_components == zeros
+        assert sing.points == []
+    else:
+        assert [cls for _, cls in sing.points] == [
+            SingClass.LINEARLY_ZERO if abs(z) >= 1e-6 else None for _, _, z in zeros]
+        assert all(math.dist(pt, want) < 1e-12 for (pt, _), want in zip(sing.points, zeros))
+        assert sing.kind == (SingKind.ISOLATED if zeros else SingKind.EMPTY)
+    if text not in TANGENT_LINES:
+        assert_same_set(sing, scan)
+
+
+def draw_semidefinite(rng, m):
+    """A = +-sum c_i*l_i^2 over 1 to 3 affine forms l_i with small rational
+    coefficients; half of the single forms are z - k."""
+    def small():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    count = rng.randint(1, 3)
+    forms = [corpus.linear(-small(), 0, 0, 1) if count == 1 and rng.random() < 0.5
+             else corpus.linear(small(), small(), small(), small()) for _ in range(count)]
+    return rng.choice(("", "-")) + "(" + " + ".join(
+        f"{rng.randint(1, 3)}*({form})^2" for form in forms) + ")"
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_semidefinite_zeros_match_the_scan(m):
+    rng = random.Random(f"semidefinite at m = {m}")
+    kinds = collections.Counter()
+    for _ in range(30):
+        a_poly = parse(draw_semidefinite(rng, m), m)
+        exact = dynamics._semidefinite_singular(a_poly, m, 1024, "A") if a_poly else None
+        if exact is None:   # a plane other than z = k, or A = 0: scanned
+            kinds["scanned"] += 1
+            continue
+        kinds[exact.kind] += 1
+        assert_same_set(exact, scan_of(a_poly, m))
+        assert singular_points(rotation(a_poly), recognize(rotation(a_poly), m), m,
+                               1024) == exact
+    assert kinds[SingKind.ISOLATED] >= 3 and kinds[SingKind.EMPTY] >= 10
+
+
+@pytest.mark.parametrize("text", ["x^2 - z^2", "z", "x + 2*z", "(x - 3)^2", "(x + z)^2",
+                                  "(y^2 + (z - 1/2)^2)*(x^2 + 1)"])
+def test_indefinite_and_other_zero_sets_are_scanned(text, monkeypatch):
+    monkeypatch.setattr(dynamics, "_scan_singular", lambda *args: "scanned")
+    field = rotation(parse(text, M))
+    assert singular_points(field, recognize(field, M), M) == "scanned"
+
+
 def test_rotation_shape_detection():
     a_poly = parse("y^2 + (z - 1/2)^2", M)
     field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
@@ -634,8 +766,8 @@ def grid_chi(field, m, grid):
 
 def test_empty_singular_sets_report_the_grid_minimum_of_chi():
     # the worked cubic is empty by its cubic form and takes min |chi| from
-    # the grids of L and M, and A = x^2 + y^2 takes the rotation scan; both
-    # report min |chi|, not min |chi|^2 or min |A|
+    # the grid of M, and A = x^2 + y^2 from min |A| on the unit circle times
+    # min r^3; both report min |chi|, not min |chi|^2 or min |A|
     a_poly = parse("x^2 + y^2", M)
     cubic = VectorField(parse("(1/4)*x*z + x*y^2", M), parse("(1/4)*y*z - x^2*y", M),
                         parse("(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)", M))
@@ -672,7 +804,8 @@ def test_grid_resolution_warning_on_coarse_grid():
     import warnings as warnings_module
     from torusfields import GridResolutionWarning
 
-    a_poly = parse("y^2 + (z - 1/2)^2", M)
+    # the bowl's zeros times x^2 + 1 > 0: of degree 4, so A is scanned
+    a_poly = parse("(y^2 + (z - 1/2)^2)*(x^2 + 1)", M)
     field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
     tag = recognize(field, M)
     with warnings_module.catch_warnings(record=True) as caught:

@@ -709,3 +709,103 @@ def test_cached_power_factors_match_fresh_powers(n):
         assert power is kernels._surface_power(mf, n, 3, 5)
         assert not power.flags.writeable
         assert np.array_equal(power, surface_angles(mf, n)[3] ** 5)
+
+
+@pytest.mark.parametrize("n", [32, 33, 200, 333, 512])
+def test_surface_blocks_without_a_grid_match_the_grid(n):
+    # with no grid, each block is written into one reused buffer
+    for m in M_VALUES:
+        mf = float(m)
+        for expr in NAMED_FIELDS:
+            for compiled in scan_levels(named_field(expr, m), m)[0]:
+                grid = blocked_surface(compiled, mf, n)
+                buffer = None
+                for rows, block in surface_blocks(compiled, mf, n):
+                    assert buffer is None or np.shares_memory(block, buffer)
+                    buffer = block
+                    assert np.array_equal(block, grid[rows])
+
+
+# -- the |chi| minimum: one blocked reducer, the parent formulas per cell ------
+
+
+def formula_speed(levels, weights, m, n):
+    """The least |chi| over the grid, per cell as the scans wrote it before
+    the blocked reducer: sqrt(min((second^2 + first^2*w)/rho^2)) for a pair
+    (first, second), with w = quarter*(z^2 + 4*rho^2*ring^2) by phi, and for
+    a quadratic f, whose first is q*rho^2 by phi, the same with it squared
+    first, each over the grid ``surface_blocks`` fills."""
+    mf = float(m)
+    _, cos, sin, r = surface_angles(mf, n)
+    second = np.square(blocked_surface(levels[-1], mf, n))
+    if len(levels) == 2:
+        w = weights * (np.square(sin) + 4.0 * r * r * np.square(cos))
+        chi_sq = (np.square(blocked_surface(levels[0], mf, n)) * w + second) / (r * r)
+    else:
+        r2 = r * r
+        chi_sq = (second + np.square(weights * r2) * (np.square(sin) + 4.0 * r2
+                                                      * np.square(cos))) / r2
+    return math.sqrt(float(chi_sq.min()))
+
+
+def formula_rotation_speed(level, m, n):
+    """min |A|*r over the grid, r by phi: the rotation scan's formula."""
+    mf = float(m)
+    return float((np.abs(blocked_surface(level, mf, n)) * surface_angles(mf, n)[3]).min())
+
+
+def quadratic_f_cubics(m):
+    """Cubic fields with beta = gamma = 0, a quadratic f and an empty set by
+    K': constant, or k0 + k3*z with |k0| > |k3|, so K' has no zero on T."""
+    fields = [named_field(NAMED_FIELDS[0], m)]
+    rng = random.Random(f"quadratic f at m = {m}")
+    for kprime in ("3/2", "-2 + z", "5/2 - 2*z"):
+        f = " + ".join(f"({Fraction(rng.randint(-5, 5), rng.randint(1, 3))})*{mono}"
+                       for mono in ("x^2", "x*y", "y*z", "z^2", "x", "1"))
+        fields.append(build_cubic(CubicParams(parse(kprime, m), parse(f, m),
+                                              Scalar(0), Scalar(0)), m))
+    return fields
+
+
+# the pair scan's empty sets: the named two-parallel field, and (K', f) of
+# a cubic with beta = gamma = 1/2 whose least |chi| is about 0.185 at m = 9/2
+EMPTY_PAIRS = [NAMED_FIELDS[4],
+               ("2*x + (3/2)*y + 2*z - 1",
+                "3*x^2 + 5*x*y + (17/4)*x*z + 2*y^2 + (7/2)*y*z + (3/2)*z^2"
+                " + (9/2)*x + 5*y + (7/2)*z - 3")]
+# A of (A*y, -A*x, 0) with no zero on the torus: scanned (z^2 - 4 is
+# indefinite) or decided as semidefinite
+EMPTY_ROTATIONS = ["z^2 - 4", "x^2 + y^2 + z^2", "(z - 2)^2", "y^2 + (z + 3/2)^2 + 1"]
+
+
+@pytest.mark.parametrize("n", [512, 200, 333])
+def test_reducer_gives_the_formula_minimum(n):
+    for m in (Fraction(4), Fraction(3), Fraction(9, 2)):
+        mf = float(m)
+        for field in quadratic_f_cubics(m):
+            cubic = recognize(field, m).cubic
+            sing = singular_points(field, recognize(field, m), m, n)
+            assert sing.kind.value == "empty" and cubic.f.degree == 2
+            k0, k3 = (cubic.Kprime.coefficient(e).to_float() for e in ((0, 0, 0), (0, 0, 1)))
+            q = (k0 + k3 * surface_angles(mf, n)[2]) / 4.0      # K'/4 by phi
+            assert sing.grid_min_norm == formula_speed(
+                [compile_poly(field.P * Y - field.Q * X, mf)], q, m, n)
+        for expr in EMPTY_PAIRS:
+            if len(expr) == 3:
+                field = named_field(expr, m)
+            else:
+                field = build_cubic(CubicParams(parse(expr[0], m), parse(expr[1], m),
+                                                Scalar(Fraction(1, 2)), Scalar(Fraction(1, 2))), m)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", dynamics.GridResolutionWarning)
+                sing = singular_points(field, recognize(field, m), m, n)
+            pair, _, quarter = dynamics._tangential_pair(field, recognize(field, m).cubic, m)
+            assert sing.kind.value == "empty" and sing.numeric_only
+            assert sing.grid_min_norm == formula_speed(
+                [compile_poly(p, mf) for p in pair], quarter, m, n)
+        for text in EMPTY_ROTATIONS:
+            a_poly = parse(text, m)
+            field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
+            sing = singular_points(field, recognize(field, m), m, n)
+            assert sing.kind.value == "empty" and not sing.numeric_only
+            assert sing.grid_min_norm == formula_rotation_speed(compile_poly(a_poly, mf), m, n)
