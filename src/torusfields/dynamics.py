@@ -16,10 +16,14 @@ M = rho^2*f + z*(beta*y - gamma*x) and G2 = 2*L, L = rho^2*K'/4 + beta*x +
 gamma*y.  With beta = gamma = 0 and K' = k0 + k3*z, both vanish where z =
 z0 = -k0/k3 and f = 0: on the torus's circles at z0, where f is the same
 half-angle quartic in t as on a parallel, so when rho^2 = m -+ sqrt(1 -
-z0^2) is rational the set is decided exactly, with no grid.  For (A*y,
--A*x, 0) with A a form in x and y of degree d >= 1, A = rho^d*A(cos(theta),
-sin(theta)) vanishes exactly on the two meridians of each distinct real
-linear factor of A, found as the meridian planes are.  A semidefinite A of
+z0^2) is rational the set is decided exactly, with no grid.  A
+two-parallel field has L = (p*x + q*y)*ring/2, so its set lies on z = +-1,
+where M is the parallels' obstruction, and on the plane p*x + q*y = 0,
+where it is the real roots of one polynomial in the plane's coordinate:
+decided exactly, with no grid, from the obstructions the parallel verdicts
+use.  For (A*y, -A*x, 0) with A a form in x and y of degree d >= 1, A =
+rho^d*A(cos(theta), sin(theta)) vanishes exactly on the two meridians of
+each distinct real linear factor of A, found as the meridian planes are.  A semidefinite A of
 degree <= 2 vanishes, with its gradient, exactly on the null space of its
 symmetric matrix in (x, y, z, 1), found by exact symmetric elimination: a
 point, a line meeting the torus at the real roots of a quartic, or a plane
@@ -45,10 +49,11 @@ import numpy as np
 
 from .curves import (MeridianPlane, check_four_meridian_criterion,
                      linear_xy_factors, plane_from_factor)
-from .families import CubicParams, FamilyTag, TwoParallelParams
+from .families import CubicParams, Family, FamilyTag, TwoParallelParams
 from .kernels import (CompiledPoly, compile_finite, eval_point,
                       row_blocks, surface_angles, surface_blocks)
-from .poly import MultiPoly, NotDivisible, UniPoly, X, Y, Z, divide_exact
+from .poly import (MultiPoly, NotDivisible, UniPoly, X, Y, Z, divide_exact,
+                   unipoly_gcd)
 from .roots import real_roots
 from .scalars import MixedExtensionError, Scalar, _rational_sqrt
 from .vfield import VectorField, torus_surface
@@ -262,15 +267,20 @@ _HALF_ANGLE = {(0, 0): (1, 0, 2, 0, 1), (1, 0): (1, 0, 0, 0, -1), (0, 1): (0, 2,
                (2, 0): (1, 0, -2, 0, 1), (1, 1): (0, 2, 0, -2, 0), (0, 2): (0, 0, 4, 0, 0)}
 
 
-def _circle_poly(f: MultiPoly, z0: Fraction, rho2: Fraction) -> UniPoly:
-    """f of degree <= 2 on the circle x^2 + y^2 = rho2, z = z0, times (1 +
-    t^2)^2 with t = tan(theta/2): degree <= 4, and its t^4 coefficient is f
-    at theta = pi.  MixedExtensionError when f has a sqrt(m) part that
-    Q(sqrt(rho2)) does not hold."""
-    coeffs = [Scalar(0)] * 5
-    for (i, j, k), c in f.terms.items():
-        c = c * z0 ** k * _sqrtm_power(rho2, i + j)
-        coeffs = [a + c * n if n else a for a, n in zip(coeffs, _HALF_ANGLE[i, j])]
+def _circle_poly(terms, z0: Fraction, rho2: Fraction) -> UniPoly:
+    """f of degree <= 2, given by its ``terms`` ((i, j, k), c), on the circle
+    x^2 + y^2 = rho2, z = z0, times (1 + t^2)^2 with t = tan(theta/2): degree
+    <= 4, and its t^4 coefficient is f at theta = pi.  MixedExtensionError
+    when f has a sqrt(m) part that Q(sqrt(rho2)) does not hold."""
+    by_xy: dict = {}     # the terms summed per (i, j), z0^k folded in
+    for (i, j, k), c in terms:
+        c = c * z0 ** k if k else c
+        by_xy[i, j] = by_xy[i, j] + c if (i, j) in by_xy else c
+    coeffs = [0] * 5
+    for (i, j), c in by_xy.items():
+        c = c * _sqrtm_power(rho2, i + j) if i + j else c
+        coeffs = [a + (c if n == 1 else c * n) if n else a
+                  for a, n in zip(coeffs, _HALF_ANGLE[i, j])]
     return UniPoly(coeffs)
 
 
@@ -282,23 +292,30 @@ def _parallel_obstruction_poly(params: TwoParallelParams, m: Fraction,
     returned polynomial, and theta = pi when its degree is below 4, are the
     angles where the parallel carries a singular point.
     """
-    g = params.f - (Y * params.p - X * params.q) * Fraction(which, 2)
-    return _circle_poly(g, Fraction(which), m)
+    half = Fraction(which, 2)
+    return _circle_poly([*params.f.terms.items(), ((0, 1, 0), -params.p * half),
+                         ((1, 0, 0), params.q * half)], Fraction(which), m)
 
 
-def parallel_periodicity(params: TwoParallelParams, m: Fraction,
-                         which: int) -> PeriodicityVerdict:
-    """Periodicity of the parallel on z = +1 or z = -1."""
-    if which not in (1, -1):
-        raise ValueError("which must be +1 or -1")
-    if params.p.is_zero() and params.q.is_zero():
-        raise ValueError("two-parallel family requires (p, q) != (0, 0)")
-    obstruction = _parallel_obstruction_poly(params, Fraction(m), which)
+def _parallel_obstructions(params: TwoParallelParams, m: Fraction
+                           ) -> dict[int, tuple[UniPoly, list]]:
+    """which -> (obstruction, its real roots) for the parallels z = +1 and z
+    = -1 (:func:`_parallel_obstruction_poly`); a zero obstruction has none."""
+    out = {}
+    for which in (1, -1):
+        poly = _parallel_obstruction_poly(params, m, which)
+        out[which] = poly, real_roots(poly) if poly else []
+    return out
+
+
+def _parallel_verdict(obstruction: UniPoly, roots: list, m: Fraction,
+                      which: int) -> PeriodicityVerdict:
+    """The verdict on z = which from its obstruction and the obstruction's roots."""
     if obstruction.is_zero():
         witness = _surface_point(0.0, math.pi / 2 * which, float(m))
         return PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=witness,
                                   reason="every point of the parallel is singular")
-    witnesses = [2.0 * math.atan(t) for t, _ in real_roots(obstruction)]
+    witnesses = [2.0 * math.atan(t) for t, _ in roots]
     if obstruction.degree < 4:
         witnesses.append(math.pi)
     if witnesses:
@@ -309,6 +326,18 @@ def parallel_periodicity(params: TwoParallelParams, m: Fraction,
         return PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=witness,
                                   reason=f"singular point at theta = {theta:.12g}")
     return PeriodicityVerdict(Verdict.PERIODIC_ORBIT)
+
+
+def parallel_periodicity(params: TwoParallelParams, m: Fraction,
+                         which: int) -> PeriodicityVerdict:
+    """Periodicity of the parallel on z = +1 or z = -1."""
+    if which not in (1, -1):
+        raise ValueError("which must be +1 or -1")
+    if params.p.is_zero() and params.q.is_zero():
+        raise ValueError("two-parallel family requires (p, q) != (0, 0)")
+    obstruction = _parallel_obstruction_poly(params, Fraction(m), which)
+    return _parallel_verdict(obstruction, real_roots(obstruction) if obstruction else [],
+                             m, which)
 
 
 # -- singular points --------------------------------------------------------------
@@ -442,18 +471,20 @@ def _column_min(score, n: int):
     return fold, least
 
 
-def _fold_grid(level: CompiledPoly, what: str, mf: float, grid: int, fold) -> None:
-    """``fold`` over the level's blocks, with no grid kept; ValueError names
-    ``what`` when a value is not finite.  Blocks are checked only when the
-    sum of |c|*(m + 1)^((i+j)/2) over the level's terms, which bounds it on
-    the torus, is not far inside the float range."""
+def _fold_grid(level: CompiledPoly, what: str, mf: float, grid: int, fold,
+               first=None) -> None:
+    """``fold`` over the level's blocks, with no grid kept, each after the
+    block first(rows) of a first level when ``first`` is given; ValueError
+    names ``what`` when a value is not finite.  Blocks are checked only when
+    the sum of |c|*(m + 1)^((i+j)/2) over the level's terms, which bounds it
+    on the torus, is not far inside the float range."""
     with np.errstate(all="ignore"):
         bound = sum(abs(c) * np.float64(mf + 1.0) ** ((i + j) / 2)
                     for (i, j, _), c in level.terms)
-        for _, block in surface_blocks(level, mf, grid):
+        for rows, block in surface_blocks(level, mf, grid):
             if not bound < 1e300 and not np.isfinite(block).all():
                 raise _not_finite(what, grid)
-            fold([block])
+            fold([block] if first is None else [first(rows), block])
 
 
 def _abs_level(values: list[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -747,6 +778,13 @@ def grid_min_speed(field: VectorField, kprime: MultiPoly, f: MultiPoly, m: Fract
     return _finite_speed(chi_sq, grid)
 
 
+def _check_grid(grid: int) -> None:
+    if grid < GRID_MIN:
+        raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
+    if grid > GRID_MAX:
+        raise ValueError(f"grid must be at most {GRID_MAX}, got {grid}")
+
+
 def rotation_shape(field: VectorField) -> MultiPoly | None:
     """A with field = (A*y, -A*x, 0), if the field has that shape."""
     if not field.R.is_zero():
@@ -767,12 +805,13 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
     decided on the parallels of K' = k0 + k3*z = 0 by :func:`_height_singular`.
     Else for (A*y, -A*x, 0) it is the zeros of A (:func:`_rotation_singular`):
     exact for a form in x and y of degree >= 1 and for a semidefinite A of
-    degree <= 2, else a scan of A.  Otherwise it is a numeric scan of (L,
-    M), or of (G2, G1) outside the cubic form."""
-    if grid < GRID_MIN:
-        raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
-    if grid > GRID_MAX:
-        raise ValueError(f"grid must be at most {GRID_MAX}, got {grid}")
+    degree <= 2, else a scan of A.  A two-parallel field's set is decided
+    exactly by :func:`_two_parallel_singular`.  Otherwise it is a numeric
+    scan of (L, M), or of (G2, G1) outside the cubic form."""
+    _check_grid(grid)
+    if tag.family == Family.TWO_PARALLEL:
+        return _two_parallel_singular(field, tag, Fraction(m), grid,
+                                      _parallel_obstructions(tag.params, Fraction(m)))
     cubic = tag.cubic
     if cubic is not None and cubic.beta.is_zero() and cubic.gamma.is_zero():
         kprime, f = cubic.Kprime, cubic.f
@@ -925,26 +964,165 @@ def _height_singular(field: VectorField, cubic: CubicParams, m: Fraction,
         if root is None:
             return None
         try:
-            circles = [(rho2, _circle_poly(cubic.f, z0.p, rho2))
+            circles = [(rho2, _circle_poly(cubic.f.terms.items(), z0.p, rho2))
                        for rho2 in dict.fromkeys((m - root, m + root))]
         except MixedExtensionError:
             return None
-        points, curves, z = [], 0, float(z0.p)
+        points, curves = [], 0
         for rho2, poly in circles:
             if poly.is_zero():
                 curves += 1
-                continue
-            rho = math.sqrt(rho2)
-            # rational in t, so t = 0 and t = +-1 give exact zeros on the axes
-            for t, _ in real_roots(poly):
-                cos, sin = (1 - t * t) / (1 + t * t), 2 * t / (1 + t * t)
-                points.append((rho * float(cos), rho * float(sin), z))
-            if poly.degree < 4:
-                points.append((-rho, 0.0, z))
+            else:
+                points += _circle_points(poly, real_roots(poly), rho2, float(z0.p))
         if points or curves:
             return _singular_set([(pt, None) for pt in sorted(points)], curves, False)
     return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
         field, cubic.Kprime, cubic.f, m, grid))
+
+
+def _circle_points(poly: UniPoly, roots: list, rho2: Fraction,
+                   z: float) -> list[tuple[float, float, float]]:
+    """The points of the circle x^2 + y^2 = rho2 at height z where a nonzero
+    :func:`_circle_poly` vanishes: at its real ``roots`` t = tan(theta/2),
+    and at theta = pi when its degree is below 4."""
+    rho = math.sqrt(rho2)
+    # rational in t, so t = 0 and t = +-1 give exact zeros on the axes
+    points = [(rho * float((1 - t * t) / (1 + t * t)), rho * float(2 * t / (1 + t * t)), z)
+              for t, _ in roots]
+    if poly.degree < 4:
+        points.append((-rho, 0.0, z))
+    return points
+
+
+def _two_parallel_singular(field: VectorField, tag: FamilyTag, m: Fraction, grid: int,
+                           obstructions: dict[int, tuple[UniPoly, list]]) -> SingularSet:
+    """The singular set of a two-parallel field, from the parallels'
+    ``obstructions`` (:func:`_parallel_obstructions`).
+
+    L = (p*x + q*y)*ring/2, so the set lies on z = +-1, where M = m*g and
+    the points are those of :func:`_circle_points` (a zero obstruction is a
+    curve), and on the plane p*x + q*y = 0 (:func:`_plane_points`).  An
+    empty set's least |chi| folds M's blocks with L = (p*cos(theta) +
+    q*sin(theta))/2 * r*cos(phi), so L^2*w enters as an outer product of a
+    theta and a phi factor, with no grid kept."""
+    _check_grid(grid)
+    points, curves = _plane_points(tag.params, m), 0
+    for which, (poly, roots) in obstructions.items():
+        if poly.is_zero():
+            curves += 1
+        else:
+            points += _circle_points(poly, roots, m, float(which))
+    if points or curves:
+        return _singular_set([(pt, None) for pt in sorted(points)], curves, False)
+    mf = float(m)
+    (l_poly, m_poly), (l_what, m_what), _ = _tangential_pair(field, tag.cubic, m)
+    half = dict(compile_finite(l_poly, mf, l_what).terms)     # p/2 and q/2 at x^3, y^3
+    _, cos, sin, r = surface_angles(mf, grid)
+    with np.errstate(all="ignore"):
+        # L^2*w = (p*cos(theta) + q*sin(theta))^2/4 * (r*cos(phi))^2*w
+        by_theta = np.square(half.get((3, 0, 0), 0.0) * cos + half.get((0, 3, 0), 0.0) * sin)
+        by_phi = np.square(r * cos) * (np.square(sin) + 4.0 * r * r * np.square(cos))
+    fold, least = _column_min(lambda values, out: np.add(
+        values[0], np.square(values[1], out=out), out=out), grid)
+    l_block = np.empty((max(b - a for a, b in row_blocks(grid)), grid))
+    _fold_grid(compile_finite(m_poly, mf, m_what), m_what, mf, grid, fold,
+               lambda rows: np.multiply.outer(by_theta[rows], by_phi,
+                                              out=l_block[:rows.stop - rows.start]))
+    with np.errstate(all="ignore"):
+        return SingularSet(SingKind.EMPTY, [], grid_min_norm=_finite_speed(
+            float((least / (r * r)).min()), grid))
+
+
+def _plane_points(params: TwoParallelParams, m: Fraction) -> list[tuple[float, float, float]]:
+    """The zeros of M on the plane p*x + q*y = 0 of the torus, off z = +-1.
+
+    At (x, y) = s*(-q, p), with dd = p^2 + q^2 and w = dd*s^2 - m, M =
+    dd*s*(s*f - m*z/2), and z^2 = 1 - w^2 reduces s*f - m*z/2 to a1*z + b.
+    So the points are the real roots of E = b^2 - a1^2*(1 - w^2), at z =
+    -b/a1, and the real roots of gcd(a1, b) with |w| <= 1, at z = +-sqrt(1 -
+    w^2); roots with w = 0 lie on z = +-1 and are dropped.  E has degree <=
+    10 and is never 0: a1 has the constant -m/2, and 1 - w^2 is no square.
+    The roots E shares with 1 - w^2, where b = 0, are taken from gcd(b, 1 -
+    w^2), at z = 0: in E they would be polished next to E's other roots."""
+    p, q = params.p, params.q
+    dd = p * p + q * q
+    # f at s*(-q, p) as f0 + f1*z + f2*z^2: parts[k] ascending in s
+    xs, ys = (1, -q, q * q), (1, p, p * p)
+    parts = [[0] * 3 for _ in range(3)]
+    for (i, j, k), c in params.f.terms.items():
+        parts[k][i + j] = parts[k][i + j] + c * xs[i] * ys[j]
+    (e0, e1, e2), (g0, g1, _), (c2, _, _) = parts
+    w = UniPoly([-m, 0, dd])
+    h = UniPoly([1 - m * m, 0, 2 * m * dd, 0, -dd * dd])
+    a1 = UniPoly([-m / 2, g0, g1])
+    b = UniPoly([0, e0 + c2 * (1 - m * m), e1, e2 + c2 * 2 * m * dd, 0, -c2 * dd * dd])
+    common, equator = unipoly_gcd([a1, b]), unipoly_gcd([b, h])
+    # E shares with 1 - w^2 only the roots of gcd(b, 1 - w^2)
+    e = _without(b * b - a1 * a1 * h, w)
+    for shared in (equator, common):
+        e = _without(e, shared) if shared.degree >= 1 else e
+    points = []
+    for r, _ in real_roots(e):
+        z = (-(_value(a1.coeffs, r).inverse() * _value(b.coeffs, r))).to_float() \
+            if isinstance(r, Fraction) else -_value(b.to_floats(), r) / _value(a1.to_floats(), r)
+        points.append(_plane_point(p, q, r, z))
+    if equator.degree >= 1:
+        points += [_plane_point(p, q, r, 0.0) for r, _ in real_roots(equator)]
+    if common.degree >= 1:
+        ddf, mf = dd.to_float(), float(m)
+        for r, (w_sign, h_sign) in _signs_at_roots(common, [w, h]):
+            if w_sign and h_sign > 0:     # h = 0 is on the equator
+                z = math.sqrt(max(1.0 - (ddf * r * r - mf) ** 2, 0.0))
+                points += [_plane_point(p, q, r, z), _plane_point(p, q, r, -z)]
+    return points
+
+
+def _plane_point(p: Scalar, q: Scalar, s: Fraction | float,
+                 z: float) -> tuple[float, float, float]:
+    """(x, y, z) at (x, y) = s*(-q, p), exact for a rational s, with +0.0
+    for a zero coordinate."""
+    x, y = ((-q * s).to_float(), (p * s).to_float()) if isinstance(s, Fraction) \
+        else (-q.to_float() * s, p.to_float() * s)
+    return x + 0.0, y + 0.0, z + 0.0
+
+
+def _value(coeffs: list, t):
+    """The polynomial with ascending ``coeffs`` at t, by Horner's rule."""
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * t + c
+    return acc
+
+
+def _without(u: UniPoly, v: UniPoly) -> UniPoly:
+    """u with every root it shares with v divided out."""
+    while (g := unipoly_gcd([u, v])).degree >= 1:
+        u = u.divmod(g)[0]
+    return u
+
+
+def _signs_at_roots(c: UniPoly, polys: list[UniPoly]) -> list[tuple[float, list[int]]]:
+    """Each real root of c, monic of degree 1 or 2 over Q(sqrt(m)), with the
+    exact sign of each of ``polys`` there.  The roots are centre -+ sqrt(d),
+    where u = h0 + h1*s mod c is h0 + h1*centre -+ h1*sqrt(d); degree 1 has
+    d = 0 and h1 = 0."""
+    c0, c1 = c.coeffs[:2]
+    centre = -c0 if c.degree == 1 else c1 * Fraction(-1, 2)
+    d = Scalar(0) if c.degree == 1 else centre * centre - c0
+    if d.sign() < 0:
+        return []
+    rems = [(u.divmod(c)[1].coeffs + [Scalar(0)] * 2)[:2] for u in polys]
+    return [(centre.to_float() + side * math.sqrt(d.to_float()),
+             [_sign_plus_root(h0 + h1 * centre, h1 * side, d) for h0, h1 in rems])
+            for side in ((-1, 1) if d else (0,))]
+
+
+def _sign_plus_root(a: Scalar, b: Scalar, d: Scalar) -> int:
+    """The exact sign of a + b*sqrt(d) for d >= 0."""
+    sa, sb = a.sign(), b.sign()
+    if sa == sb or not sb:
+        return sa
+    return sa * (a * a - b * b * d).sign() if sa else sb
 
 
 def _tangential_pair(field: VectorField, cubic: CubicParams | None, m: Fraction

@@ -16,7 +16,8 @@ from . import __version__
 from .curves import (MeridianSet, ParallelSet, check_four_meridian_criterion,
                      invariant_meridians, invariant_parallels)
 from .dynamics import (MeridianVerdict, PeriodicityVerdict, SingularSet,
-                       Verdict, meridian_periodicity, parallel_periodicity,
+                       Verdict, _parallel_obstructions, _parallel_verdict,
+                       _two_parallel_singular, meridian_periodicity,
                        singular_points)
 from .families import (CubicParams, DegreeOneParams, Family,
                        KolmogorovParams, PseudoTypeParams, QuadraticParams,
@@ -161,12 +162,16 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
     meridian_blanket: PeriodicityVerdict | None = None
     parallel_verdicts: dict[Fraction, PeriodicityVerdict] | None = None
     parallel_blanket: PeriodicityVerdict | None = None
+    # a two-parallel field's parallel obstructions and their roots, read by
+    # both the parallel verdicts and the singular set
+    obstructions = None
 
     if tag.family == Family.CUBIC and isinstance(tag.params, CubicParams) \
             and check_four_meridian_criterion(tag.params):
         meridian_verdicts = meridian_periodicity(tag.params, m)
     elif tag.family == Family.TWO_PARALLEL and isinstance(tag.params, TwoParallelParams):
-        parallel_verdicts = {Fraction(w): parallel_periodicity(tag.params, m, w)
+        obstructions = _parallel_obstructions(tag.params, m)
+        parallel_verdicts = {Fraction(w): _parallel_verdict(*obstructions[w], m, w)
                              for w in (1, -1)}
     elif tag.family == Family.QUADRATIC and isinstance(tag.params, QuadraticParams) \
             and not tag.params.alpha.is_zero():
@@ -202,7 +207,8 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
         "verified": ok,
     } for h, ok in verified_first_integrals(field, tag, m)]
 
-    sing = singular_points(field, tag, m, grid=grid)
+    sing = (singular_points(field, tag, m, grid=grid) if obstructions is None
+            else _two_parallel_singular(field, tag, m, grid, obstructions))
     report["singular_set"] = _singular_dict(sing)
 
     degree = None if field.is_zero() else int(field.degree)

@@ -1,4 +1,5 @@
 import collections
+import json
 import math
 import random
 import sys
@@ -20,7 +21,7 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          classify_singularity,
                          divide_exact, meridian_periodicity,
                          parallel_periodicity, parse, recognize,
-                         singular_points)
+                         report_json, serialize, singular_points)
 from torusfields import dynamics
 from torusfields.dynamics import rotation_shape
 from torusfields.kernels import compile_poly, eval_grid, eval_point, surface_angles
@@ -976,6 +977,198 @@ def test_kolmogorov_report_evaluates_no_grid(monkeypatch):
         for grid in (512, 200):
             sing = build_report(spec.px, spec.qy, spec.rz, m, grid=grid)["singular_set"]
             assert sing["kind"] == "isolated-points" and not sing["numeric_only"]
+
+
+# -- two-parallel fields: the parallels' obstructions and the plane p*x + q*y = 0
+
+
+# the field of the seed draws below with 10 singular points at m = 3, where
+# a1 and b share a root at s ~ -2.637, off the torus (|w| > 1)
+FIXED_TWO_PARALLEL = (Scalar(0), Scalar(-2), "-2*x*y + x*z + (3/2)*y^2 + (3/2)*z")
+TWO_PARALLEL_MS = [Fraction(4), Fraction(3), Fraction(9, 2)]
+
+
+def draw_two_parallel_with_z(rng, m):
+    """p, q in -2..2, not both 0, and f quadratic with 1 to 6 small terms,
+    at least one of them with z."""
+    p = q = 0
+    while p == q == 0:
+        p, q = rng.randint(-2, 2), rng.randint(-2, 2)
+    monomials = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (2, 0, 0), (1, 1, 0),
+                 (0, 2, 0), (1, 0, 1), (0, 1, 1), (0, 0, 2)]
+    picks = set(rng.sample(monomials, rng.randint(1, 5)))
+    picks.add(rng.choice([e for e in monomials if e[2]]))
+    f = MultiPoly({e: Scalar(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice((1, 2))))
+                   for e in picks})
+    return TwoParallelParams(Scalar(p), Scalar(q), f)
+
+
+def level_scale(poly, m):
+    """The sum of |c|*sqrt(m + 1)^(i+j) over poly's terms: at least |poly|
+    anywhere on the torus."""
+    rm = math.sqrt(float(m) + 1.0)
+    return sum(abs(c) * rm ** (i + j) for (i, j, _), c in compile_poly(poly, float(m)).terms)
+
+
+def degenerate_zero(at, scales, pt, m):
+    """Whether the rows of (L, M)'s (d/dtheta, d/dphi) at pt are parallel or
+    one vanishes next to its level's scale: a multiple zero, such as where
+    the plane p*x + q*y = 0 meets z = +-1, where the scan's point is
+    float-limited."""
+    theta = math.atan2(pt[1], pt[0])
+    phi = math.atan2(pt[2], pt[0] * pt[0] + pt[1] * pt[1] - float(m))
+    rows = at(theta, phi)[1]
+    (a, b), (c, d) = rows
+    norms = [max(math.hypot(*row), 1e-6 * scale) for row, scale in zip(rows, scales)]
+    return abs(a * d - b * c) <= 1e-6 * norms[0] * norms[1]
+
+
+def assert_matches_the_pair_scan(field, m, exact, grid=dynamics.GRID_DEFAULT):
+    """The exact set against the scan of (L, M): the same kind and curve
+    count, every exact point a zero of F, L and M to 1e-12 of their scales
+    and every scan point within 1e-8 of an exact one, 1e-4 at a multiple zero."""
+    tag = recognize(field, m)
+    pair, whats, quarter = dynamics._tangential_pair(field, tag.cubic, m)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dynamics.GridResolutionWarning)
+        scan = dynamics._scan_singular(pair, whats, m, grid, quarter)
+    assert not exact.numeric_only and scan.numeric_only
+    assert (exact.kind, exact.curve_components) == (scan.kind, scan.curve_components)
+    if exact.kind == SingKind.EMPTY:
+        assert abs(exact.grid_min_norm - scan.grid_min_norm) <= 2.0 ** -47 * scan.grid_min_norm
+        return scan
+    points = [pt for pt, _ in exact.points]
+    assert points == sorted(points) and len(set(points)) == len(points)
+    for poly in (dynamics.torus_surface(m).F, *pair):
+        scale, level = level_scale(poly, m), compile_poly(poly, float(m))
+        assert all(abs(eval_point(level, *pt)) <= 1e-12 * scale for pt in points)
+    at = dynamics._torus_functions(pair, whats, float(m))
+    scales = [level_scale(level, m) for level in pair]
+    for q, _ in scan.points:
+        gap, pt = min((math.dist(pt, q), pt) for pt in points)
+        assert gap <= (1e-4 if degenerate_zero(at, scales, pt, m) else 1e-8), (q, pt)
+    return scan
+
+
+@pytest.mark.parametrize("m", TWO_PARALLEL_MS)
+def test_two_parallel_sets_match_the_pair_scan(m):
+    # 60 draws per m: the points on z = +-1 from the parallels' obstructions
+    # and those on the plane p*x + q*y = 0 from E and gcd(a1, b)
+    rng = random.Random(f"two-parallel sets at m = {m}")
+    kinds, places = collections.Counter(), collections.Counter()
+    for _ in range(60):
+        field = build_two_parallel(draw_two_parallel_with_z(rng, m), m)
+        tag = recognize(field, m)
+        assert tag.family.value == "two-parallel"
+        exact = singular_points(field, tag, m)
+        assert_matches_the_pair_scan(field, m, exact)
+        kinds[exact.kind] += 1
+        places.update("parallel" if abs(pt[2]) == 1.0 else "equator" if pt[2] == 0.0
+                      else "plane" for pt, _ in exact.points)
+    assert kinds[SingKind.ISOLATED] > 40 and kinds[SingKind.EMPTY] >= 2
+    assert min(places.values()) > 3 and len(places) == 3
+
+
+def test_fixed_two_parallel_set_has_ten_points():
+    # a1 and b share a root at s ~ -2.637 where |w| > 1: no point there, and
+    # the scan finds the same 10 points at grids 512, 1024 and 2048
+    m = Fraction(3)
+    p, q, f = FIXED_TWO_PARALLEL
+    field = build_two_parallel(TwoParallelParams(p, q, parse(f, m)), m)
+    exact = singular_points(field, recognize(field, m), m)
+    assert exact.kind == SingKind.ISOLATED and len(exact.points) == 10
+    assert exact.description == "10 isolated singular point(s)"
+    for grid in (512, 1024, 2048):
+        scan = assert_matches_the_pair_scan(field, m, exact, grid)
+        assert len(scan.points) == 10
+
+
+@pytest.mark.parametrize("f, s, z", [
+    # a1 = (4/7)*(s^2 - 7/2) divides b = s*(s^2 - 7/2): |w| = 1/2 at s^2 = 7/2
+    ("(4/7)*y*z + y^2 - 7/2", math.sqrt(3.5), math.sqrt(0.75)),
+    # a1 = (10/9)*(s - 9/5) divides b = s*(s - 9/5): w = -0.76 at s = 9/5
+    ("(10/9)*z + y - 9/5", None, math.sqrt(1.0 - 0.76 ** 2)),
+])
+def test_shared_roots_of_a1_and_b_hold_two_points(f, s, z):
+    # on the plane x = 0 (p = 1, q = 0, m = 4), s*f - m*z/2 = a1*z + b
+    # vanishes for every z at a root of gcd(a1, b): both points of the
+    # torus there, z = +-sqrt(1 - w^2), are singular
+    m = Fraction(4)
+    field = build_two_parallel(TwoParallelParams(Scalar(1), Scalar(0), parse(f, m)), m)
+    exact = singular_points(field, recognize(field, m), m)
+    assert_matches_the_pair_scan(field, m, exact)
+    on_plane = [pt for pt, _ in exact.points if abs(pt[2]) != 1.0]
+    want = [(0.0, ys, zs) for ys in ((-s, s) if s else (1.8,)) for zs in (-z, z)]
+    assert len(on_plane) == len(want)
+    assert all(math.dist(pt, w) <= 1e-15 for pt, w in zip(on_plane, want))
+
+
+@pytest.mark.parametrize("m", TWO_PARALLEL_MS)
+def test_parallel_verdicts_match_the_two_parallel_report(m):
+    # the paper: z = +-1 is a periodic orbit exactly when the singular set
+    # has no point and no curve on it; and the report's verdicts, which share
+    # the obstructions with the singular set, are those of parallel_periodicity
+    mf, thetas = float(m), [2.0 * math.pi * k / 97 for k in range(97)]
+    rng = random.Random(f"two-parallel sets at m = {m}")
+    kinds = collections.Counter()
+    for _ in range(60):
+        params = draw_two_parallel_with_z(rng, m)
+        field = build_two_parallel(params, m)
+        sing = singular_points(field, recognize(field, m), m)
+        report = build_report(*(serialize(c) for c in field.components()), m)
+        planes = {plane["k_expr"]: plane["verdict"] for plane in report["parallels"]["planes"]}
+        for which in (1, -1):
+            verdict = parallel_periodicity(params, m, which)
+            want = {"kind": verdict.kind.value}
+            if verdict.witness is not None:
+                want["witness"] = list(verdict.witness)
+            if verdict.reason is not None:
+                want["reason"] = verdict.reason
+            assert planes[str(which)] == want
+            assert_verdict_matches_singular_set(
+                verdict, sing, lambda pt: pt[2] == which,
+                [surface_point(th, which * math.pi / 2, mf) for th in thetas], field, m)
+            kinds[verdict.kind] += 1
+    assert kinds[Verdict.NOT_PERIODIC] > 30 and kinds[Verdict.PERIODIC_ORBIT] > 10
+
+
+def test_two_parallel_report_evaluates_no_grid(monkeypatch):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid evaluated")
+
+    monkeypatch.setattr(dynamics, "_level_grid", no_grid)
+    for m in (Fraction(4), Fraction(3)):
+        spec = next(s for s in corpus.named_corpus(m) if s.name == "two-parallel")
+        for grid in (512, 200):
+            sing = build_report(spec.px, spec.qy, spec.rz, m, grid=grid)["singular_set"]
+            assert sing["kind"] == "empty" and not sing["numeric_only"]
+            assert sing["grid_min_speed"] > 1.0
+    # a set with points folds no grid either
+    monkeypatch.setattr(dynamics, "surface_blocks", no_grid)
+    m = Fraction(3)
+    p, q, f = FIXED_TWO_PARALLEL
+    field = build_two_parallel(TwoParallelParams(p, q, parse(f, m)), m)
+    for grid in (512, 200):
+        sing = build_report(*(serialize(c) for c in field.components()), m,
+                            grid=grid)["singular_set"]
+        assert sing["kind"] == "isolated-points" and len(sing["points"]) == 10
+
+
+@pytest.mark.parametrize("p, q, f, axis", [
+    (0, 1, "x*z + z", 1),       # the plane y = 0
+    (0, -2, "-2*x*y + x*z + (3/2)*y^2 + (3/2)*z", 1),
+    (1, 0, "y*z", 0),           # the plane x = 0
+    (-2, 0, "x^2 + y*z - 1", 0),
+])
+def test_two_parallel_plane_points_carry_positive_zeros(p, q, f, axis):
+    m = Fraction(4) if q != -2 else Fraction(3)
+    field = build_two_parallel(TwoParallelParams(Scalar(p), Scalar(q), parse(f, m)), m)
+    blob = report_json(build_report(*(serialize(c) for c in field.components()), m))
+    assert b"-0.0" not in blob
+    points = [pt["point"] for pt in json.loads(blob)["singular_set"]["points"]]
+    on_plane = [pt for pt in points if abs(pt[2]) != 1.0]
+    assert on_plane and all(pt[axis] == 0.0 and math.copysign(1.0, pt[axis]) == 1.0
+                            for pt in on_plane)
 
 
 def test_transversal_pair_crossings_do_not_warn():

@@ -767,8 +767,9 @@ def quadratic_f_cubics(m):
     return fields
 
 
-# the pair scan's empty sets: the named two-parallel field, and (K', f) of
-# a cubic with beta = gamma = 1/2 whose least |chi| is about 0.185 at m = 9/2
+# empty sets of (L, M): the named two-parallel field, decided exactly with M
+# folded by blocks and L^2 as an outer product, and (K', f) of a cubic with
+# beta = gamma = 1/2 whose least |chi| is about 0.185 at m = 9/2, scanned
 EMPTY_PAIRS = [NAMED_FIELDS[4],
                ("2*x + (3/2)*y + 2*z - 1",
                 "3*x^2 + 5*x*y + (17/4)*x*z + 2*y^2 + (7/2)*y*z + (3/2)*z^2"
@@ -800,7 +801,7 @@ def test_reducer_gives_the_formula_minimum(n):
                 warnings.simplefilter("ignore", dynamics.GridResolutionWarning)
                 sing = singular_points(field, recognize(field, m), m, n)
             pair, _, quarter = dynamics._tangential_pair(field, recognize(field, m).cubic, m)
-            assert sing.kind.value == "empty" and sing.numeric_only
+            assert sing.kind.value == "empty" and sing.numeric_only == (len(expr) == 2)
             assert sing.grid_min_norm == formula_speed(
                 [compile_poly(p, mf) for p in pair], quarter, m, n)
         for text in EMPTY_ROTATIONS:
