@@ -3,8 +3,8 @@
 On the torus a point is parametrized by two angles: theta around the z-axis
 and phi around the tube, with radius r = sqrt(m + cos(phi)) and height
 z = sin(phi).  Meridian periodicity reduces to real roots of one quartic
-per meridian plane, where the linear K' meets the plane's meridians;
-parallel periodicity to real roots of an exact degree-4 polynomial from the
+per meridian plane, where the linear K' meets the plane's meridians, and
+one exact sign per plane for the stability of its limit cycles; parallel periodicity to real roots of an exact degree-4 polynomial from the
 Weierstrass substitution t = tan(theta/2).
 
 A tangent field is chi = a*(-y, x, 0) + b*(x*z, y*z, -2*rho^2*ring) with
@@ -48,12 +48,12 @@ from fractions import Fraction
 import numpy as np
 
 from .curves import (MeridianPlane, check_four_meridian_criterion,
-                     linear_xy_factors, plane_from_factor)
-from .families import CubicParams, Family, FamilyTag, TwoParallelParams
+                     linear_xy_factors)
+from .families import (CubicParams, Family, FamilyTag, TwoParallelParams,
+                       rotation_shape)
 from .kernels import (CompiledPoly, compile_finite, eval_point,
                       row_blocks, surface_angles, surface_blocks)
-from .poly import (MultiPoly, NotDivisible, UniPoly, X, Y, Z, divide_exact,
-                   unipoly_gcd)
+from .poly import MultiPoly, UniPoly, X, Y, Z, unipoly_gcd
 from .roots import real_roots
 from .scalars import MixedExtensionError, Scalar, _rational_sqrt
 from .vfield import VectorField, torus_surface
@@ -180,11 +180,16 @@ def _float_zeros(k0: float, kappa: float, k3: float, spread: float,
     return out
 
 
-def meridian_periodicity(params: CubicParams, m: Fraction) -> list[MeridianVerdict]:
-    """Per-meridian verdicts for a four-meridian cubic field.
+def meridian_periodicity(params: CubicParams, m: Fraction,
+                         planes: list[tuple[MeridianPlane, int]]) -> list[MeridianVerdict]:
+    """Per-meridian verdicts for a four-meridian cubic field on ``planes``,
+    the (plane, multiplicity) list of its invariant meridians.
 
-    A meridian is a limit cycle exactly when K' never vanishes on it;
-    stabilities then alternate with the sign of dtheta/dt on either side.
+    A meridian is a limit cycle exactly when K' never vanishes on it.  With
+    beta = gamma = 0, dtheta/dt has the sign of -f, and f = rho^2*g(theta)
+    with g' = W = x*f_y - y*f_x: a cycle is stable where W > 0 and unstable
+    where W < 0.  W is an even form, so both meridians of a plane share its
+    sign, taken exactly at the plane's direction; it is 0 on a double plane.
     On the plane through d, K' = k0 + kappa*s + k3*z at (s*d, z), which is
     on the meridian at the plane's angle for s > 0 and opposite for s < 0.
     """
@@ -194,15 +199,12 @@ def meridian_periodicity(params: CubicParams, m: Fraction) -> list[MeridianVerdi
         raise ValueError(f"deg K' = {params.Kprime.degree} exceeds 1")
     mf = float(m)
     kprime = compile_finite(params.Kprime, mf, "K'")
-    # beta = gamma = 0 makes Q*x - P*y = -(x^2 + y^2)*f, so dtheta/dt has
-    # the sign of -f
-    f = compile_finite(params.f, mf, "f")
     k0, k1, k2, k3 = (params.Kprime.coefficient(e) for e in _LINEAR)
     k0f, k1f, k2f, k3f = (dict(kprime.terms).get(e, 0.0) for e in _LINEAR)
+    fa, fb, fc = (params.f.coefficient(e) for e in ((2, 0, 0), (1, 1, 0), (0, 2, 0)))
 
-    entries = []
-    for factor in linear_xy_factors(params.f):
-        plane = plane_from_factor(factor)
+    out = []
+    for plane, mult in planes:
         theta = plane.angle()
         a, b = plane.exact_pair or (plane.a, plane.b)
         # angle() folds pi to 0, where the meridian points along (b, -a)
@@ -216,8 +218,14 @@ def meridian_periodicity(params: CubicParams, m: Fraction) -> list[MeridianVerdi
         else:
             zeros = _float_zeros(k0f, k1f * d[0] + k2f * d[1], k3f,
                                  abs(k1f * d[0]) + abs(k2f * d[1]), mf)
+        wa, wb = plane.exact_pair or (Scalar(plane.a), Scalar(plane.b))
+        w = 0 if mult > 1 else (fb * (wb * wb - wa * wa) - (fc - fa) * wa * wb * 2).sign()
+        cycle = PeriodicityVerdict(
+            Verdict.LIMIT_CYCLE, stability="stable" if w > 0 else "unstable") if w \
+            else PeriodicityVerdict(Verdict.INCONCLUSIVE, reason=(
+                "dtheta/dt does not change sign across the meridian"))
         for side, shift in ((1, 0.0), (-1, math.pi)):
-            verdict, s = None, zeros.get(side, 0.0)     # s = 0 is off the torus
+            verdict, s = cycle, zeros.get(side, 0.0)    # s = 0 is off the torus
             if s is None:
                 verdict = PeriodicityVerdict(Verdict.INCONCLUSIVE, reason=(
                     "K' meets the meridian at a near-double root in floats"))
@@ -226,30 +234,11 @@ def meridian_periodicity(params: CubicParams, m: Fraction) -> list[MeridianVerdi
                 ring = x * x + y * y - mf
                 z = (-(k0f + k1f * x + k2f * y) / k3f if k3f
                      else math.sqrt(max(1.0 - ring * ring, 0.0)))
-                verdict = PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=(x, y, z),
+                verdict = PeriodicityVerdict(Verdict.NOT_PERIODIC,
+                                             witness=(x + 0.0, y + 0.0, z + 0.0),
                                              reason="K' vanishes on the meridian")
-            entries.append((theta + shift, plane, verdict))
-    entries.sort(key=lambda e: e[0])
-    angles = [e[0] for e in entries]
-    around = [angles[-1] - 2.0 * math.pi, *angles, angles[0] + 2.0 * math.pi]
-
-    def theta_dot_sign(theta: float) -> int:
-        v = eval_point(f, *_surface_point(theta, 0.0, mf))
-        return (v < 0) - (v > 0)
-
-    out = []
-    for idx, (theta, plane, verdict) in enumerate(entries):
-        if verdict is None:
-            # stable when dtheta/dt > 0 just below theta and < 0 just above
-            signs = (theta_dot_sign(0.5 * (around[idx] + theta)),
-                     theta_dot_sign(0.5 * (theta + around[idx + 2])))
-            stability = {(1, -1): "stable", (-1, 1): "unstable"}.get(signs)
-            verdict = PeriodicityVerdict(Verdict.LIMIT_CYCLE, stability=stability) \
-                if stability else PeriodicityVerdict(
-                    Verdict.INCONCLUSIVE,
-                    reason="dtheta/dt does not change sign across the meridian")
-        out.append(MeridianVerdict(theta, plane, verdict))
-    return out
+            out.append(MeridianVerdict(theta + shift, plane, verdict))
+    return sorted(out, key=lambda mv: mv.angle)
 
 
 # -- parallel periodic orbits ----------------------------------------------------
@@ -703,10 +692,10 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
                 quarter * (np.square(sin) + 4.0 * r * r * np.square(cos)), grid), grid)
             for a, b in row_blocks(grid):
                 fold(vals[:, a:b])
-            return SingularSet(SingKind.EMPTY, [], numeric_only=not rotation, grid_min_norm=float(
+            return SingularSet(SingKind.EMPTY, [], numeric_only=True, grid_min_norm=float(
                 (least * r).min()) if rotation
                 else _finite_speed(float((least / (r * r)).min()), grid))
-    return _singular_set(points, curve_count, not rotation)
+    return _singular_set(points, curve_count, True)
 
 
 def _singular_set(points: list, curves: int, numeric_only: bool) -> SingularSet:
@@ -783,17 +772,6 @@ def _check_grid(grid: int) -> None:
         raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
     if grid > GRID_MAX:
         raise ValueError(f"grid must be at most {GRID_MAX}, got {grid}")
-
-
-def rotation_shape(field: VectorField) -> MultiPoly | None:
-    """A with field = (A*y, -A*x, 0), if the field has that shape."""
-    if not field.R.is_zero():
-        return None
-    try:
-        a = divide_exact(field.P, Y, "y")
-    except NotDivisible:
-        return None
-    return a if field.Q == -(a * X) else None
 
 
 def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,

@@ -15,7 +15,8 @@ coefficients of P and Q, and f is the exact quotient
 (P - x*z*K'/4 - beta*z)/y; an on-torus field of degree <= 3 is then the
 closed form of those four values, with no further check.  The specialized
 families are predicates on (K', f, beta, gamma); pseudo-type, whose degree
-is not bounded, keeps its own division check.  No fitting, exact or fail.
+is not bounded, reads A from :func:`rotation_shape`.  No fitting, exact or
+fail.
 """
 
 from __future__ import annotations
@@ -197,19 +198,20 @@ def _cubic_form(field: VectorField, cof: CofactorResult) -> CubicParams | None:
     return CubicParams(Kprime=kprime, f=f, beta=beta, gamma=gamma)
 
 
-def _pseudo_type_params(field: VectorField) -> PseudoTypeParams | None:
-    """(n, A) when the field is (A*y, -A*x, 0) with A homogeneous."""
-    if not field.R.is_zero() or field.P.is_zero() or field.Q.is_zero():
-        return None
-    if not (field.P.is_homogeneous() and field.Q.is_homogeneous()):
-        return None
-    n = field.P.degree
-    if field.Q.degree != n:
+def rotation_shape(field: VectorField) -> MultiPoly | None:
+    """A with field = (A*y, -A*x, 0), if the field has that shape."""
+    if not field.R.is_zero():
         return None
     a = _try_divide(field.P, Y, "y")
-    if a is None or field.Q != -(a * X):
+    return a if a is not None and field.Q == -(a * X) else None
+
+
+def _pseudo_type_params(field: VectorField) -> PseudoTypeParams | None:
+    """(n, A) when the field is (A*y, -A*x, 0) with A homogeneous and nonzero."""
+    a = rotation_shape(field)
+    if a is None or a.is_zero() or not a.is_homogeneous():
         return None
-    return PseudoTypeParams(n=n, A=a)
+    return PseudoTypeParams(n=a.degree + 1, A=a)
 
 
 def _recognize(field: VectorField, m: Fraction, cof: CofactorResult) -> FamilyTag:

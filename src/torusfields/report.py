@@ -72,19 +72,17 @@ def _meridian_entries(mset: MeridianSet,
                       blanket: PeriodicityVerdict | None) -> list[dict]:
     entries = []
     for plane, mult in mset.planes:
-        pair = []
-        for shift in (0.0, math.pi):
-            angle = plane.angle() + shift
-            verdict = blanket if verdicts is None else next(
-                (mv.verdict for mv in verdicts if abs(mv.angle - angle) < 1e-9), None)
-            pair.append({"angle": angle, "verdict": _verdict_dict(verdict)})
+        # the plane's verdicts at its angle and at that plus pi
+        pair = [blanket] * 2 if verdicts is None else [
+            mv.verdict for mv in verdicts if mv.plane is plane]
         ppoly = plane.polynomial()
         entries.append({
             "a": plane.a, "b": plane.b,
             "exact": plane.exact,
             "plane_expr": serialize(ppoly) if ppoly is not None else None,
             "multiplicity": mult,
-            "meridians": pair,
+            "meridians": [{"angle": plane.angle() + shift, "verdict": _verdict_dict(v)}
+                          for shift, v in zip((0.0, math.pi), pair)],
         })
     return entries
 
@@ -168,7 +166,7 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
 
     if tag.family == Family.CUBIC and isinstance(tag.params, CubicParams) \
             and check_four_meridian_criterion(tag.params):
-        meridian_verdicts = meridian_periodicity(tag.params, m)
+        meridian_verdicts = meridian_periodicity(tag.params, m, meridians.planes)
     elif tag.family == Family.TWO_PARALLEL and isinstance(tag.params, TwoParallelParams):
         obstructions = _parallel_obstructions(tag.params, m)
         parallel_verdicts = {Fraction(w): _parallel_verdict(*obstructions[w], m, w)

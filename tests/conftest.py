@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from torusfields import (MultiPoly, QuadraticParams, Scalar, VectorField,
-                         build_quadratic)
+                         build_cubic, build_quadratic, invariant_meridians,
+                         meridian_periodicity)
 
 M_DEFAULT = Fraction(4)
 
@@ -48,6 +49,13 @@ def random_linear(rng: random.Random, lo=-3, hi=3) -> MultiPoly:
                       (1, 0, 0): Scalar(rng.randint(lo, hi)),
                       (0, 1, 0): Scalar(rng.randint(lo, hi)),
                       (0, 0, 1): Scalar(rng.randint(lo, hi))})
+
+
+def meridian_verdicts(params, m):
+    """meridian_periodicity on the invariant meridian planes of the cubic
+    field of ``params``, as the report passes them."""
+    return meridian_periodicity(params, m,
+                                invariant_meridians(build_cubic(params, m)).planes)
 
 
 def random_quadratic_field(rng: random.Random, m=M_DEFAULT) -> VectorField:

@@ -24,11 +24,10 @@ from torusfields import (CubicParams, Family, KolmogorovParams, MultiPoly,
                          check_first_integral, classify_singularity,
                          cofactor_on_torus, divide_exact, extactic_xy,
                          integrate, invariant_meridians, invariant_parallels,
-                         lie_bracket, meridian_periodicity,
-                         parallel_periodicity, parse, recognize,
+                         lie_bracket, parallel_periodicity, parse, recognize,
                          singular_points, torus_polynomial)
 
-from conftest import eval_float
+from conftest import eval_float, meridian_verdicts
 
 # every criterion but the bracket sweep (3) runs at a square m, an integer
 # non-square m and a non-integer m, which puts the sqrt(s) numerators of
@@ -222,7 +221,7 @@ def test_criterion_06_meridian_bound():
 def test_criterion_07_limit_cycles():
     for m in MS:
         start = time.perf_counter()
-        verdicts = meridian_periodicity(sect5_params(), m)
+        verdicts = meridian_verdicts(sect5_params(), m)
         assert [mv.verdict.kind for mv in verdicts] == [Verdict.LIMIT_CYCLE] * 4
         assert [mv.verdict.stability for mv in verdicts] == \
             ["stable", "unstable", "stable", "unstable"]

@@ -18,8 +18,7 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          build_pseudo_type, build_quadratic,
                          build_report, build_two_parallel,
                          check_four_meridian_criterion,
-                         classify_singularity,
-                         divide_exact, meridian_periodicity,
+                         classify_singularity, divide_exact,
                          parallel_periodicity, parse, recognize,
                          report_json, serialize, singular_points)
 from torusfields import dynamics
@@ -27,7 +26,8 @@ from torusfields.dynamics import rotation_shape
 from torusfields.kernels import compile_poly, eval_grid, eval_point, surface_angles
 from torusfields.poly import UniPoly
 
-from conftest import eval_float, homogeneous_component, random_linear
+from conftest import (eval_float, homogeneous_component, meridian_verdicts,
+                      random_linear)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402
@@ -121,7 +121,7 @@ def test_theta_dot_consistency_on_random_points():
 
 
 def test_meridian_limit_cycles_worked_example():
-    verdicts = meridian_periodicity(sect5_params(), M)
+    verdicts = meridian_verdicts(sect5_params(), M)
     assert len(verdicts) == 4
     kinds = [mv.verdict.kind for mv in verdicts]
     assert kinds == [Verdict.LIMIT_CYCLE] * 4
@@ -133,7 +133,7 @@ def test_meridian_limit_cycles_worked_example():
 
 def test_meridian_killed_by_kprime_zero():
     params = CubicParams(Z, X * Y, Scalar(0), Scalar(0))
-    verdicts = meridian_periodicity(params, M)
+    verdicts = meridian_verdicts(params, M)
     assert all(mv.verdict.kind == Verdict.NOT_PERIODIC for mv in verdicts)
     for mv in verdicts:
         assert abs(mv.verdict.witness[2]) < 1e-9   # K' = z vanishes at z = 0
@@ -151,13 +151,13 @@ def test_meridian_kprime_never_zero_derived_case():
     assert min(evals) > 0.5
 
     params = CubicParams(kprime, X * Y, Scalar(0), Scalar(0))
-    verdicts = meridian_periodicity(params, M)
+    verdicts = meridian_verdicts(params, M)
     assert [mv.verdict.kind for mv in verdicts] == [Verdict.LIMIT_CYCLE] * 4
 
 
 def test_meridian_periodicity_requires_four_meridians():
     with pytest.raises(ValueError):
-        meridian_periodicity(
+        meridian_verdicts(
             CubicParams(Z, parse("x^2 + y^2", M), Scalar(0), Scalar(0)), M)
 
 
@@ -176,7 +176,7 @@ def assert_witness_on_zero(params, m, witness):
 def test_meridian_tangency_on_x_plane_is_not_periodic(m):
     # on x = 0, K' = -1 + x - z is -1 - z: it touches both meridians at z = -1
     params = cubic_params("-1 + x - z", "(x - y)*x", m)
-    on_x = [mv for mv in meridian_periodicity(params, m)
+    on_x = [mv for mv in meridian_verdicts(params, m)
             if mv.plane.polynomial() == X]
     assert [mv.angle for mv in on_x] == pytest.approx([math.pi / 2, 3 * math.pi / 2])
     for mv in on_x:
@@ -188,7 +188,7 @@ def test_meridian_tangency_on_x_plane_is_not_periodic(m):
 def test_meridian_kprime_zero_on_whole_plane():
     # K' = x vanishes on every point of the plane x = 0
     params = cubic_params("x", "x*y", M)
-    verdicts = meridian_periodicity(params, M)
+    verdicts = meridian_verdicts(params, M)
     on_x = [mv for mv in verdicts if mv.plane.polynomial() == X]
     assert len(on_x) == 2
     for mv in on_x:
@@ -206,7 +206,7 @@ def test_meridian_kprime_zero_on_whole_plane():
 ])
 def test_meridian_vertical_kprime_without_z(kprime, m, killed):
     params = cubic_params(kprime, "x*y", m)
-    verdicts = meridian_periodicity(params, m)
+    verdicts = meridian_verdicts(params, m)
     assert [mv.angle for mv in verdicts] == \
         pytest.approx([0, math.pi / 2, math.pi, 3 * math.pi / 2])
     kinds = [mv.verdict.kind for mv in verdicts]
@@ -223,7 +223,7 @@ def test_meridian_tangency_on_irrational_planes():
     # at its top z = 1
     m = Fraction(9, 2)
     params = cubic_params("-2 + 2*z", "x^2 - 2*y^2", m)
-    verdicts = meridian_periodicity(params, m)
+    verdicts = meridian_verdicts(params, m)
     assert len(verdicts) == 4 and not any(mv.plane.exact for mv in verdicts)
     for mv in verdicts:
         assert mv.verdict.kind == Verdict.NOT_PERIODIC
@@ -237,7 +237,7 @@ def test_meridian_degenerate_on_float_plane_is_never_a_limit_cycle(kprime, m):
     # the planes y = +-a*x of y^2 - m*x^2 have float slopes; on y = a*x, K'
     # is 0 (resp. touches both meridians at z = -1), which the floats
     # cannot tell from a small nonzero K'
-    verdicts = meridian_periodicity(cubic_params(kprime, f"y^2 - {m}*x^2", m), m)
+    verdicts = meridian_verdicts(cubic_params(kprime, f"y^2 - {m}*x^2", m), m)
     theta = math.atan(math.sqrt(m))
     on_plane = [mv for mv in verdicts
                 if min(abs(mv.angle - t) for t in (theta, theta + math.pi)) < 1e-9]
@@ -246,6 +246,17 @@ def test_meridian_degenerate_on_float_plane_is_never_a_limit_cycle(kprime, m):
         assert mv.verdict.kind in (Verdict.NOT_PERIODIC, Verdict.INCONCLUSIVE)
     assert [mv.verdict.kind for mv in verdicts if mv not in on_plane] == \
         [Verdict.LIMIT_CYCLE] * 2
+
+
+@pytest.mark.parametrize("f, m", [("(x - y)^2", Fraction(4)), ("(y - a*x)^2", Fraction(3))])
+def test_double_plane_meridians_are_inconclusive(f, m):
+    # f = L^2 keeps its sign across the plane; y = sqrt(3)*x is a float
+    # plane, where x*f_y - y*f_x at the rounded direction is not 0
+    verdicts = meridian_verdicts(cubic_params("1", f, m), m)
+    assert len(verdicts) == 2
+    for mv in verdicts:
+        assert mv.verdict.kind == Verdict.INCONCLUSIVE
+        assert mv.verdict.reason == "dtheta/dt does not change sign across the meridian"
 
 
 def reference_meridian_scan(kprime, m, theta, samples=8192):
@@ -263,9 +274,31 @@ def reference_meridian_scan(kprime, m, theta, samples=8192):
     return "band" if np.min(np.abs(vals)) < 1e-7 else "nonzero"
 
 
-def test_meridian_verdicts_match_the_reference_scan():
+def reference_stabilities(params, m, verdicts):
+    """The midpoint sampler meridian_periodicity used before it read the sign
+    of x*f_y - y*f_x: per meridian of ``verdicts``, in angle order, "stable"
+    when dtheta/dt, of the sign of -f at phi = 0, is > 0 midway to the
+    meridian below and < 0 midway to the one above, "unstable" for the
+    reverse, and None when the two signs are equal or one is 0."""
+    mf = float(m)
+    f = compile_poly(params.f, mf)
+    angles = [mv.angle for mv in verdicts]
+    around = [angles[-1] - 2.0 * math.pi, *angles, angles[0] + 2.0 * math.pi]
+
+    def theta_dot_sign(theta):
+        v = eval_point(f, *surface_point(theta, 0.0, mf))
+        return (v < 0) - (v > 0)
+
+    return [{(1, -1): "stable", (-1, 1): "unstable"}.get(
+        (theta_dot_sign(0.5 * (around[k] + theta)),
+         theta_dot_sign(0.5 * (theta + around[k + 2]))))
+        for k, theta in enumerate(angles)]
+
+
+def reference_scan_draws():
+    """240 seeded (K', f, m) draws, as (kprime, f, m, params) for the four-
+    meridian ones: half with exact planes, half mostly with float planes."""
     rng = random.Random(31)
-    outcomes = collections.Counter()
     for _ in range(240):
         m = rng.choice([Fraction(4), Fraction(3), Fraction(9, 2), Fraction(5, 4)])
         ks = [rng.randint(-2, 2) for _ in range(4)]
@@ -280,9 +313,18 @@ def test_meridian_verdicts_match_the_reference_scan():
             # mostly irrational slopes: float planes
             f = f"x^2 + {rng.randint(-4, 4)}*x*y + {rng.randint(-3, 3)}*y^2"
         params = cubic_params(kprime, f, m)
-        if params.f.is_zero() or not check_four_meridian_criterion(params):
-            continue
-        for mv in meridian_periodicity(params, m):
+        if not params.f.is_zero() and check_four_meridian_criterion(params):
+            yield kprime, f, m, params
+
+
+def test_meridian_verdicts_match_the_reference_scan():
+    outcomes = collections.Counter()
+    for kprime, f, m, params in reference_scan_draws():
+        verdicts = meridian_verdicts(params, m)
+        for mv, reference in zip(verdicts, reference_stabilities(params, m, verdicts)):
+            if reference is not None and mv.verdict.kind != Verdict.NOT_PERIODIC:
+                assert mv.verdict.stability == reference, (kprime, f, m, mv)
+                outcomes["stability", mv.plane.exact] += 1
             scan = reference_meridian_scan(params.Kprime, m, mv.angle)
             kind = mv.verdict.kind
             outcomes[scan, mv.plane.exact, kind] += 1
@@ -298,6 +340,68 @@ def test_meridian_verdicts_match_the_reference_scan():
     band = {key: n for key, n in outcomes.items() if key[0] == "band"}
     assert band and set(band) == {("band", True, Verdict.NOT_PERIODIC)}
     assert sum(n for key, n in outcomes.items() if not key[1]) > 100
+    assert outcomes["stability", True] > 50 and outcomes["stability", False] > 50
+
+
+def test_meridian_witnesses_lie_on_their_printed_planes():
+    checked = 0
+    for kprime, f, m, params in reference_scan_draws():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dynamics.GridResolutionWarning)
+            report = build_report(*corpus.cubic_strings(kprime, f), m,
+                                  grid=dynamics.GRID_MIN)
+        for plane in report["meridians"]["planes"]:
+            for meridian in plane["meridians"]:
+                if meridian["verdict"]["kind"] != "not-periodic":
+                    continue
+                x, y, z = witness = meridian["verdict"]["witness"]
+                assert abs(plane["a"] * x + plane["b"] * y) <= 1e-12, (kprime, f, m)
+                assert_witness_on_zero(params, m, witness)
+                checked += 1
+    assert checked > 100
+
+
+@pytest.mark.parametrize("eps", ["1/10^8", "1/10^10"])
+def test_near_equal_planes_give_limit_cycles_of_opposite_stability(eps):
+    # f = (y - x)*(y - (1 + eps)*x): x*f_y - y*f_x is -2*eps*x^2 on y = x,
+    # and positive on the other plane, so dtheta/dt = -f pushes away from
+    # y = x and onto its neighbour
+    report = build_report(*corpus.cubic_strings("1", f"(y - x)*(y - (1 + {eps})*x)"), M,
+                          grid=dynamics.GRID_MIN)
+    planes = report["meridians"]["planes"]
+    assert planes[0]["plane_expr"] == "x - y"
+    assert [[(mer["verdict"]["kind"], mer["verdict"]["stability"])
+             for mer in plane["meridians"]] for plane in planes] == [
+        [("limit-cycle", "unstable")] * 2, [("limit-cycle", "stable")] * 2]
+
+
+def test_near_equal_plane_takes_no_witness_from_its_neighbour():
+    # K' = x + y - 3 touches the meridian of x - y at its outer equator
+    # (3/2, 3/2, 0), and misses its neighbour's by O(eps^2)
+    m = Fraction(7, 2)
+    report = build_report(*corpus.cubic_strings("x + y - 3", "(y - x)*(y - (1 + 1/10^10)*x)"),
+                          m, grid=dynamics.GRID_MIN)
+    first, second = report["meridians"]["planes"]
+    assert first["plane_expr"] == "x - y"
+    assert first["meridians"][0]["verdict"]["witness"] == [1.5, 1.5, 0.0]
+    for meridian in second["meridians"]:
+        assert meridian["verdict"].get("witness") != [1.5, 1.5, 0.0]
+    for plane in (first, second):
+        for meridian in plane["meridians"]:
+            if meridian["verdict"]["kind"] == "not-periodic":
+                x, y, _ = meridian["verdict"]["witness"]
+                assert abs(plane["a"] * x + plane["b"] * y) <= 1e-12
+
+
+def test_meridian_witness_zeros_are_positive():
+    # K' = z vanishes at z = -(k0 + k1*x + k2*y)/k3 = -0/1, which floats write -0.0
+    blob = report_json(build_report(*corpus.cubic_strings("z", "x^2 - y^2"), M,
+                                    grid=dynamics.GRID_MIN))
+    assert b"-0.0" not in blob
+    witnesses = [mer["verdict"]["witness"] for plane in json.loads(blob)["meridians"]["planes"]
+                 for mer in plane["meridians"]]
+    assert len(witnesses) == 4 and all(
+        w[2] == 0.0 and math.copysign(1.0, w[2]) == 1.0 for w in witnesses)
 
 
 # -- parallel periodicity ----------------------------------------------------
@@ -601,6 +705,16 @@ def test_indefinite_and_other_zero_sets_are_scanned(text, monkeypatch):
     assert singular_points(field, recognize(field, M), M) == "scanned"
 
 
+@pytest.mark.parametrize("text", ["x^2 - z^2", "z", "x + 2*z", "(y^2 + (z - 1)^2)*(x^2 + 1)",
+                                  "((x - 2)^2 + y^2)*(x^2 + 1)"])
+def test_rotation_scan_sets_are_numeric(text):
+    m = Fraction(3)
+    field = rotation(parse(text, m))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", dynamics.GridResolutionWarning)
+        assert singular_points(field, recognize(field, m), m).numeric_only
+
+
 def test_rotation_shape_detection():
     a_poly = parse("y^2 + (z - 1/2)^2", M)
     field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
@@ -689,7 +803,7 @@ def test_unstable_meridian_attracts_under_time_reversal():
     from torusfields import build_cubic, integrate
 
     params = sect5_params()
-    verdicts = meridian_periodicity(params, M)
+    verdicts = meridian_verdicts(params, M)
     unstable = [mv.angle for mv in verdicts if mv.verdict.stability == "unstable"]
     field = build_cubic(params, M)
     reversed_field = VectorField(-field.P, -field.Q, -field.R)
@@ -1226,7 +1340,7 @@ def test_periodicity_verdicts_match_the_singular_set(m):
         tag = recognize(field, m)
         sing = singular_points(field, tag, m)
         assert all(chi_at(field, m, pt) < 1e-8 for pt, _ in sing.points)
-        for mv in meridian_periodicity(tag.cubic, m):
+        for mv in meridian_verdicts(tag.cubic, m):
             assert_verdict_matches_singular_set(
                 mv.verdict, sing,
                 lambda pt: dynamics._angle_gap((math.atan2(pt[1], pt[0]), 0.0),

@@ -10,11 +10,13 @@ import warnings
 from torusfields import (CubicParams, MultiPoly, QuadraticParams, Scalar,
                          VectorField, X, Y, build_cubic, build_quadratic,
                          recognize, singular_points,
-                         integrate, meridian_periodicity, parse)
+                         integrate, parse)
 from torusfields import dynamics, kernels
 from torusfields.kernels import (compile_finite, compile_poly, eval_grid,
                                  eval_point, rk4_orbit, row_blocks,
                                  surface_angles, surface_blocks)
+
+from conftest import meridian_verdicts
 
 M = Fraction(4)
 
@@ -299,7 +301,7 @@ def test_compile_cache_keyed_on_m_float():
 def test_fallback_full_pipeline():
     # the worked example end to end on the generated evaluator
     params = CubicParams(MultiPoly.constant(1), X * Y, Scalar(0), Scalar(0))
-    verdicts = meridian_periodicity(params, M)
+    verdicts = meridian_verdicts(params, M)
     assert [v.verdict.stability for v in verdicts] == \
         ["stable", "unstable", "stable", "unstable"]
     traj = integrate(build_cubic(params, M), (math.sqrt(5), 0, 0), 1.0, 1e-3, M)
@@ -808,5 +810,6 @@ def test_reducer_gives_the_formula_minimum(n):
             a_poly = parse(text, m)
             field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
             sing = singular_points(field, recognize(field, m), m, n)
-            assert sing.kind.value == "empty" and not sing.numeric_only
+            # the scan's set is numeric, the semidefinite ones exact
+            assert sing.kind.value == "empty" and sing.numeric_only == (text == "z^2 - 4")
             assert sing.grid_min_norm == formula_rotation_speed(compile_poly(a_poly, mf), m, n)
