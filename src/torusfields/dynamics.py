@@ -244,12 +244,6 @@ def meridian_periodicity(params: CubicParams, m: Fraction,
 # -- parallel periodic orbits ----------------------------------------------------
 
 
-def _sqrtm_power(m: Fraction, e: int) -> Scalar:
-    half, odd = divmod(e, 2)
-    base = Fraction(m) ** half
-    return Scalar(0, base, m) if odd else Scalar(base)
-
-
 # (1 - t^2)^i*(2*t)^j*(1 + t^2)^(2 - i - j), ascending in t: cos^i*sin^j*(1 +
 # t^2)^2 at cos = (1 - t^2)/(1 + t^2), sin = 2*t/(1 + t^2), t = tan(theta/2)
 _HALF_ANGLE = {(0, 0): (1, 0, 2, 0, 1), (1, 0): (1, 0, 0, 0, -1), (0, 1): (0, 2, 0, 2, 0),
@@ -266,8 +260,9 @@ def _circle_poly(terms, z0: Fraction, rho2: Fraction) -> UniPoly:
         c = c * z0 ** k if k else c
         by_xy[i, j] = by_xy[i, j] + c if (i, j) in by_xy else c
     coeffs = [0] * 5
+    rho = Scalar.sqrt_m(rho2)
     for (i, j), c in by_xy.items():
-        c = c * _sqrtm_power(rho2, i + j) if i + j else c
+        c = c * rho ** (i + j) if i + j else c
         coeffs = [a + (c if n == 1 else c * n) if n else a
                   for a, n in zip(coeffs, _HALF_ANGLE[i, j])]
     return UniPoly(coeffs)

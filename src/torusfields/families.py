@@ -30,7 +30,7 @@ from .poly import (ONE, MultiPoly, NotDivisible, X, Y, Z, divide_exact,
                    sum_of_products)
 from .scalars import Scalar
 from .vfield import (CofactorResult, RationalFn, VectorField, check_first_integral,
-                     cofactor_on_torus, torus_polynomial, torus_surface)
+                     cofactor_on_torus, torus_surface)
 
 
 class DegreeViolation(ValueError):
@@ -255,18 +255,20 @@ def recognize(field: VectorField, m: Fraction) -> FamilyTag:
     return _recognize(field, m, cofactor_on_torus(field, torus_surface(Fraction(m))))
 
 
+_RADIAL = X * X + Y * Y
+_RADIAL_SQUARED = _RADIAL * _RADIAL
+
+
 def canonical_first_integrals(tag: FamilyTag, m: Fraction) -> list[RationalFn]:
     """Closed-form first integrals known for the tagged family.
 
     Kolmogorov and quadratic fields conserve F / (x^2 + y^2)^2; pseudo-type
     and degree-one fields conserve both x^2 + y^2 and z.
     """
-    radial = X * X + Y * Y
     if tag.family in (Family.KOLMOGOROV, Family.QUADRATIC):
-        return [RationalFn(torus_polynomial(Fraction(m)), radial * radial)]
+        return [RationalFn(torus_surface(Fraction(m)).F, _RADIAL_SQUARED)]
     if tag.family in (Family.PSEUDO_TYPE, Family.DEGREE_ONE):
-        one = MultiPoly.constant(1)
-        return [RationalFn(radial, one), RationalFn(Z, one)]
+        return [RationalFn(_RADIAL, ONE), RationalFn(Z, ONE)]
     raise NoKnownIntegral(f"no catalogued first integral for {tag.family.value}")
 
 

@@ -177,28 +177,6 @@ def parse(text: str, m: Fraction | int) -> MultiPoly:
     return _Parser(text, Fraction(m)).parse()
 
 
-def _rational_str(r: Fraction) -> str:
-    return str(r) if r.denominator == 1 else f"({r})"
-
-
-def _coeff_parts(c: Scalar) -> tuple[bool, str]:
-    """(negate, body) where body multiplies a monomial and re-parses."""
-    if c.q == 0:
-        neg = c.p < 0
-        mag = -c.p if neg else c.p
-        return neg, _rational_str(mag)
-    if c.p == 0:
-        neg = c.q < 0
-        mag = -c.q if neg else c.q
-        body = "a" if mag == 1 else f"{_rational_str(mag)}*a"
-        return neg, body
-    # mixed rational + sqrt part: keep both signs inside one parenthesis
-    q_abs = -c.q if c.q < 0 else c.q
-    q_part = "a" if q_abs == 1 else f"{_rational_str(q_abs)}*a"
-    sign = "-" if c.q < 0 else "+"
-    return False, f"({c.p} {sign} {q_part})"
-
-
 def _monomial_str(exp: tuple[int, int, int]) -> str:
     pieces = []
     for name, e in zip("xyz", exp):
@@ -209,14 +187,32 @@ def _monomial_str(exp: tuple[int, int, int]) -> str:
     return "*".join(pieces)
 
 
+def _grlex(term: tuple) -> tuple:
+    exp = term[0]
+    return exp[0] + exp[1] + exp[2], exp
+
+
+def _coeff_str(pn: int, pd: int, qn: int, qd: int) -> tuple[bool, str]:
+    """(negate, body) of pn/pd + (qn/qd)*a, where body multiplies a monomial
+    and re-parses; a mixed coefficient keeps both signs in one parenthesis."""
+    if not qn:
+        return pn < 0, str(abs(pn)) if pd == 1 else f"({abs(pn)}/{pd})"
+    mag = abs(qn)
+    q_part = ("a" if mag == 1 else f"{mag}*a") if qd == 1 else f"({mag}/{qd})*a"
+    if not pn:
+        return qn < 0, q_part
+    rational = str(pn) if pd == 1 else f"{pn}/{pd}"
+    return False, f"({rational} {'-' if qn < 0 else '+'} {q_part})"
+
+
 def serialize(p: MultiPoly) -> str:
-    """Canonical text form; graded lexicographic term order, x > y > z."""
+    """Canonical text form; graded lexicographic term order, x > y > z.
+    Coefficients are written from their reduced integer parts."""
     if p.is_zero():
         return "0"
-    keys = sorted(p.terms, key=lambda e: (sum(e), e[0], e[1]), reverse=True)
     chunks: list[str] = []
-    for exp in keys:
-        neg, body = _coeff_parts(p.terms[exp])
+    for exp, (pn, pd), (qn, qd) in sorted(p.int_terms(), key=_grlex, reverse=True):
+        neg, body = _coeff_str(pn, pd, qn, qd)
         mono = _monomial_str(exp)
         if mono:
             text = mono if body == "1" else f"{body}*{mono}"

@@ -19,8 +19,10 @@ m raises :class:`~torusfields.scalars.MixedExtensionError`, as for Scalars.
 
 :class:`MultiPoly` maps exponent triples ``(i, j, k)`` (powers of x, y, z) to
 coefficients; :attr:`MultiPoly.terms` is a read-only ``exp -> Scalar`` view
-built on first use.  :class:`UniPoly` is a dense univariate polynomial
-(ascending coefficients) for restrictions of a MultiPoly to one variable:
+built on first use, and :meth:`MultiPoly.int_terms` reads each coefficient's
+reduced rational and sqrt(m) parts as int pairs, with no Scalar.
+:class:`UniPoly` is a dense univariate polynomial (ascending coefficients)
+for restrictions of a MultiPoly to one variable:
 the slope parameter t of a meridian plane, or z for parallel planes.  Its
 gcd is a primitive polynomial remainder sequence (Collins 1967; Brown &
 Traub 1971) on the integer numerators: each pseudo-remainder has its
@@ -210,6 +212,19 @@ class MultiPoly:
             self._terms = {e: _to_scalar(p.get(e, 0), q.get(e, 0), den, m)
                            for e in self._keys()}
         return self._terms
+
+    def int_terms(self) -> Iterator[tuple[Exponent, tuple[int, int], tuple[int, int]]]:
+        """``(exp, (pn, pd), (qn, qd))`` per term, unordered: the coefficient
+        is ``pn/pd + (qn/qd)*sqrt(m)``, each pair in lowest terms with a
+        positive denominator, ``(0, 1)`` for an absent part."""
+        p, q, den = self._p, self._q, self._den
+        md = self.m.denominator if q else 1
+        gcd = math.gcd
+        for e in self._keys():
+            pn, qn = p.get(e, 0), q.get(e, 0) * md
+            g = gcd(pn, den)
+            h = gcd(qn, den)
+            yield e, (pn // g, den // g), (qn // h, den // h)
 
     @property
     def degree(self) -> int | float:

@@ -8,9 +8,9 @@ identical inputs produce byte-identical JSON.
 
 from __future__ import annotations
 
-import json
 import math
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .curves import (MeridianSet, ParallelSet, check_four_meridian_criterion,
@@ -231,5 +231,64 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
     return report
 
 
+def _float_text(v: float) -> str:
+    if v != v:
+        return "NaN"
+    if v == math.inf:
+        return "Infinity"
+    if v == -math.inf:
+        return "-Infinity"
+    return float.__repr__(v)
+
+
+def _write(value, indent: str, out: list[str]) -> None:
+    """Append the text json.dumps(value, sort_keys=True, indent=2) writes for
+    ``value`` nested at ``indent``, in its type checks' order.  Keys must be
+    strings: quoting any other key is a TypeError, where json.dumps would
+    convert it."""
+    if isinstance(value, str):
+        out.append(_quote(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        out.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("[\n" + inner)
+        for item in value:
+            _write(item, inner, out)
+            out.append(sep)
+        out[-1] = "\n" + indent + "]"     # the closer replaces the last sep
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = ",\n" + inner
+        out.append("{\n" + inner)
+        for key, item in sorted(value.items()):
+            out.append(_quote(key) + ": ")
+            _write(item, inner, out)
+            out.append(sep)
+        out[-1] = "\n" + indent + "}"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def report_json(report: dict) -> bytes:
-    return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+    """``json.dumps(report, sort_keys=True, indent=2)`` plus one newline, as
+    ASCII bytes, written in one recursive pass."""
+    out: list[str] = []
+    _write(report, "", out)
+    out.append("\n")
+    return "".join(out).encode()

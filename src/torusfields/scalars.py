@@ -18,9 +18,10 @@ state: a scalar with a nonzero irrational part remembers its ``m``, and
 binary operations refuse to mix two different parameters.
 
 Scalars are the boundary type: parser literals, polynomial coefficients read
-through ``coefficient()`` or ``terms``, family parameters and serialization.
-Polynomial arithmetic does not run on them; :mod:`torusfields.poly` keeps
-integer numerators over a shared denominator and converts at the boundary.
+through ``coefficient()`` or ``terms``, and family parameters.  Polynomial
+arithmetic and serialization do not run on them; :mod:`torusfields.poly`
+keeps integer numerators over a shared denominator and converts at the
+boundary.
 """
 
 from __future__ import annotations
@@ -144,11 +145,28 @@ class Scalar:
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> "Scalar":
-        """self**n for an integer n >= 0."""
-        out = Scalar(1)
-        for _ in range(n):
-            out = out * self
-        return out
+        """self**n for an integer n >= 0; ``x ** 0`` is 1, zero included.
+
+        A rational or a pure ``q*sqrt(m)`` is raised in closed form,
+        ``q^n * m^(n//2)`` times sqrt(m) for odd n; a mixed scalar by
+        square-and-multiply.
+        """
+        if n < 0:
+            raise ValueError("negative power of a scalar")
+        if not self.q:
+            return Scalar._make(self.p ** n, _F0, None)
+        if not self.p:
+            half, odd = divmod(n, 2)
+            r = self.q ** n * self.m ** half
+            return Scalar._make(_F0, r, self.m) if odd else Scalar._make(r, _F0, None)
+        out, base = ONE, self
+        while True:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if not n:
+                return out
+            base = base * base
 
     def inverse(self) -> "Scalar":
         """Multiplicative inverse; ZeroDivisionError for zero only."""

@@ -93,3 +93,44 @@ def substitute(p: MultiPoly, var: str, replacement) -> MultiPoly:
         rest[idx] = 0
         out = out + repl ** exp[idx] * MultiPoly.monomial(tuple(rest), coeff)
     return out
+
+
+def _reference_rational(r: Fraction) -> str:
+    return str(r) if r.denominator == 1 else f"({r})"
+
+
+def _reference_coeff(c: Scalar) -> tuple[bool, str]:
+    """(negate, body) where body multiplies a monomial and re-parses."""
+    if c.q == 0:
+        neg = c.p < 0
+        return neg, _reference_rational(-c.p if neg else c.p)
+    if c.p == 0:
+        neg = c.q < 0
+        mag = -c.q if neg else c.q
+        return neg, "a" if mag == 1 else f"{_reference_rational(mag)}*a"
+    # mixed rational + sqrt part: keep both signs inside one parenthesis
+    q_abs = -c.q if c.q < 0 else c.q
+    q_part = "a" if q_abs == 1 else f"{_reference_rational(q_abs)}*a"
+    return False, f"({c.p} {'-' if c.q < 0 else '+'} {q_part})"
+
+
+def reference_serialize(p: MultiPoly) -> str:
+    """The canonical text form written from Scalar coefficients
+    (``p.terms``): the reference that ``serialize`` must match byte for byte."""
+    if p.is_zero():
+        return "0"
+    keys = sorted(p.terms, key=lambda e: (sum(e), e[0], e[1]), reverse=True)
+    chunks: list[str] = []
+    for exp in keys:
+        neg, body = _reference_coeff(p.terms[exp])
+        mono = "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip("xyz", exp) if e)
+        if mono:
+            text = mono if body == "1" else f"{body}*{mono}"
+        else:
+            text = body
+        if not chunks:
+            chunks.append(f"-{text}" if neg else text)
+        else:
+            chunks.append(f"- {text}" if neg else f"+ {text}")
+    return " ".join(chunks)

@@ -7,7 +7,7 @@ import pytest
 from torusfields import MultiPoly, ParseError, Scalar, X, Y, Z, parse, serialize
 from torusfields.parsing import MAX_EXPONENT
 
-from conftest import random_poly
+from conftest import random_poly, reference_serialize
 
 M = Fraction(4)
 M_IRR = Fraction(5)
@@ -80,6 +80,41 @@ def test_round_trip_bulk():
     for _ in range(1000):
         p = random_poly(rng, max_degree=6, max_terms=12, m=M_IRR, sqrt_part=True)
         assert parse(serialize(p), M_IRR) == p
+
+
+def _wide_rational(rng: random.Random) -> Fraction:
+    """Numerators up to 10^40, denominators from 1 to 10^12."""
+    if rng.random() < 0.2:
+        return Fraction(rng.choice((1, -1)))
+    bound = 10 ** rng.randint(0, 40)
+    den = rng.choice((1, 1, 2, 3, 6, 7, 12, rng.randint(1, 10 ** 12)))
+    return Fraction(rng.randint(-bound, bound), den)
+
+
+def _wide_coefficient(rng: random.Random, m: Fraction) -> Scalar:
+    kind = rng.randrange(4)
+    if kind == 0:
+        return Scalar(0)
+    if kind == 1:
+        return Scalar(_wide_rational(rng))
+    if kind == 2:
+        return Scalar(0, _wide_rational(rng), m)
+    return Scalar(_wide_rational(rng), _wide_rational(rng), m)
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2),
+                               Fraction(5, 4), Fraction(2)])
+def test_serialize_matches_the_scalar_reference(m):
+    # zero, rational, pure-sqrt and mixed coefficients; at m = 4 the sqrt
+    # parts fold to rationals, at 9/2 and 5/4 sqrt(m) has a denominator
+    rng = random.Random(int(m * 4))
+    for _ in range(4000):
+        terms = {}
+        for _ in range(rng.randint(0, 8)):
+            exp = tuple(rng.randint(0, 3) for _ in range(3))
+            terms[exp] = _wide_coefficient(rng, m)
+        p = MultiPoly(terms)
+        assert serialize(p) == reference_serialize(p), terms
 
 
 def test_round_trip_graded_order_stable():

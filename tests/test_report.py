@@ -1,7 +1,23 @@
+import importlib
 import json
+import math
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
 
 from torusfields import Verdict, build_report, kernels, parse, report_json
+
+from conftest import reference_serialize
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import corpus  # noqa: E402
+import workloads  # noqa: E402
+
+CONTRACT_MS = [Fraction(4), Fraction(3), Fraction(9, 2), Fraction(5, 4), Fraction(2)]
 
 SECT5 = dict(px="(1/4)*x*z + x*y^2", qy="(1/4)*y*z - x^2*y",
              rz="(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)")
@@ -112,3 +128,58 @@ def test_report_bytes_repeat_across_m_and_grid():
             blob = report_json(build_report(m=Fraction(m), grid=grid, **field))
             assert first.setdefault((name, m, grid), blob) == blob
     assert len(first) == 8
+
+
+def _stdlib_bytes(obj) -> bytes:
+    return (json.dumps(obj, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("grid", [512, 200])
+def test_report_json_is_the_stdlib_bytes(grid, tmp_path):
+    # the named corpus at five m, and the report_corpus inputs of seeds 1-4
+    specs = [spec for m in CONTRACT_MS for spec in corpus.named_corpus(m)]
+    for seed in (1, 2, 3, 4):
+        specs += workloads.ReportCorpus(seed, str(tmp_path)).inputs
+    for spec in specs:
+        report = build_report(spec.px, spec.qy, spec.rz, spec.m, grid=grid)
+        assert report_json(report) == _stdlib_bytes(report), (spec.name, spec.m)
+
+
+def test_report_json_matches_the_stdlib_on_every_value_kind():
+    text = 'quote " backslash \\ controls \x00\x07\x1f\n\r\t\x7f non-ASCII \xe9 \u222e \U0001d517'
+    obj = {
+        "floats": [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1e308, 0.1,
+                   1e16, 123456789.125, np.float64(1 / 3)],
+        "ints": [0, -1, 10 ** 40, -(10 ** 40)],
+        "bools": [True, False],
+        "none": None,
+        "empty": {"dict": {}, "list": [], "nested": {"b": [[]], "a": {}, "c": [{}, []]}},
+        "tuple": (1, (2.5, "t"), ()),
+        text: text,
+        "": [text, ""],
+        "numpy": np.float64(-2.5),
+    }
+    assert report_json(obj) == _stdlib_bytes(obj)
+    assert report_json({}) == _stdlib_bytes({})
+    for bad in ({1: "int key"}, {"set": {1}}):
+        with pytest.raises(TypeError):
+            report_json(bad)
+
+
+@pytest.mark.parametrize("m", CONTRACT_MS)
+def test_report_polynomials_match_the_scalar_reference(m, monkeypatch):
+    # every polynomial and constant a named-corpus report writes
+    report_module = importlib.import_module("torusfields.report")
+    serialize = report_module.serialize
+    seen = []
+
+    def checked(p):
+        seen.append(p)
+        text = serialize(p)
+        assert text == reference_serialize(p)
+        return text
+
+    monkeypatch.setattr(report_module, "serialize", checked)
+    for spec in corpus.named_corpus(m):
+        build_report(spec.px, spec.qy, spec.rz, m, grid=64)
+    assert len(seen) > 50

@@ -124,3 +124,24 @@ def test_sign_matches_float(a):
     value = a.to_float()
     if abs(value) > 1e-9:
         assert a.sign() == (1 if value > 0 else -1)
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(9, 4), Fraction(5), Fraction(9, 2)])
+def test_power_matches_repeated_multiplication(m):
+    # rational, pure-sqrt, mixed and zero bases, at square and non-square m
+    bases = [Scalar(0), Scalar(1), Scalar(Fraction(-3, 2)), Scalar(0, 1, m),
+             Scalar(0, Fraction(-2, 3), m), Scalar(Fraction(1, 2), Fraction(-5, 3), m),
+             Scalar(7, 1, m)]
+    for base in bases:
+        want = Scalar(1)
+        for n in range(65):
+            got = base ** n
+            assert (got.p, got.q, got.m) == (want.p, want.q, want.m), (base, n)
+            want = want * base
+
+
+def test_negative_power_raises():
+    for base, n in ((Scalar(2), -1), (Scalar(0, 1, 3), -2), (Scalar(1, 1, 3), -1),
+                    (Scalar(0), -1)):
+        with pytest.raises(ValueError):
+            base ** n
