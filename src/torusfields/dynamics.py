@@ -40,6 +40,7 @@ the scan's grids once the set is known to be empty.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -268,48 +269,26 @@ def _circle_poly(terms, z0: Fraction, rho2: Fraction) -> UniPoly:
     return UniPoly(coeffs)
 
 
-def _parallel_obstruction_poly(params: TwoParallelParams, m: Fraction,
-                               which: int) -> UniPoly:
-    """The obstruction in t = tan(theta/2), times (1 + t^2)^2.
-
-    On z = which, M = m*g with g = f - which*(p*y - q*x)/2; the roots of the
-    returned polynomial, and theta = pi when its degree is below 4, are the
-    angles where the parallel carries a singular point.
-    """
-    half = Fraction(which, 2)
-    return _circle_poly([*params.f.terms.items(), ((0, 1, 0), -params.p * half),
-                         ((1, 0, 0), params.q * half)], Fraction(which), m)
-
-
+@functools.lru_cache(maxsize=1)
 def _parallel_obstructions(params: TwoParallelParams, m: Fraction
-                           ) -> dict[int, tuple[UniPoly, list]]:
+                           ) -> dict[int, tuple[UniPoly, tuple]]:
     """which -> (obstruction, its real roots) for the parallels z = +1 and z
-    = -1 (:func:`_parallel_obstruction_poly`); a zero obstruction has none."""
+    = -1; a zero obstruction has no roots.  One entry is kept, and every
+    caller reads the same dict: a report asks for both verdicts and then the
+    singular set of the same field.
+
+    The obstruction is in t = tan(theta/2), times (1 + t^2)^2.  On z =
+    which, M = m*g with g = f - which*(p*y - q*x)/2; its roots, and theta =
+    pi when its degree is below 4, are the angles where the parallel carries
+    a singular point.
+    """
     out = {}
     for which in (1, -1):
-        poly = _parallel_obstruction_poly(params, m, which)
-        out[which] = poly, real_roots(poly) if poly else []
+        half = Fraction(which, 2)
+        poly = _circle_poly([*params.f.terms.items(), ((0, 1, 0), -params.p * half),
+                             ((1, 0, 0), params.q * half)], Fraction(which), m)
+        out[which] = poly, tuple(real_roots(poly)) if poly else ()
     return out
-
-
-def _parallel_verdict(obstruction: UniPoly, roots: list, m: Fraction,
-                      which: int) -> PeriodicityVerdict:
-    """The verdict on z = which from its obstruction and the obstruction's roots."""
-    if obstruction.is_zero():
-        witness = _surface_point(0.0, math.pi / 2 * which, float(m))
-        return PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=witness,
-                                  reason="every point of the parallel is singular")
-    witnesses = [2.0 * math.atan(t) for t, _ in roots]
-    if obstruction.degree < 4:
-        witnesses.append(math.pi)
-    if witnesses:
-        theta = witnesses[0] % (2.0 * math.pi)
-        mf = float(m)
-        a = math.sqrt(mf)
-        witness = (a * math.cos(theta), a * math.sin(theta), float(which))
-        return PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=witness,
-                                  reason=f"singular point at theta = {theta:.12g}")
-    return PeriodicityVerdict(Verdict.PERIODIC_ORBIT)
 
 
 def parallel_periodicity(params: TwoParallelParams, m: Fraction,
@@ -319,9 +298,21 @@ def parallel_periodicity(params: TwoParallelParams, m: Fraction,
         raise ValueError("which must be +1 or -1")
     if params.p.is_zero() and params.q.is_zero():
         raise ValueError("two-parallel family requires (p, q) != (0, 0)")
-    obstruction = _parallel_obstruction_poly(params, Fraction(m), which)
-    return _parallel_verdict(obstruction, real_roots(obstruction) if obstruction else [],
-                             m, which)
+    obstruction, roots = _parallel_obstructions(params, Fraction(m))[which]
+    if obstruction.is_zero():
+        witness = _surface_point(0.0, math.pi / 2 * which, float(m))
+        return PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=witness,
+                                  reason="every point of the parallel is singular")
+    witnesses = [2.0 * math.atan(t) for t, _ in roots]
+    if obstruction.degree < 4:
+        witnesses.append(math.pi)
+    if witnesses:
+        theta = witnesses[0] % (2.0 * math.pi)
+        a = math.sqrt(float(m))
+        witness = (a * math.cos(theta), a * math.sin(theta), float(which))
+        return PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=witness,
+                                  reason=f"singular point at theta = {theta:.12g}")
+    return PeriodicityVerdict(Verdict.PERIODIC_ORBIT)
 
 
 # -- singular points --------------------------------------------------------------
@@ -783,8 +774,7 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
     scan of (L, M), or of (G2, G1) outside the cubic form."""
     _check_grid(grid)
     if tag.family == Family.TWO_PARALLEL:
-        return _two_parallel_singular(field, tag, Fraction(m), grid,
-                                      _parallel_obstructions(tag.params, Fraction(m)))
+        return _two_parallel_singular(field, tag, Fraction(m), grid)
     cubic = tag.cubic
     if cubic is not None and cubic.beta.is_zero() and cubic.gamma.is_zero():
         kprime, f = cubic.Kprime, cubic.f
@@ -953,7 +943,7 @@ def _height_singular(field: VectorField, cubic: CubicParams, m: Fraction,
         field, cubic.Kprime, cubic.f, m, grid))
 
 
-def _circle_points(poly: UniPoly, roots: list, rho2: Fraction,
+def _circle_points(poly: UniPoly, roots: list | tuple, rho2: Fraction,
                    z: float) -> list[tuple[float, float, float]]:
     """The points of the circle x^2 + y^2 = rho2 at height z where a nonzero
     :func:`_circle_poly` vanishes: at its real ``roots`` t = tan(theta/2),
@@ -967,10 +957,10 @@ def _circle_points(poly: UniPoly, roots: list, rho2: Fraction,
     return points
 
 
-def _two_parallel_singular(field: VectorField, tag: FamilyTag, m: Fraction, grid: int,
-                           obstructions: dict[int, tuple[UniPoly, list]]) -> SingularSet:
+def _two_parallel_singular(field: VectorField, tag: FamilyTag, m: Fraction,
+                           grid: int) -> SingularSet:
     """The singular set of a two-parallel field, from the parallels'
-    ``obstructions`` (:func:`_parallel_obstructions`).
+    obstructions (:func:`_parallel_obstructions`).
 
     L = (p*x + q*y)*ring/2, so the set lies on z = +-1, where M = m*g and
     the points are those of :func:`_circle_points` (a zero obstruction is a
@@ -978,9 +968,8 @@ def _two_parallel_singular(field: VectorField, tag: FamilyTag, m: Fraction, grid
     empty set's least |chi| folds M's blocks with L = (p*cos(theta) +
     q*sin(theta))/2 * r*cos(phi), so L^2*w enters as an outer product of a
     theta and a phi factor, with no grid kept."""
-    _check_grid(grid)
     points, curves = _plane_points(tag.params, m), 0
-    for which, (poly, roots) in obstructions.items():
+    for which, (poly, roots) in _parallel_obstructions(tag.params, m).items():
         if poly.is_zero():
             curves += 1
         else:

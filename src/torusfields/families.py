@@ -95,8 +95,10 @@ class FamilyTag:
     family: Family
     params: object | None
     matches: tuple[Family, ...] = ()
-    # the cubic form the families are read from, derived: not compared
+    # derived, not compared: the cubic form the families are read from, and
+    # the cofactor on the torus (None off the torus)
     cubic: CubicParams | None = dataclasses.field(default=None, compare=False)
+    cofactor: MultiPoly | None = dataclasses.field(default=None, compare=False)
 
 
 
@@ -214,8 +216,9 @@ def _pseudo_type_params(field: VectorField) -> PseudoTypeParams | None:
     return PseudoTypeParams(n=a.degree + 1, A=a)
 
 
-def _recognize(field: VectorField, m: Fraction, cof: CofactorResult) -> FamilyTag:
-    """``recognize`` given the field's cofactor on the torus at m."""
+def recognize(field: VectorField, m: Fraction) -> FamilyTag:
+    """Most specific family tag, with every other matching family recorded."""
+    cof = cofactor_on_torus(field, torus_surface(Fraction(m)))
     if not cof.on_torus:
         return FamilyTag(Family.NOT_ON_TORUS, None)
     cubic = _cubic_form(field, cof)
@@ -245,14 +248,9 @@ def _recognize(field: VectorField, m: Fraction, cof: CofactorResult) -> FamilyTa
     if cubic is not None:
         hits.append((Family.CUBIC, cubic))
     if not hits:
-        return FamilyTag(Family.UNCLASSIFIED, None)
+        return FamilyTag(Family.UNCLASSIFIED, None, cofactor=cof.K)
     family, params = hits[0]
-    return FamilyTag(family, params, tuple(f for f, _ in hits), cubic)
-
-
-def recognize(field: VectorField, m: Fraction) -> FamilyTag:
-    """Most specific family tag, with every other matching family recorded."""
-    return _recognize(field, m, cofactor_on_torus(field, torus_surface(Fraction(m))))
+    return FamilyTag(family, params, tuple(f for f, _ in hits), cubic, cof.K)
 
 
 _RADIAL = X * X + Y * Y

@@ -141,6 +141,9 @@ def _circle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def surface_angles(m: float, n: int) -> tuple[np.ndarray, ...]:
     """Read-only (angles, cos, sin, sqrt(m + cos)) of the n-point angle grid;
     the angle, cos and sin tables are the same arrays for every m."""
+    if not m > 1.0:
+        raise ValueError(f"m is {m!r} as a float, not above 1: every grid's radius "
+                         "sqrt(m + cos(phi)) is 0 at phi = pi")
     angles, cos, sin = _circle(n)
     r = np.sqrt(m + cos)
     r.flags.writeable = False

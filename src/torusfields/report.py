@@ -16,17 +16,15 @@ from . import __version__
 from .curves import (MeridianSet, ParallelSet, check_four_meridian_criterion,
                      invariant_meridians, invariant_parallels)
 from .dynamics import (MeridianVerdict, PeriodicityVerdict, SingularSet,
-                       Verdict, _parallel_obstructions, _parallel_verdict,
-                       _two_parallel_singular, meridian_periodicity,
+                       Verdict, meridian_periodicity, parallel_periodicity,
                        singular_points)
 from .families import (CubicParams, DegreeOneParams, Family,
                        KolmogorovParams, PseudoTypeParams, QuadraticParams,
-                       TwoParallelParams, _recognize,
-                       verified_first_integrals)
+                       TwoParallelParams, recognize, verified_first_integrals)
 from .parsing import parse, serialize
 from .poly import MultiPoly
 from .scalars import Scalar
-from .vfield import VectorField, cofactor_on_torus, torus_surface
+from .vfield import VectorField
 
 
 def _scalar_expr(s: Scalar) -> str:
@@ -126,7 +124,8 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
     """Run the whole pipeline on one field and return the report dict."""
     m = Fraction(m)
     field = VectorField(parse(px, m), parse(qy, m), parse(rz, m))
-    cof = cofactor_on_torus(field, torus_surface(m))
+    tag = recognize(field, m)
+    on_torus = tag.family != Family.NOT_ON_TORUS
     report: dict = {
         "schema": "torus-fields/1",
         "version": __version__,
@@ -137,21 +136,16 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
             "R": serialize(field.R),
             "degree": None if field.is_zero() else int(field.degree),
         },
-        "on_torus": cof.on_torus,
+        "on_torus": on_torus,
+        "cofactor": serialize(tag.cofactor) if on_torus else None,
+        "family": {
+            "tag": tag.family.value,
+            "params": _params_dict(tag.params),
+            "also_matches": [f.value for f in tag.matches if f != tag.family],
+        },
     }
-    if not cof.on_torus:
-        report["cofactor"] = None
-        report["family"] = {"tag": Family.NOT_ON_TORUS.value, "params": None,
-                            "also_matches": []}
+    if not on_torus:
         return report
-    report["cofactor"] = serialize(cof.K)
-
-    tag = _recognize(field, m, cof)
-    report["family"] = {
-        "tag": tag.family.value,
-        "params": _params_dict(tag.params),
-        "also_matches": [f.value for f in tag.matches if f != tag.family],
-    }
 
     meridians = invariant_meridians(field)
     parallels = invariant_parallels(field)
@@ -160,16 +154,12 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
     meridian_blanket: PeriodicityVerdict | None = None
     parallel_verdicts: dict[Fraction, PeriodicityVerdict] | None = None
     parallel_blanket: PeriodicityVerdict | None = None
-    # a two-parallel field's parallel obstructions and their roots, read by
-    # both the parallel verdicts and the singular set
-    obstructions = None
 
     if tag.family == Family.CUBIC and isinstance(tag.params, CubicParams) \
             and check_four_meridian_criterion(tag.params):
         meridian_verdicts = meridian_periodicity(tag.params, m, meridians.planes)
     elif tag.family == Family.TWO_PARALLEL and isinstance(tag.params, TwoParallelParams):
-        obstructions = _parallel_obstructions(tag.params, m)
-        parallel_verdicts = {Fraction(w): _parallel_verdict(*obstructions[w], m, w)
+        parallel_verdicts = {Fraction(w): parallel_periodicity(tag.params, m, w)
                              for w in (1, -1)}
     elif tag.family == Family.QUADRATIC and isinstance(tag.params, QuadraticParams) \
             and not tag.params.alpha.is_zero():
@@ -205,9 +195,7 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
         "verified": ok,
     } for h, ok in verified_first_integrals(field, tag, m)]
 
-    sing = (singular_points(field, tag, m, grid=grid) if obstructions is None
-            else _two_parallel_singular(field, tag, m, grid, obstructions))
-    report["singular_set"] = _singular_dict(sing)
+    report["singular_set"] = _singular_dict(singular_points(field, tag, m, grid=grid))
 
     degree = None if field.is_zero() else int(field.degree)
     if degree is not None and degree >= 1:

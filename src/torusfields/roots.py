@@ -2,8 +2,8 @@
 
 :func:`real_roots` splits a polynomial into square-free parts with Yun's
 algorithm, divides out the rational roots of each part (returned as exact
-Fractions; the search has a coefficient-size limit) and isolates the
-remaining roots with an exact Sturm sequence.
+Fractions; past the search's coefficient-size limit the Sturm isolation
+finds them) and isolates the remaining roots with an exact Sturm sequence.
 The Sturm sequence is the primitive remainder sequence of
 :mod:`torusfields.poly` on the integer numerators, each remainder negated
 up to a positive factor.  Its signs at ``t = a/b`` come from integer Horner
@@ -137,28 +137,40 @@ def _values_at(pq: tuple[list[int], list[int]], t: Fraction) -> tuple[int, int]:
     return _horner(p, t.numerator, t.denominator), _horner(q, t.numerator, t.denominator)
 
 
-def _rational_root_candidates(g: UniPoly) -> list[tuple[int, int]]:
-    """Candidates (num, den) of the rational-root theorem for the integer
-    shadow of g, each in lowest terms with den > 0 and each once.
-
-    A rational t is a root of g = A + B*sqrt(m) only if A(t) = B(t) = 0, so
-    the shadow is A, or B when A vanishes, scaled to the least integers
-    with the same ratios.
-    """
+def _shadow(g: UniPoly) -> list[int]:
+    """The integer shadow of g: a rational t is a root of g = A + B*sqrt(m)
+    only if A(t) = B(t) = 0, so the shadow is A, or B when A vanishes,
+    scaled to the least integers with the same ratios."""
     shadow = g.p if any(g.p) else [c * g.m.denominator for c in g.q]
     content = math.gcd(g.den, *shadow)
-    ints = [c // content for c in shadow]
+    return [c // content for c in shadow]
+
+
+def _unsearched_lead(ints: list[int]) -> int | None:
+    """|leading coefficient| of the integer shadow ``ints`` when an end
+    coefficient exceeds RATIONAL_ROOT_LIMIT, so the rational-root search
+    skips it; None when the search runs.  The denominator of every rational
+    root then divides the returned value."""
+    low = next((i for i, c in enumerate(ints) if c), len(ints))
+    if low >= len(ints) - 1 or (abs(ints[low]) <= RATIONAL_ROOT_LIMIT
+                                and abs(ints[-1]) <= RATIONAL_ROOT_LIMIT):
+        return None
+    return abs(next(c for c in reversed(ints) if c))
+
+
+def _rational_root_candidates(g: UniPoly) -> list[tuple[int, int]]:
+    """Candidates (num, den) of the rational-root theorem for the integer
+    shadow of g, each in lowest terms with den > 0 and each once."""
+    ints = _shadow(g)
     candidates: list[tuple[int, int]] = []
     low = 0
     while low < len(ints) and ints[low] == 0:
         low += 1
     if low > 0:
         candidates.append((0, 1))
-    if low >= len(ints) - 1:
+    if low >= len(ints) - 1 or _unsearched_lead(ints) is not None:
         return candidates
     a0, an = ints[low], ints[-1]
-    if abs(a0) > RATIONAL_ROOT_LIMIT or abs(an) > RATIONAL_ROOT_LIMIT:
-        return candidates
     dens = set(_divisors(an))
     for num in set(_divisors(a0)):
         for den in dens:
@@ -176,10 +188,15 @@ class _RationalHit(Exception):
     """A Sturm evaluation point (args[0]) is a root of the polynomial."""
 
 
-def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None) -> list[float]:
+def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None,
+                 lead: int | None = None) -> list[float]:
     """Roots of the square-free s in the closed interval (None: the line).
 
-    Raises _RationalHit when an evaluation point is a root of s.
+    Raises _RationalHit when an evaluation point is a root of s.  With
+    ``lead``, a bound that every rational root's denominator divides, each
+    isolating interval is also bisected below 1/(2*lead^2): two fractions
+    with denominators <= lead lie at least 1/lead^2 apart, so a rational root
+    in it is the fraction nearest its midpoint, and that fraction is tried.
     """
     r = radicand(s.m)
     deriv = s.derivative()
@@ -195,11 +212,27 @@ def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None) -> list
         signs = [v for v in signs if v]
         return sum(a != b for a, b in zip(signs, signs[1:]))
 
-    def count(t: Fraction) -> int:
-        head = _sign(*_values_at(chain[0], t), r)
-        if head == 0:
+    def head(t: Fraction) -> int:
+        sign = _sign(*_values_at(chain[0], t), r)
+        if sign == 0:
             raise _RationalHit(t)
-        return variations([head] + [_sign(*_values_at(pq, t), r) for pq in chain[1:]])
+        return sign
+
+    def count(t: Fraction) -> int:
+        return variations([head(t)] + [_sign(*_values_at(pq, t), r) for pq in chain[1:]])
+
+    def try_rational(a: Fraction, b: Fraction) -> None:
+        """Raise _RationalHit at the root in (a, b) if it is rational."""
+        sign_a, width = head(a), Fraction(1, 2 * lead * lead)
+        while b - a >= width:
+            mid = (a + b) / 2
+            if head(mid) == sign_a:
+                a = mid
+            else:
+                b = mid
+        t = ((a + b) / 2).limit_denominator(lead)
+        if a < t < b:
+            head(t)
 
     # sign of each member's leading coefficient, and at -inf
     v_lead = [_sign(p[-1], q[-1] if q else 0, r) for p, q in chain]
@@ -225,6 +258,8 @@ def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None) -> list
         a, b, va, vb = stack.pop()
         if va - vb == 1:
             # one simple root: s changes sign across (a, b)
+            if lead is not None:
+                try_rational(a, b)
             roots.append(_polish(coeffs, float(a), float(b)))
         elif va - vb > 1:
             mid = (a + b) / 2
@@ -241,10 +276,10 @@ def real_roots(u: UniPoly, interval: tuple | None = None
     A rational root is an exact Fraction when it is the root of a degree-1
     square-free part, when a Sturm evaluation point lands on it, or when the
     rational-root search finds it; that search skips parts whose integer
-    shadow has an end coefficient above RATIONAL_ROOT_LIMIT, so a rational
-    root of such a part of degree >= 2 can come back as a float.  Any other
-    root is a float polished inside an isolating interval certified by an
-    exact Sturm count.
+    shadow has an end coefficient above RATIONAL_ROOT_LIMIT, and the Sturm
+    isolation of such a part tries the one fraction each isolating interval
+    can hold (:func:`_sturm_roots`).  Any other root is a float polished
+    inside an isolating interval certified by an exact Sturm count.
     """
     if u.is_zero():
         raise ValueError("real_roots of the zero polynomial")
@@ -254,6 +289,7 @@ def real_roots(u: UniPoly, interval: tuple | None = None
     out: list[tuple[Fraction | float, int]] = []
     for part, mult in square_free_parts(u):
         found: list[Fraction | float] = []
+        lead = _unsearched_lead(_shadow(part))
         for r in _rational_roots(part):
             if bounds is None or bounds[0] <= r <= bounds[1]:
                 found.append(r)
@@ -266,7 +302,7 @@ def real_roots(u: UniPoly, interval: tuple | None = None
                     found.append(root)
                 break
             try:
-                found += _sturm_roots(part, bounds)
+                found += _sturm_roots(part, bounds, lead)
                 break
             except _RationalHit as hit:
                 t = hit.args[0]

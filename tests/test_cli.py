@@ -63,6 +63,44 @@ def test_m_must_exceed_one(capsys):
     assert "exceed 1" in capsys.readouterr().err
 
 
+# m = 1 + 10^-19 exceeds 1 but is 1.0 as a float, so every grid's radius
+# sqrt(m + cos(phi)) is 0 at phi = pi: the grid paths reject it for that
+NEAR_ONE = "1.0000000000000000001"
+BOWL = ["--px", "(y^2 + (z - 1/2)^2)*y", "--qy", "-(y^2 + (z - 1/2)^2)*x", "--rz", "0"]
+
+
+@pytest.mark.parametrize("command, field", [("singular", ["--px", "y", "--qy", "-x", "--rz", "0"]),
+                                            ("report", ["--px", "y", "--qy", "-x", "--rz", "0"]),
+                                            ("report", SECT5)],
+                         ids=["rotation-singular", "rotation-report", "worked-report"])
+def test_m_that_is_one_as_a_float_is_rejected_on_the_grid(command, field, capsys):
+    code = main([command, *field, "--m", NEAR_ONE])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == ("error: m is 1.0 as a float, not above 1: every grid's "
+                            "radius sqrt(m + cos(phi)) is 0 at phi = pi\n")
+    assert captured.out == ""
+
+
+def test_bowl_at_m_that_is_one_as_a_float_needs_no_grid(capsys):
+    assert main(["report", *BOWL, "--m", NEAR_ONE]) == 0
+    sing = json.loads(capsys.readouterr().out)["singular_set"]
+    assert sing["kind"] == "isolated-points" and len(sing["points"]) == 4
+
+
+def test_near_planes_past_the_rational_root_search_are_exact(capsys):
+    # f = (y - x)*(y - (1 + 1/10^8)*x): the second slope's end coefficients
+    # are beyond the rational-root search, yet its plane is exact
+    f = "((y - x)*(y - (1 + 1/10^8)*x))"
+    field = ["--px", f"(1/4)*x*z + {f}*y", "--qy", f"(1/4)*y*z - {f}*x",
+             "--rz", "(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)"]
+    assert main(["meridians", *field, "--m", "4"]) == 0
+    assert capsys.readouterr().out == (
+        "4 invariant meridian(s) from 2 plane(s):\n"
+        "  x - y = 0   multiplicity 1\n"
+        "  100000001*x - 100000000*y = 0   multiplicity 1\n")
+
+
 def test_bracket_worked_example(capsys):
     code = main(["bracket",
                  "--px", "x^2*z", "--qy", "x*y*z",

@@ -469,7 +469,7 @@ def test_parallel_obstruction_matches_the_products():
                 params = TwoParallelParams(params.p + Scalar(0, 1, m), params.q,
                                            params.f + X * Scalar(0, Fraction(1, 3), m))
             for which in (1, -1):
-                poly = dynamics._parallel_obstruction_poly(params, m, which)
+                poly = dynamics._parallel_obstructions(params, m)[which][0]
                 total, g_pi = reference_obstruction(params, m, which)
                 assert poly == total
                 # g(pi) is the t^4 coefficient

@@ -1,3 +1,4 @@
+import collections
 import importlib
 import json
 import math
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusfields import Verdict, build_report, kernels, parse, report_json
+from torusfields import Verdict, build_report, dynamics, kernels, parse, report_json
 
 from conftest import reference_serialize
 
@@ -67,6 +68,55 @@ def test_report_two_parallel_verdicts():
              for entry in report["parallels"]["planes"]}
     assert kinds[1.0] == "periodic-orbit"
     assert kinds[-1.0] == "periodic-orbit"
+
+
+def test_report_goes_through_the_public_stage_entries(monkeypatch):
+    report_module = importlib.import_module("torusfields.report")
+    calls = collections.Counter()
+    for name in ("recognize", "parallel_periodicity", "singular_points"):
+        def counted(*args, _name=name, _entry=getattr(report_module, name), **kwargs):
+            calls[_name] += 1
+            return _entry(*args, **kwargs)
+        monkeypatch.setattr(report_module, name, counted)
+
+    def fields(m):
+        return {spec.name: (spec.px, spec.qy, spec.rz, m) for spec in corpus.named_corpus(m)}
+
+    named = fields(Fraction(4))
+    dynamics._parallel_obstructions.cache_clear()
+    # (recognize, parallel_periodicity, singular_points) calls, and the
+    # obstruction cache's misses: the verdicts and the singular set share one
+    for field, want, missed in ((named["two-parallel"], (1, 2, 1), 1),
+                                (named["worked-cubic"], (1, 0, 1), 0),
+                                (("x", "y", "z", Fraction(4)), (1, 0, 0), 0)):
+        calls.clear()
+        misses = dynamics._parallel_obstructions.cache_info().misses
+        build_report(*field, grid=64)
+        assert (calls["recognize"], calls["parallel_periodicity"],
+                calls["singular_points"]) == want, field
+        assert dynamics._parallel_obstructions.cache_info().misses - misses == missed
+    # a second two-parallel field right after the first reads its own entry
+    second = fields(Fraction(3))["two-parallel"]
+    build_report(*named["two-parallel"], grid=64)
+    after_first = report_json(build_report(*second, grid=64))
+    dynamics._parallel_obstructions.cache_clear()
+    assert report_json(build_report(*second, grid=64)) == after_first
+
+
+def test_report_near_planes_past_the_rational_root_search():
+    # f = (y - x)*(y - (1 + eps)*x): the second slope's end coefficients are
+    # beyond the rational-root search, yet its plane is exact
+    px, qy, rz = corpus.cubic_strings("1", "(y - x)*(y - (1 + 1/10^8)*x)")
+    planes = build_report(px, qy, rz, Fraction(4), grid=64)["meridians"]["planes"]
+    assert [(p["exact"], p["plane_expr"]) for p in planes] == [
+        (True, "x - y"), (True, "100000001*x - 100000000*y")]
+    # at m = 7/2 with K' = x + y - 3 and eps = 10^-10, the exact plane makes
+    # both of its meridians stable limit cycles
+    px, qy, rz = corpus.cubic_strings("x + y - 3", "(y - x)*(y - (1 + 1/10^10)*x)")
+    planes = build_report(px, qy, rz, Fraction(7, 2), grid=64)["meridians"]["planes"]
+    assert planes[1]["plane_expr"] == "10000000001*x - 10000000000*y"
+    assert [(mer["verdict"]["kind"], mer["verdict"].get("stability"))
+            for mer in planes[1]["meridians"]] == [("limit-cycle", "stable")] * 2
 
 
 def test_report_pseudo_type_infinite_parallels():

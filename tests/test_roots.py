@@ -93,6 +93,42 @@ def test_linear_part_with_large_root_is_exact():
     assert roots[0][0] == pytest.approx(big * math.sqrt(3), rel=1e-15)
 
 
+def test_rational_roots_past_the_search_limit_are_exact():
+    # end coefficients beyond 10^6 skip the rational-root search; the Sturm
+    # isolation still gives (10^k + 1)/10^k exactly, in Q and in Q(sqrt(3))
+    a = Scalar(0, 1, Fraction(3))
+    for k in (8, 40):
+        big = 10 ** k
+        want = Fraction(big + 1, big)
+        near_one = up(-(big + 1), big)
+        assert real_roots(near_one * up(-2, 0, 1)) == [
+            (pytest.approx(-math.sqrt(2), abs=1e-15), 1), (want, 1),
+            (pytest.approx(math.sqrt(2), abs=1e-15), 1)]
+        assert real_roots(near_one * up(-2, 0, 1), (0, 2))[0] == (want, 1)
+        roots = real_roots(near_one * UniPoly([-a, 0, 1]) * up(-3, 0, 1))
+        assert [r for r, _ in roots if isinstance(r, Fraction)] == [want]
+        assert len(roots) == 5
+    rng = random.Random(41)
+    for _ in range(30):
+        den = rng.randint(10 ** 6, 10 ** 12)
+        want = Fraction(rng.randint(-10 ** 13, 10 ** 13), den)
+        other = up(rng.randint(-10 ** 7, -1), rng.randint(-9, 9), rng.randint(1, 10 ** 7))
+        roots = real_roots(up(-want.numerator, want.denominator) * other)
+        assert [r for r, _ in roots if isinstance(r, Fraction)] == [want]
+
+
+def test_large_parts_without_rational_roots_keep_their_floats():
+    # the rational-root search skips these parts, and the Sturm isolation
+    # finds no fraction in their intervals: the polished floats are unchanged
+    big = 10 ** 8
+    quad = up(-(2 * big + 3), 0, big + 1)
+    assert [r for r, _ in real_roots(up(big + 7, -3 * big, 0, big))] == [
+        -1.8793852507868698, 0.34729638186754863, 1.532088868919321]
+    assert [r for r, _ in real_roots(quad)] == [-1.414213565908629, 1.414213565908629]
+    assert [r for r, _ in real_roots(quad * UniPoly([Scalar(0, 1, Fraction(3)), 1]))] == [
+        -1.7320508075688772, -1.4142135659086295, 1.414213565908629]
+
+
 def test_sqrt_m_coefficients():
     m = Fraction(3)
     a = Scalar(0, 1, m)
