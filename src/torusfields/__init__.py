@@ -34,8 +34,8 @@ from .curves import (MeridianPlane, MeridianSet, ParallelPlane, ParallelSet,
                      linear_xy_factors)
 from .dynamics import (ChartError, GridResolutionWarning, MeridianVerdict,
                        PeriodicityVerdict, SingClass, SingKind, SingularSet,
-                       Verdict, classify_singularity, meridian_periodicity,
-                       parallel_periodicity, singular_points)
+                       Verdict, meridian_periodicity, parallel_periodicity,
+                       singular_points)
 from .integrate import (StepOverflow, Trajectory, export, integrate,
                         trajectory_from_json)
 from .report import build_report, report_json

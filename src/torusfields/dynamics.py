@@ -1111,8 +1111,8 @@ def _chart_gradient(a: CompiledPoly, grads: list[CompiledPoly],
     return ax + az * (-2.0 * x0 * ring / z0), ay + az * (-2.0 * y0 * ring / z0)
 
 
-def classify_singularity(field: VectorField, q: tuple[float, float, float],
-                         m: Fraction) -> SingClass:
+def _classify_singularity(field: VectorField, q: tuple[float, float, float],
+                          m: Fraction) -> SingClass:
     """Classification of an isolated singular point of (A*y, -A*x, 0) in the
     chart z = sign(z0) * sqrt(1 - (x^2 + y^2 - m)^2) of the open half torus:
     with B the restriction of A, the planar field (B*y, -B*x) has at a zero

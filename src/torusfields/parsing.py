@@ -11,11 +11,12 @@ Grammar (whitespace insignificant, no implicit multiplication)::
 The symbol ``a`` denotes sqrt(m); it is the only named constant.  ``^``
 binds tighter than ``*``, unary minus tighter than ``+``.
 
-While a term is a product of variables, powers, rationals and ``a``, its
-value is one monomial ``(exp, coefficient)`` (an int, Fraction or Scalar);
-an ``expr`` sums its terms into one ``exp -> coefficient`` dict and builds
-one MultiPoly, or stays a monomial when one exponent is left.  Only a factor
-that really is a polynomial, such as ``(x + y)^3``, uses MultiPoly arithmetic.
+:func:`parse` is one recursive-descent pass over MultiPoly's integer
+numerators, ``s = mn*md`` for ``m = mn/md``.  A monomial is ``(exp, p, q,
+d)``: ``(p + q*sqrt(s))/d`` times ``x^i*y^j*z^k``, with ``a = (0, 1, md)``
+at a non-square m and its rational root at a square m.  A polynomial is a
+``(p, q, den)`` triple of numerator dicts, multiplied by ``poly._mul_into``
+and summed over the lcm of the denominators; the result is reduced once.
 
 Serialization is deterministic: terms in graded lexicographic order
 (total degree first, then x > y > z), and ``parse(serialize(p), m) == p``.
@@ -23,15 +24,20 @@ Serialization is deterministic: terms in graded lexicographic order
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from typing import NoReturn
 
-from .poly import MultiPoly
-from .scalars import Scalar
+from .poly import MultiPoly, _mul_into, _nonzero, _poly
+from .scalars import _rational_sqrt
 
 MAX_EXPONENT = 64
 _TOKEN = re.compile(r"\s*(\d+|\S)")
-_VARIABLES = {"x": ((1, 0, 0), 1), "y": ((0, 1, 0), 1), "z": ((0, 0, 1), 1)}
+_ONE = (0, 0, 0), 1, 0, 1
+_VARIABLES = {"x": ((1, 0, 0), 1, 0, 1), "y": ((0, 1, 0), 1, 0, 1),
+              "z": ((0, 0, 1), 1, 0, 1)}
+_BASE = {"rational", "'a'", "'x'", "'y'", "'z'", "'('", "'-'"}
 
 
 class ParseError(ValueError):
@@ -45,146 +51,147 @@ class ParseError(ValueError):
         super().__init__(f"at offset {offset}: expected {exp}, found {found}")
 
 
-def _as_poly(value: tuple | MultiPoly) -> MultiPoly:
-    return MultiPoly.monomial(*value) if type(value) is tuple else value
+# Each step takes ``ctx = (tokens, s, atoms, text)``, ``atoms`` mapping x, y,
+# z and a to monomials, and a token index; it returns ``(value, next index)``.
+
+def _fail(ctx: tuple, pos: int, expected: set[str], end: bool = False) -> NoReturn:
+    """ParseError at token ``pos``, or at its end for a zero denominator."""
+    token = ctx[0][pos]
+    starts = [t.start(1) for t in _TOKEN.finditer(ctx[3])] + [len(ctx[3])]
+    found = "0" if end else repr(token[0]) if token else "end of input"
+    raise ParseError(starts[pos] + (len(token) if end else 0), expected, found)
 
 
-def _negated(value: tuple | MultiPoly) -> tuple | MultiPoly:
-    return (value[0], -value[1]) if type(value) is tuple else -value
+def _uint(ctx: tuple, pos: int, limit: int | None = None) -> int:
+    if not (token := ctx[0][pos]).isdigit():
+        _fail(ctx, pos, {"unsigned integer"})
+    n = int(token)
+    if limit is not None and n > limit:
+        raise OverflowError(f"exponent {n} exceeds {limit}")
+    return n
 
 
-class _Parser:
-    def __init__(self, text: str, m: Fraction):
-        self.text = text
-        self.m = m
-        # digit runs and single non-space characters, then "" for the end
-        self.tokens = _TOKEN.findall(text) + [""]
-        self.pos = 0
+def _product(x: tuple, y: tuple, s: int) -> tuple:
+    p, q = {}, {}
+    _mul_into(p, q, (x[0], x[1]), (y[0], y[1]), 1, s)
+    return _nonzero(p), _nonzero(q), x[2] * y[2]
 
-    def _offset(self, pos: int) -> int:
-        """Offset of token ``pos`` in the text; only errors need it."""
-        starts = [t.start(1) for t in _TOKEN.finditer(self.text)]
-        return starts[pos] if pos < len(starts) else len(self.text)
 
-    def _peek(self) -> str:
-        return self.tokens[self.pos]
+def _power(v: tuple, n: int, s: int) -> tuple:
+    """v^n: a monomial in closed form, its coefficient being p or q*sqrt(s)
+    (so are the atoms and their products); a polynomial by square-and-multiply."""
+    if len(v) == 4:
+        (i, j, k), p, q, d = v
+        r = q ** n * s ** (n >> 1) if q else p ** n
+        return (i * n, j * n, k * n), *((0, r) if q and n & 1 else (r, 0)), d ** n
+    out = v if n else _ONE
+    for bit in bin(n)[3:]:
+        out = _product(out, out, s)
+        if bit == "1":
+            out = _product(out, v, s)
+    return out
 
-    def _fail(self, expected: set[str]) -> None:
-        token = self.tokens[self.pos]
-        raise ParseError(self._offset(self.pos), expected,
-                         repr(token[0]) if token else "end of input")
 
-    def _accept(self, ch: str) -> bool:
-        if self.tokens[self.pos] == ch:
-            self.pos += 1
-            return True
-        return False
+def _sum(terms: list[tuple]) -> tuple:
+    """The polynomial sum of values, over the lcm of their denominators."""
+    den = math.lcm(*(v[-1] for v in terms))
+    p, q = {}, {}
+    for v in terms:
+        f = den // v[-1]
+        if len(v) == 4:
+            exp, vp, vq, _ = v
+            p[exp] = p.get(exp, 0) + vp * f
+            if vq:
+                q[exp] = q.get(exp, 0) + vq * f
+            continue
+        for out, part in ((p, v[0]), (q, v[1])):
+            for e, c in part.items():
+                out[e] = out.get(e, 0) + c * f
+    return p, q, den
 
-    def _expect(self, ch: str) -> None:
-        if not self._accept(ch):
-            self._fail({repr(ch)})
 
-    def _uint(self) -> int:
-        token = self.tokens[self.pos]
-        if not token.isdigit():
-            self._fail({"unsigned integer"})
-        self.pos += 1
-        return int(token)
+def _expr(ctx: tuple, pos: int) -> tuple[tuple, int]:
+    v, pos = _term(ctx, pos)
+    terms = [v]
+    while (tok := ctx[0][pos]) in ("+", "-"):
+        v, pos = _term(ctx, pos + 1, sign=1 if tok == "+" else -1)
+        terms.append(v)
+    return (v if len(terms) == 1 else _sum(terms)), pos
 
-    def parse(self) -> MultiPoly:
-        result = self.expr()
-        if self.pos != len(self.tokens) - 1:
-            self._fail({"'+'", "'-'", "'*'", "'^'", "end of input"})
-        return _as_poly(result)
 
-    def expr(self) -> tuple | MultiPoly:
-        value = self.term()
-        if self._peek() not in ("+", "-"):
-            return value
-        terms: dict = {}
-        polys: list[MultiPoly] = []
-        while True:
-            if type(value) is tuple:
-                exp, c = value
-                terms[exp] = terms[exp] + c if exp in terms else c
+def _term(ctx: tuple, pos: int, single: bool = False,
+          sign: int = 1) -> tuple[tuple, int]:
+    """``sign`` times a term, or one factor when ``single``; monomial factors
+    fold into the locals ``(i, j, k), (p + q*sqrt(s))/d``."""
+    tokens, s, atoms = ctx[0], ctx[1], ctx[2]
+    i = j = k = q = 0
+    p, d = sign, 1
+    poly = None
+    while True:
+        tok = tokens[pos]
+        pos += 1
+        if tok in atoms:
+            v = atoms[tok]
+        elif tok.isdigit():
+            den = 1
+            if tokens[pos] == "/":
+                den = _uint(ctx, pos + 1)
+                if not den:
+                    _fail(ctx, pos + 1, {"nonzero denominator"}, end=True)
+                pos += 2
+            v = (0, 0, 0), int(tok), 0, den
+        elif tok == "(":
+            v, pos = _expr(ctx, pos)
+            if tokens[pos] != ")":
+                _fail(ctx, pos, {"')'"})
+            pos += 1
+        elif tok == "-":
+            v, pos = _term(ctx, pos, True, -1)
+        else:
+            _fail(ctx, pos - 1, _BASE)
+        if tokens[pos] == "^":
+            v = _power(v, _uint(ctx, pos + 1, MAX_EXPONENT), s)
+            pos += 2
+        if len(v) == 3:
+            poly = v if poly is None else _product(poly, v, s)
+        else:
+            (vi, vj, vk), vp, vq, vd = v
+            i, j, k, d = i + vi, j + vj, k + vk, d * vd
+            if vq:
+                p, q = p * vp + q * vq * s, p * vq + q * vp
             else:
-                polys.append(value)
-            if self._accept("+"):
-                value = self.term()
-            elif self._accept("-"):
-                value = _negated(self.term())
-            else:
-                break
-        if not polys and len(terms) == 1:
-            return next(iter(terms.items()))
-        return sum(polys, MultiPoly(terms))
-
-    def term(self) -> tuple | MultiPoly:
-        acc = self.factor()
-        while self._accept("*"):
-            value = self.factor()
-            if type(acc) is tuple and type(value) is tuple:
-                (i, j, k), (i2, j2, k2) = acc[0], value[0]
-                acc = (i + i2, j + j2, k + k2), acc[1] * value[1]
-            else:
-                acc = _as_poly(acc) * _as_poly(value)
-        return acc
-
-    def factor(self) -> tuple | MultiPoly:
-        base = self.base()
-        if self._accept("^"):
-            n = self._uint()
-            if n > MAX_EXPONENT:
-                raise OverflowError(f"exponent {n} exceeds {MAX_EXPONENT}")
-            if type(base) is tuple:
-                (i, j, k), c = base
-                return (i * n, j * n, k * n), c ** n
-            return base ** n
-        return base
-
-    def base(self) -> tuple | MultiPoly:
-        ch = self._peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self.expr()
-            self._expect(")")
-            return inner
-        if ch == "-":
-            self.pos += 1
-            return _negated(self.factor())
-        if ch in _VARIABLES:
-            self.pos += 1
-            return _VARIABLES[ch]
-        if ch == "a":
-            self.pos += 1
-            a = Scalar.sqrt_m(self.m)
-            return (0, 0, 0), a if a.q else a.p
-        if ch.isdigit():
-            num = self._uint()
-            if self._accept("/"):
-                den = self._uint()
-                if den == 0:
-                    offset = self._offset(self.pos - 1) + len(self.tokens[self.pos - 1])
-                    raise ParseError(offset, {"nonzero denominator"}, "0")
-                return (0, 0, 0), Fraction(num, den)
-            return (0, 0, 0), num
-        self._fail({"rational", "'a'", "'x'", "'y'", "'z'", "'('", "'-'"})
-        raise AssertionError("unreachable")
+                p, q = p * vp, q * vp
+        if single or tokens[pos] != "*":
+            break
+        pos += 1
+    if poly is None:
+        return ((i, j, k), p, q, d), pos
+    if i or j or k or q or p != d:
+        poly = _product(poly, _sum([((i, j, k), p, q, d)]), s)
+    return poly, pos
 
 
 def parse(text: str, m: Fraction | int) -> MultiPoly:
     """Parse an expression; ``a`` maps to sqrt(m)."""
-    return _Parser(text, Fraction(m)).parse()
+    if type(m) is not Fraction:
+        m = Fraction(m)
+    root = _rational_sqrt(m)
+    if root is None:
+        s, a = m.numerator * m.denominator, ((0, 0, 0), 0, 1, m.denominator)
+    else:
+        s, a = 0, ((0, 0, 0), root.numerator, 0, root.denominator)
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
+    ctx = (tokens, s, {**_VARIABLES, "a": a}, text)
+    v, pos = _expr(ctx, 0)
+    if pos != len(tokens) - 1:
+        _fail(ctx, pos, {"'+'", "'-'", "'*'", "'^'", "end of input"})
+    p, q, den = _sum([v]) if len(v) == 4 else v
+    return _poly(_nonzero(p), _nonzero(q), den, m)
 
 
 def _monomial_str(exp: tuple[int, int, int]) -> str:
-    pieces = []
-    for name, e in zip("xyz", exp):
-        if e == 1:
-            pieces.append(name)
-        elif e > 1:
-            pieces.append(f"{name}^{e}")
-    return "*".join(pieces)
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in zip("xyz", exp) if e)
 
 
 def _grlex(term: tuple) -> tuple:
@@ -214,10 +221,7 @@ def serialize(p: MultiPoly) -> str:
     for exp, (pn, pd), (qn, qd) in sorted(p.int_terms(), key=_grlex, reverse=True):
         neg, body = _coeff_str(pn, pd, qn, qd)
         mono = _monomial_str(exp)
-        if mono:
-            text = mono if body == "1" else f"{body}*{mono}"
-        else:
-            text = body
+        text = (mono if body == "1" else f"{body}*{mono}") if mono else body
         if not chunks:
             chunks.append(f"-{text}" if neg else text)
         else:

@@ -54,10 +54,6 @@ class MalformedDivisor(ValueError):
     """Divisor's leading coefficient in the division variable is not scalar."""
 
 
-def _as_scalar(value: Scalar | int | Fraction) -> Scalar:
-    return value if isinstance(value, Scalar) else Scalar(value)
-
-
 def radicand(m: Fraction | None) -> int:
     """s = mn*md, so that sqrt(m) = sqrt(s)/md (0 when there is no sqrt part)."""
     return m.numerator * m.denominator if m is not None else 0
@@ -351,7 +347,7 @@ class MultiPoly:
 
     def eval_exact(self, point: tuple) -> Scalar:
         """Exact value at a point of Scalars (or ints/Fractions)."""
-        px, py, pz = (_as_scalar(v) for v in point)
+        px, py, pz = (Scalar.coerce(v) for v in point)
         total = Scalar(0)
         for (i, j, k), coeff in self.terms.items():
             v = coeff

@@ -17,8 +17,8 @@ The extension parameter is carried by the value itself rather than by module
 state: a scalar with a nonzero irrational part remembers its ``m``, and
 binary operations refuse to mix two different parameters.
 
-Scalars are the boundary type: parser literals, polynomial coefficients read
-through ``coefficient()`` or ``terms``, and family parameters.  Polynomial
+Scalars are the boundary type: polynomial coefficients read through
+``coefficient()`` or ``terms``, and family parameters.  Parsing, polynomial
 arithmetic and serialization do not run on them; :mod:`torusfields.poly`
 keeps integer numerators over a shared denominator and converts at the
 boundary.

@@ -21,11 +21,12 @@ from torusfields import (CubicParams, Family, KolmogorovParams, MultiPoly,
                          TwoParallelParams, VectorField, Verdict, X, Y, Z,
                          build_cubic, build_kolmogorov, build_pseudo_type,
                          build_quadratic, build_two_parallel,
-                         check_first_integral, classify_singularity,
-                         cofactor_on_torus, divide_exact, extactic_xy,
-                         integrate, invariant_meridians, invariant_parallels,
-                         lie_bracket, parallel_periodicity, parse, recognize,
+                         check_first_integral, cofactor_on_torus,
+                         divide_exact, extactic_xy, integrate,
+                         invariant_meridians, invariant_parallels, lie_bracket,
+                         parallel_periodicity, parse, recognize,
                          singular_points, torus_polynomial)
+from torusfields import dynamics
 
 from conftest import eval_float, meridian_verdicts
 
@@ -317,7 +318,7 @@ def _isolated_singularities(m):
         jac += [(push(x0, y0 + h)[i] - push(x0, y0 - h)[i]) / (2 * h)
                 for i in range(2)]
         assert all(abs(entry) < 1e-6 for entry in jac)
-        assert classify_singularity(field, (x0, y0, 0.5), m) \
+        assert dynamics._classify_singularity(field, (x0, y0, 0.5), m) \
             == SingClass.LINEARLY_ZERO
 
 

@@ -18,7 +18,7 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          build_pseudo_type, build_quadratic,
                          build_report, build_two_parallel,
                          check_four_meridian_criterion,
-                         classify_singularity, divide_exact,
+                         divide_exact,
                          parallel_periodicity, parse, recognize,
                          report_json, serialize, singular_points)
 from torusfields import dynamics
@@ -769,7 +769,7 @@ def test_classify_linearly_zero_with_fd_oracle():
     a_poly = parse("y^2 + (z - 1/2)^2", M)
     field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
     q = (math.sqrt(4 + math.sqrt(3) / 2), 0.0, 0.5)
-    assert classify_singularity(field, q, M) == SingClass.LINEARLY_ZERO
+    assert dynamics._classify_singularity(field, q, M) == SingClass.LINEARLY_ZERO
     jac = chart_pushforward(a_poly, 4.0)(q[0], q[1])
     assert all(abs(entry) < 1e-6 for entry in jac)
 
@@ -781,22 +781,22 @@ def test_classify_semi_hyperbolic_branch():
     field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
     q = (2.0, 0.64 ** 0.25, 0.6)
     assert abs((q[0] ** 2 + q[1] ** 2 - 4) ** 2 + q[2] ** 2 - 1) < 1e-12
-    assert classify_singularity(field, q, M) == SingClass.SEMI_HYPERBOLIC
+    assert dynamics._classify_singularity(field, q, M) == SingClass.SEMI_HYPERBOLIC
 
 
 def test_classify_preconditions():
     a_poly = parse("y^2 + (z - 1/2)^2", M)
     field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
     with pytest.raises(ValueError):
-        classify_singularity(field, surface_point(0.3, 0.9), M)
+        dynamics._classify_singularity(field, surface_point(0.3, 0.9), M)
     with pytest.raises(ChartError):
-        classify_singularity(field, (math.sqrt(5), 0.0, 0.0), M)
+        dynamics._classify_singularity(field, (math.sqrt(5), 0.0, 0.0), M)
     with pytest.raises(ValueError):
-        classify_singularity(VectorField(X, Y, Z), (1.0, 1.0, 0.5), M)
+        dynamics._classify_singularity(VectorField(X, Y, Z), (1.0, 1.0, 0.5), M)
     huge = parse("(10^44)^7*(z^2 - 1/4)", M)
     with pytest.raises(ValueError, match="z-derivative of A has a coefficient beyond"):
-        classify_singularity(VectorField(huge * Y, -(huge * X), MultiPoly.zero()),
-                             surface_point(0.3, math.pi / 6), M)
+        dynamics._classify_singularity(VectorField(huge * Y, -(huge * X), MultiPoly.zero()),
+                                       surface_point(0.3, math.pi / 6), M)
 
 
 def test_unstable_meridian_attracts_under_time_reversal():

@@ -1,6 +1,8 @@
 import random
 import re
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,10 @@ from torusfields import MultiPoly, ParseError, Scalar, X, Y, Z, parse, serialize
 from torusfields.parsing import MAX_EXPONENT
 
 from conftest import random_poly, reference_serialize
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import corpus  # noqa: E402
 
 M = Fraction(4)
 M_IRR = Fraction(5)
@@ -266,6 +272,10 @@ FIXED_CASES = [
     "(x - x)^0", "0/7*x", "a^2 - 2*a", "x^65", "(x + 1)^65", "1/0", "x/y",
     "", "x +", "(x", "x^", "1/", "x y", "b", "x ** 2", "2 ^ -1", ")",
     "(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)",
+    # a second '^' binds only after a unary minus; leading zeros; 2^64 scaled
+    # back to 1; an exponent past the limit on a parenthesis; a^64 = m^32
+    "-x^2^3", "x^2^3", "-2^3^4", "2*-a^3", "(1/2)^64*2^64", "x^064", "1/00",
+    "(x)^65", "a^64",
 ]
 
 
@@ -283,11 +293,52 @@ def parser_corpus(m, seed):
     return texts
 
 
-@pytest.mark.parametrize("m", [Fraction(4), Fraction(5), Fraction(9, 2)])
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 4),
+                               Fraction(5), Fraction(9, 2)])
 def test_parse_matches_polynomial_per_factor_reference(m):
+    # 9/4 is a square whose root 3/2 is not an integer
     kinds = set()
     for text in parser_corpus(m, seed=int(m * 2)):
         got = _outcome(parse, text, m)
         assert got == _outcome(lambda t, mm: ReferenceParser(t, mm).parse(), text, m), text
         kinds.add(got[0] if isinstance(got, tuple) else "MultiPoly")
     assert kinds == {"MultiPoly", "ParseError", "OverflowError"}
+
+
+def test_fixed_corner_cases():
+    m = Fraction(3)
+    assert parse("-x^2^3", m) == X ** 6 * -1
+    assert parse("-2^3^4", m) == MultiPoly.constant(4096)
+    assert parse("(1/2)^64*2^64", m) == MultiPoly.constant(1)
+    assert parse("x^064", m) == X ** 64
+    assert parse("a^64", m) == MultiPoly.constant(3 ** 32)
+    with pytest.raises(ParseError) as err:
+        parse("x^2^3", m)
+    assert err.value.offset == 3
+    with pytest.raises(ParseError) as err:
+        parse("1/00", m)
+    assert (err.value.offset, err.value.found) == (4, "0")
+    with pytest.raises(OverflowError):
+        parse("(x)^65", m)
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("the parser built a MultiPoly or Scalar per token")
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_parse_builds_no_polynomial_or_scalar_arithmetic(m, monkeypatch):
+    # one pass over integer numerators: no MultiPoly is built or combined and
+    # no Scalar is made, so a power of a stays an int power
+    texts = [corpus.BOWL, corpus.WORKED_CUBIC[2], corpus.WORKED_CUBIC_2A[2]]
+    for spec in corpus.named_corpus(m):
+        texts += [spec.px, spec.qy, spec.rz, spec.cofactor]
+    want = [ReferenceParser(text, m).parse() for text in texts]
+    for cls, names in ((MultiPoly, ("__init__", "__mul__", "__add__", "__neg__",
+                                    "__pow__", "scale")),
+                       (Scalar, ("__init__", "_make"))):
+        for name in names:
+            monkeypatch.setattr(cls, name, _raise)
+    got = [parse(text, m) for text in texts]
+    monkeypatch.undo()
+    assert got == want
