@@ -17,9 +17,8 @@ from .poly import (MalformedDivisor, MultiPoly, NotDivisible, UniPoly, X, Y,
                    Z, divide_exact, divide_exact_z, restrict_to_line)
 from .roots import dense_scan_roots, real_roots
 from .parsing import ParseError, parse, serialize
-from .vfield import (CofactorResult, RationalFn, TorusSurface, UnsupportedShape,
-                     VectorField, apply, check_first_integral,
-                     cofactor_on_torus, invariant_surface_cofactor,
+from .vfield import (CofactorResult, RationalFn, TorusSurface, VectorField,
+                     apply, check_first_integral, cofactor_on_torus,
                      lie_bracket, torus_polynomial)
 from .families import (CubicParams, DegreeOneParams, DegreeViolation, Family,
                        FamilyTag, KolmogorovParams, NoKnownIntegral,

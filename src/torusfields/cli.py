@@ -59,7 +59,11 @@ def _grid_size(text: str) -> int:
 
 
 def _parse_m(text: str) -> Fraction:
-    m = Fraction(text)
+    try:
+        m = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError("--m must be a rational number such as 4 or 9/2, "
+                         f"got {text!r}") from None
     if m <= 1:
         raise ValueError(f"--m must exceed 1 (the torus needs a > 1), got {m}")
     return m

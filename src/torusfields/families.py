@@ -29,8 +29,8 @@ from fractions import Fraction
 from .poly import (ONE, MultiPoly, NotDivisible, X, Y, Z, divide_exact,
                    sum_of_products)
 from .scalars import Scalar
-from .vfield import (CofactorResult, RationalFn, VectorField, check_first_integral,
-                     cofactor_on_torus, torus_surface)
+from .vfield import (CofactorResult, RationalFn, VectorField, apply,
+                     check_first_integral, cofactor_on_torus, torus_surface)
 
 
 class DegreeViolation(ValueError):
@@ -272,8 +272,17 @@ def canonical_first_integrals(tag: FamilyTag, m: Fraction) -> list[RationalFn]:
 
 def verified_first_integrals(field: VectorField, tag: FamilyTag,
                              m: Fraction) -> list[tuple[RationalFn, bool]]:
+    """Each catalogued first integral of ``tag = recognize(field, m)``, with
+    whether it is exactly constant along the field.
+
+    The Kolmogorov and quadratic integral F/(x^2 + y^2)^2 is checked through
+    the tag's cofactor K, F's own: its denominator must have cofactor K too.
+    """
     try:
         integrals = canonical_first_integrals(tag, m)
     except NoKnownIntegral:
         return []
+    if tag.family in (Family.KOLMOGOROV, Family.QUADRATIC):
+        # chi(F) = K*F, so den*chi(F) - F*chi(den) = F*(K*den - chi(den)), F != 0
+        return [(h, apply(field, h.den) == tag.cofactor * h.den) for h in integrals]
     return [(h, check_first_integral(field, h)) for h in integrals]

@@ -5,7 +5,8 @@ A polynomial vector field (P, Q, R) acts on a polynomial f as
 ``F = (x^2 + y^2 - m)^2 + z^2 - 1`` and a field keeps it invariant exactly
 when F divides the derivative of F along the field; the quotient is the
 cofactor.  F is monic in z, so the divisibility test is a plain exact
-division, no ansatz solving.
+division, no ansatz solving.  F's gradient is taken once per surface, so a
+cofactor costs three products and one division.
 """
 
 from __future__ import annotations
@@ -14,13 +15,8 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (MultiPoly, NotDivisible, divide_exact, divide_exact_z,
-                   sum_of_products)
+from .poly import MultiPoly, NotDivisible, divide_exact_z, sum_of_products
 from .scalars import Scalar
-
-
-class UnsupportedShape(ValueError):
-    """Invariance test requested for a surface shape the toolkit rejects."""
 
 
 @dataclass(frozen=True)
@@ -50,10 +46,15 @@ def torus_polynomial(m: Fraction) -> MultiPoly:
     return x2y2 * x2y2 + MultiPoly({(0, 0, 2): Scalar(1), (0, 0, 0): Scalar(-1)})
 
 
-class TorusSurface:
-    """The torus with squared middle radius m > 1 and its polynomial F."""
+def _gradient(f: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    return f.differentiate("x"), f.differentiate("y"), f.differentiate("z")
 
-    __slots__ = ("m", "F")
+
+class TorusSurface:
+    """The torus with squared middle radius m > 1, its polynomial F and
+    F's gradient ``(F_x, F_y, F_z)``."""
+
+    __slots__ = ("m", "F", "gradient")
 
     def __init__(self, m: Fraction | int):
         m = Fraction(m)
@@ -61,6 +62,7 @@ class TorusSurface:
             raise ValueError(f"torus parameter must exceed 1, got {m}")
         self.m = m
         self.F = torus_polynomial(m)
+        self.gradient = _gradient(self.F)
 
     def radius(self) -> Scalar:
         return Scalar.sqrt_m(self.m)
@@ -88,10 +90,6 @@ class RationalFn:
             raise ZeroDivisionError("rational function with zero denominator")
 
 
-def _gradient(f: MultiPoly) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    return f.differentiate("x"), f.differentiate("y"), f.differentiate("z")
-
-
 def apply(field: VectorField, f: MultiPoly) -> MultiPoly:
     """Derivative of f along the field: P*f_x + Q*f_y + R*f_z."""
     return sum_of_products(zip(field.components(), _gradient(f)))
@@ -99,7 +97,7 @@ def apply(field: VectorField, f: MultiPoly) -> MultiPoly:
 
 def cofactor_on_torus(field: VectorField, surface: TorusSurface) -> CofactorResult:
     """Extract K with chi(F) = K*F, or report the field leaves the torus."""
-    derivative = apply(field, surface.F)
+    derivative = sum_of_products(zip(field.components(), surface.gradient))
     if derivative.is_zero():
         return CofactorResult(True, MultiPoly.zero())
     try:
@@ -118,40 +116,12 @@ def lie_bracket(xf: VectorField, yf: VectorField) -> VectorField:
 
 
 def check_first_integral(field: VectorField, h: RationalFn) -> bool:
-    """True when h is constant along the flow: den*chi(num) = num*chi(den)."""
+    """True when h is constant along the flow: den*chi(num) = num*chi(den).
+
+    A constant denominator has chi(den) = 0, so then chi(num) = 0 decides.
+    """
+    if h.den.is_scalar():
+        return apply(field, h.num).is_zero()
     lhs = h.den * apply(field, h.num) - h.num * apply(field, h.den)
     return lhs.is_zero()
 
-
-def _linear_xy_pair(f: MultiPoly) -> tuple[Scalar, Scalar] | None:
-    """(a, b) when f = a*x + b*y, else None."""
-    if f.is_zero() or not set(f.terms) <= {(1, 0, 0), (0, 1, 0)}:
-        return None
-    return f.coefficient((1, 0, 0)), f.coefficient((0, 1, 0))
-
-
-def invariant_surface_cofactor(field: VectorField, f: MultiPoly) -> CofactorResult:
-    """Cofactor of an invariant surface {f = 0}.
-
-    Supported shapes: f with a scalar leading z-coefficient (the torus
-    polynomial, z, z - k) and meridian planes a*x + b*y.
-    """
-    if f.is_zero():
-        raise UnsupportedShape("the zero polynomial bounds no surface")
-    pair = _linear_xy_pair(f)
-    if pair is not None:
-        a, b = pair
-        var = "x" if not a.is_zero() else "y"
-    else:
-        z_coeffs = f.coefficients_in("z")
-        if max(z_coeffs) == 0 or not z_coeffs[max(z_coeffs)].is_scalar():
-            raise UnsupportedShape(
-                "only z-monic surfaces and meridian planes are supported")
-        var = "z"
-    derivative = apply(field, f)
-    if derivative.is_zero():
-        return CofactorResult(True, MultiPoly.zero())
-    try:
-        return CofactorResult(True, divide_exact(derivative, f, var))
-    except NotDivisible:
-        return CofactorResult(False)

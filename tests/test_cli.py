@@ -63,6 +63,14 @@ def test_m_must_exceed_one(capsys):
     assert "exceed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["4/0", "1/0", "abc", ""])
+def test_m_must_be_rational(m, capsys):
+    code = main(["check", "--px", "0", "--qy", "0", "--rz", "0", "--m", m])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --m must be a rational number such as 4 or 9/2, got '{m}'\n")
+
+
 # m = 1 + 10^-19 exceeds 1 but is 1.0 as a float, so every grid's radius
 # sqrt(m + cos(phi)) is 0 at phi = pi: the grid paths reject it for that
 NEAR_ONE = "1.0000000000000000001"

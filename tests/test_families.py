@@ -9,7 +9,7 @@ from torusfields import (CubicParams, DegreeOneParams, DegreeViolation, Family,
                          FamilyTag, KolmogorovParams, MultiPoly,
                          NoKnownIntegral, NotDivisible, PseudoTypeParams,
                          QuadraticParams, Scalar, TorusSurface,
-                         TwoParallelParams, VectorField, X, Y, Z, build_cubic,
+                         TwoParallelParams, VectorField, X, Y, Z, apply, build_cubic,
                          build_kolmogorov, build_pseudo_type, build_quadratic,
                          build_two_parallel, canonical_first_integrals,
                          check_first_integral, cofactor_on_torus,
@@ -261,6 +261,44 @@ def test_quadratic_first_integral_verified():
         tag = recognize(field, M)
         results = verified_first_integrals(field, tag, M)
         assert results and all(ok for _, ok in results)
+
+
+def _homogeneous(rng, degree, m):
+    """A nonzero form of the given degree in x, y, z over Q(sqrt(m))."""
+    exps = [(i, j, degree - i - j) for i in range(degree + 1)
+            for j in range(degree + 1 - i)]
+    terms = {e: random_scalar(rng, m, sqrt_part=True)
+             for e in rng.sample(exps, rng.randint(1, len(exps)))}
+    return MultiPoly(terms) or MultiPoly.monomial(exps[0], Scalar(1))
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2), Fraction(9, 4)])
+def test_verified_first_integrals_match_the_quotient_rule(m):
+    rng = random.Random(int(m * 4) + 17)
+
+    def nonzero():
+        return random_scalar(rng, m, sqrt_part=True) or Scalar(1)
+
+    fields = []
+    for _ in range(5):
+        fields.append(build_quadratic(QuadraticParams(
+            nonzero(), random_poly(rng, max_degree=1, max_terms=4, m=m,
+                                   sqrt_part=True)), m))
+        fields.append(build_kolmogorov(KolmogorovParams(nonzero(), nonzero()), m))
+    fields += [build_pseudo_type(PseudoTypeParams(n, _homogeneous(rng, n - 1, m)))
+               for n in range(2, 7)]
+    fields.append(build_pseudo_type(PseudoTypeParams(1, MultiPoly.constant(nonzero()))))
+    seen = set()
+    for field in fields:
+        tag = recognize(field, m)
+        seen.add(tag.family)
+        results = verified_first_integrals(field, tag, m)
+        assert results
+        for h, ok in results:
+            want = (h.den * apply(field, h.num) - h.num * apply(field, h.den)).is_zero()
+            assert ok == want, (field, h)
+    assert seen == {Family.QUADRATIC, Family.KOLMOGOROV, Family.PSEUDO_TYPE,
+                    Family.DEGREE_ONE}
 
 
 # -- recognition against the build-and-compare matchers ----------------------

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusfields import Verdict, build_report, dynamics, kernels, parse, report_json
+from torusfields import (MultiPoly, VectorField, Verdict, build_report, dynamics,
+                         kernels, parse, recognize, report_json, vfield,
+                         verified_first_integrals)
 
 from conftest import reference_serialize
 
@@ -101,6 +103,33 @@ def test_report_goes_through_the_public_stage_entries(monkeypatch):
     after_first = report_json(build_report(*second, grid=64))
     dynamics._parallel_obstructions.cache_clear()
     assert report_json(build_report(*second, grid=64)) == after_first
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3)])
+def test_torus_is_differentiated_once_per_m(m, monkeypatch):
+    # the cofactor reads F's gradient off the surface, and the Kolmogorov and
+    # quadratic integral F/(x^2 + y^2)^2 is verified through that cofactor
+    F = vfield.torus_surface(m).F
+    apply, differentiate = vfield.apply, MultiPoly.differentiate
+
+    def guarded_apply(field, f):
+        assert f != F, "chi(F) computed again"
+        return apply(field, f)
+
+    def guarded_differentiate(poly, var):
+        assert poly != F, "F differentiated again"
+        return differentiate(poly, var)
+
+    monkeypatch.setattr(vfield, "apply", guarded_apply)
+    monkeypatch.setattr(MultiPoly, "differentiate", guarded_differentiate)
+    for spec in corpus.named_corpus(m):
+        if spec.name not in ("kolmogorov", "quadratic"):
+            continue
+        report = build_report(spec.px, spec.qy, spec.rz, m, grid=64)
+        assert [h["verified"] for h in report["first_integrals"]] == [True]
+        field = VectorField(*(parse(c, m) for c in (spec.px, spec.qy, spec.rz)))
+        results = verified_first_integrals(field, recognize(field, m), m)
+        assert [ok for _, ok in results] == [True]
 
 
 def test_report_near_planes_past_the_rational_root_search():

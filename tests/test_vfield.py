@@ -4,14 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfields import (MultiPoly, RationalFn, Scalar,
-                         TorusSurface, UnsupportedShape, VectorField, X, Y, Z,
-                         apply, build_kolmogorov, check_first_integral,
-                         cofactor_on_torus, invariant_surface_cofactor,
-                         lie_bracket, parse, torus_polynomial,
-                         KolmogorovParams)
+from torusfields import (CubicParams, MultiPoly, NotDivisible, RationalFn,
+                         Scalar, TorusSurface, VectorField, X, Y, Z, apply,
+                         build_cubic, build_kolmogorov, check_first_integral,
+                         cofactor_on_torus, divide_exact_z, lie_bracket, parse,
+                         torus_polynomial, KolmogorovParams)
 
-from conftest import random_poly, random_quadratic_field
+from conftest import random_poly, random_quadratic_field, random_scalar
 
 M = Fraction(4)
 ROTATION = VectorField(Y, -X, MultiPoly.zero())
@@ -104,31 +103,59 @@ def test_check_first_integral_examples():
     assert not check_first_integral(drift, RationalFn(X, one))
 
 
-def test_invariant_surface_cofactor():
-    c2 = Scalar(3)
-    ko = build_kolmogorov(KolmogorovParams(Scalar(1), c2), M)
-    res = invariant_surface_cofactor(ko, Z)
-    assert res.on_torus
-    assert res.K == parse("(3/2)*(-a^2*(x^2+y^2)+z^2+a^4-1)", M)
+def quotient_rule(field, h):
+    """The first-integral test written out: den*chi(num) - num*chi(den) = 0."""
+    return (h.den * apply(field, h.num) - h.num * apply(field, h.den)).is_zero()
 
-    res = invariant_surface_cofactor(ROTATION, Z - MultiPoly.constant(Fraction(1, 2)))
-    assert res.on_torus and res.K.is_zero()
 
-    xf = VectorField(parse("x^2*z", M), parse("x*y*z", M),
-                     parse("2*x*(-a^2*(x^2+y^2)+z^2+a^4-1)", M))
-    yf = VectorField(parse("y^3", M), parse("-x*y^2", M), MultiPoly.zero())
-    bracket = lie_bracket(xf, yf)
-    res = invariant_surface_cofactor(bracket, torus_polynomial(M))
-    assert res.on_torus
+def test_check_first_integral_matches_quotient_rule_on_constant_denominators():
+    m = Fraction(3)
+    rng = random.Random(41)
+    dens = [MultiPoly.constant(1), MultiPoly.constant(2), parse("a", m)]
+    seen = set()
+    for _ in range(30):
+        a = random_poly(rng, max_degree=2, max_terms=3, m=m, sqrt_part=True)
+        rotation = VectorField(a * Y, -(a * X), MultiPoly.zero())
+        wild = VectorField(*(random_poly(rng, max_degree=2, max_terms=3, m=m,
+                                         sqrt_part=True) for _ in range(3)))
+        nums = [X * X + Y * Y, Z, random_poly(rng, max_degree=2, max_terms=3,
+                                               m=m, sqrt_part=True)]
+        for field in (rotation, wild):
+            for num in nums:
+                for den in dens:
+                    h = RationalFn(num, den)
+                    want = quotient_rule(field, h)
+                    assert check_first_integral(field, h) == want
+                    seen.add(want)
+    assert seen == {True, False}
 
-    # meridian plane shape
-    res = invariant_surface_cofactor(yf, X)
-    assert not res.on_torus  # chi(x) = y^3 is not divisible by x
-    res = invariant_surface_cofactor(yf, Y)
-    assert res.on_torus and res.K == -(X * Y)
 
-    with pytest.raises(UnsupportedShape):
-        invariant_surface_cofactor(ROTATION, X * X + Y * Y)
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2), Fraction(9, 4)])
+def test_cofactor_matches_division_of_the_derivative(m):
+    rng = random.Random(int(m * 8))
+    surf = TorusSurface(m)
+    fields = [ROTATION]
+    for _ in range(8):
+        on = build_cubic(CubicParams(
+            random_poly(rng, max_degree=1, max_terms=3, m=m, sqrt_part=True),
+            random_poly(rng, max_degree=2, max_terms=4, m=m, sqrt_part=True),
+            random_scalar(rng, m, sqrt_part=True),
+            random_scalar(rng, m, sqrt_part=True)), m)
+        bump = random_poly(rng, max_degree=3, max_terms=3, m=m, sqrt_part=True)
+        fields += [on, VectorField(on.P, on.Q + bump, on.R),
+                   VectorField(*(random_poly(rng, max_degree=3, max_terms=4, m=m,
+                                             sqrt_part=True) for _ in range(3)))]
+    seen = set()
+    for field in fields:
+        res = cofactor_on_torus(field, surf)
+        try:
+            K = divide_exact_z(apply(field, surf.F), surf.F)
+        except NotDivisible:
+            assert not res.on_torus, field
+        else:
+            assert res.on_torus and res.K == K, field
+        seen.add(res.on_torus)
+    assert seen == {True, False}
 
 
 @st.composite
