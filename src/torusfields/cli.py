@@ -10,19 +10,19 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from fractions import Fraction
 
 from . import __version__
-from .curves import extactic_xy, invariant_meridians, invariant_parallels
-from .dynamics import GRID_MAX, GRID_MIN, singular_points
-from .families import Family, recognize
+from .curves import extactic_xy
+from .dynamics import GRID_MAX, GRID_MIN
+from .families import Family, FamilyTag, recognize
 from .integrate import StepOverflow, export, integrate
 from .parsing import ParseError, parse, serialize
-from .report import build_report, report_json
+from .report import (build_report, family_entry, meridians_entry,
+                     parallels_entry, report_json, singular_entry)
 from .vfield import (RationalFn, TorusSurface, VectorField,
-                     check_first_integral, cofactor_on_torus)
+                     check_first_integral, cofactor_on_torus, lie_bracket)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,16 +75,9 @@ def _load_field(args, m: Fraction, suffix: str = "") -> VectorField:
                        parse(getattr(args, f"rz{suffix}"), m))
 
 
-def _emit(args, text: str) -> None:
-    data = text if text.endswith("\n") else text + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(data)
-    else:
-        sys.stdout.write(data)
-
-
-def _emit_bytes(args, blob: bytes) -> None:
+def _emit(args, out: str | bytes) -> None:
+    """Write text or report_json bytes to --out or stdout, ending in one newline."""
+    blob = out.encode() if isinstance(out, str) else out
     if not blob.endswith(b"\n"):
         blob += b"\n"
     if args.out:
@@ -101,7 +94,7 @@ def _cmd_check(args) -> int:
     if args.json:
         payload = {"on_torus": cof.on_torus,
                    "cofactor": serialize(cof.K) if cof.on_torus else None}
-        _emit(args, json.dumps(payload, sort_keys=True))
+        _emit(args, report_json(payload))
     elif cof.on_torus:
         _emit(args, f"on torus, cofactor K = {serialize(cof.K)}")
     else:
@@ -110,8 +103,6 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_bracket(args) -> int:
-    from .vfield import lie_bracket
-
     m = _parse_m(args.m)
     first = _load_field(args, m)
     second = _load_field(args, m, suffix="2")
@@ -119,7 +110,7 @@ def _cmd_bracket(args) -> int:
     if args.json:
         payload = {"P": serialize(bracket.P), "Q": serialize(bracket.Q),
                    "R": serialize(bracket.R)}
-        _emit(args, json.dumps(payload, sort_keys=True))
+        _emit(args, report_json(payload))
     else:
         _emit(args, "[X,Y] = (\n  {},\n  {},\n  {}\n)".format(
             serialize(bracket.P), serialize(bracket.Q), serialize(bracket.R)))
@@ -131,118 +122,89 @@ def _cmd_extactic(args) -> int:
     field = _load_field(args, m)
     ext = extactic_xy(field)
     if args.json:
-        _emit(args, json.dumps({"extactic_xy": serialize(ext)}, sort_keys=True))
+        _emit(args, report_json({"extactic_xy": serialize(ext)}))
     else:
         _emit(args, serialize(ext))
     return EXIT_OK
 
 
-def _require_on_torus(field: VectorField, m: Fraction, args) -> bool:
-    if cofactor_on_torus(field, TorusSurface(m)).on_torus:
-        return True
+def _on_torus(args) -> tuple[VectorField, FamilyTag, Fraction] | None:
+    """(field, recognize(field, m), m) of the arguments; None, with a message
+    on stderr, when the field leaves the torus."""
+    m = _parse_m(args.m)
+    field = _load_field(args, m)
+    tag = recognize(field, m)
+    if tag.family != Family.NOT_ON_TORUS:
+        return field, tag, m
     sys.stderr.write("field is NOT on the torus; nothing to analyze\n")
-    return False
+    return None
+
+
+def _show(args, block: dict, text) -> int:
+    """Print ``block`` through report_json under --json, else text(block)."""
+    _emit(args, report_json(block) if args.json else text(block))
+    return EXIT_OK
+
+
+def _meridians_text(block: dict) -> str:
+    if block["infinite"]:
+        return "infinitely many invariant meridians"
+    lines = [f"{block['count_with_multiplicity']} invariant meridian(s) "
+             f"from {len(block['planes'])} plane(s):"]
+    for pl in block["planes"]:
+        desc = pl["plane_expr"] or f"{pl['a']:.12g}*x + {pl['b']:.12g}*y"
+        lines.append(f"  {desc} = 0   multiplicity {pl['multiplicity']}"
+                     f"{'' if pl['exact'] else '   (float)'}")
+    return "\n".join(lines)
+
+
+def _parallels_text(block: dict) -> str:
+    if block["infinite"]:
+        return "infinitely many invariant parallels"
+    lines = [f"{len(block['planes'])} invariant parallel plane(s):"]
+    for pl in block["planes"]:
+        lines.append(f"  z = {pl['k']:.12g}   multiplicity {pl['multiplicity']}"
+                     f"{'' if pl['exact'] else '   (float)'}")
+    return "\n".join(lines)
+
+
+def _family_text(block: dict) -> str:
+    also = ", ".join(block["also_matches"])
+    return f"family: {block['tag']}" + (f"   (also matches: {also})" if also else "")
+
+
+def _singular_text(block: dict) -> str:
+    lines = [f"singular set: {block['kind']}"]
+    if block["description"]:
+        lines.append(f"  {block['description']}")
+    for pt in block["points"]:
+        x, y, z = pt["point"]
+        lines.append(f"  ({x:.12g}, {y:.12g}, {z:.12g})  {pt['class'] or 'unclassified'}")
+    return "\n".join(lines)
 
 
 def _cmd_meridians(args) -> int:
-    m = _parse_m(args.m)
-    field = _load_field(args, m)
-    if not _require_on_torus(field, m, args):
+    if (on := _on_torus(args)) is None:
         return EXIT_NOT_ON_TORUS
-    mset = invariant_meridians(field)
-    if args.json:
-        payload = {
-            "infinite": mset.infinite,
-            "count_with_multiplicity": ("infinite" if mset.infinite
-                                        else 2 * mset.plane_multiplicity_total()),
-            "planes": [{"a": pl.a, "b": pl.b, "exact": pl.exact,
-                        "multiplicity": mult}
-                       for pl, mult in mset.planes],
-        }
-        _emit(args, json.dumps(payload, sort_keys=True))
-    elif mset.infinite:
-        _emit(args, "infinitely many invariant meridians")
-    else:
-        lines = [f"{2 * mset.plane_multiplicity_total()} invariant meridian(s) "
-                 f"from {len(mset.planes)} plane(s):"]
-        for pl, mult in mset.planes:
-            ppoly = pl.polynomial()
-            desc = serialize(ppoly) if ppoly is not None else f"{pl.a:.12g}*x + {pl.b:.12g}*y"
-            lines.append(f"  {desc} = 0   multiplicity {mult}"
-                         f"{'' if pl.exact else '   (float)'}")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    return _show(args, meridians_entry(*on), _meridians_text)
 
 
 def _cmd_parallels(args) -> int:
-    m = _parse_m(args.m)
-    field = _load_field(args, m)
-    if not _require_on_torus(field, m, args):
+    if (on := _on_torus(args)) is None:
         return EXIT_NOT_ON_TORUS
-    pset = invariant_parallels(field)
-    if args.json:
-        payload = {
-            "infinite": pset.infinite,
-            "planes": [{"k": pl.k, "exact": pl.exact, "multiplicity": mult}
-                       for pl, mult in pset.planes],
-        }
-        _emit(args, json.dumps(payload, sort_keys=True))
-    elif pset.infinite:
-        _emit(args, "infinitely many invariant parallels")
-    else:
-        lines = [f"{len(pset.planes)} invariant parallel plane(s):"]
-        for pl, mult in pset.planes:
-            lines.append(f"  z = {pl.k:.12g}   multiplicity {mult}"
-                         f"{'' if pl.exact else '   (float)'}")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    return _show(args, parallels_entry(*on), _parallels_text)
 
 
 def _cmd_classify(args) -> int:
-    m = _parse_m(args.m)
-    field = _load_field(args, m)
-    tag = recognize(field, m)
-    if tag.family == Family.NOT_ON_TORUS:
-        sys.stderr.write("field is NOT on the torus\n")
+    if (on := _on_torus(args)) is None:
         return EXIT_NOT_ON_TORUS
-    from .report import _params_dict
-
-    if args.json:
-        payload = {"family": tag.family.value,
-                   "params": _params_dict(tag.params),
-                   "also_matches": [f.value for f in tag.matches
-                                    if f != tag.family]}
-        _emit(args, json.dumps(payload, sort_keys=True))
-    else:
-        extra = ", ".join(f.value for f in tag.matches if f != tag.family)
-        text = f"family: {tag.family.value}"
-        if extra:
-            text += f"   (also matches: {extra})"
-        _emit(args, text)
-    return EXIT_OK
+    return _show(args, family_entry(on[1]), _family_text)
 
 
 def _cmd_singular(args) -> int:
-    m = _parse_m(args.m)
-    field = _load_field(args, m)
-    tag = recognize(field, m)
-    if tag.family == Family.NOT_ON_TORUS:
-        sys.stderr.write("field is NOT on the torus\n")
+    if (on := _on_torus(args)) is None:
         return EXIT_NOT_ON_TORUS
-    sing = singular_points(field, tag, m, grid=args.grid)
-    from .report import _singular_dict
-
-    if args.json:
-        _emit(args, json.dumps(_singular_dict(sing), sort_keys=True))
-    else:
-        lines = [f"singular set: {sing.kind.value}"]
-        if sing.description:
-            lines.append(f"  {sing.description}")
-        for pt, cls in sing.points:
-            cls_text = cls.value if cls is not None else "unclassified"
-            lines.append(f"  ({pt[0]:.12g}, {pt[1]:.12g}, {pt[2]:.12g})  {cls_text}")
-        _emit(args, "\n".join(lines))
-    return EXIT_OK
+    return _show(args, singular_entry(*on, args.grid), _singular_text)
 
 
 def _cmd_first_integral(args) -> int:
@@ -251,7 +213,7 @@ def _cmd_first_integral(args) -> int:
     h = RationalFn(parse(args.num, m), parse(args.den, m))
     ok = check_first_integral(field, h)
     if args.json:
-        _emit(args, json.dumps({"first_integral": ok}, sort_keys=True))
+        _emit(args, report_json({"first_integral": ok}))
     else:
         _emit(args, "first integral: " + ("verified" if ok else "NOT a first integral"))
     return EXIT_OK
@@ -267,7 +229,7 @@ def _cmd_integrate(args) -> int:
     if len(start) != 3:
         raise ValueError("--start must have exactly three components")
     traj = integrate(field, start, args.t_end, args.dt, m, project=args.project)
-    _emit_bytes(args, export(traj, args.format))
+    _emit(args, export(traj, args.format))
     return EXIT_OK
 
 
@@ -275,7 +237,7 @@ def _cmd_report(args) -> int:
     m = _parse_m(args.m)
     report = build_report(args.px, args.qy, args.rz, m, seed=args.seed,
                           grid=args.grid)
-    _emit_bytes(args, report_json(report))
+    _emit(args, report_json(report))
     return EXIT_OK if report["on_torus"] else EXIT_NOT_ON_TORUS
 
 

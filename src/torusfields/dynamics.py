@@ -52,7 +52,7 @@ from .curves import (MeridianPlane, check_four_meridian_criterion,
                      linear_xy_factors)
 from .families import (CubicParams, Family, FamilyTag, TwoParallelParams,
                        rotation_shape)
-from .kernels import (CompiledPoly, compile_finite, eval_point,
+from .kernels import (CompiledPoly, compile_finite, eval_point, float_m,
                       row_blocks, surface_angles, surface_blocks)
 from .poly import MultiPoly, UniPoly, X, Y, Z, unipoly_gcd
 from .roots import real_roots
@@ -145,11 +145,11 @@ def _exact_zeros(k0: Scalar, kappa: Scalar, k3: Scalar, dd: Scalar,
     torus with side*s > 0 and dd = |d|^2, decided over Q(sqrt(m))."""
     if k3:  # q(0) = k3^2*(m^2 - 1) + k0^2 > 0, and every root has dd*s^2 <= m + 1
         q = UniPoly(_quartic(k0, kappa, k3, dd, m))
-        b = math.ceil(math.sqrt((float(m) + 1.0) / dd.to_float())) + 1
+        b = math.ceil(math.sqrt((float_m(m) + 1.0) / dd.to_float())) + 1
         return {side: float(roots[0][0]) for side, span in ((1, (0, b)), (-1, (-b, 0)))
                 if (roots := real_roots(q, span))}
     if not kappa:   # K' = k0 on the whole plane
-        s = math.sqrt(float(m) / dd.to_float())
+        s = math.sqrt(float_m(m) / dd.to_float())
         return {} if k0 else {1: s, -1: -s}
     s0 = -k0 * kappa.inverse()
     ring = dd * s0 * s0 - m
@@ -198,7 +198,7 @@ def meridian_periodicity(params: CubicParams, m: Fraction,
         raise ValueError("field does not have exactly four invariant meridians")
     if params.Kprime.degree > 1:
         raise ValueError(f"deg K' = {params.Kprime.degree} exceeds 1")
-    mf = float(m)
+    mf = float_m(m)
     kprime = compile_finite(params.Kprime, mf, "K'")
     k0, k1, k2, k3 = (params.Kprime.coefficient(e) for e in _LINEAR)
     k0f, k1f, k2f, k3f = (dict(kprime.terms).get(e, 0.0) for e in _LINEAR)
@@ -300,7 +300,7 @@ def parallel_periodicity(params: TwoParallelParams, m: Fraction,
         raise ValueError("two-parallel family requires (p, q) != (0, 0)")
     obstruction, roots = _parallel_obstructions(params, Fraction(m))[which]
     if obstruction.is_zero():
-        witness = _surface_point(0.0, math.pi / 2 * which, float(m))
+        witness = _surface_point(0.0, math.pi / 2 * which, float_m(m))
         return PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=witness,
                                   reason="every point of the parallel is singular")
     witnesses = [2.0 * math.atan(t) for t, _ in roots]
@@ -308,7 +308,7 @@ def parallel_periodicity(params: TwoParallelParams, m: Fraction,
         witnesses.append(math.pi)
     if witnesses:
         theta = witnesses[0] % (2.0 * math.pi)
-        a = math.sqrt(float(m))
+        a = math.sqrt(float_m(m))
         witness = (a * math.cos(theta), a * math.sin(theta), float(which))
         return PeriodicityVerdict(Verdict.NOT_PERIODIC, witness=witness,
                                   reason=f"singular point at theta = {theta:.12g}")
@@ -580,7 +580,7 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
     A curve of zeros is normal to both gradients: where they are parallel,
     a zero two cells out along a tangent makes the component a curve.
     """
-    mf = float(m)
+    mf = float_m(m)
     compiled = [compile_finite(p, mf, what) for p, what in zip(levels, whats)]
     vals, extremes, vmax = _level_grid(compiled, whats, mf, grid)
     if not vmax.any():
@@ -725,7 +725,7 @@ def grid_min_speed(field: VectorField, kprime: MultiPoly, f: MultiPoly, m: Fract
     t = -(f0 + f3*sin(phi))/r, is least per phi at the g nearest t among the
     sorted g.  ValueError when P, Q or R has a coefficient beyond the float
     range, or M or the minimum is not finite."""
-    mf = float(m)
+    mf = float_m(m)
     for component, name in zip(field.components(), "PQR"):
         compile_finite(component, mf, name)
     if f.degree > 1:
@@ -771,8 +771,10 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
     exact for a form in x and y of degree >= 1 and for a semidefinite A of
     degree <= 2, else a scan of A.  A two-parallel field's set is decided
     exactly by :func:`_two_parallel_singular`.  Otherwise it is a numeric
-    scan of (L, M), or of (G2, G1) outside the cubic form."""
+    scan of (L, M), or of (G2, G1) outside the cubic form.  ValueError when
+    m is beyond the float range, where its points and grid minima are not."""
     _check_grid(grid)
+    float_m(m)
     if tag.family == Family.TWO_PARALLEL:
         return _two_parallel_singular(field, tag, Fraction(m), grid)
     cubic = tag.cubic
@@ -806,7 +808,7 @@ def _rotation_singular(a: MultiPoly, m: Fraction, grid: int) -> SingularSet:
         planes = linear_xy_factors(a)
         if planes:
             return _singular_set([], 2 * len(planes), False)
-        mf = float(m)
+        mf = float_m(m)
         _, cos, sin, r = surface_angles(mf, grid)
         with np.errstate(all="ignore"):
             on_circle = np.abs(compile_finite(a, mf, what).fn(cos, sin, 0.0))
@@ -902,7 +904,7 @@ def _semidefinite_singular(a: MultiPoly, m: Fraction, grid: int,
     if points or curves:
         return _singular_set([(pt, SingClass.LINEARLY_ZERO if abs(pt[2]) >= 1e-6 else None)
                               for pt in sorted(points)], curves, False)
-    mf = float(m)
+    mf = float_m(m)
     fold, least = _column_min(_abs_level, grid)
     _fold_grid(compile_finite(a, mf, what), what, mf, grid, fold)
     with np.errstate(all="ignore"):
@@ -976,7 +978,7 @@ def _two_parallel_singular(field: VectorField, tag: FamilyTag, m: Fraction,
             points += _circle_points(poly, roots, m, float(which))
     if points or curves:
         return _singular_set([(pt, None) for pt in sorted(points)], curves, False)
-    mf = float(m)
+    mf = float_m(m)
     (l_poly, m_poly), (l_what, m_what), _ = _tangential_pair(field, tag.cubic, m)
     half = dict(compile_finite(l_poly, mf, l_what).terms)     # p/2 and q/2 at x^3, y^3
     _, cos, sin, r = surface_angles(mf, grid)
@@ -1031,7 +1033,7 @@ def _plane_points(params: TwoParallelParams, m: Fraction) -> list[tuple[float, f
     if equator.degree >= 1:
         points += [_plane_point(p, q, r, 0.0) for r, _ in real_roots(equator)]
     if common.degree >= 1:
-        ddf, mf = dd.to_float(), float(m)
+        ddf, mf = dd.to_float(), float_m(m)
         for r, (w_sign, h_sign) in _signs_at_roots(common, [w, h]):
             if w_sign and h_sign > 0:     # h = 0 is on the equator
                 z = math.sqrt(max(1.0 - (ddf * r * r - mf) ** 2, 0.0))
@@ -1122,7 +1124,7 @@ def _classify_singularity(field: VectorField, q: tuple[float, float, float],
         raise ChartError(f"|z| = {abs(q[2]):.2e} is too small for the chart")
     if (a_poly := rotation_shape(field)) is None:
         raise ValueError("field is not of the shape (A*y, -A*x, 0)")
-    mf = float(m)
+    mf = float_m(m)
     grads = [compile_finite(a_poly.differentiate(v), mf, f"the {v}-derivative of A")
              for v in "xyz"]
     return _classify(_chart_gradient(compile_finite(a_poly, mf, "A"), grads, q, mf), q)

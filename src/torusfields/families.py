@@ -29,7 +29,7 @@ from fractions import Fraction
 from .poly import (ONE, MultiPoly, NotDivisible, X, Y, Z, divide_exact,
                    sum_of_products)
 from .scalars import Scalar
-from .vfield import (CofactorResult, RationalFn, VectorField, apply,
+from .vfield import (CofactorResult, RationalFn, VectorField,
                      check_first_integral, cofactor_on_torus, torus_surface)
 
 
@@ -255,6 +255,7 @@ def recognize(field: VectorField, m: Fraction) -> FamilyTag:
 
 _RADIAL = X * X + Y * Y
 _RADIAL_SQUARED = _RADIAL * _RADIAL
+_RADIAL_SQUARED_GRADIENT = (4 * X * _RADIAL, 4 * Y * _RADIAL, MultiPoly.zero())
 
 
 def canonical_first_integrals(tag: FamilyTag, m: Fraction) -> list[RationalFn]:
@@ -284,5 +285,6 @@ def verified_first_integrals(field: VectorField, tag: FamilyTag,
         return []
     if tag.family in (Family.KOLMOGOROV, Family.QUADRATIC):
         # chi(F) = K*F, so den*chi(F) - F*chi(den) = F*(K*den - chi(den)), F != 0
-        return [(h, apply(field, h.den) == tag.cofactor * h.den) for h in integrals]
+        chi_den = sum_of_products(zip(field.components(), _RADIAL_SQUARED_GRADIENT))
+        return [(h, chi_den == tag.cofactor * h.den) for h in integrals]
     return [(h, check_first_integral(field, h)) for h in integrals]

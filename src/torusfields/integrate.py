@@ -29,7 +29,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .kernels import compile_finite, rk4_orbit
+from .kernels import compile_finite, float_m, rk4_orbit
 from .vfield import VectorField
 
 COLUMNS = ("t", "x", "y", "z", "theta", "phi")
@@ -117,7 +117,7 @@ def integrate(field: VectorField, start: tuple[float, float, float],
     if t_end / dt > MAX_STEPS:
         raise ValueError(f"t_end/dt = {t_end / dt:.6g} asks for more than "
                          f"{MAX_STEPS} RK4 steps")
-    mf = float(m)
+    mf = float_m(m)
     n_full = int(math.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
     if remainder <= dt * 1e-9:

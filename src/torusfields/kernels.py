@@ -23,6 +23,7 @@ from __future__ import annotations
 import array
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -135,6 +136,15 @@ def _circle(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in table:
         arr.flags.writeable = False
     return table
+
+
+def float_m(m) -> float:
+    """m as a float; ValueError naming m when it is beyond the float range."""
+    try:
+        return float(m)
+    except OverflowError:
+        raise ValueError("m is beyond the float range (at most "
+                         f"{sys.float_info.max:.6g})") from None
 
 
 @functools.lru_cache(maxsize=8)

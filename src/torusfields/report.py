@@ -13,12 +13,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .curves import (MeridianSet, ParallelSet, check_four_meridian_criterion,
-                     invariant_meridians, invariant_parallels)
-from .dynamics import (MeridianVerdict, PeriodicityVerdict, SingularSet,
-                       Verdict, meridian_periodicity, parallel_periodicity,
-                       singular_points)
-from .families import (CubicParams, DegreeOneParams, Family,
+from .curves import (check_four_meridian_criterion, invariant_meridians,
+                     invariant_parallels)
+from .dynamics import (PeriodicityVerdict, Verdict, meridian_periodicity,
+                       parallel_periodicity, singular_points)
+from .families import (CubicParams, DegreeOneParams, Family, FamilyTag,
                        KolmogorovParams, PseudoTypeParams, QuadraticParams,
                        TwoParallelParams, recognize, verified_first_integrals)
 from .parsing import parse, serialize
@@ -32,8 +31,6 @@ def _scalar_expr(s: Scalar) -> str:
 
 
 def _params_dict(params: object) -> dict | None:
-    if params is None:
-        return None
     if isinstance(params, CubicParams):
         return {"K_prime": serialize(params.Kprime), "f": serialize(params.f),
                 "beta": _scalar_expr(params.beta),
@@ -65,16 +62,41 @@ def _verdict_dict(v: PeriodicityVerdict | None) -> dict | None:
     return out
 
 
-def _meridian_entries(mset: MeridianSet,
-                      verdicts: list[MeridianVerdict] | None,
-                      blanket: PeriodicityVerdict | None) -> list[dict]:
-    entries = []
+def _blanket_verdict(tag: FamilyTag, meridians: bool) -> PeriodicityVerdict | None:
+    """The verdict that every invariant meridian (or parallel) of the tagged
+    field shares, where its family decides one."""
+    if tag.family == Family.QUADRATIC and not tag.params.alpha.is_zero():
+        return PeriodicityVerdict(Verdict.PERIODIC_ORBIT, reason="field has no singular points")
+    if tag.family == Family.KOLMOGOROV or (meridians and tag.family == Family.PSEUDO_TYPE):
+        return PeriodicityVerdict(Verdict.NOT_PERIODIC,
+                                  reason="invariant curve carries singular points")
+    return None
+
+
+def family_entry(tag: FamilyTag) -> dict:
+    """The report's ``family`` block."""
+    return {
+        "tag": tag.family.value,
+        "params": _params_dict(tag.params),
+        "also_matches": [f.value for f in tag.matches if f != tag.family],
+    }
+
+
+def meridians_entry(field: VectorField, tag: FamilyTag, m: Fraction) -> dict:
+    """The report's ``meridians`` block: the invariant meridian planes of the
+    on-torus ``field``, ``tag = recognize(field, m)``, with the periodicity
+    verdict of each meridian."""
+    mset = invariant_meridians(field)
+    four = tag.family == Family.CUBIC and check_four_meridian_criterion(tag.params)
+    verdicts = meridian_periodicity(tag.params, m, mset.planes) if four else None
+    blanket = _blanket_verdict(tag, meridians=True)
+    planes = []
     for plane, mult in mset.planes:
         # the plane's verdicts at its angle and at that plus pi
         pair = [blanket] * 2 if verdicts is None else [
             mv.verdict for mv in verdicts if mv.plane is plane]
         ppoly = plane.polynomial()
-        entries.append({
+        planes.append({
             "a": plane.a, "b": plane.b,
             "exact": plane.exact,
             "plane_expr": serialize(ppoly) if ppoly is not None else None,
@@ -82,26 +104,42 @@ def _meridian_entries(mset: MeridianSet,
             "meridians": [{"angle": plane.angle() + shift, "verdict": _verdict_dict(v)}
                           for shift, v in zip((0.0, math.pi), pair)],
         })
-    return entries
+    return {
+        "infinite": mset.infinite,
+        "count_with_multiplicity": _count_json(mset.meridian_count()),
+        "fallback_scan": mset.fallback_scan,
+        "planes": planes,
+    }
 
 
-def _parallel_entries(pset: ParallelSet,
-                      verdicts: dict[Fraction, PeriodicityVerdict] | None,
-                      blanket: PeriodicityVerdict | None) -> list[dict]:
-    entries = []
-    for plane, mult in pset.planes:   # real_roots gives z = +-1 as exact_k +-1
-        verdict = blanket if verdicts is None else verdicts.get(plane.exact_k)
-        entries.append({
+def parallels_entry(field: VectorField, tag: FamilyTag, m: Fraction) -> dict:
+    """The report's ``parallels`` block: the invariant parallel planes of the
+    on-torus ``field``, ``tag = recognize(field, m)``, with the periodicity
+    verdict of each parallel."""
+    pset = invariant_parallels(field)
+    verdicts = {Fraction(w): parallel_periodicity(tag.params, m, w)
+                for w in (1, -1) if tag.family == Family.TWO_PARALLEL}
+    blanket = _blanket_verdict(tag, meridians=False)
+    return {
+        "infinite": pset.infinite,
+        "count_with_multiplicity": _count_json(pset.parallel_count()),
+        "fallback_scan": pset.fallback_scan,
+        # real_roots gives z = +-1 as exact_k +-1
+        "planes": [{
             "k": plane.k,
             "k_expr": str(plane.exact_k) if plane.exact_k is not None else None,
             "exact": plane.exact,
             "multiplicity": mult,
-            "verdict": _verdict_dict(verdict),
-        })
-    return entries
+            "verdict": _verdict_dict(verdicts.get(plane.exact_k, blanket)),
+        } for plane, mult in pset.planes],
+    }
 
 
-def _singular_dict(sing: SingularSet) -> dict:
+def singular_entry(field: VectorField, tag: FamilyTag, m: Fraction, grid: int) -> dict:
+    """The report's ``singular_set`` block for the on-torus ``field``,
+    ``tag = recognize(field, m)``, scanned on a ``grid`` x ``grid`` grid
+    where no exact path decides it."""
+    sing = singular_points(field, tag, m, grid=grid)
     return {
         "kind": sing.kind.value,
         "points": [{
@@ -119,6 +157,24 @@ def _count_json(value: int | float):
     return "infinite" if value == math.inf else int(value)
 
 
+def _bounds_check(degree: int | None, meridians: dict, parallels: dict) -> dict | None:
+    """The meridian and parallel-plane counts against their bounds."""
+    if degree is None or degree < 1:
+        return None
+    mer_count = meridians["count_with_multiplicity"]
+    par_count = "infinite" if parallels["infinite"] else sum(
+        plane["multiplicity"] for plane in parallels["planes"])
+    return {
+        "degree": degree,
+        "meridian_count": mer_count,
+        "meridian_bound": 2 * (degree - 1),
+        "meridians_within_bound": mer_count == "infinite" or mer_count <= 2 * (degree - 1),
+        "parallel_plane_count": par_count,
+        "parallel_plane_bound": degree - 1,
+        "parallels_within_bound": par_count == "infinite" or par_count <= degree - 1,
+    }
+
+
 def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
                  grid: int = 512) -> dict:
     """Run the whole pipeline on one field and return the report dict."""
@@ -126,6 +182,7 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
     field = VectorField(parse(px, m), parse(qy, m), parse(rz, m))
     tag = recognize(field, m)
     on_torus = tag.family != Family.NOT_ON_TORUS
+    degree = None if field.is_zero() else int(field.degree)
     report: dict = {
         "schema": "torus-fields/1",
         "version": __version__,
@@ -134,88 +191,24 @@ def build_report(px: str, qy: str, rz: str, m: Fraction, seed: int = 0,
         "field": {
             "P": serialize(field.P), "Q": serialize(field.Q),
             "R": serialize(field.R),
-            "degree": None if field.is_zero() else int(field.degree),
+            "degree": degree,
         },
         "on_torus": on_torus,
         "cofactor": serialize(tag.cofactor) if on_torus else None,
-        "family": {
-            "tag": tag.family.value,
-            "params": _params_dict(tag.params),
-            "also_matches": [f.value for f in tag.matches if f != tag.family],
-        },
+        "family": family_entry(tag),
     }
     if not on_torus:
         return report
-
-    meridians = invariant_meridians(field)
-    parallels = invariant_parallels(field)
-
-    meridian_verdicts: list[MeridianVerdict] | None = None
-    meridian_blanket: PeriodicityVerdict | None = None
-    parallel_verdicts: dict[Fraction, PeriodicityVerdict] | None = None
-    parallel_blanket: PeriodicityVerdict | None = None
-
-    if tag.family == Family.CUBIC and isinstance(tag.params, CubicParams) \
-            and check_four_meridian_criterion(tag.params):
-        meridian_verdicts = meridian_periodicity(tag.params, m, meridians.planes)
-    elif tag.family == Family.TWO_PARALLEL and isinstance(tag.params, TwoParallelParams):
-        parallel_verdicts = {Fraction(w): parallel_periodicity(tag.params, m, w)
-                             for w in (1, -1)}
-    elif tag.family == Family.QUADRATIC and isinstance(tag.params, QuadraticParams) \
-            and not tag.params.alpha.is_zero():
-        blanket = PeriodicityVerdict(Verdict.PERIODIC_ORBIT,
-                                     reason="field has no singular points")
-        meridian_blanket = parallel_blanket = blanket
-    elif tag.family in (Family.KOLMOGOROV, Family.PSEUDO_TYPE):
-        blanket = PeriodicityVerdict(
-            Verdict.NOT_PERIODIC,
-            reason="invariant curve carries singular points")
-        meridian_blanket = blanket
-        if tag.family == Family.KOLMOGOROV:
-            parallel_blanket = blanket
-
-    report["meridians"] = {
-        "infinite": meridians.infinite,
-        "count_with_multiplicity": _count_json(meridians.meridian_count()),
-        "fallback_scan": meridians.fallback_scan,
-        "planes": _meridian_entries(meridians, meridian_verdicts,
-                                    meridian_blanket),
-    }
-    report["parallels"] = {
-        "infinite": parallels.infinite,
-        "count_with_multiplicity": _count_json(parallels.parallel_count()),
-        "fallback_scan": parallels.fallback_scan,
-        "planes": _parallel_entries(parallels, parallel_verdicts,
-                                    parallel_blanket),
-    }
-
+    report["meridians"] = meridians_entry(field, tag, m)
+    report["parallels"] = parallels_entry(field, tag, m)
     report["first_integrals"] = [{
         "numerator": serialize(h.num),
         "denominator": serialize(h.den),
         "verified": ok,
     } for h, ok in verified_first_integrals(field, tag, m)]
-
-    report["singular_set"] = _singular_dict(singular_points(field, tag, m, grid=grid))
-
-    degree = None if field.is_zero() else int(field.degree)
-    if degree is not None and degree >= 1:
-        mer_bound = 2 * (degree - 1)
-        par_bound = degree - 1
-        mer_count = meridians.meridian_count()
-        par_count = parallels.plane_multiplicity_total() if not parallels.infinite else math.inf
-        report["bounds_check"] = {
-            "degree": degree,
-            "meridian_count": _count_json(mer_count),
-            "meridian_bound": mer_bound,
-            "meridians_within_bound": (mer_count == math.inf
-                                       or mer_count <= mer_bound),
-            "parallel_plane_count": _count_json(par_count),
-            "parallel_plane_bound": par_bound,
-            "parallels_within_bound": (par_count == math.inf
-                                       or par_count <= par_bound),
-        }
-    else:
-        report["bounds_check"] = None
+    report["singular_set"] = singular_entry(field, tag, m, grid)
+    report["bounds_check"] = _bounds_check(degree, report["meridians"],
+                                           report["parallels"])
     return report
 
 

@@ -3,12 +3,18 @@ import math
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from torusfields import CubicParams, Scalar, build_cubic, dynamics, parse, serialize
+from torusfields import (CubicParams, Scalar, build_cubic, build_report, dynamics, parse,
+                         report_json, serialize)
 from torusfields.cli import _grid_size, main
 from torusfields.dynamics import GRID_MAX, GRID_MIN
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import corpus  # noqa: E402
 
 SECT5 = ["--px", "(1/4)*x*z + x*y^2",
          "--qy", "(1/4)*y*z - x^2*y",
@@ -158,7 +164,7 @@ def test_classify_output(capsys):
     code = main(["classify", *SECT5, "--m", "4", "--json"])
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
-    assert payload["family"] == "cubic"
+    assert payload["tag"] == "cubic"
     assert payload["params"]["f"] == "x*y"
 
 
@@ -585,3 +591,117 @@ def test_integrate_runaway_orbit_is_an_error():
     assert code == 1
     assert out == ""
     assert err == "error: state became non-finite or exceeded 1e6 (t ~ 12.717)\n"
+
+
+# -- the subcommands print the report's blocks ---------------------------------
+
+BLOCKS = {"classify": "family", "singular": "singular_set", "meridians": "meridians",
+          "parallels": "parallels"}
+
+
+def spec_argv(spec):
+    return ["--px", spec.px, "--qy", spec.qy, "--rz", spec.rz, "--m", str(spec.m)]
+
+
+@pytest.mark.parametrize("m", REPRO_MS)
+def test_json_subcommands_print_the_report_blocks(m, capsys):
+    for spec in corpus.named_corpus(Fraction(m)):
+        report = build_report(spec.px, spec.qy, spec.rz, spec.m, grid=200)
+        for command, key in BLOCKS.items():
+            grid = ["--grid", "200"] if command == "singular" else []
+            assert main([command, *spec_argv(spec), *grid, "--json"]) == 0
+            assert capsys.readouterr().out == report_json(report[key]).decode(), \
+                (spec.name, m, command)
+
+
+JSON_EXTRA_ARGS = {"check": [], "bracket": ["--px2", "y^3", "--qy2", "-x*y^2", "--rz2", "0"],
+                   "extactic": [], "meridians": [], "parallels": [], "classify": [],
+                   "singular": ["--grid", "64"], "first-integral": ["--num", "z"],
+                   "report": ["--grid", "64"]}
+
+
+@pytest.mark.parametrize("command", list(JSON_EXTRA_ARGS))
+def test_every_json_output_is_the_stdlib_layout(command, capsys):
+    assert main([command, *SECT5, "--m", "4", "--json", *JSON_EXTRA_ARGS[command]]) == 0
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+KOLMOGOROV = ["--px", "(1/4)*(2*z)*x*z + (x*y)*y", "--qy", "(1/4)*(2*z)*y*z - (x*y)*x",
+              "--rz", "(1/2)*(2*z)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)"]
+TWO_PARALLEL = ["--px", "(1/2)*x^2*z + (y^2 + a^2 + 1)*y - (1/2)*a^2*z",
+                "--qy", "(1/2)*x*y*z - (y^2 + a^2 + 1)*x", "--rz", "x*(z^2 - 1)"]
+FOUR_MERIDIANS = ("4 invariant meridian(s) from 2 plane(s):\n"
+                  "  y = 0   multiplicity 1\n  x = 0   multiplicity 1\n")
+NO_MERIDIANS = "0 invariant meridian(s) from 0 plane(s):\n"
+KOLMOGOROV_POINTS = "".join(f"  {p}  unclassified\n" for p in (
+    "(-2.2360679775, 0, 0)", "(-1.73205080757, 0, 0)", "(0, -2.2360679775, 0)",
+    "(0, -1.73205080757, 0)", "(0, 1.73205080757, 0)", "(0, 2.2360679775, 0)",
+    "(1.73205080757, 0, 0)", "(2.2360679775, 0, 0)"))
+BOWL_POINTS = "".join(f"  ({x}, 0, 0.5)  linearly-zero\n" for x in (
+    "-2.20590693452", "-1.77030353223", "1.77030353223", "2.20590693452"))
+
+
+# the text each subcommand printed before it rendered the report's blocks
+PINNED_TEXT = {
+    "worked-cubic": (SECT5, {
+        "meridians": FOUR_MERIDIANS, "parallels": "0 invariant parallel plane(s):\n",
+        "classify": "family: cubic\n", "singular": "singular set: empty\n"}),
+    "two-parallel": (TWO_PARALLEL, {
+        "meridians": NO_MERIDIANS,
+        "parallels": ("2 invariant parallel plane(s):\n"
+                      "  z = -1   multiplicity 1\n  z = 1   multiplicity 1\n"),
+        "classify": "family: two-parallel   (also matches: cubic)\n",
+        "singular": "singular set: empty\n"}),
+    "bowl": (BOWL, {
+        "meridians": NO_MERIDIANS, "parallels": "infinitely many invariant parallels\n",
+        "classify": "family: cubic\n",
+        "singular": "singular set: isolated-points\n  4 isolated singular point(s)\n"
+                    + BOWL_POINTS}),
+    "kolmogorov": (KOLMOGOROV, {
+        "meridians": FOUR_MERIDIANS,
+        "parallels": "1 invariant parallel plane(s):\n  z = 0   multiplicity 1\n",
+        "classify": "family: kolmogorov   (also matches: cubic)\n",
+        "singular": "singular set: isolated-points\n  8 isolated singular point(s)\n"
+                    + KOLMOGOROV_POINTS}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_TEXT))
+def test_text_output_is_rendered_from_the_blocks(name, capsys):
+    field, texts = PINNED_TEXT[name]
+    for command, text in texts.items():
+        assert main([command, *field, "--m", "4"]) == 0
+        assert capsys.readouterr().out == text, command
+
+
+def test_not_on_torus_message_is_one_message(capsys):
+    for command in BLOCKS:
+        assert main([command, "--px", "x", "--qy", "y", "--rz", "z"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "field is NOT on the torus; nothing to analyze\n"
+
+
+BEYOND_FLOATS = "1e400"
+
+
+@pytest.mark.parametrize("command", [["report"], ["singular"], ["meridians"],
+                                     ["integrate", "--start", "3,0,0", "--t-end", "0.01"]],
+                         ids=lambda c: c[0])
+def test_m_beyond_the_float_range_is_named(command, capsys):
+    assert main([*command, *SECT5, "--m", BEYOND_FLOATS]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: m is beyond the float range (at most 1.79769e+308)\n"
+
+
+@pytest.mark.parametrize("command, text", [
+    ("check", "on torus, cofactor K = z\n"),
+    ("classify", "family: cubic\n"),
+    ("extactic", "-x^3*y - x*y^3\n"),
+    ("parallels", "0 invariant parallel plane(s):\n"),
+], ids=["check", "classify", "extactic", "parallels"])
+def test_exact_subcommands_answer_beyond_the_float_range(command, text, capsys):
+    assert main([command, *SECT5, "--m", BEYOND_FLOATS]) == 0
+    assert capsys.readouterr().out == text

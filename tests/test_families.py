@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -484,3 +485,104 @@ def test_recognize_matches_build_and_compare_reference(m):
         assert tag == reference_recognize(field, m), field
         seen.add(tag.family)
     assert seen == set(Family)
+
+
+# -- an independent oracle: the solution space of chi(F) = K*F -------------------
+#
+# The fields (P, Q, R) of degree <= 3 on the torus are the solutions of
+# chi(F) = K*F with deg K <= 2, a linear system in their coefficients.  Its
+# null space, computed by sympy, checks the classification without the
+# closed form that recognize and build_cubic share.
+
+ORACLE_MS = [Fraction(4), Fraction(3), Fraction(9, 2)]
+
+
+def _monomials(degree: int, divisor: int | None = None) -> list[tuple[int, int, int]]:
+    return [(i, j, k) for i in range(degree + 1) for j in range(degree + 1 - i)
+            for k in range(degree + 1 - i - j) if divisor is None or (i, j, k)[divisor]]
+
+
+@functools.cache
+def torus_fields(m: Fraction, kolmogorov: bool = False) -> tuple[VectorField, ...]:
+    """A basis of the fields of degree <= 3 on the torus at m; with
+    ``kolmogorov``, of those with x | P, y | Q and z | R."""
+    import sympy
+
+    x, y, z = sympy.symbols("x y z")
+    a2 = sympy.Rational(m.numerator, m.denominator)
+    F = (x**2 + y**2 - a2)**2 + z**2 - 1
+    parts = [_monomials(3, v if kolmogorov else None) for v in range(3)] + [_monomials(2)]
+    coeffs = [sympy.symbols(f"c{n}_:{len(mons)}") for n, mons in enumerate(parts)]
+    P, Q, R, K = (sum(c * x**i * y**j * z**k for c, (i, j, k) in zip(cs, mons))
+                  for cs, mons in zip(coeffs, parts))
+    chi = sympy.expand(P * F.diff(x) + Q * F.diff(y) + R * F.diff(z) - K * F)
+    unknowns = [c for cs in coeffs for c in cs]
+    matrix, _ = sympy.linear_eq_to_matrix(sympy.Poly(chi, x, y, z).coeffs(), unknowns)
+    basis = []
+    for vector in matrix.nullspace():
+        values = iter(vector)
+        basis.append(VectorField(*(MultiPoly({exp: Scalar(Fraction(int(v.p), int(v.q)))
+                                              for exp, v in zip(mons, values) if v})
+                                   for mons in parts[:3])))
+    return tuple(basis)
+
+
+def oracle_draw(rng: random.Random, basis, m: Fraction) -> VectorField:
+    """A seeded combination of the basis, with sqrt(m) parts at non-square m."""
+    total = VectorField(MultiPoly.zero(), MultiPoly.zero(), MultiPoly.zero())
+    for field in basis:
+        c = Scalar(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   rng.choice((0, 0, 1, -2)), m)
+        total = VectorField(*(a + b.scale(c) for a, b in zip(total.components(),
+                                                              field.components())))
+    return total
+
+
+@pytest.mark.parametrize("m", ORACLE_MS, ids=str)
+def test_oracle_space_has_the_dimension_of_the_cubic_form(m):
+    # K' (4) + f (10) + beta and gamma (2); (c1, c2) for Kolmogorov fields
+    assert len(torus_fields(m)) == 16
+    assert len(torus_fields(m, kolmogorov=True)) == 2
+
+
+@pytest.mark.parametrize("m", ORACLE_MS, ids=str)
+def test_oracle_fields_are_recognized_and_rebuilt(m):
+    rng = random.Random(26)
+    for _ in range(20):
+        field = oracle_draw(rng, torus_fields(m), m)
+        tag = recognize(field, m)
+        assert tag.family not in (Family.NOT_ON_TORUS, Family.UNCLASSIFIED)
+        assert build_cubic(tag.cubic, m) == field
+
+
+@pytest.mark.parametrize("m", ORACLE_MS, ids=str)
+def test_oracle_kolmogorov_fields_are_tagged_kolmogorov(m):
+    rng = random.Random(26)
+    for _ in range(10):
+        field = oracle_draw(rng, torus_fields(m, kolmogorov=True), m)
+        if field.is_zero():
+            continue
+        tag = recognize(field, m)
+        assert tag.family == Family.KOLMOGOROV
+        assert build_kolmogorov(tag.params, m) == field
+
+
+@pytest.mark.parametrize("m", ORACLE_MS, ids=str)
+def test_oracle_perturbation_off_the_space_leaves_the_torus(m):
+    import sympy
+
+    rng = random.Random(26)
+    basis = torus_fields(m)
+    monomials = _monomials(3)
+    for _ in range(10):
+        delta = VectorField(*(MultiPoly({e: Scalar(rng.choice((-2, -1, 1, 2)))
+                                         for e in rng.sample(monomials, 2)})
+                              for _ in range(3)))
+        # off the space: delta's coefficients are independent of the basis'
+        columns = [[c.coefficient(e).p for c in f.components() for e in monomials]
+                   for f in (*basis, delta)]
+        assert sympy.Matrix(columns).rank() == len(basis) + 1
+        field = oracle_draw(rng, basis, m)
+        perturbed = VectorField(*(a + b for a, b in zip(field.components(),
+                                                         delta.components())))
+        assert recognize(perturbed, m).family == Family.NOT_ON_TORUS

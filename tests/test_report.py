@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from torusfields import (MultiPoly, VectorField, Verdict, build_report, dynamics,
-                         kernels, parse, recognize, report_json, vfield,
+                         families, kernels, parse, recognize, report_json, vfield,
                          verified_first_integrals)
 
 from conftest import reference_serialize
@@ -109,6 +109,7 @@ def test_report_goes_through_the_public_stage_entries(monkeypatch):
 def test_torus_is_differentiated_once_per_m(m, monkeypatch):
     # the cofactor reads F's gradient off the surface, and the Kolmogorov and
     # quadratic integral F/(x^2 + y^2)^2 is verified through that cofactor
+    # and the constant gradient of its denominator
     F = vfield.torus_surface(m).F
     apply, differentiate = vfield.apply, MultiPoly.differentiate
 
@@ -118,6 +119,7 @@ def test_torus_is_differentiated_once_per_m(m, monkeypatch):
 
     def guarded_differentiate(poly, var):
         assert poly != F, "F differentiated again"
+        assert poly != families._RADIAL_SQUARED, "(x^2 + y^2)^2 differentiated"
         return differentiate(poly, var)
 
     monkeypatch.setattr(vfield, "apply", guarded_apply)
