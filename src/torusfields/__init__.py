@@ -31,10 +31,9 @@ from .curves import (MeridianPlane, MeridianSet, ParallelPlane, ParallelSet,
                      check_four_meridian_criterion, extactic_xy,
                      invariant_meridians, invariant_parallels,
                      linear_xy_factors)
-from .dynamics import (ChartError, GridResolutionWarning, MeridianVerdict,
-                       PeriodicityVerdict, SingClass, SingKind, SingularSet,
-                       Verdict, meridian_periodicity, parallel_periodicity,
-                       singular_points)
+from .dynamics import (GridResolutionWarning, PeriodicityVerdict, SingClass,
+                       SingKind, SingularSet, Verdict, meridian_periodicity,
+                       parallel_periodicity, singular_points)
 from .integrate import (StepOverflow, Trajectory, export, integrate,
                         trajectory_from_json)
 from .report import build_report, report_json

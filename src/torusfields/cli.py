@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from . import __version__
 from .curves import extactic_xy
-from .dynamics import GRID_MAX, GRID_MIN
+from .dynamics import GRID_MAX, GRID_MIN, check_grid
 from .families import Family, FamilyTag, recognize
 from .integrate import StepOverflow, export, integrate
 from .parsing import ParseError, parse, serialize
@@ -46,15 +46,14 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", default="4", help="rational a^2 > 1 (default 4)")
     sub.add_argument("--json", action="store_true", help="emit JSON")
     sub.add_argument("--out", default=None, help="write output to this path")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed echoed into reports (scan phases are deterministic)")
 
 
 def _grid_size(text: str) -> int:
-    if (grid := int(text)) < GRID_MIN:
-        raise argparse.ArgumentTypeError(f"must be at least {GRID_MIN}, got {grid}")
-    if grid > GRID_MAX:
-        raise argparse.ArgumentTypeError(f"must be at most {GRID_MAX}, got {grid}")
+    grid = int(text)
+    try:
+        check_grid(grid)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return grid
 
 
@@ -283,7 +282,9 @@ def make_parser() -> _Parser:
                      help="re-project onto the torus after each step")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    add("report", _cmd_report, "full analysis report (JSON)", grid=True)
+    sub = add("report", _cmd_report, "full analysis report (JSON)", grid=True)
+    sub.add_argument("--seed", type=int, default=0,
+                     help="seed echoed into the report (scan phases are deterministic)")
     return parser
 
 

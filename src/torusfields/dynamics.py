@@ -50,11 +50,11 @@ import numpy as np
 
 from .curves import (MeridianPlane, check_four_meridian_criterion,
                      linear_xy_factors)
-from .families import (CubicParams, Family, FamilyTag, TwoParallelParams,
-                       rotation_shape)
+from .families import CubicParams, Family, FamilyTag, TwoParallelParams
 from .kernels import (CompiledPoly, compile_finite, eval_point, float_m,
                       row_blocks, surface_angles, surface_blocks)
-from .poly import MultiPoly, UniPoly, X, Y, Z, unipoly_gcd
+from .poly import (MultiPoly, NotDivisible, UniPoly, X, Y, Z, divide_exact_z,
+                   unipoly_gcd)
 from .roots import real_roots
 from .scalars import MixedExtensionError, Scalar, _rational_sqrt
 from .vfield import VectorField, torus_surface
@@ -70,10 +70,6 @@ _NEIGHBOURS = _FORWARD + tuple((-di, -dj) for di, dj in _FORWARD)
 _CORNERS = np.array([[0, 1, 0, 1], [0, 0, 1, 1]])[:, :, None]     # (di, dj) of a cell
 # exponents of the monomials 1, x, y, z
 _LINEAR = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))
-
-
-class ChartError(ValueError):
-    """Point too close to z = 0 for the upper/lower chart."""
 
 
 class GridResolutionWarning(UserWarning):
@@ -93,13 +89,6 @@ class PeriodicityVerdict:
     stability: str | None = None          # "stable" / "unstable" for limit cycles
     witness: tuple | None = None          # a singular point killing periodicity
     reason: str | None = None
-
-
-@dataclass(frozen=True)
-class MeridianVerdict:
-    angle: float
-    plane: MeridianPlane
-    verdict: PeriodicityVerdict
 
 
 class SingClass(enum.Enum):
@@ -182,9 +171,12 @@ def _float_zeros(k0: float, kappa: float, k3: float, spread: float,
 
 
 def meridian_periodicity(params: CubicParams, m: Fraction,
-                         planes: list[tuple[MeridianPlane, int]]) -> list[MeridianVerdict]:
+                         planes: list[tuple[MeridianPlane, int]]
+                         ) -> list[tuple[PeriodicityVerdict, PeriodicityVerdict]]:
     """Per-meridian verdicts for a four-meridian cubic field on ``planes``,
-    the (plane, multiplicity) list of its invariant meridians.
+    the (plane, multiplicity) list of its invariant meridians: per plane, in
+    their order, the verdicts of its meridians at the plane's angle and at
+    that angle plus pi.
 
     A meridian is a limit cycle exactly when K' never vanishes on it.  With
     beta = gamma = 0, dtheta/dt has the sign of -f, and f = rho^2*g(theta)
@@ -225,7 +217,8 @@ def meridian_periodicity(params: CubicParams, m: Fraction,
             Verdict.LIMIT_CYCLE, stability="stable" if w > 0 else "unstable") if w \
             else PeriodicityVerdict(Verdict.INCONCLUSIVE, reason=(
                 "dtheta/dt does not change sign across the meridian"))
-        for side, shift in ((1, 0.0), (-1, math.pi)):
+        pair = []
+        for side in (1, -1):
             verdict, s = cycle, zeros.get(side, 0.0)    # s = 0 is off the torus
             if s is None:
                 verdict = PeriodicityVerdict(Verdict.INCONCLUSIVE, reason=(
@@ -238,8 +231,9 @@ def meridian_periodicity(params: CubicParams, m: Fraction,
                 verdict = PeriodicityVerdict(Verdict.NOT_PERIODIC,
                                              witness=(x + 0.0, y + 0.0, z + 0.0),
                                              reason="K' vanishes on the meridian")
-            out.append(MeridianVerdict(theta + shift, plane, verdict))
-    return sorted(out, key=lambda mv: mv.angle)
+            pair.append(verdict)
+        out.append(tuple(pair))
+    return out
 
 
 # -- parallel periodic orbits ----------------------------------------------------
@@ -578,14 +572,15 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
     are critical points, found on A's theta derivative x*A_y - y*A_x and
     2*rho^2 times its phi derivative, 2*rho^2*ring*A_z - z*(x*A_x + y*A_y).
     A curve of zeros is normal to both gradients: where they are parallel,
-    a zero two cells out along a tangent makes the component a curve.
+    a zero two cells out along a tangent makes the component a curve.  When
+    F divides every level, the whole torus is singular, with no grid.
     """
+    if all(_vanishes_on_torus(level, m) for level in levels):
+        return SingularSet(SingKind.CURVES, [], curve_components=1,
+                           description="the whole torus is singular")
     mf = float_m(m)
     compiled = [compile_finite(p, mf, what) for p, what in zip(levels, whats)]
     vals, extremes, vmax = _level_grid(compiled, whats, mf, grid)
-    if not vmax.any():
-        return SingularSet(SingKind.CURVES, [], curve_components=1,
-                           description="the whole torus is singular")
     # a function that is 0 on the whole grid flags every cell
     taus = np.where(vmax > 0.0, vmax * (2.0 * math.pi / grid) ** 2 * 4.0, math.inf)
     cells, bounds, sign_change = _components(*_cell_masks(vals, extremes, taus)[::-1])
@@ -684,6 +679,16 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
     return _singular_set(points, curve_count, True)
 
 
+def _vanishes_on_torus(p: MultiPoly, m: Fraction) -> bool:
+    """Whether p is 0 on the whole torus: F is irreducible, so exactly when
+    F divides p."""
+    try:
+        divide_exact_z(p, torus_surface(m).F)
+    except NotDivisible:
+        return False
+    return True
+
+
 def _singular_set(points: list, curves: int, numeric_only: bool) -> SingularSet:
     """A nonempty set of isolated ``points`` and ``curves`` curve components."""
     description = f"{len(points)} isolated singular point(s)"
@@ -753,7 +758,8 @@ def grid_min_speed(field: VectorField, kprime: MultiPoly, f: MultiPoly, m: Fract
     return _finite_speed(chi_sq, grid)
 
 
-def _check_grid(grid: int) -> None:
+def check_grid(grid: int) -> None:
+    """ValueError unless GRID_MIN <= grid <= GRID_MAX."""
     if grid < GRID_MIN:
         raise ValueError(f"grid must be at least {GRID_MIN}, got {grid}")
     if grid > GRID_MAX:
@@ -764,33 +770,33 @@ def singular_points(field: VectorField, tag: FamilyTag, m: Fraction,
                     grid: int = GRID_DEFAULT) -> SingularSet:
     """Singular set of the field on the torus, classified where possible.
 
-    With beta = gamma = 0 in the cubic form of ``tag``, it is empty when K'
-    is a nonzero constant, or K' = 0 and f a nonzero constant, and it is
-    decided on the parallels of K' = k0 + k3*z = 0 by :func:`_height_singular`.
-    Else for (A*y, -A*x, 0) it is the zeros of A (:func:`_rotation_singular`):
-    exact for a form in x and y of degree >= 1 and for a semidefinite A of
-    degree <= 2, else a scan of A.  A two-parallel field's set is decided
-    exactly by :func:`_two_parallel_singular`.  Otherwise it is a numeric
-    scan of (L, M), or of (G2, G1) outside the cubic form.  ValueError when
-    m is beyond the float range, where its points and grid minima are not."""
-    _check_grid(grid)
+    With beta = gamma = 0 in the cubic form of ``tag`` and K' = k0 + k3*z,
+    it is decided on the parallels of K' = 0 by :func:`_height_singular`,
+    unless K' = 0 and f is not a nonzero constant.  Else for (A*y, -A*x,
+    0), A the tag's ``rotation``, it is the zeros of A
+    (:func:`_rotation_singular`): exact for a form in x and y of degree >= 1
+    and for a semidefinite A of degree <= 2, else a scan of A.  A
+    two-parallel field's set is decided exactly by
+    :func:`_two_parallel_singular`.  Otherwise it is a numeric scan of (L,
+    M), or of (G2, G1) outside the cubic form.  ValueError when m is beyond
+    the float range, where its points and grid minima are not."""
+    check_grid(grid)
     float_m(m)
+    m = Fraction(m)
     if tag.family == Family.TWO_PARALLEL:
-        return _two_parallel_singular(field, tag, Fraction(m), grid)
+        return _two_parallel_singular(field, tag, m, grid)
     cubic = tag.cubic
-    if cubic is not None and cubic.beta.is_zero() and cubic.gamma.is_zero():
+    if cubic is not None and not (cubic.beta or cubic.gamma):
         kprime, f = cubic.Kprime, cubic.f
-        if kprime.is_scalar() and (kprime or (f.is_scalar() and f)):
-            return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
-                field, kprime, f, m, grid))
-        if kprime.coefficient(_LINEAR[3]) and not (kprime.coefficient(_LINEAR[1])
-                                                    or kprime.coefficient(_LINEAR[2])):
-            exact = _height_singular(field, cubic, Fraction(m), grid)
+        # K' = 0 is the rotation (f*y, -f*x, 0), whose zeros are those of f:
+        # only a nonzero constant f, with none, is answered here
+        if not (kprime.coefficient(_LINEAR[1]) or kprime.coefficient(_LINEAR[2])) and (
+                kprime or (f.is_scalar() and f)):
+            exact = _height_singular(field, cubic, m, grid)
             if exact is not None:
                 return exact
-    level = rotation_shape(field)
-    if level is not None:
-        return _rotation_singular(level, Fraction(m), grid)
+    if tag.rotation is not None:
+        return _rotation_singular(tag.rotation, m, grid)
     pair, whats, quarter = _tangential_pair(field, cubic, m)
     return _scan_singular(pair, whats, m, grid, quarter)
 
@@ -914,35 +920,48 @@ def _semidefinite_singular(a: MultiPoly, m: Fraction, grid: int,
 
 def _height_singular(field: VectorField, cubic: CubicParams, m: Fraction,
                      grid: int) -> SingularSet | None:
-    """The singular set for beta = gamma = 0 and K' = k0 + k3*z, k3 != 0.
+    """The singular set for beta = gamma = 0 and K' = k0 + k3*z.
 
-    L = rho^2*K'/4 and M = rho^2*f, so the set is f = 0 on the circles of
+    L = rho^2*K'/4 and M = rho^2*f, so with k3 = 0 the set is empty: L has
+    no zero for k0 != 0, and M none for K' = 0 with f a nonzero constant,
+    the only such f that reaches here.  Else it is f = 0 on the circles of
     the torus at z0 = -k0/k3, where rho^2 = m -+ sqrt(1 - z0^2): empty when
-    |z0| > 1, else per circle the real roots t = tan(theta/2) of
-    :func:`_circle_poly` and theta = pi when its degree is below 4, or the
-    whole circle when it is 0.  None, for the scan, when rho^2 is irrational
-    or f has a sqrt(m) part that Q(sqrt(rho^2)) does not hold."""
+    |z0| > 1, else that of :func:`_circle_set`.  None, for the scan, when
+    rho^2 is irrational or f has a sqrt(m) part that Q(sqrt(rho^2)) does not
+    hold."""
     k0, k3 = (cubic.Kprime.coefficient(e) for e in (_LINEAR[0], _LINEAR[3]))
-    if (k0 * k0 - k3 * k3).sign() <= 0:
+    if k3 and (k0 * k0 - k3 * k3).sign() <= 0:
         z0 = -k0 * k3.inverse()
         root = None if z0.q else _rational_sqrt(1 - z0.p * z0.p)
         if root is None:
             return None
         try:
-            circles = [(rho2, _circle_poly(cubic.f.terms.items(), z0.p, rho2))
-                       for rho2 in dict.fromkeys((m - root, m + root))]
+            polys = {rho2: _circle_poly(cubic.f.terms.items(), z0.p, rho2)
+                     for rho2 in (m - root, m + root)}
         except MixedExtensionError:
             return None
-        points, curves = [], 0
-        for rho2, poly in circles:
-            if poly.is_zero():
-                curves += 1
-            else:
-                points += _circle_points(poly, real_roots(poly), rho2, float(z0.p))
-        if points or curves:
-            return _singular_set([(pt, None) for pt in sorted(points)], curves, False)
+        exact = _circle_set([(poly, real_roots(poly) if poly else (), rho2, float(z0.p))
+                             for rho2, poly in polys.items()], [])
+        if exact is not None:
+            return exact
     return SingularSet(SingKind.EMPTY, [], grid_min_norm=grid_min_speed(
         field, cubic.Kprime, cubic.f, m, grid))
+
+
+def _circle_set(circles: list[tuple[UniPoly, tuple | list, Fraction, float]],
+                points: list) -> SingularSet | None:
+    """The exact set of the ``circles`` (poly, its real roots, rho2, z) of
+    :func:`_circle_points`, where a zero poly is a whole circle, and of the
+    other ``points``; None when it is empty."""
+    curves = 0
+    for poly, roots, rho2, z in circles:
+        if poly.is_zero():
+            curves += 1
+        else:
+            points += _circle_points(poly, roots, rho2, z)
+    if points or curves:
+        return _singular_set([(pt, None) for pt in sorted(points)], curves, False)
+    return None
 
 
 def _circle_points(poly: UniPoly, roots: list | tuple, rho2: Fraction,
@@ -965,19 +984,16 @@ def _two_parallel_singular(field: VectorField, tag: FamilyTag, m: Fraction,
     obstructions (:func:`_parallel_obstructions`).
 
     L = (p*x + q*y)*ring/2, so the set lies on z = +-1, where M = m*g and
-    the points are those of :func:`_circle_points` (a zero obstruction is a
-    curve), and on the plane p*x + q*y = 0 (:func:`_plane_points`).  An
+    the set is that of :func:`_circle_set`, and on the plane p*x + q*y = 0
+    (:func:`_plane_points`).  An
     empty set's least |chi| folds M's blocks with L = (p*cos(theta) +
     q*sin(theta))/2 * r*cos(phi), so L^2*w enters as an outer product of a
     theta and a phi factor, with no grid kept."""
-    points, curves = _plane_points(tag.params, m), 0
-    for which, (poly, roots) in _parallel_obstructions(tag.params, m).items():
-        if poly.is_zero():
-            curves += 1
-        else:
-            points += _circle_points(poly, roots, m, float(which))
-    if points or curves:
-        return _singular_set([(pt, None) for pt in sorted(points)], curves, False)
+    exact = _circle_set([(poly, roots, m, float(which)) for which, (poly, roots)
+                         in _parallel_obstructions(tag.params, m).items()],
+                        _plane_points(tag.params, m))
+    if exact is not None:
+        return exact
     mf = float_m(m)
     (l_poly, m_poly), (l_what, m_what), _ = _tangential_pair(field, tag.cubic, m)
     half = dict(compile_finite(l_poly, mf, l_what).terms)     # p/2 and q/2 at x^3, y^3
@@ -1113,24 +1129,11 @@ def _chart_gradient(a: CompiledPoly, grads: list[CompiledPoly],
     return ax + az * (-2.0 * x0 * ring / z0), ay + az * (-2.0 * y0 * ring / z0)
 
 
-def _classify_singularity(field: VectorField, q: tuple[float, float, float],
-                          m: Fraction) -> SingClass:
-    """Classification of an isolated singular point of (A*y, -A*x, 0) in the
-    chart z = sign(z0) * sqrt(1 - (x^2 + y^2 - m)^2) of the open half torus:
-    with B the restriction of A, the planar field (B*y, -B*x) has at a zero
-    of B the trace B_x*y0 - B_y*x0 and determinant zero (:func:`_classify`).
-    """
-    if abs(q[2]) < 1e-6:
-        raise ChartError(f"|z| = {abs(q[2]):.2e} is too small for the chart")
-    if (a_poly := rotation_shape(field)) is None:
-        raise ValueError("field is not of the shape (A*y, -A*x, 0)")
-    mf = float_m(m)
-    grads = [compile_finite(a_poly.differentiate(v), mf, f"the {v}-derivative of A")
-             for v in "xyz"]
-    return _classify(_chart_gradient(compile_finite(a_poly, mf, "A"), grads, q, mf), q)
-
-
 def _classify(gradient: tuple[float, float], q: tuple[float, float, float]) -> SingClass:
+    """Class of an isolated zero q of A for (A*y, -A*x, 0) in the chart z =
+    sign(z0)*sqrt(1 - (x^2 + y^2 - m)^2) of the open half torus, from the
+    ``gradient`` (B_x, B_y) of B, A restricted to it: the planar field
+    (B*y, -B*x) has there the trace B_x*y0 - B_y*x0 and determinant zero."""
     bx, by = gradient
     x0, y0, _ = q
     trace = bx * y0 - by * x0

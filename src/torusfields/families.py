@@ -15,8 +15,8 @@ coefficients of P and Q, and f is the exact quotient
 (P - x*z*K'/4 - beta*z)/y; an on-torus field of degree <= 3 is then the
 closed form of those four values, with no further check.  The specialized
 families are predicates on (K', f, beta, gamma); pseudo-type, whose degree
-is not bounded, reads A from :func:`rotation_shape`.  No fitting, exact or
-fail.
+is not bounded, reads A from :func:`_rotation_shape`, which the tag keeps
+for the singular stage.  No fitting, exact or fail.
 """
 
 from __future__ import annotations
@@ -95,10 +95,12 @@ class FamilyTag:
     family: Family
     params: object | None
     matches: tuple[Family, ...] = ()
-    # derived, not compared: the cubic form the families are read from, and
-    # the cofactor on the torus (None off the torus)
+    # derived, not compared: the cubic form the families are read from, the
+    # cofactor on the torus (None off the torus), and A when the on-torus
+    # field is (A*y, -A*x, 0)
     cubic: CubicParams | None = dataclasses.field(default=None, compare=False)
     cofactor: MultiPoly | None = dataclasses.field(default=None, compare=False)
+    rotation: MultiPoly | None = dataclasses.field(default=None, compare=False)
 
 
 
@@ -200,20 +202,12 @@ def _cubic_form(field: VectorField, cof: CofactorResult) -> CubicParams | None:
     return CubicParams(Kprime=kprime, f=f, beta=beta, gamma=gamma)
 
 
-def rotation_shape(field: VectorField) -> MultiPoly | None:
+def _rotation_shape(field: VectorField) -> MultiPoly | None:
     """A with field = (A*y, -A*x, 0), if the field has that shape."""
     if not field.R.is_zero():
         return None
     a = _try_divide(field.P, Y, "y")
     return a if a is not None and field.Q == -(a * X) else None
-
-
-def _pseudo_type_params(field: VectorField) -> PseudoTypeParams | None:
-    """(n, A) when the field is (A*y, -A*x, 0) with A homogeneous and nonzero."""
-    a = rotation_shape(field)
-    if a is None or a.is_zero() or not a.is_homogeneous():
-        return None
-    return PseudoTypeParams(n=a.degree + 1, A=a)
 
 
 def recognize(field: VectorField, m: Fraction) -> FamilyTag:
@@ -242,15 +236,15 @@ def recognize(field: VectorField, m: Fraction) -> FamilyTag:
             half_m = Scalar(Fraction(m) / 2)
             if cubic.beta == -(p * half_m) and cubic.gamma == -(q * half_m):
                 hits.append((Family.TWO_PARALLEL, TwoParallelParams(p=p, q=q, f=f)))
-    pseudo = _pseudo_type_params(field)
-    if pseudo is not None:
-        hits.append((Family.PSEUDO_TYPE, pseudo))
+    rotation = _rotation_shape(field)
+    if rotation and rotation.is_homogeneous():
+        hits.append((Family.PSEUDO_TYPE, PseudoTypeParams(n=rotation.degree + 1, A=rotation)))
     if cubic is not None:
         hits.append((Family.CUBIC, cubic))
     if not hits:
-        return FamilyTag(Family.UNCLASSIFIED, None, cofactor=cof.K)
+        return FamilyTag(Family.UNCLASSIFIED, None, cofactor=cof.K, rotation=rotation)
     family, params = hits[0]
-    return FamilyTag(family, params, tuple(f for f, _ in hits), cubic, cof.K)
+    return FamilyTag(family, params, tuple(f for f, _ in hits), cubic, cof.K, rotation)
 
 
 _RADIAL = X * X + Y * Y

@@ -57,19 +57,6 @@ class CompiledPoly:
     fn: Callable
 
 
-def compile_poly(p: MultiPoly, m_float: float | None = None) -> CompiledPoly:
-    """Compile a polynomial to float terms and a generated evaluator.
-
-    ``m_float`` is substituted for m in sqrt(m) coefficients; by default the
-    m those coefficients carry is used.
-    """
-    # resolved before the cache lookup, so a call that passes m_float and one
-    # that leaves it to the coefficients share one cache entry
-    if m_float is None and p.m is not None:
-        m_float = float(p.m)
-    return _compile(p, m_float)
-
-
 def _sum_lines(terms: tuple, at: tuple[str, str, str], acc: str,
                indent: str) -> list[str]:
     """Statements that set ``acc`` to the terms' sum at the point named ``at``."""
@@ -92,7 +79,9 @@ def _define(lines: list[str], name: str) -> Callable:
 
 
 @functools.lru_cache(maxsize=_CACHE_SIZE)
-def _compile(p: MultiPoly, m_float: float | None) -> CompiledPoly:
+def compile_poly(p: MultiPoly, m_float: float) -> CompiledPoly:
+    """Compile a polynomial to float terms and a generated evaluator, with
+    ``m_float`` substituted for m in sqrt(m) coefficients."""
     terms = p.float_terms(m_float)
     lines = ["def f(x, y, z):", *_sum_lines(terms, ("x", "y", "z"), "acc", "    "),
              "    return acc"]

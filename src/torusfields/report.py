@@ -8,6 +8,7 @@ identical inputs produce byte-identical JSON.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -17,36 +18,26 @@ from .curves import (check_four_meridian_criterion, invariant_meridians,
                      invariant_parallels)
 from .dynamics import (PeriodicityVerdict, Verdict, meridian_periodicity,
                        parallel_periodicity, singular_points)
-from .families import (CubicParams, DegreeOneParams, Family, FamilyTag,
-                       KolmogorovParams, PseudoTypeParams, QuadraticParams,
-                       TwoParallelParams, recognize, verified_first_integrals)
+from .families import Family, FamilyTag, recognize, verified_first_integrals
 from .parsing import parse, serialize
 from .poly import MultiPoly
 from .scalars import Scalar
 from .vfield import VectorField
 
 
-def _scalar_expr(s: Scalar) -> str:
-    return serialize(MultiPoly.constant(s))
-
-
 def _params_dict(params: object) -> dict | None:
-    if isinstance(params, CubicParams):
-        return {"K_prime": serialize(params.Kprime), "f": serialize(params.f),
-                "beta": _scalar_expr(params.beta),
-                "gamma": _scalar_expr(params.gamma)}
-    if isinstance(params, KolmogorovParams):
-        return {"c1": _scalar_expr(params.c1), "c2": _scalar_expr(params.c2)}
-    if isinstance(params, QuadraticParams):
-        return {"alpha": _scalar_expr(params.alpha), "f": serialize(params.f)}
-    if isinstance(params, DegreeOneParams):
-        return {"c": _scalar_expr(params.c)}
-    if isinstance(params, PseudoTypeParams):
-        return {"n": params.n, "A": serialize(params.A)}
-    if isinstance(params, TwoParallelParams):
-        return {"p": _scalar_expr(params.p), "q": _scalar_expr(params.q),
-                "f": serialize(params.f)}
-    return None
+    """The fields of a family's params dataclass, polynomials and scalars as
+    expressions; ``Kprime`` is written as ``K_prime``."""
+    if params is None:
+        return None
+    out = {}
+    for field in dataclasses.fields(params):
+        value = getattr(params, field.name)
+        if isinstance(value, Scalar):
+            value = MultiPoly.constant(value)
+        out["K_prime" if field.name == "Kprime" else field.name] = (
+            serialize(value) if isinstance(value, MultiPoly) else value)
+    return out
 
 
 def _verdict_dict(v: PeriodicityVerdict | None) -> dict | None:
@@ -87,14 +78,14 @@ def meridians_entry(field: VectorField, tag: FamilyTag, m: Fraction) -> dict:
     on-torus ``field``, ``tag = recognize(field, m)``, with the periodicity
     verdict of each meridian."""
     mset = invariant_meridians(field)
-    four = tag.family == Family.CUBIC and check_four_meridian_criterion(tag.params)
-    verdicts = meridian_periodicity(tag.params, m, mset.planes) if four else None
-    blanket = _blanket_verdict(tag, meridians=True)
+    if tag.family == Family.CUBIC and check_four_meridian_criterion(tag.params):
+        verdicts = meridian_periodicity(tag.params, m, mset.planes)
+    else:
+        blanket = _blanket_verdict(tag, meridians=True)
+        verdicts = [(blanket, blanket)] * len(mset.planes)
     planes = []
-    for plane, mult in mset.planes:
-        # the plane's verdicts at its angle and at that plus pi
-        pair = [blanket] * 2 if verdicts is None else [
-            mv.verdict for mv in verdicts if mv.plane is plane]
+    # each plane's verdicts at its angle and at that plus pi
+    for (plane, mult), pair in zip(mset.planes, verdicts):
         ppoly = plane.polynomial()
         planes.append({
             "a": plane.a, "b": plane.b,

@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 
@@ -51,11 +53,23 @@ def random_linear(rng: random.Random, lo=-3, hi=3) -> MultiPoly:
                       (0, 0, 1): Scalar(rng.randint(lo, hi))})
 
 
+class MeridianVerdict(NamedTuple):
+    angle: float
+    plane: object
+    verdict: object
+
+
 def meridian_verdicts(params, m):
     """meridian_periodicity on the invariant meridian planes of the cubic
-    field of ``params``, as the report passes them."""
-    return meridian_periodicity(params, m,
-                                invariant_meridians(build_cubic(params, m)).planes)
+    field of ``params``, as the report passes them, one entry per meridian
+    by increasing angle."""
+    planes = invariant_meridians(build_cubic(params, m)).planes
+    pairs = meridian_periodicity(params, m, planes)
+    assert len(pairs) == len(planes)
+    return sorted((MeridianVerdict(plane.angle() + shift, plane, verdict)
+                   for (plane, _), pair in zip(planes, pairs)
+                   for shift, verdict in zip((0.0, math.pi), pair)),
+                  key=lambda mv: mv.angle)
 
 
 def random_quadratic_field(rng: random.Random, m=M_DEFAULT) -> VectorField:

@@ -705,3 +705,46 @@ def test_m_beyond_the_float_range_is_named(command, capsys):
 def test_exact_subcommands_answer_beyond_the_float_range(command, text, capsys):
     assert main([command, *SECT5, "--m", BEYOND_FLOATS]) == 0
     assert capsys.readouterr().out == text
+
+
+TORUS = "((x^2+y^2-a^2)^2+z^2-1)"
+WHOLE_TORUS = {"zero": ("0", "0", "0"), "F-along-x": (TORUS, "0", "0"),
+               "F-rotation": (f"y*{TORUS}", f"-x*{TORUS}", "0"),
+               "F-radial": (f"x*{TORUS}", f"y*{TORUS}", f"z*{TORUS}")}
+
+
+@pytest.mark.parametrize("m", REPRO_MS)
+@pytest.mark.parametrize("name", list(WHOLE_TORUS))
+def test_fields_vanishing_on_the_torus_are_singular_everywhere(name, m, capsys):
+    # F divides P, Q and R: the answer is exact, whatever the grid
+    px, qy, rz = WHOLE_TORUS[name]
+    argv = ["singular", "--px", px, "--qy", qy, "--rz", rz, "--m", m]
+    blocks = []
+    for grid in ("64", "512"):
+        assert main([*argv, "--grid", grid]) == 0
+        assert capsys.readouterr().out == "singular set: curves\n  the whole torus is singular\n"
+        assert main([*argv, "--grid", grid, "--json"]) == 0
+        blocks.append(json.loads(capsys.readouterr().out))
+    assert blocks[0] == blocks[1]
+    assert blocks[0]["description"] == "the whole torus is singular"
+
+
+@pytest.mark.parametrize("command", ["check", "bracket", "extactic", "meridians", "parallels",
+                                     "classify", "singular", "first-integral", "integrate"])
+def test_only_report_takes_a_seed(command, capsys):
+    extra = {"bracket": JSON_EXTRA_ARGS["bracket"], "first-integral": ["--num", "z"],
+             "integrate": ["--start", "3,0,0", "--t-end", "0.01"]}.get(command, [])
+    assert main([command, *SECT5, "--m", "4", *extra, "--seed", "1"]) == 1
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert main(["report", *SECT5, "--m", "4", "--grid", "64", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 1
+
+
+@pytest.mark.parametrize("grid", [GRID_MIN - 1, GRID_MAX + 1])
+def test_grid_bound_message_is_the_singular_stage_message(grid, capsys):
+    with pytest.raises(ValueError) as stage:
+        dynamics.check_grid(grid)
+    # off the torus too: the bound is checked before the field is read
+    assert main(["singular", "--px", "x", "--qy", "y", "--rz", "z",
+                 "--grid", str(grid)]) == 1
+    assert capsys.readouterr().err.endswith(f"argument --grid: {stage.value}\n")

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from torusfields import (ChartError, CubicParams, KolmogorovParams,
+from torusfields import (CubicParams, KolmogorovParams,
                          MultiPoly, PseudoTypeParams, QuadraticParams, Scalar,
                          SingClass, SingKind, TwoParallelParams, VectorField,
                          Verdict, X, Y, Z, build_cubic, build_kolmogorov,
@@ -22,7 +22,6 @@ from torusfields import (ChartError, CubicParams, KolmogorovParams,
                          parallel_periodicity, parse, recognize,
                          report_json, serialize, singular_points)
 from torusfields import dynamics
-from torusfields.dynamics import rotation_shape
 from torusfields.kernels import compile_poly, eval_grid, eval_point, surface_angles
 from torusfields.poly import UniPoly
 
@@ -55,10 +54,11 @@ class CylindricalField:
 
 
 def cylindrical_form(field):
-    """Evaluators for (dr/dt, dtheta/dt, dz/dt), valid for r > 0."""
-    radial_num = compile_poly(field.P * X + field.Q * Y)
-    angular_num = compile_poly(field.Q * X - field.P * Y)
-    vertical = compile_poly(field.R)
+    """Evaluators for (dr/dt, dtheta/dt, dz/dt) of a field at m = M, valid
+    for r > 0."""
+    radial_num = compile_poly(field.P * X + field.Q * Y, float(M))
+    angular_num = compile_poly(field.Q * X - field.P * Y, float(M))
+    vertical = compile_poly(field.R, float(M))
 
     def r_dot(r, theta, z):
         x, y = r * math.cos(theta), r * math.sin(theta)
@@ -587,7 +587,7 @@ def test_binary_forms_without_planes_take_no_grid(m, monkeypatch):
     fields = [VectorField(a * Y, -(a * X), MultiPoly.zero())
               for a in (parse(text, m) for text in BINARY_FORMS_WITHOUT_PLANES)]
     grids = (512, 200, 333)
-    scans = [[dynamics._scan_singular([rotation_shape(field)], ["A"], m, n).grid_min_norm
+    scans = [[dynamics._scan_singular([recognize(field, m).rotation], ["A"], m, n).grid_min_norm
               for n in grids] for field in fields]
     monkeypatch.setattr(dynamics, "surface_blocks", no_grid)
     for field, scanned in zip(fields, scans):
@@ -717,9 +717,13 @@ def test_rotation_scan_sets_are_numeric(text):
 
 def test_rotation_shape_detection():
     a_poly = parse("y^2 + (z - 1/2)^2", M)
-    field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
-    assert rotation_shape(field) == a_poly
-    assert rotation_shape(VectorField(X, Y, Z)) is None
+    assert recognize(rotation(a_poly), M).rotation == a_poly
+    assert recognize(build_kolmogorov(KolmogorovParams(Scalar(1), Scalar(2)), M),
+                     M).rotation is None
+    # A of degree above 2 with z is unclassified, and the tag still holds it
+    torus = parse("(x^2 + y^2 - a^2)^2 + z^2 - 1", M)
+    tag = recognize(rotation(torus), M)
+    assert tag.family.value == "unclassified" and tag.rotation == torus
 
 
 def test_pseudo_type_meridians_inside_singular_set():
@@ -765,38 +769,42 @@ def chart_pushforward(a_poly, m):
     return jacobian
 
 
+def chart_class(a_poly, q, m=M):
+    """The class the rotation scan gives a zero q of A: the chart gradient
+    of A at q, classified."""
+    mf = float(m)
+    grads = [compile_poly(a_poly.differentiate(v), mf) for v in "xyz"]
+    return dynamics._classify(
+        dynamics._chart_gradient(compile_poly(a_poly, mf), grads, q, mf), q)
+
+
 def test_classify_linearly_zero_with_fd_oracle():
-    a_poly = parse("y^2 + (z - 1/2)^2", M)
-    field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
+    # the bowl's four zeros times x^2 + 1, a level the rotation scan takes
+    a_poly = parse("(y^2 + (z - 1/2)^2)*(x^2 + 1)", M)
+    sing = singular_points(rotation(a_poly), recognize(rotation(a_poly), M), M)
+    assert sing.kind == SingKind.ISOLATED and sing.numeric_only and len(sing.points) == 4
+    for q, cls in sing.points:
+        assert q[2] == pytest.approx(0.5) and cls == SingClass.LINEARLY_ZERO
+        # the difference quotients' error scales with the factor x^2 + 1
+        jac = chart_pushforward(a_poly, 4.0)(q[0], q[1])
+        assert all(abs(entry) < 1e-6 * (q[0] ** 2 + 1.0) for entry in jac)
     q = (math.sqrt(4 + math.sqrt(3) / 2), 0.0, 0.5)
-    assert dynamics._classify_singularity(field, q, M) == SingClass.LINEARLY_ZERO
-    jac = chart_pushforward(a_poly, 4.0)(q[0], q[1])
-    assert all(abs(entry) < 1e-6 for entry in jac)
+    assert chart_class(parse("y^2 + (z - 1/2)^2", M), q) == SingClass.LINEARLY_ZERO
 
 
 def test_classify_semi_hyperbolic_branch():
     # the chart terms cancel in the trace, leaving A_x*y0 - A_y*x0; a plane
     # A = x - 2 meets the torus in a curve where that combination is nonzero
     a_poly = parse("x - 2", M)
-    field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
     q = (2.0, 0.64 ** 0.25, 0.6)
     assert abs((q[0] ** 2 + q[1] ** 2 - 4) ** 2 + q[2] ** 2 - 1) < 1e-12
-    assert dynamics._classify_singularity(field, q, M) == SingClass.SEMI_HYPERBOLIC
+    assert chart_class(a_poly, q) == SingClass.SEMI_HYPERBOLIC
 
 
 def test_classify_preconditions():
     a_poly = parse("y^2 + (z - 1/2)^2", M)
-    field = VectorField(a_poly * Y, -(a_poly * X), MultiPoly.zero())
-    with pytest.raises(ValueError):
-        dynamics._classify_singularity(field, surface_point(0.3, 0.9), M)
-    with pytest.raises(ChartError):
-        dynamics._classify_singularity(field, (math.sqrt(5), 0.0, 0.0), M)
-    with pytest.raises(ValueError):
-        dynamics._classify_singularity(VectorField(X, Y, Z), (1.0, 1.0, 0.5), M)
-    huge = parse("(10^44)^7*(z^2 - 1/4)", M)
-    with pytest.raises(ValueError, match="z-derivative of A has a coefficient beyond"):
-        dynamics._classify_singularity(VectorField(huge * Y, -(huge * X), MultiPoly.zero()),
-                                       surface_point(0.3, math.pi / 6), M)
+    with pytest.raises(ValueError, match="not a singular point of the field"):
+        chart_class(a_poly, surface_point(0.3, 0.9))
 
 
 def test_unstable_meridian_attracts_under_time_reversal():

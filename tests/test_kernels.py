@@ -22,13 +22,13 @@ M = Fraction(4)
 
 
 def test_compile_poly_embeds_sqrt_m():
-    arrays = compile_poly(parse("a*x + 2", M))
+    arrays = compile_poly(parse("a*x + 2", M), float(M))
     value = eval_point(arrays, 3.0, 0.0, 0.0)
     assert value == pytest.approx(2.0 * 3.0 + 2.0)
 
 
 def test_grid_matches_pointwise():
-    arrays = compile_poly(parse("x^2*y - 3*z + 1/2", M))
+    arrays = compile_poly(parse("x^2*y - 3*z + 1/2", M), float(M))
     xs = np.linspace(-2, 2, 7)
     ys = np.linspace(-1, 1, 7)
     zs = np.linspace(0, 1, 7)
@@ -38,7 +38,7 @@ def test_grid_matches_pointwise():
 
 
 def test_zero_polynomial_kernel():
-    arrays = compile_poly(parse("0", M))
+    arrays = compile_poly(parse("0", M), float(M))
     assert eval_point(arrays, 1.0, 2.0, 3.0) == 0.0
     assert np.all(eval_grid(arrays, np.ones(4), np.ones(4), np.ones(4)) == 0.0)
 
@@ -262,7 +262,7 @@ def test_rk4_non_finite_state_stops_orbit(m):
 def test_extreme_polynomials_compile(expr):
     p = parse(expr, Fraction(5))
     ref = reference_terms(p, 5.0)
-    assert eval_point(compile_poly(p), 1.0001, 0.5, 2.0) == \
+    assert eval_point(compile_poly(p, 5.0), 1.0001, 0.5, 2.0) == \
         reference_eval_point(*ref, 1.0001, 0.5, 2.0)
     # and written out in the RK4 loop
     polys = [p, parse("y", Fraction(5)), parse("-z", Fraction(5))]
@@ -277,7 +277,7 @@ def test_extreme_polynomials_compile(expr):
 
 @pytest.mark.parametrize("expr, value", [("0", 0.0), ("-5/3", -5.0 / 3.0)])
 def test_constant_grid_broadcasts(expr, value):
-    compiled = compile_poly(parse(expr, M))
+    compiled = compile_poly(parse(expr, M), float(M))
     xs = np.linspace(-1.0, 1.0, 6).reshape(2, 3)
     grid = eval_grid(compiled, xs, np.ones(3), 0.5)
     assert grid.shape == (2, 3) and grid.dtype == np.float64
@@ -291,11 +291,6 @@ def test_compile_cache_keyed_on_m_float():
     assert eval_point(at_4, 1.0, 0.0, 0.0) == 2.0
     assert eval_point(at_3, 1.0, 0.0, 0.0) == math.sqrt(3.0)
     assert compile_poly(p, 4.0) is at_4
-    # without m_float, the m the coefficients carry: a*x parsed at m = 5 and
-    # at m = 3 must not share an entry
-    at_5, at_3 = (compile_poly(parse("a*x", m)) for m in (Fraction(5), Fraction(3)))
-    assert eval_point(at_5, 1.0, 0.0, 0.0) == math.sqrt(5.0)
-    assert eval_point(at_3, 1.0, 0.0, 0.0) == math.sqrt(3.0)
 
 
 def test_fallback_full_pipeline():
@@ -426,10 +421,10 @@ def scan_levels(field, m):
     """The levels a scan samples for ``field``, compiled, and their names:
     A of a field (A*y, -A*x, 0), else the pair (L, M) of its cubic form, or
     (G2, G1)."""
-    level = dynamics.rotation_shape(field)
-    if level is not None:
-        return [compile_poly(level, float(m))], ["A"]
-    pair, whats, _ = dynamics._tangential_pair(field, recognize(field, m).cubic, m)
+    tag = recognize(field, m)
+    if tag.rotation is not None:
+        return [compile_poly(tag.rotation, float(m))], ["A"]
+    pair, whats, _ = dynamics._tangential_pair(field, tag.cubic, m)
     return [compile_poly(p, float(m)) for p in pair], whats
 
 

@@ -283,7 +283,7 @@ def test_float_conversions_are_bit_identical(m, seed):
     ref = rand_ref(rng, m, max_terms=8)
     poly = MultiPoly(ref)
     want = [(e, c.to_float()) for e, c in sorted(ref.items())]
-    got = compile_poly(poly).terms
+    got = compile_poly(poly, float(m)).terms
     assert [e for e, _ in got] == [e for e, _ in want]
     assert all(g.hex() == w.hex() for (_, g), (_, w) in zip(got, want))
     coeffs = [rand_scalar(rng, m) for _ in range(5)] + [Scalar(1, 1, m)]

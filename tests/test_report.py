@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 from torusfields import (MultiPoly, VectorField, Verdict, build_report, dynamics,
-                         families, kernels, parse, recognize, report_json, vfield,
-                         verified_first_integrals)
+                         families, invariant_meridians, kernels,
+                         meridian_periodicity, parse, recognize, report_json,
+                         vfield, verified_first_integrals)
+from torusfields.report import meridians_entry, singular_entry
 
 from conftest import reference_serialize
 
@@ -264,3 +266,42 @@ def test_report_polynomials_match_the_scalar_reference(m, monkeypatch):
     for spec in corpus.named_corpus(m):
         build_report(spec.px, spec.qy, spec.rz, m, grid=64)
     assert len(seen) > 50
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3)])
+def test_singular_points_reads_the_rotation_off_the_tag(m, monkeypatch):
+    # recognize finds A once; the singular stage never looks for it again
+    cases = []
+    for spec in corpus.named_corpus(m):
+        field = VectorField(*(parse(c, m) for c in (spec.px, spec.qy, spec.rz)))
+        tag = recognize(field, m)
+        cases.append((spec.name, field, tag, report_json(singular_entry(field, tag, m, 64))))
+
+    def no_rotation_shape(field):
+        raise AssertionError("rotation shape looked for again")
+
+    monkeypatch.setattr(families, "_rotation_shape", no_rotation_shape)
+    for name, field, tag, want in cases:
+        assert report_json(singular_entry(field, tag, m, 64)) == want, name
+
+
+def test_meridians_entry_pairs_each_plane_with_its_verdicts():
+    # two near-equal planes of opposite stability: a plane given its
+    # neighbour's pair would read the other stability
+    m = Fraction(4)
+    px, qy, rz = corpus.cubic_strings("1", "(y - x)*(y - (1 + 1/10^8)*x)")
+    field = VectorField(*(parse(c, m) for c in (px, qy, rz)))
+    tag = recognize(field, m)
+    planes = invariant_meridians(field).planes
+    pairs = meridian_periodicity(tag.params, m, planes)
+    block = meridians_entry(field, tag, m)
+    assert len(block["planes"]) == len(planes) == len(pairs) == 2
+    for entry, (plane, _), pair in zip(block["planes"], planes, pairs):
+        assert (entry["a"], entry["b"]) == (plane.a, plane.b)
+        assert [mer["angle"] for mer in entry["meridians"]] == \
+            [plane.angle(), plane.angle() + math.pi]
+        assert [(mer["verdict"]["kind"], mer["verdict"]["stability"])
+                for mer in entry["meridians"]] == \
+            [(v.kind.value, v.stability) for v in pair]
+    assert [v.stability for pair in pairs for v in pair] == \
+        ["unstable", "unstable", "stable", "stable"]
