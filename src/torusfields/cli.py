@@ -44,7 +44,6 @@ def _field_args(sub: argparse.ArgumentParser, suffix: str = "") -> None:
 
 def _common_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--m", default="4", help="rational a^2 > 1 (default 4)")
-    sub.add_argument("--json", action="store_true", help="emit JSON")
     sub.add_argument("--out", default=None, help="write output to this path")
 
 
@@ -249,12 +248,14 @@ def make_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, fn, help_text: str, second_field: bool = False,
-            grid: bool = False):
+            grid: bool = False, json_flag: bool = True):
         sub = subs.add_parser(name, help=help_text)
         _field_args(sub)
         if second_field:
             _field_args(sub, suffix="2")
         _common_args(sub)
+        if json_flag:
+            sub.add_argument("--json", action="store_true", help="emit JSON")
         if grid:
             sub.add_argument("--grid", type=_grid_size, default=512,
                              help=f"singular-scan grid points per axis, {GRID_MIN} to {GRID_MAX}")
@@ -274,7 +275,8 @@ def make_parser() -> _Parser:
     sub.add_argument("--num", required=True, help="numerator expression")
     sub.add_argument("--den", default="1", help="denominator expression")
 
-    sub = add("integrate", _cmd_integrate, "RK4 trajectory export")
+    # integrate writes --format, report always JSON: neither takes --json
+    sub = add("integrate", _cmd_integrate, "RK4 trajectory export", json_flag=False)
     sub.add_argument("--start", required=True, help="start point as x,y,z")
     sub.add_argument("--t-end", type=float, default=10.0, dest="t_end")
     sub.add_argument("--dt", type=float, default=1e-3)
@@ -282,7 +284,8 @@ def make_parser() -> _Parser:
                      help="re-project onto the torus after each step")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    sub = add("report", _cmd_report, "full analysis report (JSON)", grid=True)
+    sub = add("report", _cmd_report, "full analysis report (JSON)", grid=True,
+              json_flag=False)
     sub.add_argument("--seed", type=int, default=0,
                      help="seed echoed into the report (scan phases are deterministic)")
     return parser

@@ -38,8 +38,11 @@ class MeridianPlane:
 
     a: float
     b: float
-    exact: bool
     exact_pair: tuple[Scalar, Scalar] | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.exact_pair is not None
 
     def angle(self) -> float:
         """Angle of the meridian pair in [0, pi)."""
@@ -58,8 +61,11 @@ class ParallelPlane:
     """Plane z = k with -1 <= k <= 1."""
 
     k: float
-    exact: bool
     exact_k: Fraction | None = None
+
+    @property
+    def exact(self) -> bool:
+        return self.exact_k is not None
 
     def is_boundary(self) -> bool:
         # real_roots returns the endpoints +-1 of (-1, 1) as exact Fractions
@@ -123,8 +129,11 @@ class LinearFactor:
     """A factor a*x + b*y of some polynomial, with its multiplicity there."""
 
     slope: Fraction | float | None   # t0 of y - t0*x; None means the plane x = 0
-    exact: bool
     multiplicity: int
+
+    @property
+    def exact(self) -> bool:
+        return self.slope is None or isinstance(self.slope, Fraction)
 
 
 def linear_xy_factors(p: MultiPoly) -> list[LinearFactor]:
@@ -139,17 +148,16 @@ def linear_xy_factors(p: MultiPoly) -> list[LinearFactor]:
     factors: list[LinearFactor] = []
     x_mult = p.min_var_exponent("x")
     if x_mult >= 1:
-        factors.append(LinearFactor(None, True, x_mult))
+        factors.append(LinearFactor(None, x_mult))
     g = unipoly_gcd(restrict_to_line(p))
     if g.degree >= 1:
-        factors += [LinearFactor(t0, isinstance(t0, Fraction), mult)
-                    for t0, mult in real_roots(g)]
+        factors += [LinearFactor(t0, mult) for t0, mult in real_roots(g)]
     return factors
 
 
 def plane_from_factor(factor: LinearFactor) -> MeridianPlane:
     if factor.slope is None:
-        return MeridianPlane(1.0, 0.0, True, (Scalar(1), Scalar(0)))
+        return MeridianPlane(1.0, 0.0, (Scalar(1), Scalar(0)))
     if factor.exact:
         t0 = factor.slope
         a, b = -t0, Fraction(1)
@@ -158,13 +166,13 @@ def plane_from_factor(factor: LinearFactor) -> MeridianPlane:
         scale = a.denominator if a else b.denominator
         pair = (Scalar(a * scale), Scalar(b * scale))
         h = math.hypot(float(a), float(b))
-        return MeridianPlane(float(a) / h, float(b) / h, True, pair)
+        return MeridianPlane(float(a) / h, float(b) / h, pair)
     t0 = float(factor.slope)
     a, b = -t0, 1.0
     if a < 0:
         a, b = -a, -b
     h = math.hypot(a, b)
-    return MeridianPlane(a / h, b / h, False)
+    return MeridianPlane(a / h, b / h)
 
 
 def invariant_meridians(field: VectorField) -> MeridianSet:
@@ -186,8 +194,7 @@ def invariant_parallels(field: VectorField) -> ParallelSet:
     planes: list[tuple[ParallelPlane, int]] = []
     if g.degree >= 1:
         for k, mult in real_roots(g, (-1, 1)):
-            exact = isinstance(k, Fraction)
-            planes.append((ParallelPlane(float(k), exact, k if exact else None),
+            planes.append((ParallelPlane(float(k), k if isinstance(k, Fraction) else None),
                            mult))
     return ParallelSet(False, planes)
 

@@ -51,8 +51,8 @@ import numpy as np
 from .curves import (MeridianPlane, check_four_meridian_criterion,
                      linear_xy_factors)
 from .families import CubicParams, Family, FamilyTag, TwoParallelParams
-from .kernels import (CompiledPoly, compile_finite, eval_point, float_m,
-                      row_blocks, surface_angles, surface_blocks)
+from .kernels import (CompiledPoly, compile_finite, float_m, row_blocks,
+                      surface_angles, surface_blocks)
 from .poly import (MultiPoly, NotDivisible, UniPoly, X, Y, Z, divide_exact_z,
                    unipoly_gcd)
 from .roots import real_roots
@@ -92,8 +92,12 @@ class PeriodicityVerdict:
 
 
 class SingClass(enum.Enum):
-    SEMI_HYPERBOLIC = "semi-hyperbolic"
-    NILPOTENT_OR_LINEARLY_ZERO = "nilpotent-or-linearly-zero"
+    """Class of an isolated singular point p of (A*y, -A*x, 0).  On the
+    torus T its linear part is V(p)*d(A|T)(p), V = (y, -x, 0), and
+    d(A|T)(p) = 0: else A|T would vanish on a curve through p.  The
+    semi-hyperbolic and nilpotent points lie on singular curves, which are
+    counted, not listed."""
+
     LINEARLY_ZERO = "linearly-zero"
 
 
@@ -573,11 +577,15 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
     2*rho^2 times its phi derivative, 2*rho^2*ring*A_z - z*(x*A_x + y*A_y).
     A curve of zeros is normal to both gradients: where they are parallel,
     a zero two cells out along a tangent makes the component a curve.  When
-    F divides every level, the whole torus is singular, with no grid.
+    F divides every level, the whole torus is singular, with no grid; a
+    level that F divides is scanned as 0.  Every isolated zero of A is
+    linearly zero (:class:`SingClass`).
     """
-    if all(_vanishes_on_torus(level, m) for level in levels):
+    vanishing = [_vanishes_on_torus(level, m) for level in levels]
+    if all(vanishing):
         return SingularSet(SingKind.CURVES, [], curve_components=1,
                            description="the whole torus is singular")
+    levels = [MultiPoly.zero() if v else level for level, v in zip(levels, vanishing)]
     mf = float_m(m)
     compiled = [compile_finite(p, mf, what) for p, what in zip(levels, whats)]
     vals, extremes, vmax = _level_grid(compiled, whats, mf, grid)
@@ -588,8 +596,8 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
     if rotation:
         (level,), (terms,), what = levels, compiled, whats[0]
         ax, ay, az = derivatives = [level.differentiate(v) for v in "xyz"]
-        grads = [compile_finite(d, mf, f"the {v}-derivative of {what}")
-                 for d, v in zip(derivatives, "xyz")]
+        for d, v in zip(derivatives, "xyz"):
+            compile_finite(d, mf, f"the {v}-derivative of {what}")
         rho2 = X * X + Y * Y
         levels = [X * ay - Y * ax, rho2 * (rho2 - m) * az * 2 - Z * (X * ax + Y * ay)]
         whats = [f"the theta-derivative of {what}",
@@ -660,11 +668,8 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
                     f"into {len(found)} point(s); a {grid}x{grid} grid is "
                     "coarse for this field", GridResolutionWarning, stacklevel=3)
             zeros += found
-    points = []
-    for pt in sorted(_surface_point(th, ph, mf) for th, ph in zeros):
-        classify = rotation and abs(pt[2]) >= 1e-6
-        points.append((pt, _classify(_chart_gradient(terms, grads, pt, mf), pt)
-                       if classify else None))
+    points = [(pt, SingClass.LINEARLY_ZERO if rotation else None)
+              for pt in sorted(_surface_point(th, ph, mf) for th, ph in zeros)]
     if not (points or curve_count):
         # folded from the kept grids: during the scan it would cost every
         # set that is not empty a pass over them
@@ -885,8 +890,8 @@ def _semidefinite_singular(a: MultiPoly, m: Fraction, grid: int,
     :func:`_semidefinite_zeros`: a point is kept when F is exactly 0 there,
     a line meets the torus at the real roots of F along it, a quartic, and
     a plane z = k holds 2, 1 or 0 circles as |k| <, = or > 1.  Every point
-    is linearly zero (no class for |z| < 1e-6, as the scan).  None, for the
-    scan, when A is indefinite or vanishes on any other plane."""
+    is linearly zero (:class:`SingClass`).  None, for the scan, when A is
+    indefinite or vanishes on any other plane."""
     zeros = _semidefinite_zeros(a)
     if zeros is None:
         return None
@@ -908,8 +913,8 @@ def _semidefinite_singular(a: MultiPoly, m: Fraction, grid: int,
         else:
             return None
     if points or curves:
-        return _singular_set([(pt, SingClass.LINEARLY_ZERO if abs(pt[2]) >= 1e-6 else None)
-                              for pt in sorted(points)], curves, False)
+        return _singular_set([(pt, SingClass.LINEARLY_ZERO) for pt in sorted(points)],
+                             curves, False)
     mf = float_m(m)
     fold, least = _column_min(_abs_level, grid)
     _fold_grid(compile_finite(a, mf, what), what, mf, grid, fold)
@@ -1115,31 +1120,3 @@ def _tangential_pair(field: VectorField, cubic: CubicParams | None, m: Fraction
                 ["L = (x^2 + y^2)*K'/4 + beta*x + gamma*y", "M = y*P - x*Q"], 1.0)
     return ([Z * (X * field.P + Y * field.Q) * 2 - (rho2 - m) * field.R, g1],
             ["G2 = 2*z*(x*P + y*Q) - (x^2 + y^2 - m)*R", "G1 = y*P - x*Q"], 0.25)
-
-
-def _chart_gradient(a: CompiledPoly, grads: list[CompiledPoly],
-                    q: tuple[float, float, float], mf: float) -> tuple[float, float]:
-    """(B_x, B_y) at q, |z| >= 1e-6, from A and its x, y, z derivatives."""
-    x0, y0, z0 = q
-    scale = max((abs(c) for _, c in a.terms), default=1.0)
-    if abs(eval_point(a, x0, y0, z0)) > 1e-8 * max(scale, 1.0):
-        raise ValueError(f"A{q} != 0: not a singular point of the field")
-    ax, ay, az = (eval_point(g, x0, y0, z0) for g in grads)
-    ring = x0 * x0 + y0 * y0 - mf
-    return ax + az * (-2.0 * x0 * ring / z0), ay + az * (-2.0 * y0 * ring / z0)
-
-
-def _classify(gradient: tuple[float, float], q: tuple[float, float, float]) -> SingClass:
-    """Class of an isolated zero q of A for (A*y, -A*x, 0) in the chart z =
-    sign(z0)*sqrt(1 - (x^2 + y^2 - m)^2) of the open half torus, from the
-    ``gradient`` (B_x, B_y) of B, A restricted to it: the planar field
-    (B*y, -B*x) has there the trace B_x*y0 - B_y*x0 and determinant zero."""
-    bx, by = gradient
-    x0, y0, _ = q
-    trace = bx * y0 - by * x0
-    if abs(trace) > 1e-8:
-        return SingClass.SEMI_HYPERBOLIC
-    entries = (bx * y0, by * y0, bx * x0, by * x0)
-    if all(abs(e) < 1e-8 for e in entries):
-        return SingClass.LINEARLY_ZERO
-    return SingClass.NILPOTENT_OR_LINEARLY_ZERO

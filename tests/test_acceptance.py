@@ -26,8 +26,6 @@ from torusfields import (CubicParams, Family, KolmogorovParams, MultiPoly,
                          invariant_meridians, invariant_parallels, lie_bracket,
                          parallel_periodicity, parse, recognize,
                          singular_points, torus_polynomial)
-from torusfields import dynamics
-from torusfields.kernels import compile_poly
 
 from conftest import eval_float, meridian_verdicts
 
@@ -319,11 +317,6 @@ def _isolated_singularities(m):
         jac += [(push(x0, y0 + h)[i] - push(x0, y0 - h)[i]) / (2 * h)
                 for i in range(2)]
         assert all(abs(entry) < 1e-6 for entry in jac)
-        # the class the rotation scan gives the point, from the chart gradient
-        grads = [compile_poly(a_poly.differentiate(v), mf) for v in "xyz"]
-        gradient = dynamics._chart_gradient(compile_poly(a_poly, mf), grads,
-                                            (x0, y0, 0.5), mf)
-        assert dynamics._classify(gradient, (x0, y0, 0.5)) == SingClass.LINEARLY_ZERO
 
 
 @criterion(11, "first-integral drift below 1e-6 over t in [0, 50] and "

@@ -446,7 +446,9 @@ def test_non_finite_level_grid_is_a_usage_error(command, m, field, capsys, recwa
 def test_huge_binary_form_level_is_decided_exactly(command, m, capsys, recwarn):
     # A = (1/2)*(10^44)^7*(x + 2*y) overflows on the grid, but its zeros are
     # the two meridians of its plane, found with no grid
-    code = main([command, "--grid", "32", "--json", *HUGE_LEVEL["x+2*y"], "--m", m])
+    # report always prints JSON
+    json_flag = ["--json"] if command == "singular" else []
+    code = main([command, "--grid", "32", *json_flag, *HUGE_LEVEL["x+2*y"], "--m", m])
     captured = capsys.readouterr()
     assert code == 0 and captured.err == ""
     payload = json.loads(captured.out)
@@ -622,7 +624,8 @@ JSON_EXTRA_ARGS = {"check": [], "bracket": ["--px2", "y^3", "--qy2", "-x*y^2", "
 
 @pytest.mark.parametrize("command", list(JSON_EXTRA_ARGS))
 def test_every_json_output_is_the_stdlib_layout(command, capsys):
-    assert main([command, *SECT5, "--m", "4", "--json", *JSON_EXTRA_ARGS[command]]) == 0
+    json_flag = [] if command == "report" else ["--json"]
+    assert main([command, *SECT5, "--m", "4", *json_flag, *JSON_EXTRA_ARGS[command]]) == 0
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
 
@@ -727,6 +730,36 @@ def test_fields_vanishing_on_the_torus_are_singular_everywhere(name, m, capsys):
         blocks.append(json.loads(capsys.readouterr().out))
     assert blocks[0] == blocks[1]
     assert blocks[0]["description"] == "the whole torus is singular"
+
+
+@pytest.mark.parametrize("m", REPRO_MS)
+def test_a_level_that_f_divides_is_scanned_as_zero(m, capsys):
+    # F divides G1 = y*P - x*Q; G2 is 2*z*(x^2 + y^2) on the torus, so the
+    # set is the two circles at z = 0, whatever the grid
+    argv = ["singular", "--px", f"x*z^2 + {TORUS}*y", "--qy", f"y*z^2 - {TORUS}*x",
+            "--rz", "-2*z*(x^2+y^2)*(x^2+y^2-a^2)", "--m", m]
+    blocks = []
+    for grid in ("64", "128", "512"):
+        assert main([*argv, "--grid", grid, "--json"]) == 0
+        blocks.append(json.loads(capsys.readouterr().out))
+    assert blocks[0] == blocks[1] == blocks[2]
+    assert blocks[0]["description"] == "2 singular curve component(s)"
+
+
+def test_a_rotation_plus_a_multiple_of_f_stays_empty(capsys):
+    # F divides G2; G1 = x^2 + y^2 has no zero on the torus
+    assert main(["singular", "--px", f"y + x*{TORUS}", "--qy", f"-x + y*{TORUS}",
+                 "--rz", f"z*{TORUS}", "--m", "3"]) == 0
+    assert capsys.readouterr().out == "singular set: empty\n"
+
+
+@pytest.mark.parametrize("command", ["integrate", "report"])
+def test_integrate_and_report_take_no_json_flag(command, capsys):
+    # integrate writes --format, and report always writes JSON
+    extra = {"integrate": ["--start", "3,0,0", "--t-end", "0.01"],
+             "report": ["--grid", "64"]}[command]
+    assert main([command, *SECT5, "--m", "4", *extra, "--json"]) == 1
+    assert "unrecognized arguments: --json" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["check", "bracket", "extactic", "meridians", "parallels",

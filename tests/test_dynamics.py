@@ -660,8 +660,7 @@ def test_semidefinite_zeros_on_hand_cases(m, text, zeros, monkeypatch):
         assert sing.kind == SingKind.CURVES and sing.curve_components == zeros
         assert sing.points == []
     else:
-        assert [cls for _, cls in sing.points] == [
-            SingClass.LINEARLY_ZERO if abs(z) >= 1e-6 else None for _, _, z in zeros]
+        assert [cls for _, cls in sing.points] == [SingClass.LINEARLY_ZERO] * len(zeros)
         assert all(math.dist(pt, want) < 1e-12 for (pt, _), want in zip(sing.points, zeros))
         assert sing.kind == (SingKind.ISOLATED if zeros else SingKind.EMPTY)
     if text not in TANGENT_LINES:
@@ -769,15 +768,6 @@ def chart_pushforward(a_poly, m):
     return jacobian
 
 
-def chart_class(a_poly, q, m=M):
-    """The class the rotation scan gives a zero q of A: the chart gradient
-    of A at q, classified."""
-    mf = float(m)
-    grads = [compile_poly(a_poly.differentiate(v), mf) for v in "xyz"]
-    return dynamics._classify(
-        dynamics._chart_gradient(compile_poly(a_poly, mf), grads, q, mf), q)
-
-
 def test_classify_linearly_zero_with_fd_oracle():
     # the bowl's four zeros times x^2 + 1, a level the rotation scan takes
     a_poly = parse("(y^2 + (z - 1/2)^2)*(x^2 + 1)", M)
@@ -788,23 +778,46 @@ def test_classify_linearly_zero_with_fd_oracle():
         # the difference quotients' error scales with the factor x^2 + 1
         jac = chart_pushforward(a_poly, 4.0)(q[0], q[1])
         assert all(abs(entry) < 1e-6 * (q[0] ** 2 + 1.0) for entry in jac)
-    q = (math.sqrt(4 + math.sqrt(3) / 2), 0.0, 0.5)
-    assert chart_class(parse("y^2 + (z - 1/2)^2", M), q) == SingClass.LINEARLY_ZERO
 
 
-def test_classify_semi_hyperbolic_branch():
-    # the chart terms cancel in the trace, leaving A_x*y0 - A_y*x0; a plane
-    # A = x - 2 meets the torus in a curve where that combination is nonzero
-    a_poly = parse("x - 2", M)
-    q = (2.0, 0.64 ** 0.25, 0.6)
-    assert abs((q[0] ** 2 + q[1] ** 2 - 4) ** 2 + q[2] ** 2 - 1) < 1e-12
-    assert chart_class(a_poly, q) == SingClass.SEMI_HYPERBOLIC
+def draw_rotation_with_z(rng):
+    """A = (c*l1^2 + l2^k)*factor, k = 2 or 4: l2 is often z - k0, with k0 = 0
+    giving points on the equator z = 0, and the factor may change sign."""
+    def small():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3)))
+    l1 = corpus.linear(small(), small(), small(), 0)
+    l2 = corpus.linear(-rng.choice((0, small())), 0, 0, 1) if rng.random() < 0.5 \
+        else corpus.linear(small(), small(), small(), small() or 1)
+    factor = rng.choice(("x^2 + 1", "y^2 + z^2 + 2", "x - 3/2", "y + 2*z", "1"))
+    return f"({rng.randint(1, 3)}*({l1})^2 + ({l2})^{rng.choice((2, 2, 4))})*({factor})"
 
 
-def test_classify_preconditions():
-    a_poly = parse("y^2 + (z - 1/2)^2", M)
-    with pytest.raises(ValueError, match="not a singular point of the field"):
-        chart_class(a_poly, surface_point(0.3, 0.9))
+def test_isolated_rotation_points_are_linearly_zero():
+    # the linear part at a zero p of A is V(p)*d(A|T)(p): the oracle is A's
+    # central differences along theta and phi at each point, which vanish
+    rng = random.Random(7)
+    h, counts = 1e-5, collections.Counter()
+    for k in range(300):
+        m = (Fraction(4), Fraction(3), Fraction(9, 2))[k % 3]
+        mf = float(m)
+        a_poly = parse(draw_rotation_with_z(rng), m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", dynamics.GridResolutionWarning)
+            sing = singular_points(rotation(a_poly), recognize(rotation(a_poly), m), m, 256)
+        # a bound on |A| on the torus, where |x|, |y| <= sqrt(m + 1)
+        scale = sum(abs(c) * (mf + 1.0) ** ((i + j) / 2)
+                    for (i, j, _), c in a_poly.float_terms(mf))
+        for (x, y, z), cls in sing.points:
+            assert cls == SingClass.LINEARLY_ZERO
+            counts["equator" if abs(z) < 1e-6 else "off the equator"] += 1
+            theta, phi = math.atan2(y, x), math.atan2(z, x * x + y * y - mf)
+
+            def at(th, ph):
+                return eval_float(a_poly, surface_point(th, ph, mf), mf)
+            for dth, dph in ((h, 0.0), (0.0, h)):
+                slope = (at(theta + dth, phi + dph) - at(theta - dth, phi - dph)) / (2 * h)
+                assert abs(slope) < 1e-6 * scale
+    assert counts["equator"] >= 100 and counts["off the equator"] >= 100
 
 
 def test_unstable_meridian_attracts_under_time_reversal():
@@ -839,33 +852,6 @@ def test_stable_meridian_theta_distance_monotone():
     dist = np.abs((traj.thetas - theta0 + math.pi) % (2 * math.pi) - math.pi)
     assert np.all(np.diff(dist) <= 1e-12)
     assert dist[-1] < 1e-4
-
-
-def test_chart_trace_matches_fd_divergence():
-    # points on the singular curve of A = x - 2, where the trace B_x*y0 -
-    # B_y*x0 that _classify takes from the chart gradient is nonzero
-    a_poly = parse("x - 2", M)
-    grads = [compile_poly(a_poly.differentiate(v), 4.0) for v in "xyz"]
-    rng = random.Random(2718)
-    for _ in range(8):
-        y0 = rng.uniform(-0.85, 0.85)
-        inner = 1.0 - (4.0 + y0 * y0 - 4.0) ** 2
-        if inner <= 1e-3:
-            continue
-        q = (2.0, y0, math.sqrt(inner))
-        bx, by = dynamics._chart_gradient(compile_poly(a_poly, 4.0), grads, q, 4.0)
-        symbolic = bx * q[1] - by * q[0]
-        assert dynamics._classify((bx, by), q) == SingClass.SEMI_HYPERBOLIC
-
-        def push(xv, yv):
-            zv = math.sqrt(max(1.0 - (xv * xv + yv * yv - 4.0) ** 2, 0.0))
-            b = eval_float(a_poly, (xv, yv, zv))
-            return b * yv, -b * xv
-
-        h = 1e-6
-        fd_div = ((push(q[0] + h, q[1])[0] - push(q[0] - h, q[1])[0]) / (2 * h)
-                  + (push(q[0], q[1] + h)[1] - push(q[0], q[1] - h)[1]) / (2 * h))
-        assert symbolic == pytest.approx(fd_div, abs=1e-5)
 
 
 def test_grid_min_speed_positive_for_rotation():
