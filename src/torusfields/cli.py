@@ -48,7 +48,10 @@ def _common_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _grid_size(text: str) -> int:
-    grid = int(text)
+    try:
+        grid = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"grid must be an integer, got {text!r}") from None
     try:
         check_grid(grid)
     except ValueError as exc:

@@ -10,7 +10,7 @@ x^alpha z^k group, and y - t0*x divides it to the power mu exactly when
 (t - t0)^mu divides their exact gcd g; likewise z - k and the gcd of the
 z-profiles of R.  So the planes and their multiplicities are the real roots
 of g from :func:`torusfields.roots.real_roots`: rational slopes and heights
-exactly (within that function's coefficient-size limit), the others
+exactly, however large their numerators and denominators, the others
 isolated by an exact Sturm sequence and polished in floats.
 
 Every such factor is an invariant meridian plane with the same multiplicity:
@@ -139,9 +139,9 @@ class LinearFactor:
 def linear_xy_factors(p: MultiPoly) -> list[LinearFactor]:
     """All factors of p of the form a*x + b*y, with multiplicities.
 
-    Rational slopes are exact Fractions (within the coefficient-size limit
-    of :func:`torusfields.roots.real_roots`); the others are floats
-    isolated by an exact Sturm sequence.
+    Rational slopes are exact Fractions of any size (from
+    :func:`torusfields.roots.real_roots`); the others are floats isolated
+    by an exact Sturm sequence.
     """
     if p.is_zero():
         raise ValueError("linear factors of the zero polynomial")

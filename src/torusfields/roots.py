@@ -4,6 +4,14 @@
 algorithm, divides out the rational roots of each part (returned as exact
 Fractions; past the search's coefficient-size limit the Sturm isolation
 finds them) and isolates the remaining roots with an exact Sturm sequence.
+Two short cuts come first.  The power of 1 + t^2 that divides the
+polynomial is divided out before Yun's algorithm; on the torus it is the
+x^2 + y^2 of the extactic polynomial restricted to a line, and it has no
+real root.  A part of degree 1 or 2 with rational coefficients is then
+solved in closed form (a quadratic when its discriminant is negative or a
+square), before the rational-root search and again after it; only
+irrational quadratics, parts with sqrt(m) coefficients and parts of
+degree >= 3 reach the search and the Sturm sequence.
 The Sturm sequence is the primitive remainder sequence of
 :mod:`torusfields.poly` on the integer numerators, each remainder negated
 up to a positive factor.  Its signs at ``t = a/b`` come from integer Horner
@@ -15,7 +23,9 @@ Descartes' rule.
 Multiplicities are the exponents of the square-free decomposition, which for
 an extactic gcd are the curve multiplicities of Christopher, Llibre and
 Pereira, Pacific J. Math. 229 (2007).  Floats enter only to polish a root
-inside the interval its Sturm count certified.
+inside the interval its Sturm count certified, on the coefficients of the
+part with its factor of 1 + t^2 restored, so no float depends on the
+short cuts.
 
 Square m is folded to rationals by :class:`Scalar`, so Q(sqrt(m)) is a field
 and every gcd and division here is exact.
@@ -30,6 +40,7 @@ from .poly import UniPoly, prs_remainder, radicand, unipoly_gcd
 
 REFINE_TOL = 1e-12
 RATIONAL_ROOT_LIMIT = 10**6   # larger end coefficients skip the rational-root search
+_ONE_PLUS_T2 = UniPoly([1, 0, 1])
 
 
 def _eval(coeffs: list[float], t: float) -> float:
@@ -74,8 +85,8 @@ def _polish(coeffs: list[float], lo: float, hi: float) -> float:
 def square_free_parts(u: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun's decomposition: u = c * prod(a_i^i) with monic, square-free,
     pairwise coprime a_i of degree >= 1, returned as (a_i, i)."""
-    if u.degree < 1:
-        return []
+    if u.degree < 2:
+        return [(u.monic(), 1)] if u.degree == 1 else []
     du = u.derivative()
     g = unipoly_gcd([u, du])
     if g.degree == 0:
@@ -189,7 +200,8 @@ class _RationalHit(Exception):
 
 
 def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None,
-                 lead: int | None = None) -> list[float]:
+                 lead: int | None = None, polish: UniPoly | None = None
+                 ) -> list[float]:
     """Roots of the square-free s in the closed interval (None: the line).
 
     Raises _RationalHit when an evaluation point is a root of s.  With
@@ -197,6 +209,8 @@ def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None,
     isolating interval is also bisected below 1/(2*lead^2): two fractions
     with denominators <= lead lie at least 1/lead^2 apart, so a rational root
     in it is the fraction nearest its midpoint, and that fraction is tried.
+    Floats are polished on ``polish`` (default s), a multiple of s with no
+    further real root.
     """
     r = radicand(s.m)
     deriv = s.derivative()
@@ -251,7 +265,7 @@ def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None,
         lo, hi = interval
         v_lo, v_hi = count(lo), count(hi)
 
-    coeffs = s.to_floats()
+    coeffs = (s if polish is None else polish).to_floats()
     roots = []
     stack = [(lo, hi, v_lo, v_hi)]
     while stack:
@@ -268,47 +282,87 @@ def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None,
     return sorted(roots)
 
 
+def _divide_out_one_plus_t2(u: UniPoly) -> tuple[UniPoly, int]:
+    """(u / (1 + t^2)^k, k) with k the largest power of 1 + t^2 dividing u."""
+    k = 0
+    while u.degree >= 2:
+        quotient, rest = u.divmod(_ONE_PLUS_T2)
+        if rest:
+            break
+        u, k = quotient, k + 1
+    return u, k
+
+
+def _closed_form_roots(part: UniPoly) -> list[Fraction] | None:
+    """Real roots of the square-free ``part`` in closed form, ascending:
+    [] for a constant, -c0 for a monic linear part with rational c0, and for
+    a rational quadratic none or the two Fractions its discriminant gives
+    when that is a square.  None otherwise (irrational roots, sqrt(m)
+    coefficients or degree >= 3)."""
+    if part.degree < 1:
+        return []
+    if part.degree > 2:
+        return None
+    monic = part.monic()
+    if monic.q:
+        return None
+    if monic.degree == 1:
+        return [Fraction(-monic.p[0], monic.den)]
+    # t^2 + (p1/den)*t + p0/den has the roots (-p1 +- sqrt(disc))/(2*den)
+    p0, p1, den = monic.p[0], monic.p[1], monic.den
+    disc = p1 * p1 - 4 * p0 * den
+    if disc < 0:
+        return []
+    root = math.isqrt(disc)
+    if root * root != disc:
+        return None
+    return [Fraction(-p1 - root, 2 * den), Fraction(-p1 + root, 2 * den)]
+
+
 def real_roots(u: UniPoly, interval: tuple | None = None
                ) -> list[tuple[Fraction | float, int]]:
     """Distinct real roots of u in the closed interval, ascending, with
     multiplicities; ``interval=None`` means the whole line.
 
-    A rational root is an exact Fraction when it is the root of a degree-1
-    square-free part, when a Sturm evaluation point lands on it, or when the
-    rational-root search finds it; that search skips parts whose integer
-    shadow has an end coefficient above RATIONAL_ROOT_LIMIT, and the Sturm
-    isolation of such a part tries the one fraction each isolating interval
-    can hold (:func:`_sturm_roots`).  Any other root is a float polished
-    inside an isolating interval certified by an exact Sturm count.
+    The power of 1 + t^2 that divides u is divided out first: it has no
+    real root.  A square-free part of degree <= 2 with rational coefficients
+    is then solved in closed form (:func:`_closed_form_roots`), before the
+    rational-root search and again after each rational root is divided out.
+    A rational root is an exact Fraction when the closed form gives it, when
+    a Sturm evaluation point lands on it, or when the rational-root search
+    finds it; that search skips parts whose integer shadow has an end
+    coefficient above RATIONAL_ROOT_LIMIT, and the Sturm isolation of such a
+    part tries the one fraction each isolating interval can hold
+    (:func:`_sturm_roots`).  Any other root is a float polished inside an
+    isolating interval certified by an exact Sturm count, on the part's
+    coefficients with its factor of 1 + t^2 restored, so the floats are
+    those of the undivided decomposition.
     """
     if u.is_zero():
         raise ValueError("real_roots of the zero polynomial")
-    if u.degree < 1:
-        return []
     bounds = None if interval is None else tuple(Fraction(t) for t in interval)
+    u, k = _divide_out_one_plus_t2(u)
     out: list[tuple[Fraction | float, int]] = []
     for part, mult in square_free_parts(u):
-        found: list[Fraction | float] = []
-        lead = _unsearched_lead(_shadow(part))
-        for r in _rational_roots(part):
-            if bounds is None or bounds[0] <= r <= bounds[1]:
-                found.append(r)
-            part = part.divmod(UniPoly([-r, 1]))[0]
-        while part.degree >= 1:
-            linear = part.monic() if part.degree == 1 else None
-            if linear is not None and not linear.q:
-                root = Fraction(-linear.p[0], linear.den)
-                if bounds is None or bounds[0] <= root <= bounds[1]:
-                    found.append(root)
-                break
-            try:
-                found += _sturm_roots(part, bounds, lead)
-                break
-            except _RationalHit as hit:
-                t = hit.args[0]
-                found.append(t)
-                part = part.divmod(UniPoly([-t, 1]))[0]
-        out += [(r, mult) for r in found]
+        floats: list[float] = []
+        found = _closed_form_roots(part)
+        if found is None:
+            lead = _unsearched_lead(_shadow(part))
+            found = _rational_roots(part)
+            for r in found:
+                part = part.divmod(UniPoly([-r, 1]))[0]
+            while (closed := _closed_form_roots(part)) is None:
+                try:
+                    floats = _sturm_roots(part, bounds, lead,
+                                          part * _ONE_PLUS_T2 if mult == k else None)
+                    break
+                except _RationalHit as hit:
+                    found.append(hit.args[0])
+                    part = part.divmod(UniPoly([-hit.args[0], 1]))[0]
+            else:
+                found += closed
+        out += [(r, mult) for r in found if bounds is None or bounds[0] <= r <= bounds[1]]
+        out += [(r, mult) for r in floats]
     return sorted(out, key=lambda rm: rm[0])
 
 

@@ -214,6 +214,18 @@ def test_grid_above_maximum_rejected(command, grid, capsys, monkeypatch):
     assert "at most 4096" in captured.err
 
 
+@pytest.mark.parametrize("command", ["singular", "report"])
+@pytest.mark.parametrize("grid", ["abc", "1.5", ""])
+def test_grid_that_is_not_an_integer_rejected(command, grid, capsys):
+    code = main([command, *SADDLE_CURVES, "--grid", grid])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument --grid: grid must be an integer, got {grid!r}\n")
+    assert "_grid_size" not in captured.err
+
+
 def test_grid_bounds_are_inclusive():
     assert _grid_size(str(GRID_MIN)) == GRID_MIN == 32
     assert _grid_size(str(GRID_MAX)) == GRID_MAX == 4096

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from torusfields import roots
 from torusfields import (CubicParams, KolmogorovParams, MultiPoly,
                          PseudoTypeParams, Scalar, TorusSurface, VectorField,
                          X, Y, Z, build_cubic, build_kolmogorov,
@@ -446,3 +447,75 @@ def test_linear_factors_against_sympy():
             [(e[0] is None, e[1], e[2]) for e in want], (a_poly, m)
         assert [e[0] for e in got if e[0] is not None] == pytest.approx(
             [e[0] for e in want if e[0] is not None], abs=1e-12)
+
+
+# -- the named fields' planes come from the closed form, with no Sturm chain ----
+
+NAMED_FIELDS = {
+    # name: (P, Q, R, meridian planes (a, b, multiplicity), parallel heights)
+    "worked-cubic": ("(1/4)*x*z + x*y^2", "(1/4)*y*z - x^2*y",
+                     "(1/2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)",
+                     [(0.0, 1.0, 1), (1.0, 0.0, 1)], []),
+    "kolmogorov": ("(1/4)*(2*z)*x*z + (x*y)*y", "(1/4)*(2*z)*y*z - (x*y)*x",
+                   "(1/2)*(2*z)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)",
+                   [(0.0, 1.0, 1), (1.0, 0.0, 1)], [(0.0, 1)]),
+    "quadratic": ("(1/4)*(2)*x*z + (1 + x - 2*y + z)*y",
+                  "(1/4)*(2)*y*z - (1 + x - 2*y + z)*x",
+                  "(1/2)*(2)*(-a^2*(x^2+y^2) + z^2 + a^4 - 1)", [], []),
+    "pseudo-type": ("(x^2 - y^2)*y", "-(x^2 - y^2)*x", "0",
+                    [(0.7071067811865475, -0.7071067811865475, 1),
+                     (0.7071067811865475, 0.7071067811865475, 1)], None),
+}
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("reached the rational-root search or the Sturm chain")
+
+
+@pytest.mark.parametrize("m", MS)
+@pytest.mark.parametrize("name", sorted(NAMED_FIELDS))
+def test_named_planes_need_no_search_and_no_sturm(name, m, monkeypatch):
+    # each gcd is (1 + t^2)^k times parts of degree <= 2 with rational roots
+    px, qy, rz, planes, heights = NAMED_FIELDS[name]
+    field = VectorField(parse(px, m), parse(qy, m), parse(rz, m))
+    monkeypatch.setattr(roots, "_sturm_roots", _no_search)
+    monkeypatch.setattr(roots, "_rational_roots", _no_search)
+    mset = invariant_meridians(field)
+    assert not mset.infinite
+    assert [(pl.a, pl.b, mult) for pl, mult in mset.planes] == planes
+    assert mset.meridian_count() == 2 * len(planes)
+    assert all(pl.exact for pl, _ in mset.planes)
+    pset = invariant_parallels(field)
+    if heights is None:
+        assert pset.infinite
+    else:
+        assert [(pl.k, mult) for pl, mult in pset.planes] == heights
+        assert all(pl.exact for pl, _ in pset.planes)
+
+
+def test_irrational_slopes_still_reach_sturm_with_the_same_float_bits(monkeypatch):
+    # A = x^2 - 3*y^2 at m = 3: the gcd (1 - 3*t^2)*(1 + t^2) leaves the
+    # irrational quadratic t^2 - 1/3, isolated by Sturm and polished on the
+    # coefficients with 1 + t^2 restored
+    m = Fraction(3)
+    field = VectorField(parse("(x^2 - 3*y^2)*y", m), parse("-(x^2 - 3*y^2)*x", m),
+                        parse("0", m))
+    calls = []
+    sturm = roots._sturm_roots
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return sturm(*args, **kwargs)
+
+    monkeypatch.setattr(roots, "_sturm_roots", counted)
+    factors = linear_xy_factors(extactic_xy(field))
+    assert [(f.slope.hex(), f.multiplicity) for f in factors] == [
+        ("-0x1.279a74590331cp-1", 1), ("0x1.279a74590331cp-1", 1)]
+    mset = invariant_meridians(field)
+    assert len(calls) == 2
+    assert [(pl.a.hex(), pl.b.hex(), mult) for pl, mult in mset.planes] == [
+        ("0x1.0000000000000p-1", "-0x1.bb67ae8584cabp-1", 1),
+        ("0x1.0000000000000p-1", "0x1.bb67ae8584cabp-1", 1)]
+    assert [(repr(pl.a), repr(pl.b)) for pl, _ in mset.planes] == [
+        ("0.5", "-0.8660254037844387"), ("0.5", "0.8660254037844387")]
+    assert not any(pl.exact for pl, _ in mset.planes)

@@ -302,3 +302,114 @@ def test_rational_roots_match_the_candidate_set_search(m):
     square = UniPoly([-36, 0, 1])
     assert roots._rational_roots(square) == reference_rational_roots(square) == \
         [Fraction(-6), Fraction(6)]
+
+
+# -- reference: real_roots with no 1 + t^2 division and no closed form ----------
+
+
+def reference_real_roots(u, interval=None):
+    """Every square-free part through the rational-root search, then the
+    degree-1 shortcut or the Sturm isolation, as real_roots did before it
+    divided out 1 + t^2 and solved low-degree parts in closed form."""
+    if u.is_zero():
+        raise ValueError("real_roots of the zero polynomial")
+    if u.degree < 1:
+        return []
+    bounds = None if interval is None else tuple(Fraction(t) for t in interval)
+    out = []
+    for part, mult in square_free_parts(u):
+        found = []
+        lead = roots._unsearched_lead(roots._shadow(part))
+        for r in roots._rational_roots(part):
+            if bounds is None or bounds[0] <= r <= bounds[1]:
+                found.append(r)
+            part = part.divmod(UniPoly([-r, 1]))[0]
+        while part.degree >= 1:
+            linear = part.monic() if part.degree == 1 else None
+            if linear is not None and not linear.q:
+                root = Fraction(-linear.p[0], linear.den)
+                if bounds is None or bounds[0] <= root <= bounds[1]:
+                    found.append(root)
+                break
+            try:
+                found += roots._sturm_roots(part, bounds, lead)
+                break
+            except roots._RationalHit as hit:
+                t = hit.args[0]
+                found.append(t)
+                part = part.divmod(UniPoly([-t, 1]))[0]
+        out += [(r, mult) for r in found]
+    return sorted(out, key=lambda rm: rm[0])
+
+
+def _draw_rational(rng):
+    """A rational of small height, or one whose numerator or denominator is
+    past RATIONAL_ROOT_LIMIT."""
+    if rng.random() < 0.2:
+        return Fraction(rng.randint(-10 ** 9, 10 ** 9), rng.randint(1, 10 ** 8))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+
+def _draw_factor(rng, m):
+    kinds = ["linear", "rational-quadratic", "irrational-quadratic",
+             "complex-quadratic"]
+    if m is not None:
+        kinds.append("sqrt-linear")
+    kind = rng.choice(kinds)
+    r = _draw_rational(rng)
+    if kind == "linear":
+        return UniPoly([-r, 1])
+    if kind == "rational-quadratic":
+        return UniPoly([-r, 1]) * UniPoly([-_draw_rational(rng), 1])
+    if kind == "sqrt-linear":
+        return UniPoly([-Scalar(r, Fraction(rng.choice([-2, -1, 1, 2]), rng.randint(1, 3)),
+                                m), 1])
+    lin = UniPoly([-r, 1])
+    shift = _draw_rational(rng)
+    shift = abs(shift) or Fraction(1)
+    return lin * lin + UniPoly([shift if kind == "complex-quadratic" else -shift])
+
+
+def _draw_polynomial(rng, m):
+    """A product of drawn factors, some squared or cubed, times (1 + t^2)^k
+    with k from 0 to 3 and a rational or sqrt(m) constant."""
+    poly = UniPoly([1])
+    for _ in range(rng.choice([1, 2, 2, 3])):
+        factor = _draw_factor(rng, m)
+        for _ in range(rng.choice([1, 1, 1, 1, 2, 2, 3]) if factor.degree == 1 else
+                       rng.choice([1, 1, 1, 2])):
+            poly = poly * factor
+    for _ in range(rng.choice([0, 0, 1, 1, 2, 3])):
+        poly = poly * UniPoly([1, 0, 1])
+    scales = [Scalar(_draw_rational(rng) or 1)]
+    if m is not None:
+        scales.append(Scalar(0, Fraction(rng.randint(1, 5), rng.randint(1, 3)), m))
+    return poly * UniPoly([rng.choice(scales)])
+
+
+def _draw_interval(rng):
+    kind = rng.randrange(4)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return (-1, 1)
+    shift = Fraction(rng.randint(-20, 20), rng.randint(1, 8))
+    if kind == 2:
+        return (shift - 1, shift + 1)
+    lo = _draw_rational(rng)
+    return (lo, lo + abs(_draw_rational(rng)) + Fraction(1, 3))
+
+
+@pytest.mark.parametrize("m", FIELDS)
+def test_real_roots_match_the_reference_repr_for_repr(m):
+    # the closed form and the division by 1 + t^2 change no root, no
+    # multiplicity and no float bit
+    rng = random.Random(29 if m is None else m.numerator)
+    kinds = set()
+    for _ in range(1700):
+        poly = _draw_polynomial(rng, m)
+        interval = _draw_interval(rng)
+        got = real_roots(poly, interval)
+        assert repr(got) == repr(reference_real_roots(poly, interval)), (poly, interval)
+        kinds.update(type(r).__name__ for r, _ in got)
+    assert kinds == {"Fraction", "float"}
