@@ -14,7 +14,7 @@ from types import ModuleType as _ModuleType
 
 from .scalars import MixedExtensionError, Scalar
 from .poly import (MalformedDivisor, MultiPoly, NotDivisible, UniPoly, X, Y,
-                   Z, divide_exact, divide_exact_z, restrict_to_line)
+                   Z, divide_exact, divide_exact_z)
 from .roots import dense_scan_roots, real_roots
 from .parsing import ParseError, parse, serialize
 from .vfield import (CofactorResult, RationalFn, TorusSurface, VectorField,

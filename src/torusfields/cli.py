@@ -66,7 +66,7 @@ def _parse_m(text: str) -> Fraction:
         raise ValueError("--m must be a rational number such as 4 or 9/2, "
                          f"got {text!r}") from None
     if m <= 1:
-        raise ValueError(f"--m must exceed 1 (the torus needs a > 1), got {m}")
+        raise ValueError(f"--m must exceed 1 (the torus needs a > 1), got {text!r}")
     return m
 
 

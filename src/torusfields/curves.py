@@ -5,13 +5,17 @@ when the plane polynomial divides the extactic polynomial of the span of
 x and y, which for a field (P, Q, R) is Q*x - P*y.  A parallel plane
 z - k = 0 (|k| <= 1) is invariant exactly when z - k divides R.
 
-Substituting y = t*x splits a polynomial into one t-polynomial per
-x^alpha z^k group, and y - t0*x divides it to the power mu exactly when
-(t - t0)^mu divides their exact gcd g; likewise z - k and the gcd of the
-z-profiles of R.  So the planes and their multiplicities are the real roots
-of g from :func:`torusfields.roots.real_roots`: rational slopes and heights
-exactly, however large their numerators and denominators, the others
-isolated by an exact Sturm sequence and polished in floats.
+The extactic polynomial is built by exponent shifts of Q's and P's integer
+numerators.  Substituting y = t*x splits a polynomial into one
+t-polynomial per x^alpha z^k group, and y - t0*x divides it to the power mu
+exactly when (t - t0)^mu divides their exact gcd g; likewise z - k and the
+gcd of the z-profiles of R.  Each gcd runs on the groups' numerators and
+stops at the first constant gcd, before the later groups are built.  So the
+planes and their multiplicities are the real roots of g from
+:func:`torusfields.roots.real_roots`: rational slopes and heights exactly,
+however large their numerators and denominators, the others isolated by an
+exact Sturm sequence and polished in floats.  A rational slope n/d gives
+the plane -n*x + d*y = 0 from its integer numerator and denominator.
 
 Every such factor is an invariant meridian plane with the same multiplicity:
 for L = y - t0*x, Q*x - P*y = x*chi(L) - P*L, so L divides Q*x - P*y exactly
@@ -25,9 +29,9 @@ import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
-from .poly import MultiPoly, X, Y, restrict_to_line, unipoly_gcd, z_profiles
+from .poly import MultiPoly, X, Y, _poly, _shift_into, line_gcd, z_profile_gcd
+from .scalars import Scalar, _merge_m
 from .roots import real_roots
-from .scalars import Scalar
 from .vfield import VectorField
 from .families import CubicParams
 
@@ -117,8 +121,18 @@ class ParallelSet:
 
 
 def extactic_xy(field: VectorField) -> MultiPoly:
-    """Extactic polynomial of the field for the span of x and y: Q*x - P*y."""
-    return field.Q * X - field.P * Y
+    """Extactic polynomial of the field for the span of x and y: Q*x - P*y,
+    by exponent shifts of Q's and P's numerators over their common
+    denominator."""
+    p, q = field.P, field.Q
+    g = math.gcd(p._den, q._den)
+    parts = []
+    for pd, qd in ((p._p, q._p), (p._q, q._q)):
+        out: dict = {}
+        _shift_into(out, qd, (1, 0, 0), p._den // g)
+        _shift_into(out, pd, (0, 1, 0), -(q._den // g))
+        parts.append(out)
+    return _poly(*parts, p._den // g * q._den, _merge_m(p.m, q.m))
 
 
 # -- linear-factor machinery ---------------------------------------------------
@@ -149,7 +163,7 @@ def linear_xy_factors(p: MultiPoly) -> list[LinearFactor]:
     x_mult = p.min_var_exponent("x")
     if x_mult >= 1:
         factors.append(LinearFactor(None, x_mult))
-    g = unipoly_gcd(restrict_to_line(p))
+    g = line_gcd(p)
     if g.degree >= 1:
         factors += [LinearFactor(t0, mult) for t0, mult in real_roots(g)]
     return factors
@@ -159,14 +173,13 @@ def plane_from_factor(factor: LinearFactor) -> MeridianPlane:
     if factor.slope is None:
         return MeridianPlane(1.0, 0.0, (Scalar(1), Scalar(0)))
     if factor.exact:
-        t0 = factor.slope
-        a, b = -t0, Fraction(1)
-        if a < 0 or (a == 0 and b < 0):
-            a, b = -a, -b
-        scale = a.denominator if a else b.denominator
-        pair = (Scalar(a * scale), Scalar(b * scale))
-        h = math.hypot(float(a), float(b))
-        return MeridianPlane(float(a) / h, float(b) / h, pair)
+        # d*(y - (n/d)*x) = -n*x + d*y, negated when n > 0; its floats are
+        # those of the pair over d, which is (|n|/d, +-1)
+        n, d = factor.slope.numerator, factor.slope.denominator
+        a, b = (n, -d) if n > 0 else (-n, d)
+        fa, fb = a / d, (1.0 if n <= 0 else -1.0)
+        h = math.hypot(fa, fb)
+        return MeridianPlane(fa / h, fb / h, (Scalar(a), Scalar(b)))
     t0 = float(factor.slope)
     a, b = -t0, 1.0
     if a < 0:
@@ -190,7 +203,7 @@ def invariant_parallels(field: VectorField) -> ParallelSet:
     """Every invariant parallel plane z = k with |k| <= 1."""
     if field.R.is_zero():
         return ParallelSet(infinite=True)
-    g = unipoly_gcd(z_profiles(field.R))
+    g = z_profile_gcd(field.R)
     planes: list[tuple[ParallelPlane, int]] = []
     if g.degree >= 1:
         for k, mult in real_roots(g, (-1, 1)):

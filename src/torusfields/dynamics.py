@@ -31,10 +31,14 @@ z = k.  The scans sample the levels by blocks of theta rows with each row's
 min and max, reduce cell corners only on rows that those allow to hold a
 flagged cell (Wilhelms & Van Gelder, ACM TOG 11(3), 1992), label the
 periodic components of the flagged cells and refine them by damped Newton
-steps with exact derivatives.  Every grid minimum of |chi| comes from one
-reducer, which folds each block of theta rows into a running minimum per
-phi column: as the block is made when no scan keeps the grid, else from
-the scan's grids once the set is known to be empty.
+steps with exact derivatives.  Every grid minimum of |chi| that needs a
+2-D grid comes from one reducer, which folds each block of theta rows into
+a running minimum per phi column: as the block is made when no scan keeps
+the grid, else from the scan's grids once the set is known to be empty.
+Two take no 2-D grid: a linear f = r*(g(theta) - t(phi)) takes, per phi,
+the g nearest t among the sorted g (:func:`grid_min_speed`), and a binary
+form A with no real linear factor takes the least |A| on the unit circle
+times the least r^(d+1).
 """
 
 from __future__ import annotations

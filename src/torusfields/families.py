@@ -10,27 +10,31 @@ Every cubic field on the torus is built from a pair (K', f) plus two reals
 * pseudo-type-n   -- (A*y, -A*x, 0) with A homogeneous of degree n - 1
 
 Recognition extracts the cubic form once per field by exact coefficient
-matching: K' = K/z from the cofactor K, beta and gamma are the z
-coefficients of P and Q, and f is the exact quotient
-(P - x*z*K'/4 - beta*z)/y; an on-torus field of degree <= 3 is then the
-closed form of those four values, with no further check.  The specialized
-families are predicates on (K', f, beta, gamma); pseudo-type, whose degree
-is not bounded, reads A from :func:`_rotation_shape`, which the tag keeps
-for the singular stage.  No fitting, exact or fail.
+matching on the integer numerators of P and the cofactor K, with no
+polynomial product or division: K' = K/z is an exponent shift once every
+term of K carries z, beta and gamma are the z coefficients of P and Q, and
+f*y = P - beta*z - x*K/4 is one pass over P's numerators and K's; an
+on-torus field of degree <= 3 is then the closed form of those four
+values, with no further check.  The specialized families are predicates on
+the supports of K' and f and on beta and gamma, and Scalars are built only
+for the parameters the tag returns; pseudo-type, whose degree is not
+bounded, reads A from :func:`_rotation_shape` (x*P + y*Q = 0 and R = 0),
+which the tag keeps for the singular stage.  No fitting, exact or fail.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (ONE, MultiPoly, NotDivisible, X, Y, Z, divide_exact,
+from .poly import (ONE, MultiPoly, X, Y, Z, _poly, _shift_into, _shifted,
                    sum_of_products)
-from .scalars import Scalar
-from .vfield import (CofactorResult, RationalFn, VectorField,
-                     check_first_integral, cofactor_on_torus, torus_surface)
+from .scalars import Scalar, _merge_m
+from .vfield import (RationalFn, VectorField, check_first_integral,
+                     cofactor_on_torus, torus_surface)
 
 
 class DegreeViolation(ValueError):
@@ -167,70 +171,88 @@ def build_pseudo_type(params: PseudoTypeParams, m: Fraction | None = None) -> Ve
 
 # -- recognition ------------------------------------------------------------
 
-_MINUS_XZ_4 = X * Z * Fraction(-1, 4)
+_CONST, _X, _Y, _Z, _XY = (0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0)
 
 
-def _try_divide(p: MultiPoly, divisor: MultiPoly, var: str) -> MultiPoly | None:
-    try:
-        return divide_exact(p, divisor, var)
-    except NotDivisible:
-        return None
+def _cubic_form(field: VectorField, k: MultiPoly) -> CubicParams | None:
+    """(K', f, beta, gamma) with the field equal to ``build_cubic`` of them,
+    K the field's cofactor on the torus.
 
-
-def _cubic_form(field: VectorField, cof: CofactorResult) -> CubicParams | None:
-    """(K', f, beta, gamma) with the field equal to ``build_cubic`` of them.
+    They are read off the numerators.  z divides K when every term of K
+    carries z, and K' = K/z shifts the exponents; beta and gamma are the z
+    coefficients of P and Q; and f*y = P - beta*z - x*K/4, since
+    x*z*K'/4 = x*K/4, is P without its z term minus K shifted by x.
 
     P matches by construction of f, and both fields have cofactor K'*z, so
     the field minus ``build_cubic`` has P-part 0 and cofactor 0.  Its (Q, R)
     then satisfy Q*F_y + R*F_z = 0, with F_y = 4*y*(x^2 + y^2 - m) and
-    F_z = 2*z, so it is (0, h*z, -2*y*(x^2 + y^2 - m)*h).  Degree <= 3 makes
-    h a constant, the difference of the z coefficients of Q, which is 0
-    because that coefficient was taken as gamma.  So Q and R match with no
-    check.
+    F_z = 2*z, so it is (0, h*z, -2*y*(x^2 + y^2 - m)*h).  With deg K <= 2,
+    ``build_cubic``'s R has degree <= 3, so deg R <= 3 makes h a constant,
+    the difference of the z coefficients of Q, which is 0 because that
+    coefficient was taken as gamma.  So Q and R match with no check, and
+    the bounds on K, R and f (which bounds P) are those of a field of
+    degree <= 3.
     """
-    if field.degree > 3 or cof.K.degree > 2:
+    p = field.P
+    if field.R.degree > 3 or not all(e[2] and sum(e) <= 2 for e in k._keys()):
         return None
-    kprime = _try_divide(cof.K, Z, "z")
-    if kprime is None:
+    kprime = _poly(_shifted(k._p, 2, -1), _shifted(k._q, 2, -1), k._den, k.m)
+    # f*y over the least common denominator of P and K/4
+    den = math.lcm(p._den, 4 * k._den)
+    fy = []
+    for pd, kd in ((p._p, k._p), (p._q, k._q)):
+        scale = den // p._den
+        out = {e: v * scale for e, v in pd.items() if e != _Z}
+        _shift_into(out, kd, _X, -(den // (4 * k._den)))
+        fy.append(out)
+    if not all(e[1] and sum(e) <= 3 for part in fy for e in part):
         return None
-    beta = field.P.coefficient((0, 0, 1))
-    gamma = field.Q.coefficient((0, 0, 1))
-    f = _try_divide(sum_of_products(((field.P, ONE), (kprime, _MINUS_XZ_4),
-                                     (MultiPoly.constant(beta), -Z))), Y, "y")
-    if f is None or f.degree > 2:
-        return None
-    return CubicParams(Kprime=kprime, f=f, beta=beta, gamma=gamma)
+    f = _poly(_shifted(fy[0], 1, -1), _shifted(fy[1], 1, -1), den, _merge_m(p.m, k.m))
+    return CubicParams(Kprime=kprime, f=f, beta=p.coefficient(_Z),
+                       gamma=field.Q.coefficient(_Z))
 
 
 def _rotation_shape(field: VectorField) -> MultiPoly | None:
-    """A with field = (A*y, -A*x, 0), if the field has that shape."""
+    """A with field = (A*y, -A*x, 0), if the field has that shape: R = 0
+    and x*P + y*Q = 0, which makes y divide P, A = P/y and Q = -A*x."""
+    p, q = field.P, field.Q
     if not field.R.is_zero():
         return None
-    a = _try_divide(field.P, Y, "y")
-    return a if a is not None and field.Q == -(a * X) else None
+    g = math.gcd(p._den, q._den)
+    for pd, qd in ((p._p, q._p), (p._q, q._q)):
+        radial: dict = {}
+        _shift_into(radial, pd, _X, q._den // g)
+        _shift_into(radial, qd, _Y, p._den // g)
+        if radial:
+            return None
+    return _poly(_shifted(p._p, 1, -1), _shifted(p._q, 1, -1), p._den, p.m)
 
 
 def recognize(field: VectorField, m: Fraction) -> FamilyTag:
-    """Most specific family tag, with every other matching family recorded."""
-    cof = cofactor_on_torus(field, torus_surface(Fraction(m)))
+    """Most specific family tag, with every other matching family recorded.
+
+    The specialized families are read off the supports of K' and f; Scalars
+    are built only for the parameters the tag returns."""
+    cof = cofactor_on_torus(field, torus_surface(m))
     if not cof.on_torus:
         return FamilyTag(Family.NOT_ON_TORUS, None)
-    cubic = _cubic_form(field, cof)
+    cubic = _cubic_form(field, cof.K)
     hits: list[tuple[Family, object]] = []
     if cubic is not None:
         # the specialized families are predicates on (K', f, beta, gamma)
         kprime, f = cubic.Kprime, cubic.f
+        k_keys, f_keys = kprime._keys(), f._keys()
         if cubic.beta.is_zero() and cubic.gamma.is_zero():
-            if kprime.is_zero() and f.is_scalar():
+            if not k_keys and f_keys <= {_CONST}:
                 hits.append((Family.DEGREE_ONE, DegreeOneParams(f.constant_value())))
-            if kprime.is_scalar() and f.degree <= 1:
+            if k_keys <= {_CONST} and f.degree <= 1:
                 hits.append((Family.QUADRATIC,
                              QuadraticParams(kprime.constant_value(), f)))
-            if kprime.terms.keys() <= {(0, 0, 1)} and f.terms.keys() <= {(1, 1, 0)}:
+            if k_keys <= {_Z} and f_keys <= {_XY}:
                 hits.append((Family.KOLMOGOROV,
-                             KolmogorovParams(c1=f.coefficient((1, 1, 0)),
-                                              c2=kprime.coefficient((0, 0, 1)))))
-        if not kprime.is_zero() and kprime.terms.keys() <= {(1, 0, 0), (0, 1, 0)}:
+                             KolmogorovParams(c1=f.coefficient(_XY),
+                                              c2=kprime.coefficient(_Z))))
+        if k_keys and k_keys <= {_X, _Y}:
             # K' = 2*(p*x + q*y), and p, q are R's x*z^2 and y*z^2 coefficients
             p, q = field.R.coefficient((1, 0, 2)), field.R.coefficient((0, 1, 2))
             half_m = Scalar(Fraction(m) / 2)

@@ -24,6 +24,7 @@ Serialization is deterministic: terms in graded lexicographic order
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
@@ -171,18 +172,27 @@ def _term(ctx: tuple, pos: int, single: bool = False,
     return poly, pos
 
 
-def parse(text: str, m: Fraction | int) -> MultiPoly:
-    """Parse an expression; ``a`` maps to sqrt(m)."""
-    if type(m) is not Fraction:
-        m = Fraction(m)
+@functools.lru_cache(maxsize=16)
+def _extension(m: Fraction) -> tuple[int, dict]:
+    """(s, atoms) for m, kept for the last 16 m: s = mn*md at a non-square m
+    (0 at a square one, where ``a`` is rational) and the atoms x, y, z, a.
+    Every parse at m shares the atoms dict, which nothing writes."""
     root = _rational_sqrt(m)
     if root is None:
         s, a = m.numerator * m.denominator, ((0, 0, 0), 0, 1, m.denominator)
     else:
         s, a = 0, ((0, 0, 0), root.numerator, 0, root.denominator)
+    return s, {**_VARIABLES, "a": a}
+
+
+def parse(text: str, m: Fraction | int) -> MultiPoly:
+    """Parse an expression; ``a`` maps to sqrt(m)."""
+    if type(m) is not Fraction:
+        m = Fraction(m)
+    s, atoms = _extension(m)
     tokens = _TOKEN.findall(text)
     tokens.append("")
-    ctx = (tokens, s, {**_VARIABLES, "a": a}, text)
+    ctx = (tokens, s, atoms, text)
     v, pos = _expr(ctx, 0)
     if pos != len(tokens) - 1:
         _fail(ctx, pos, {"'+'", "'-'", "'*'", "'^'", "end of input"})

@@ -120,6 +120,21 @@ def _scaled(d: dict, factor: int) -> dict:
     return {e: c * factor for e, c in d.items()} if factor != 1 else dict(d)
 
 
+def _shift_into(out: dict, d: dict, shift: Exponent, factor: int) -> None:
+    """out += factor * d with every exponent moved by ``shift``, on numerator
+    dicts (``factor`` nonzero, as every entry of d is); entries that cancel
+    are dropped."""
+    a, b, c = shift
+    get = out.get
+    for (i, j, k), v in d.items():
+        e = (i + a, j + b, k + c)
+        w = get(e, 0) + v * factor
+        if w:
+            out[e] = w
+        else:
+            del out[e]
+
+
 def _poly(p: dict, q: dict, den: int, m: Fraction | None) -> "MultiPoly":
     """MultiPoly from numerators without zero entries, content divided out."""
     if not q:
@@ -225,7 +240,7 @@ class MultiPoly:
     @property
     def degree(self) -> int | float:
         """Total degree; -inf for the zero polynomial."""
-        return max((i + j + k for (i, j, k) in self._keys()), default=NEG_INF)
+        return max(map(sum, self._keys()), default=NEG_INF)
 
     def is_zero(self) -> bool:
         return not self._p and not self._q
@@ -404,12 +419,14 @@ def _derivative(d: dict, idx: int) -> dict:
 
 
 def _shifted(d: dict, idx: int, by: int) -> dict:
-    out = {}
-    for e, c in d.items():
-        ne = list(e)
-        ne[idx] += by
-        out[tuple(ne)] = c
-    return out
+    """d with the exponent of variable ``idx`` moved by ``by``."""
+    if not d:
+        return {}
+    if idx == 0:
+        return {(i + by, j, k): c for (i, j, k), c in d.items()}
+    if idx == 1:
+        return {(i, j + by, k): c for (i, j, k), c in d.items()}
+    return {(i, j, k + by): c for (i, j, k), c in d.items()}
 
 
 X = MultiPoly.variable("x")
@@ -747,25 +764,20 @@ class UniPoly:
                 _uni(rp, rq, den, m))
 
 
-def unipoly_gcd(polys: list[UniPoly]) -> UniPoly:
-    """Monic gcd over the scalar field Q(sqrt(m)); never raises.
-
-    Square m is folded to rationals by Scalar, so every nonzero leading
-    coefficient is invertible.  The gcd runs as a primitive remainder
-    sequence on the numerators and is made monic once, at the end.
-    """
-    m = None
+def _numerator_gcd(pairs: Iterable[tuple[list[int], list[int]]],
+                   m: Fraction | None) -> UniPoly:
+    """Monic gcd of the polynomials with numerator lists ``pairs`` (any
+    denominators) over Q(sqrt(m)), none of them zero; it stops at the first
+    constant gcd, taking no further pair."""
+    s = radicand(m)
     g: tuple[list[int], list[int]] | None = None
-    for u in polys:
-        if u.is_zero():
-            continue
-        m = _merge_m(m, u.m)
+    for pair in pairs:
         if g is None:
-            g = _primitive(u.p, u.q)
+            g = _primitive(*pair)
         else:
-            a, b = g, (u.p, u.q)
+            a, b = g, _primitive(*pair)
             while b[0]:
-                a, b = b, prs_remainder(a, b, radicand(m))[:2]
+                a, b = b, prs_remainder(a, b, s)[:2]
             g = a
         if len(g[0]) == 1:
             break
@@ -774,35 +786,54 @@ def unipoly_gcd(polys: list[UniPoly]) -> UniPoly:
     return _uni(list(g[0]), list(g[1]), 1, m).monic()
 
 
-def _line_groups(p: MultiPoly, split) -> list[UniPoly]:
-    """One UniPoly per group key, ``split(exp) -> (key, power)``, by key."""
+def unipoly_gcd(polys: Iterable[UniPoly]) -> UniPoly:
+    """Monic gcd over the scalar field Q(sqrt(m)); never raises.
+
+    Square m is folded to rationals by Scalar, so every nonzero leading
+    coefficient is invertible.  The gcd runs as a primitive remainder
+    sequence on the numerators and is made monic once, at the end.
+    """
+    polys = [u for u in polys if u]
+    m = None
+    for u in polys:
+        m = _merge_m(m, u.m)
+    return _numerator_gcd([(u.p, u.q) for u in polys], m)
+
+
+def _groups(p: MultiPoly, line: bool) -> Iterator[tuple[list[int], list[int]]]:
+    """Numerator lists over p's denominator, one per group by group key: of
+    the polynomials in t of p(x, t*x, z) per x^alpha*z^k when ``line``, else
+    of the polynomials in z per x^i*y^j.  The terms are grouped at once and
+    each list built when it is taken."""
     groups: dict = {}
     for part, d in ((0, p._p), (1, p._q)):
-        for e, c in d.items():
-            key, power = split(e)
+        for (i, j, k), c in d.items():
+            key, power = ((i + j, k), j) if line else ((i, j), k)
             groups.setdefault(key, ({}, {}))[part][power] = c
-    out = []
     for key in sorted(groups):
         gp, gq = groups[key]
         size = max((*gp, *gq)) + 1
-        out.append(_uni([gp.get(d, 0) for d in range(size)],
-                        [gq.get(d, 0) for d in range(size)] if gq else [],
-                        p._den, p.m))
-    return out
+        yield ([gp.get(d, 0) for d in range(size)],
+               [gq.get(d, 0) for d in range(size)] if gq else [])
 
 
-def restrict_to_line(p: MultiPoly) -> list[UniPoly]:
-    """Coefficient polynomials of p(x, t*x, z) grouped by x^alpha * z^k.
+def line_gcd(p: MultiPoly) -> UniPoly:
+    """Monic gcd of the coefficient polynomials of the nonzero p(x, t*x, z),
+    one per x^alpha * z^k group.
 
     Substituting ``y := t*x`` sends the monomial ``x^i y^j z^k`` to
-    ``t^j * x^(i+j) z^k``; the result is one polynomial in t per surviving
-    group ``(i + j, k)``.  The divisor ``y - t0*x`` divides p exactly when
-    every returned polynomial vanishes at t0.  Divisibility by x itself must
-    be tested separately (every group keeps a positive x power).
+    ``t^j * x^(i+j) z^k``, one polynomial in t per surviving group
+    ``(i + j, k)``.  The divisor ``y - t0*x`` divides p exactly when every
+    one of them vanishes at t0, that is when t0 is a root of this gcd.
+    Divisibility by x itself must be tested separately (every group keeps a
+    positive x power).  The gcd runs on the groups' numerators, and the
+    groups after the first constant gcd are never built.
     """
-    return _line_groups(p, lambda e: ((e[0] + e[1], e[2]), e[1]))
+    return _numerator_gcd(_groups(p, True), p.m)
 
 
-def z_profiles(p: MultiPoly) -> list[UniPoly]:
-    """One polynomial in z per x^i y^j monomial group of p, by (i, j)."""
-    return _line_groups(p, lambda e: ((e[0], e[1]), e[2]))
+def z_profile_gcd(p: MultiPoly) -> UniPoly:
+    """Monic gcd of the nonzero p's polynomials in z, one per x^i*y^j group:
+    z - k divides p exactly when it divides this gcd.  The groups after the
+    first constant gcd are never built."""
+    return _numerator_gcd(_groups(p, False), p.m)

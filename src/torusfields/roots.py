@@ -5,13 +5,17 @@ algorithm, divides out the rational roots of each part (returned as exact
 Fractions; past the search's coefficient-size limit the Sturm isolation
 finds them) and isolates the remaining roots with an exact Sturm sequence.
 Two short cuts come first.  The power of 1 + t^2 that divides the
-polynomial is divided out before Yun's algorithm; on the torus it is the
-x^2 + y^2 of the extactic polynomial restricted to a line, and it has no
-real root.  A part of degree 1 or 2 with rational coefficients is then
-solved in closed form (a quadratic when its discriminant is negative or a
-square), before the rational-root search and again after it; only
-irrational quadratics, parts with sqrt(m) coefficients and parts of
-degree >= 3 reach the search and the Sturm sequence.
+polynomial is divided out before Yun's algorithm, found by the value at
+t = i (alternating sums of the integer numerators) and removed by synthetic
+division; on the torus it is the x^2 + y^2 of the extactic polynomial
+restricted to a line, and it has no real root.  What is left is solved in
+closed form, with no decomposition, when it has rational coefficients and
+degree <= 2 and its roots are rational or non-real: a zero discriminant
+gives one root of multiplicity 2.  Otherwise each part of degree 1 or 2
+with rational coefficients is solved in closed form the same way, before
+the rational-root search and again after it; only irrational quadratics,
+parts with sqrt(m) coefficients and parts of degree >= 3 reach the search
+and the Sturm sequence.
 The Sturm sequence is the primitive remainder sequence of
 :mod:`torusfields.poly` on the integer numerators, each remainder negated
 up to a positive factor.  Its signs at ``t = a/b`` come from integer Horner
@@ -36,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .poly import UniPoly, prs_remainder, radicand, unipoly_gcd
+from .poly import UniPoly, _uni, prs_remainder, radicand, unipoly_gcd
 
 REFINE_TOL = 1e-12
 RATIONAL_ROOT_LIMIT = 10**6   # larger end coefficients skip the rational-root search
@@ -282,41 +286,53 @@ def _sturm_roots(s: UniPoly, interval: tuple[Fraction, Fraction] | None,
     return sorted(roots)
 
 
+def _has_factor_one_plus_t2(c: list[int]) -> bool:
+    """Whether 1 + t^2 divides the integer polynomial c (ascending; [] is
+    zero): whether c(i) = 0, whose real and imaginary parts are alternating
+    sums of the coefficients of even and of odd degree."""
+    return sum(c[0::4]) == sum(c[2::4]) and sum(c[1::4]) == sum(c[3::4])
+
+
+def _over_one_plus_t2(c: list[int]) -> list[int]:
+    """c / (1 + t^2) by synthetic division, for c that 1 + t^2 divides."""
+    quotient = c[2:]
+    for i in range(len(quotient) - 3, -1, -1):
+        quotient[i] -= quotient[i + 2]
+    return quotient
+
+
 def _divide_out_one_plus_t2(u: UniPoly) -> tuple[UniPoly, int]:
     """(u / (1 + t^2)^k, k) with k the largest power of 1 + t^2 dividing u."""
-    k = 0
-    while u.degree >= 2:
-        quotient, rest = u.divmod(_ONE_PLUS_T2)
-        if rest:
-            break
-        u, k = quotient, k + 1
-    return u, k
+    p, q, k = u.p, u.q, 0
+    while len(p) >= 3 and _has_factor_one_plus_t2(p) and _has_factor_one_plus_t2(q):
+        p, q, k = _over_one_plus_t2(p), q and _over_one_plus_t2(q), k + 1
+    return (_uni(p, q, u.den, u.m) if k else u), k
 
 
-def _closed_form_roots(part: UniPoly) -> list[Fraction] | None:
-    """Real roots of the square-free ``part`` in closed form, ascending:
-    [] for a constant, -c0 for a monic linear part with rational c0, and for
-    a rational quadratic none or the two Fractions its discriminant gives
-    when that is a square.  None otherwise (irrational roots, sqrt(m)
-    coefficients or degree >= 3)."""
-    if part.degree < 1:
+def _closed_form_roots(u: UniPoly) -> list[tuple[Fraction, int]] | None:
+    """Real roots of ``u`` in closed form, ascending, with multiplicities:
+    [] for a constant, one Fraction for a linear u with rational
+    coefficients, and for a rational quadratic none when its discriminant is
+    negative, a double root when it is 0 and two Fractions when it is a
+    square.  None otherwise (irrational roots, sqrt(m) coefficients or
+    degree >= 3)."""
+    if u.degree < 1:
         return []
-    if part.degree > 2:
+    if u.degree > 2 or u.q:
         return None
-    monic = part.monic()
-    if monic.q:
-        return None
-    if monic.degree == 1:
-        return [Fraction(-monic.p[0], monic.den)]
-    # t^2 + (p1/den)*t + p0/den has the roots (-p1 +- sqrt(disc))/(2*den)
-    p0, p1, den = monic.p[0], monic.p[1], monic.den
-    disc = p1 * p1 - 4 * p0 * den
-    if disc < 0:
-        return []
+    if u.degree == 1:
+        return [(Fraction(-u.p[0], u.p[1]), 1)]
+    # c + b*t + a*t^2 has the roots (-b +- sqrt(disc))/(2*a)
+    c, b, a = u.p
+    disc = b * b - 4 * a * c
+    if disc <= 0:
+        return [(Fraction(-b, 2 * a), 2)] if disc == 0 else []
     root = math.isqrt(disc)
     if root * root != disc:
         return None
-    return [Fraction(-p1 - root, 2 * den), Fraction(-p1 + root, 2 * den)]
+    if a < 0:
+        a, b = -a, -b
+    return [(Fraction(-b - root, 2 * a), 1), (Fraction(-b + root, 2 * a), 1)]
 
 
 def real_roots(u: UniPoly, interval: tuple | None = None
@@ -325,9 +341,12 @@ def real_roots(u: UniPoly, interval: tuple | None = None
     multiplicities; ``interval=None`` means the whole line.
 
     The power of 1 + t^2 that divides u is divided out first: it has no
-    real root.  A square-free part of degree <= 2 with rational coefficients
-    is then solved in closed form (:func:`_closed_form_roots`), before the
-    rational-root search and again after each rational root is divided out.
+    real root.  If the rest has rational coefficients and degree <= 2 and
+    no irrational root, :func:`_closed_form_roots` gives its roots and
+    multiplicities with no square-free decomposition.  Otherwise a
+    square-free part of degree <= 2 with rational coefficients is solved in
+    the same closed form, before the rational-root search and again after
+    each rational root is divided out.
     A rational root is an exact Fraction when the closed form gives it, when
     a Sturm evaluation point lands on it, or when the rational-root search
     finds it; that search skips parts whose integer shadow has an end
@@ -342,11 +361,15 @@ def real_roots(u: UniPoly, interval: tuple | None = None
         raise ValueError("real_roots of the zero polynomial")
     bounds = None if interval is None else tuple(Fraction(t) for t in interval)
     u, k = _divide_out_one_plus_t2(u)
+    closed = _closed_form_roots(u)
+    if closed is not None:
+        return [(r, mult) for r, mult in closed
+                if bounds is None or bounds[0] <= r <= bounds[1]]
     out: list[tuple[Fraction | float, int]] = []
     for part, mult in square_free_parts(u):
         floats: list[float] = []
-        found = _closed_form_roots(part)
-        if found is None:
+        found: list[Fraction] = []
+        if (closed := _closed_form_roots(part)) is None:
             lead = _unsearched_lead(_shadow(part))
             found = _rational_roots(part)
             for r in found:
@@ -359,8 +382,7 @@ def real_roots(u: UniPoly, interval: tuple | None = None
                 except _RationalHit as hit:
                     found.append(hit.args[0])
                     part = part.divmod(UniPoly([-hit.args[0], 1]))[0]
-            else:
-                found += closed
+        found += [r for r, _ in closed or ()]
         out += [(r, mult) for r in found if bounds is None or bounds[0] <= r <= bounds[1]]
         out += [(r, mult) for r in floats]
     return sorted(out, key=lambda rm: rm[0])

@@ -69,6 +69,16 @@ def test_m_must_exceed_one(capsys):
     assert "exceed 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("m", ["1", "1e-400", "-3/2", "0.5", "2/2"])
+def test_m_not_above_one_echoes_the_text(m, capsys):
+    # the message quotes --m as given, not its reduced Fraction, which for
+    # 1e-400 is a number of 401 digits
+    code = main(["check", "--px", "0", "--qy", "0", "--rz", "0", "--m", m])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"error: --m must exceed 1 (the torus needs a > 1), got '{m}'\n")
+
+
 @pytest.mark.parametrize("m", ["4/0", "1/0", "abc", ""])
 def test_m_must_be_rational(m, capsys):
     code = main(["check", "--px", "0", "--qy", "0", "--rz", "0", "--m", m])

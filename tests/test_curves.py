@@ -5,14 +5,16 @@ from fractions import Fraction
 import pytest
 
 from torusfields import roots
-from torusfields import (CubicParams, KolmogorovParams, MultiPoly,
-                         PseudoTypeParams, Scalar, TorusSurface, VectorField,
+from torusfields import (CubicParams, KolmogorovParams, MeridianPlane, MultiPoly,
+                         PseudoTypeParams, Scalar, TorusSurface, UniPoly, VectorField,
                          X, Y, Z, build_cubic, build_kolmogorov,
                          build_pseudo_type, build_two_parallel,
                          check_four_meridian_criterion, cofactor_on_torus,
                          divide_exact, extactic_xy, invariant_meridians,
                          invariant_parallels, lie_bracket, linear_xy_factors,
                          parse, recognize, TwoParallelParams)
+from torusfields.curves import LinearFactor, plane_from_factor
+from torusfields.poly import line_gcd, unipoly_gcd, z_profile_gcd
 
 from conftest import (homogeneous_component, random_linear, random_poly,
                       random_scalar, sympy_scalar)
@@ -519,3 +521,98 @@ def test_irrational_slopes_still_reach_sturm_with_the_same_float_bits(monkeypatc
     assert [(repr(pl.a), repr(pl.b)) for pl, _ in mset.planes] == [
         ("0.5", "-0.8660254037844387"), ("0.5", "0.8660254037844387")]
     assert not any(pl.exact for pl, _ in mset.planes)
+
+
+# -- the extactic polynomial, the plane gcds and the planes against their
+# polynomial-arithmetic references -----------------------------------------------
+
+
+def reference_plane_from_factor(factor):
+    """The plane of a factor as it was built from Fraction arithmetic."""
+    if factor.slope is None:
+        return MeridianPlane(1.0, 0.0, (Scalar(1), Scalar(0)))
+    if factor.exact:
+        t0 = factor.slope
+        a, b = -t0, Fraction(1)
+        if a < 0 or (a == 0 and b < 0):
+            a, b = -a, -b
+        scale = a.denominator if a else b.denominator
+        pair = (Scalar(a * scale), Scalar(b * scale))
+        h = math.hypot(float(a), float(b))
+        return MeridianPlane(float(a) / h, float(b) / h, pair)
+    t0 = float(factor.slope)
+    a, b = -t0, 1.0
+    if a < 0:
+        a, b = -a, -b
+    h = math.hypot(a, b)
+    return MeridianPlane(a / h, b / h)
+
+
+def _draw_slope(rng):
+    kind = rng.randrange(5)
+    if kind == 0:
+        return None
+    if kind == 1:
+        return rng.uniform(-1e3, 1e3) * rng.choice([1e-9, 1.0, 1e9])
+    if kind == 2:
+        return Fraction(rng.randint(-10 ** 12, 10 ** 12), rng.randint(1, 10 ** 12))
+    return Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+
+
+def test_planes_match_the_fraction_reference_bit_for_bit():
+    rng = random.Random(30)
+    slopes = [Fraction(0), Fraction(1), Fraction(-1), 0.0, -0.0, None]
+    slopes += [_draw_slope(rng) for _ in range(3000)]
+    for slope in slopes:
+        factor = LinearFactor(slope, rng.randint(1, 3))
+        got, want = plane_from_factor(factor), reference_plane_from_factor(factor)
+        assert repr(got) == repr(want), slope
+        assert (got.a.hex(), got.b.hex()) == (want.a.hex(), want.b.hex()), slope
+
+
+def _reference_groups(p, split):
+    """One UniPoly per group of p's Scalar terms, ``split(exp) -> (key,
+    power)``: the polynomials in t of p(x, t*x, z) or in z of p."""
+    groups = {}
+    for e, c in p.terms.items():
+        key, power = split(e)
+        groups.setdefault(key, {})[power] = c
+    return [UniPoly([slot.get(d, Scalar(0)) for d in range(max(slot) + 1)])
+            for _, slot in sorted(groups.items())]
+
+
+def _line_groups(p):
+    return _reference_groups(p, lambda e: ((e[0] + e[1], e[2]), e[1]))
+
+
+def _z_profiles(p):
+    return _reference_groups(p, lambda e: ((e[0], e[1]), e[2]))
+
+
+@pytest.mark.parametrize("m", MS)
+def test_extactic_and_plane_gcds_match_their_references(m):
+    # random fields, half of them with a planted plane factor: a binary form
+    # in P and Q, a power of z - k in R
+    rng = random.Random(int(m * 10))
+    degrees = []
+    for _ in range(150):
+        field = [random_poly(rng, max_degree=3, max_terms=6, m=m, sqrt_part=True)
+                 * random_scalar(rng, m, True) for _ in range(3)]
+        if rng.random() < 0.5:
+            form = MultiPoly({(1, 0, 0): random_scalar(rng, m, True),
+                              (0, 1, 0): random_scalar(rng, m, True)})
+            height = Z - MultiPoly.constant(random_scalar(rng, m, True))
+            field = [field[0] * form, field[1] * form,
+                     field[2] * height ** rng.randint(1, 2)]
+        field = VectorField(*field)
+        ext = extactic_xy(field)
+        assert ext == field.Q * X - field.P * Y
+        if not ext.is_zero():
+            g = line_gcd(ext)
+            assert g == unipoly_gcd(_line_groups(ext))
+            degrees.append(g.degree)
+        if not field.R.is_zero():
+            g = z_profile_gcd(field.R)
+            assert g == unipoly_gcd(_z_profiles(field.R))
+            degrees.append(g.degree)
+    assert min(degrees) == 0 and max(degrees) >= 2

@@ -17,6 +17,9 @@ from torusfields import (CubicParams, DegreeOneParams, DegreeViolation, Family,
                          divide_exact, lie_bracket, parse, recognize,
                          verified_first_integrals)
 
+from torusfields import families
+from torusfields.poly import sum_of_products
+
 from conftest import random_linear, random_poly, random_scalar
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -485,6 +488,111 @@ def test_recognize_matches_build_and_compare_reference(m):
         assert tag == reference_recognize(field, m), field
         seen.add(tag.family)
     assert seen == set(Family)
+
+
+# -- the cubic form and the rotation shape against their polynomial-arithmetic
+# references: the extraction as it was written with products and exact
+# divisions, before it read the numerators directly.
+
+_MINUS_XZ_4 = X * Z * Fraction(-1, 4)
+
+
+def reference_cubic_form(field, cof):
+    if field.degree > 3 or cof.K.degree > 2:
+        return None
+    kprime = _ref_divide(cof.K, Z, "z")
+    if kprime is None:
+        return None
+    beta = field.P.coefficient((0, 0, 1))
+    gamma = field.Q.coefficient((0, 0, 1))
+    f = _ref_divide(sum_of_products(((field.P, MultiPoly.constant(1)), (kprime, _MINUS_XZ_4),
+                                     (MultiPoly.constant(beta), -Z))), Y, "y")
+    if f is None or f.degree > 2:
+        return None
+    return CubicParams(Kprime=kprime, f=f, beta=beta, gamma=gamma)
+
+
+def reference_rotation_shape(field):
+    if not field.R.is_zero():
+        return None
+    a = _ref_divide(field.P, Y, "y")
+    return a if a is not None and field.Q == -(a * X) else None
+
+
+def cubic_form_fields(m, seed):
+    """Cubic fields with sqrt(m) parts, beta and gamma tilted off every
+    family and K' with x and y terms; each plus h times a field tangent to
+    the torus, (F_y, -F_x, 0), (0, F_z, -F_y) or (F_z, 0, -F_x), which keeps
+    the cofactor (h constant: a cubic again; h linear: degree 4 on the
+    torus); plus c*F along z or x (K' without a cubic form, or deg K = 3);
+    a field of degree 5 with deg R = 3 and K = c*y*rho^2*z, that only
+    deg K <= 2 keeps from the cubic form (it is built as the cubic form
+    with K' = c*y*rho^2, plus h*(0, z, -2*y*(rho^2 - m)) with h = c*(z^2 - 1
+    - m*rho^2)/4, which cancels R's terms above degree 3); rotation shapes
+    (A*y, -A*x, 0) and off-torus bumps of both."""
+    rng = random.Random(seed)
+    surface = TorusSurface(m)
+    fx, fy, fz = surface.gradient
+    zero = MultiPoly.zero()
+    fields = []
+    for _ in range(40):
+        kprime = random_poly(rng, max_degree=1, max_terms=4, m=m, sqrt_part=True)
+        f = random_poly(rng, max_degree=2, max_terms=5, m=m, sqrt_part=True)
+        beta, gamma = (random_scalar(rng, m, sqrt_part=True) if rng.random() < 0.6
+                       else Scalar(0) for _ in range(2))
+        cubic = build_cubic(CubicParams(kprime, f, beta, gamma), m)
+        h = random_poly(rng, max_degree=1, max_terms=2, m=m, sqrt_part=True)
+        tangent = rng.choice([(fy, -fx, zero), (zero, fz, -fy), (fz, zero, -fx)])
+        c = random_scalar(rng, m, sqrt_part=True) or Scalar(1)
+        a = random_poly(rng, max_degree=3, max_terms=4, m=m, sqrt_part=True)
+        bump = MultiPoly.monomial(tuple(rng.randint(0, 2) for _ in range(3)),
+                                  random_scalar(rng, m) or Scalar(1))
+        rho2 = X * X + Y * Y
+        tall_k = Y * rho2 * c
+        h = (rho2 * Scalar(-m) + Z * Z - MultiPoly.constant(1)) * (c * Scalar(Fraction(1, 4)))
+        fields += [
+            VectorField(X * Z * tall_k * Fraction(1, 4) + f * Y + Z * beta,
+                        Y * Z * tall_k * Fraction(1, 4) - f * X + Z * gamma + Z * h,
+                        Y * (Z * Z - MultiPoly.constant(1)) * (c * Scalar(m / 2))
+                        - (X * beta + Y * gamma) * (rho2 - MultiPoly.constant(m)) * 2),
+            cubic,
+            VectorField(*(comp + h * t for comp, t in zip(cubic.components(), tangent))),
+            VectorField(cubic.P, cubic.Q, cubic.R + surface.F * c),
+            VectorField(cubic.P + surface.F * c, cubic.Q, cubic.R),
+            VectorField(a * Y, -(a * X), zero),
+            VectorField(cubic.P + bump, cubic.Q, cubic.R),
+            VectorField(a * Y + bump, -(a * X), zero),
+        ]
+    return fields
+
+
+@pytest.mark.parametrize("m", [Fraction(4), Fraction(3), Fraction(9, 2)])
+def test_cubic_form_and_rotation_shape_match_their_references(m):
+    kinds = set()
+    for field in cubic_form_fields(m, seed=int(m * 6)):
+        tag = recognize(field, m)
+        assert tag == reference_recognize(field, m), field
+        rotation = reference_rotation_shape(field)
+        if rotation is None:
+            assert families._rotation_shape(field) is None, field
+        else:
+            assert families._rotation_shape(field) == rotation, field
+            kinds.add("rotation")
+        cof = cofactor_on_torus(field, TorusSurface(m))
+        if not cof.on_torus:
+            assert tag.cubic is None
+            kinds.add("off the torus")
+            continue
+        cubic = reference_cubic_form(field, cof)
+        assert families._cubic_form(field, cof.K) == cubic, field
+        assert tag.cubic == cubic, field
+        if cubic is None:
+            kinds.add(f"on the torus, degree {field.degree}, no cubic form")
+        else:
+            kinds.add("cubic form" + ", sqrt(m)" * bool(cubic.f.m or cubic.beta.m))
+    assert {"off the torus", "on the torus, degree 4, no cubic form",
+            "on the torus, degree 5, no cubic form", "cubic form", "rotation"} <= kinds
+    assert ("cubic form, sqrt(m)" in kinds) == (m != 4)
 
 
 # -- an independent oracle: the solution space of chi(F) = K*F -------------------

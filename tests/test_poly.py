@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from torusfields import (MalformedDivisor, MultiPoly, NotDivisible, Scalar,
                          UniPoly, X, Y, Z, divide_exact, divide_exact_z,
-                         parse, restrict_to_line, torus_polynomial)
-from torusfields.poly import NEG_INF, unipoly_gcd
+                         parse, torus_polynomial)
+from torusfields.poly import NEG_INF, line_gcd, unipoly_gcd
 
 from conftest import (eval_float, homogeneous_component, homogeneous_parts,
                       random_poly, substitute)
@@ -90,22 +90,18 @@ def _brute_force_line_groups(p: MultiPoly) -> dict:
             for key, slot in groups.items()}
 
 
-def test_restrict_to_line_examples():
+def test_line_gcd_examples():
     p = parse("-x*y*(x^2+y^2)", M)
-    polys = restrict_to_line(p)
     # oracle: -x^3*y - x*y^3 -> x^4 * (-t - t^3), one group
     oracle = _brute_force_line_groups(p)
     assert set(oracle) == {(4, 0)}
-    assert len(polys) == 1
-    assert polys[0] == UniPoly([0, -1, 0, -1])
+    assert oracle[(4, 0)] == {1: Scalar(-1), 3: Scalar(-1)}
+    assert line_gcd(p) == UniPoly([0, 1, 0, 1])          # -t - t^3, made monic
 
-    polys = restrict_to_line(X ** 2 + Y ** 2)
-    assert len(polys) == 1
-    assert polys[0] == UniPoly([1, 0, 1])  # 1 + t^2: no real roots
-
-    polys = restrict_to_line(X)
-    assert len(polys) == 1
-    assert polys[0] == UniPoly([1])
+    assert line_gcd(X ** 2 + Y ** 2) == UniPoly([1, 0, 1])  # 1 + t^2: no real roots
+    assert line_gcd(X) == UniPoly([1])
+    # two groups, x^3 and x^2*z: gcd(t*(1 + t^2), t*(1 - 2*t)) = t
+    assert line_gcd(parse("x^2*y + y^3 + x*y*z - 2*y^2*z", M)) == UniPoly([0, 1])
 
 
 @settings(max_examples=40, deadline=None)

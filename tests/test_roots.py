@@ -400,16 +400,68 @@ def _draw_interval(rng):
     return (lo, lo + abs(_draw_rational(rng)) + Fraction(1, 3))
 
 
+def _draw_low_degree(rng, m):
+    """c*L*(1 + t^2)^k with k from 0 to 3 and L of degree <= 2: 1, t - r,
+    (t - r)^2, (t - r1)*(t - r2), or a quadratic with non-real or irrational
+    roots; c is rational or, when m is given, a sqrt(m) multiple."""
+    r = _draw_rational(rng)
+    kind = rng.randrange(6)
+    if kind == 0:
+        low = UniPoly([1])
+    elif kind == 1:
+        low = UniPoly([-r, 1])
+    elif kind == 2:
+        low = UniPoly([-r, 1]) * UniPoly([-r, 1])
+    elif kind == 3:
+        low = UniPoly([-r, 1]) * UniPoly([-_draw_rational(rng), 1])
+    else:
+        shift = abs(_draw_rational(rng)) or Fraction(1)
+        low = UniPoly([-r, 1]) * UniPoly([-r, 1]) + UniPoly([shift if kind == 4 else -shift])
+    for _ in range(rng.choice([0, 1, 1, 2, 3])):
+        low = low * UniPoly([1, 0, 1])
+    scale = Scalar(_draw_rational(rng) or 1)
+    if m is not None and rng.random() < 0.2:
+        scale = Scalar(0, Fraction(rng.randint(1, 5), rng.randint(1, 3)), m)
+    return low * UniPoly([scale])
+
+
 @pytest.mark.parametrize("m", FIELDS)
 def test_real_roots_match_the_reference_repr_for_repr(m):
     # the closed form and the division by 1 + t^2 change no root, no
     # multiplicity and no float bit
     rng = random.Random(29 if m is None else m.numerator)
     kinds = set()
-    for _ in range(1700):
-        poly = _draw_polynomial(rng, m)
+    for i in range(2300):
+        poly = _draw_polynomial(rng, m) if i < 1700 else _draw_low_degree(rng, m)
         interval = _draw_interval(rng)
         got = real_roots(poly, interval)
         assert repr(got) == repr(reference_real_roots(poly, interval)), (poly, interval)
         kinds.update(type(r).__name__ for r, _ in got)
     assert kinds == {"Fraction", "float"}
+
+
+def _no_decomposition(*args, **kwargs):
+    raise AssertionError("reached Yun's decomposition or the Sturm chain")
+
+
+@pytest.mark.parametrize("m", FIELDS)
+def test_rational_rest_of_degree_two_needs_no_decomposition(m, monkeypatch):
+    # (1 + t^2)^k times a rational part of degree <= 2 whose roots are
+    # rational or non-real: a double root keeps multiplicity 2
+    rng = random.Random(31 if m is None else m.numerator)
+    cases = []
+    while len(cases) < 600:
+        poly, interval = _draw_low_degree(rng, m), _draw_interval(rng)
+        rest, _ = roots._divide_out_one_plus_t2(poly)
+        if rest.q or rest.degree == 2 and roots._closed_form_roots(rest) is None:
+            continue        # sqrt(m) coefficients or irrational roots
+        cases.append((poly, interval, repr(reference_real_roots(poly, interval))))
+    monkeypatch.setattr(roots, "square_free_parts", _no_decomposition)
+    monkeypatch.setattr(roots, "_sturm_roots", _no_decomposition)
+    monkeypatch.setattr(roots, "_rational_roots", _no_decomposition)
+    mults = set()
+    for poly, interval, want in cases:
+        got = real_roots(poly, interval)
+        assert repr(got) == want, (poly, interval)
+        mults.update(mult for _, mult in got)
+    assert mults == {1, 2}
