@@ -13,8 +13,7 @@ __version__ = "0.1.0"
 from types import ModuleType as _ModuleType
 
 from .scalars import MixedExtensionError, Scalar
-from .poly import (MalformedDivisor, MultiPoly, NotDivisible, UniPoly, X, Y,
-                   Z, divide_exact, divide_exact_z)
+from .poly import MultiPoly, UniPoly, X, Y, Z
 from .roots import dense_scan_roots, real_roots
 from .parsing import ParseError, parse, serialize
 from .vfield import (CofactorResult, RationalFn, TorusSurface, VectorField,

@@ -57,11 +57,10 @@ from .curves import (MeridianPlane, check_four_meridian_criterion,
 from .families import CubicParams, Family, FamilyTag, TwoParallelParams
 from .kernels import (CompiledPoly, compile_finite, float_m, row_blocks,
                       surface_angles, surface_blocks)
-from .poly import (MultiPoly, NotDivisible, UniPoly, X, Y, Z, divide_exact_z,
-                   unipoly_gcd)
+from .poly import MultiPoly, UniPoly, X, Y, Z, unipoly_gcd
 from .roots import real_roots
 from .scalars import MixedExtensionError, Scalar, _rational_sqrt
-from .vfield import VectorField, torus_surface
+from .vfield import VectorField, _divide_by_torus, _z_slices, torus_surface
 
 NEAR_DOUBLE = 1e-6  # relative distance at which two float roots may be one
 GRID_DEFAULT = 512
@@ -691,11 +690,7 @@ def _scan_singular(levels: list[MultiPoly], whats: list[str], m: Fraction, grid:
 def _vanishes_on_torus(p: MultiPoly, m: Fraction) -> bool:
     """Whether p is 0 on the whole torus: F is irreducible, so exactly when
     F divides p."""
-    try:
-        divide_exact_z(p, torus_surface(m).F)
-    except NotDivisible:
-        return False
-    return True
+    return _divide_by_torus((_z_slices(p._p), _z_slices(p._q)), p._den, p.m, m) is not None
 
 
 def _singular_set(points: list, curves: int, numeric_only: bool) -> SingularSet:

@@ -30,10 +30,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .poly import (ONE, MultiPoly, X, Y, Z, _poly, _shift_into, _shifted,
-                   sum_of_products)
+from .poly import ONE, MultiPoly, X, Y, Z, _poly, _shift_into, _shifted
 from .scalars import Scalar, _merge_m
-from .vfield import (RationalFn, VectorField, check_first_integral,
+from .vfield import (RationalFn, VectorField, apply, check_first_integral,
                      cofactor_on_torus, torus_surface)
 
 
@@ -271,7 +270,6 @@ def recognize(field: VectorField, m: Fraction) -> FamilyTag:
 
 _RADIAL = X * X + Y * Y
 _RADIAL_SQUARED = _RADIAL * _RADIAL
-_RADIAL_SQUARED_GRADIENT = (4 * X * _RADIAL, 4 * Y * _RADIAL, MultiPoly.zero())
 
 
 def canonical_first_integrals(tag: FamilyTag, m: Fraction) -> list[RationalFn]:
@@ -301,6 +299,6 @@ def verified_first_integrals(field: VectorField, tag: FamilyTag,
         return []
     if tag.family in (Family.KOLMOGOROV, Family.QUADRATIC):
         # chi(F) = K*F, so den*chi(F) - F*chi(den) = F*(K*den - chi(den)), F != 0
-        chi_den = sum_of_products(zip(field.components(), _RADIAL_SQUARED_GRADIENT))
+        chi_den = apply(field, _RADIAL_SQUARED)
         return [(h, chi_den == tag.cofactor * h.den) for h in integrals]
     return [(h, check_first_integral(field, h)) for h in integrals]

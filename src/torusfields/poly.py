@@ -46,14 +46,6 @@ _CONST = (0, 0, 0)
 NEG_INF = float("-inf")
 
 
-class NotDivisible(ArithmeticError):
-    """Exact polynomial division left a nonzero remainder."""
-
-
-class MalformedDivisor(ValueError):
-    """Divisor's leading coefficient in the division variable is not scalar."""
-
-
 def radicand(m: Fraction | None) -> int:
     """s = mn*md, so that sqrt(m) = sqrt(s)/md (0 when there is no sqrt part)."""
     return m.numerator * m.denominator if m is not None else 0
@@ -110,6 +102,30 @@ def _conv_into(out: dict, x: dict, y: dict, factor: int = 1) -> None:
         for (i2, j2, k2), c2 in y.items():
             e = (i1 + i2, j1 + j2, k1 + k2)
             out[e] = get(e, 0) + c1 * c2
+
+
+def _chi_into(p: dict, q: dict, field, f: "MultiPoly", sign: int, den: int,
+              s: int) -> None:
+    """(p, q) += sign * den * sum_j X_j * (the j-th partial derivative of f)
+    on (p, q) numerator dicts, for the components X_j of ``field``; den is a
+    multiple of each ``X_j._den * f._den``.  Each term of f is differentiated
+    inside the product loop, so no derivative is built."""
+    for idx, x in enumerate(field):
+        factor = sign * (den // (x._den * f._den))
+        convs = ((p, x._p, f._p, factor),)
+        if x._q or f._q:
+            convs += ((p, x._q, f._q, factor * s), (q, x._p, f._q, factor),
+                      (q, x._q, f._p, factor))
+        for out, xd, fd, k in convs:
+            get = out.get
+            for e1, c1 in fd.items():
+                d = e1[idx]
+                if d:
+                    c1 *= d * k
+                    i1, j1, k1 = e1[0] - (idx == 0), e1[1] - (idx == 1), e1[2] - (idx == 2)
+                    for (i2, j2, k2), c2 in xd.items():
+                        e = (i1 + i2, j1 + j2, k1 + k2)
+                        out[e] = get(e, 0) + c1 * c2
 
 
 def _nonzero(d: dict) -> dict:
@@ -393,16 +409,6 @@ class MultiPoly:
         idx = _VAR_INDEX[var]
         return max((e[idx] for e in self._keys()), default=NEG_INF)
 
-    def coefficients_in(self, var: str) -> dict[int, "MultiPoly"]:
-        """View as a polynomial in ``var``: degree -> coefficient polynomial."""
-        idx = _VAR_INDEX[var]
-        out = {}
-        for d in sorted({e[idx] for e in self._keys()}):
-            p = _shifted({e: c for e, c in self._p.items() if e[idx] == d}, idx, -d)
-            q = _shifted({e: c for e, c in self._q.items() if e[idx] == d}, idx, -d)
-            out[d] = _poly(p, q, self._den, self.m)
-        return out
-
     def min_var_exponent(self, var: str) -> int:
         idx = _VAR_INDEX[var]
         if self.is_zero():
@@ -451,65 +457,21 @@ def sum_of_products(pairs: Iterable[tuple[MultiPoly, MultiPoly]]) -> MultiPoly:
     return _poly(_nonzero(p), _nonzero(q), den, m)
 
 
-def divide_exact(dividend: MultiPoly, divisor: MultiPoly, var: str = "z") -> MultiPoly:
-    """Exact division along one variable.
-
-    The divisor, viewed in Q(sqrt(m))[rest][var], must have a nonzero Scalar
-    as its leading coefficient (true for F, z, z - k, y - t*x, a*x + b*y).
-    Its inverse is taken once; the divisor made monic has its leading
-    numerator equal to its denominator, so each step subtracts a numerator
-    product and rescales by that denominator only when it is not 1.  A
-    monomial divisor ``c*var^d`` only shifts the exponents and scales.
-    Raises :class:`NotDivisible` when a remainder survives.
-    """
-    if divisor.is_zero():
-        raise MalformedDivisor("division by the zero polynomial")
-    idx = _VAR_INDEX[var]
-    d_deg = divisor.var_degree(var)
-    lead_exp = tuple(d_deg if v == idx else 0 for v in range(3))
-    if any(e[idx] == d_deg and e != lead_exp for e in divisor._keys()):
-        lead = divisor.coefficients_in(var)[d_deg]
-        raise MalformedDivisor(
-            f"divisor is not monic-izable in {var}: leading coefficient {lead!r}")
-    lead = divisor.coefficient(lead_exp)
-    lead_inv = None if lead == 1 else lead.inverse()
-    if len(divisor._keys()) == 1:
-        # c*var^d: the quotient is the dividend with var's exponents shifted
-        if any(e[idx] < d_deg for e in dividend._keys()):
-            raise NotDivisible(f"a term of {var}-degree below {d_deg} is left")
-        quot = _poly(_shifted(dividend._p, idx, -d_deg),
-                     _shifted(dividend._q, idx, -d_deg), dividend._den,
-                     _merge_m(dividend.m, divisor.m))
-        return quot if lead_inv is None else quot.scale(lead_inv)
-    monic = divisor if lead_inv is None else divisor.scale(lead_inv)
-
-    m = _merge_m(dividend.m, divisor.m)
+def _chi_sum(terms: Iterable[tuple[tuple[MultiPoly, ...], MultiPoly, int]]) -> MultiPoly:
+    """sum(sign * (X[0]*f_x + X[1]*f_y + X[2]*f_z) for X, f, sign in terms),
+    accumulated on numerators by :func:`_chi_into`, reduced once."""
+    terms = [(field, f, sign) for field, f, sign in terms if not f.is_zero()]
+    m, den = None, 1
+    for field, f, _ in terms:
+        for x in field:
+            if not x.is_zero():
+                m = _merge_m(m, _merge_m(x.m, f.m))
+                den = math.lcm(den, x._den * f._den)
     s = radicand(m)
-    scale = monic._den
-    rp, rq, den = dict(dividend._p), dict(dividend._q), dividend._den
-    qp: dict = {}
-    qq: dict = {}
-    while rp or rq:
-        r_deg = max(e[idx] for e in (rp.keys() | rq.keys()))
-        if r_deg < d_deg:
-            raise NotDivisible(f"remainder of {var}-degree {r_deg} left")
-        # the quotient term: the top var-slice of the remainder over var^d_deg
-        tp = _shifted({e: c for e, c in rp.items() if e[idx] == r_deg}, idx, -d_deg)
-        tq = _shifted({e: c for e, c in rq.items() if e[idx] == r_deg}, idx, -d_deg)
-        qp.update(tp)
-        qq.update(tq)
-        if scale != 1:
-            rp, rq = _scaled(rp, scale), _scaled(rq, scale)
-            qp, qq = _scaled(qp, scale), _scaled(qq, scale)
-            den *= scale
-        _mul_into(rp, rq, (tp, tq), (monic._p, monic._q), -1, s)
-        rp, rq = _nonzero(rp), _nonzero(rq)
-    quot = _poly(qp, qq, den, m)
-    return quot if lead_inv is None else quot.scale(lead_inv)
-
-
-def divide_exact_z(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly:
-    return divide_exact(dividend, divisor, "z")
+    p, q = {}, {}
+    for field, f, sign in terms:
+        _chi_into(p, q, field, f, sign, den, s)
+    return _poly(_nonzero(p), _nonzero(q), den, m)
 
 
 # -- univariate polynomials ------------------------------------------------------

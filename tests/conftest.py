@@ -8,6 +8,8 @@ import pytest
 from torusfields import (MultiPoly, QuadraticParams, Scalar, VectorField,
                          build_cubic, build_quadratic, invariant_meridians,
                          meridian_periodicity)
+from torusfields.poly import (_VAR_INDEX, _merge_m, _mul_into, _nonzero, _poly,
+                              _scaled, _shifted, radicand)
 
 M_DEFAULT = Fraction(4)
 
@@ -85,6 +87,87 @@ def eval_float(p: MultiPoly, point, m_float=None) -> float:
     """Float value of p at a point; sqrt(m) coefficients embedded numerically."""
     x, y, z = point
     return sum(c * x**i * y**j * z**k for (i, j, k), c in p.float_terms(m_float))
+
+
+class NotDivisible(ArithmeticError):
+    """Exact polynomial division left a nonzero remainder."""
+
+
+class MalformedDivisor(ValueError):
+    """Divisor's leading coefficient in the division variable is not scalar."""
+
+
+def divide_exact(dividend: MultiPoly, divisor: MultiPoly, var: str = "z") -> MultiPoly:
+    """Exact division along one variable, the reference for every division
+    the package does by a polynomial.
+
+    The divisor, viewed in Q(sqrt(m))[rest][var], must have a nonzero Scalar
+    as its leading coefficient (true for F, z, z - k, y - t*x, a*x + b*y).
+    Its inverse is taken once; the divisor made monic has its leading
+    numerator equal to its denominator, so each step subtracts a numerator
+    product and rescales by that denominator only when it is not 1.  A
+    monomial divisor ``c*var^d`` only shifts the exponents and scales.
+    Raises :class:`NotDivisible` when a remainder survives.
+    """
+    if divisor.is_zero():
+        raise MalformedDivisor("division by the zero polynomial")
+    idx = _VAR_INDEX[var]
+    d_deg = divisor.var_degree(var)
+    lead_exp = tuple(d_deg if v == idx else 0 for v in range(3))
+    if any(e[idx] == d_deg and e != lead_exp for e in divisor._keys()):
+        lead = coefficients_in(divisor, var)[d_deg]
+        raise MalformedDivisor(
+            f"divisor is not monic-izable in {var}: leading coefficient {lead!r}")
+    lead = divisor.coefficient(lead_exp)
+    lead_inv = None if lead == 1 else lead.inverse()
+    if len(divisor._keys()) == 1:
+        # c*var^d: the quotient is the dividend with var's exponents shifted
+        if any(e[idx] < d_deg for e in dividend._keys()):
+            raise NotDivisible(f"a term of {var}-degree below {d_deg} is left")
+        quot = _poly(_shifted(dividend._p, idx, -d_deg),
+                     _shifted(dividend._q, idx, -d_deg), dividend._den,
+                     _merge_m(dividend.m, divisor.m))
+        return quot if lead_inv is None else quot.scale(lead_inv)
+    monic = divisor if lead_inv is None else divisor.scale(lead_inv)
+
+    m = _merge_m(dividend.m, divisor.m)
+    s = radicand(m)
+    scale = monic._den
+    rp, rq, den = dict(dividend._p), dict(dividend._q), dividend._den
+    qp: dict = {}
+    qq: dict = {}
+    while rp or rq:
+        r_deg = max(e[idx] for e in (rp.keys() | rq.keys()))
+        if r_deg < d_deg:
+            raise NotDivisible(f"remainder of {var}-degree {r_deg} left")
+        # the quotient term: the top var-slice of the remainder over var^d_deg
+        tp = _shifted({e: c for e, c in rp.items() if e[idx] == r_deg}, idx, -d_deg)
+        tq = _shifted({e: c for e, c in rq.items() if e[idx] == r_deg}, idx, -d_deg)
+        qp.update(tp)
+        qq.update(tq)
+        if scale != 1:
+            rp, rq = _scaled(rp, scale), _scaled(rq, scale)
+            qp, qq = _scaled(qp, scale), _scaled(qq, scale)
+            den *= scale
+        _mul_into(rp, rq, (tp, tq), (monic._p, monic._q), -1, s)
+        rp, rq = _nonzero(rp), _nonzero(rq)
+    quot = _poly(qp, qq, den, m)
+    return quot if lead_inv is None else quot.scale(lead_inv)
+
+
+def coefficients_in(p: MultiPoly, var: str) -> dict[int, MultiPoly]:
+    """p as a polynomial in ``var``: degree -> coefficient polynomial."""
+    idx = _VAR_INDEX[var]
+    out: dict = {}
+    for exp, coeff in p.terms.items():
+        rest = list(exp)
+        rest[idx] = 0
+        out.setdefault(exp[idx], {})[tuple(rest)] = coeff
+    return {d: MultiPoly(terms) for d, terms in sorted(out.items())}
+
+
+def divide_exact_z(dividend: MultiPoly, divisor: MultiPoly) -> MultiPoly:
+    return divide_exact(dividend, divisor, "z")
 
 
 def homogeneous_component(p: MultiPoly, d: int) -> MultiPoly:

@@ -22,12 +22,12 @@ from torusfields import (CubicParams, Family, KolmogorovParams, MultiPoly,
                          build_cubic, build_kolmogorov, build_pseudo_type,
                          build_quadratic, build_two_parallel,
                          check_first_integral, cofactor_on_torus,
-                         divide_exact, extactic_xy, integrate,
+                         extactic_xy, integrate,
                          invariant_meridians, invariant_parallels, lie_bracket,
                          parallel_periodicity, parse, recognize,
                          singular_points, torus_polynomial)
 
-from conftest import eval_float, meridian_verdicts
+from conftest import divide_exact, eval_float, meridian_verdicts
 
 # every criterion but the bracket sweep (3) runs at a square m, an integer
 # non-square m and a non-integer m, which puts the sqrt(s) numerators of

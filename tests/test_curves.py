@@ -10,14 +10,14 @@ from torusfields import (CubicParams, KolmogorovParams, MeridianPlane, MultiPoly
                          X, Y, Z, build_cubic, build_kolmogorov,
                          build_pseudo_type, build_two_parallel,
                          check_four_meridian_criterion, cofactor_on_torus,
-                         divide_exact, extactic_xy, invariant_meridians,
+                         extactic_xy, invariant_meridians,
                          invariant_parallels, lie_bracket, linear_xy_factors,
                          parse, recognize, TwoParallelParams)
 from torusfields.curves import LinearFactor, plane_from_factor
 from torusfields.poly import line_gcd, unipoly_gcd, z_profile_gcd
 
-from conftest import (homogeneous_component, random_linear, random_poly,
-                      random_scalar, sympy_scalar)
+from conftest import (divide_exact, homogeneous_component, random_linear,
+                      random_poly, random_scalar, sympy_scalar)
 
 M = Fraction(4)
 # inventories run at a square m (sqrt(m) folds to 2) and at two non-square m

@@ -18,15 +18,14 @@ from torusfields import (CubicParams, KolmogorovParams,
                          build_pseudo_type, build_quadratic,
                          build_report, build_two_parallel,
                          check_four_meridian_criterion,
-                         divide_exact,
                          parallel_periodicity, parse, recognize,
                          report_json, serialize, singular_points)
 from torusfields import dynamics
 from torusfields.kernels import compile_poly, eval_grid, eval_point, surface_angles
 from torusfields.poly import UniPoly
 
-from conftest import (eval_float, homogeneous_component, meridian_verdicts,
-                      random_linear)
+from conftest import (divide_exact, eval_float, homogeneous_component,
+                      meridian_verdicts, random_linear)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import corpus  # noqa: E402

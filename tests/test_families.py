@@ -8,19 +8,20 @@ import pytest
 
 from torusfields import (CubicParams, DegreeOneParams, DegreeViolation, Family,
                          FamilyTag, KolmogorovParams, MultiPoly,
-                         NoKnownIntegral, NotDivisible, PseudoTypeParams,
+                         NoKnownIntegral, PseudoTypeParams,
                          QuadraticParams, Scalar, TorusSurface,
                          TwoParallelParams, VectorField, X, Y, Z, apply, build_cubic,
                          build_kolmogorov, build_pseudo_type, build_quadratic,
                          build_two_parallel, canonical_first_integrals,
                          check_first_integral, cofactor_on_torus,
-                         divide_exact, lie_bracket, parse, recognize,
+                         lie_bracket, parse, recognize,
                          verified_first_integrals)
 
 from torusfields import families
 from torusfields.poly import sum_of_products
 
-from conftest import random_linear, random_poly, random_scalar
+from conftest import (NotDivisible, divide_exact, divide_exact_z, random_linear,
+                      random_poly, random_scalar)
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
@@ -117,8 +118,6 @@ def test_build_two_parallel():
         res = cofactor_on_torus(field, surf)
         assert res.on_torus
         assert res.K == (X * params.p + Y * params.q) * Z * 2
-        from torusfields import divide_exact_z
-
         if not field.R.is_zero():
             quotient = divide_exact_z(field.R, Z - MultiPoly.constant(1))
             divide_exact_z(quotient, Z + MultiPoly.constant(1))
@@ -532,7 +531,7 @@ def cubic_form_fields(m, seed):
     (A*y, -A*x, 0) and off-torus bumps of both."""
     rng = random.Random(seed)
     surface = TorusSurface(m)
-    fx, fy, fz = surface.gradient
+    fx, fy, fz = (surface.F.differentiate(v) for v in "xyz")
     zero = MultiPoly.zero()
     fields = []
     for _ in range(40):

@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfields import (MalformedDivisor, MultiPoly, NotDivisible, Scalar,
-                         UniPoly, X, Y, Z, divide_exact, divide_exact_z,
-                         parse, torus_polynomial)
+from torusfields import (MultiPoly, Scalar, UniPoly, X, Y, Z, parse,
+                         torus_polynomial)
 from torusfields.poly import NEG_INF, line_gcd, unipoly_gcd
 
-from conftest import (eval_float, homogeneous_component, homogeneous_parts,
-                      random_poly, substitute)
+from conftest import (MalformedDivisor, NotDivisible, coefficients_in,
+                      divide_exact, divide_exact_z, eval_float, homogeneous_component,
+                      homogeneous_parts, random_poly, substitute)
 
 M = Fraction(4)
 
@@ -131,7 +131,8 @@ def test_division_inverts_multiplication(seed):
     p = random_poly(rng)
     # random divisor monic in z
     q = random_poly(rng, max_degree=2) + Z ** rng.randint(1, 3)
-    if q.is_zero() or not q.coefficients_in("z")[max(q.coefficients_in("z"))].is_scalar():
+    by_z = coefficients_in(q, "z")
+    if q.is_zero() or not by_z[max(by_z)].is_scalar():
         return
     assert divide_exact_z(p * q, q) == p
 

@@ -12,11 +12,12 @@ from fractions import Fraction
 
 import pytest
 
-from torusfields import (MixedExtensionError, MultiPoly, NotDivisible, Scalar,
-                         UniPoly, divide_exact, parse)
+from torusfields import MixedExtensionError, MultiPoly, Scalar, UniPoly, parse
 from torusfields.kernels import compile_poly
 from torusfields.poly import unipoly_gcd
 from torusfields.roots import real_roots, square_free_parts
+
+from conftest import NotDivisible, divide_exact
 
 MS = (Fraction(4), Fraction(3), Fraction(9, 2))
 SEEDS = range(12)

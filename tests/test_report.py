@@ -11,8 +11,8 @@ import pytest
 
 from torusfields import (MultiPoly, VectorField, Verdict, build_report, dynamics,
                          families, invariant_meridians, kernels,
-                         meridian_periodicity, parse, recognize, report_json,
-                         vfield, verified_first_integrals)
+                         meridian_periodicity, parse, poly, recognize,
+                         report_json, vfield, verified_first_integrals)
 from torusfields.report import meridians_entry, singular_entry
 
 from conftest import reference_serialize
@@ -109,31 +109,45 @@ def test_report_goes_through_the_public_stage_entries(monkeypatch):
 
 @pytest.mark.parametrize("m", [Fraction(4), Fraction(3)])
 def test_torus_is_differentiated_once_per_m(m, monkeypatch):
-    # the cofactor reads F's gradient off the surface, and the Kolmogorov and
-    # quadratic integral F/(x^2 + y^2)^2 is verified through that cofactor
-    # and the constant gradient of its denominator
+    # chi(F) is built once per field, by the cofactor from F's shape, and the
+    # Kolmogorov and quadratic integral F/(x^2 + y^2)^2 is verified through
+    # that cofactor and one pass of the derivative kernel over its
+    # denominator; no gradient polynomial of F or of (x^2 + y^2)^2 is built
     F = vfield.torus_surface(m).F
-    apply, differentiate = vfield.apply, MultiPoly.differentiate
+    chi_into, differentiate = poly._chi_into, MultiPoly.differentiate
+    cofactor = vfield.cofactor_on_torus
+    seen = collections.Counter()
 
-    def guarded_apply(field, f):
+    def guarded_chi_into(p, q, field, f, *args):
         assert f != F, "chi(F) computed again"
-        return apply(field, f)
+        seen["chi(rho^4)"] += f == families._RADIAL_SQUARED
+        return chi_into(p, q, field, f, *args)
 
     def guarded_differentiate(poly, var):
         assert poly != F, "F differentiated again"
         assert poly != families._RADIAL_SQUARED, "(x^2 + y^2)^2 differentiated"
         return differentiate(poly, var)
 
-    monkeypatch.setattr(vfield, "apply", guarded_apply)
+    def counted_cofactor(field, surface):
+        seen["chi(F)"] += 1
+        return cofactor(field, surface)
+
+    monkeypatch.setattr(poly, "_chi_into", guarded_chi_into)
     monkeypatch.setattr(MultiPoly, "differentiate", guarded_differentiate)
+    monkeypatch.setattr(families, "cofactor_on_torus", counted_cofactor)
     for spec in corpus.named_corpus(m):
         if spec.name not in ("kolmogorov", "quadratic"):
             continue
+        seen.clear()
         report = build_report(spec.px, spec.qy, spec.rz, m, grid=64)
         assert [h["verified"] for h in report["first_integrals"]] == [True]
+        assert seen == {"chi(F)": 1, "chi(rho^4)": 1}
         field = VectorField(*(parse(c, m) for c in (spec.px, spec.qy, spec.rz)))
-        results = verified_first_integrals(field, recognize(field, m), m)
+        tag = recognize(field, m)
+        seen.clear()
+        results = verified_first_integrals(field, tag, m)
         assert [ok for _, ok in results] == [True]
+        assert seen == {"chi(rho^4)": 1}
 
 
 def test_report_near_planes_past_the_rational_root_search():

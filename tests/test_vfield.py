@@ -4,13 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from torusfields import (CubicParams, MultiPoly, NotDivisible, RationalFn,
-                         Scalar, TorusSurface, VectorField, X, Y, Z, apply,
+from torusfields import (CubicParams, MultiPoly, RationalFn, Scalar,
+                         TorusSurface, VectorField, X, Y, Z, apply,
                          build_cubic, build_kolmogorov, check_first_integral,
-                         cofactor_on_torus, divide_exact_z, lie_bracket, parse,
+                         cofactor_on_torus, lie_bracket, parse,
                          torus_polynomial, KolmogorovParams)
 
-from conftest import random_poly, random_quadratic_field, random_scalar
+from conftest import (NotDivisible, divide_exact, divide_exact_z, random_poly,
+                      random_quadratic_field, random_scalar)
 
 M = Fraction(4)
 ROTATION = VectorField(Y, -X, MultiPoly.zero())
@@ -80,8 +81,6 @@ def test_bracket_of_quadratics_shape():
         if bracket.P.is_zero():
             assert bracket.Q.is_zero()
             continue
-        from torusfields import divide_exact
-
         a = divide_exact(bracket.P, Y, "y")
         assert bracket.Q == -(a * X)
         assert a.degree <= 2
